@@ -475,22 +475,14 @@ func (s *server) handleCount(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// countDoc counts one document under ctx, exactly: an inexact uint64
-// total (the low 64 bits after overflow) is resolved with the
-// big-integer pass.
+// countDoc counts one document under ctx, exactly, in one pass that
+// migrates to big-integer arithmetic only on overflow.
 func countDoc(ctx context.Context, sp *spanner.Spanner, doc []byte) (countResult, error) {
-	n, exact, err := sp.CountContext(ctx, doc)
+	n, err := sp.CountBigContext(ctx, doc)
 	if err != nil {
 		return countResult{}, err
 	}
-	if exact {
-		return countResult{Count: fmt.Sprintf("%d", n), Exact: true}, nil
-	}
-	big, err := sp.CountBigContext(ctx, doc)
-	if err != nil {
-		return countResult{}, err
-	}
-	return countResult{Count: big.String(), Exact: true}, nil
+	return countResult{Count: n.String(), Exact: true}, nil
 }
 
 // corpusRequest is the body of POST /v1/corpus/{name}.

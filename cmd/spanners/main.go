@@ -25,11 +25,9 @@
 // /pattern/ literals combining union(…), join(…) and project[…](…), parsed
 // into a logical plan, optimized (n-ary union flattening, projection
 // pushdown, subexpression deduplication, join ordering), and compiled
-// once; -stats prints the plan before and after optimization. The older
-// repeatable flags remain as shims over the same machinery: each -union
-// PAT adds PAT's matches, each -join PAT natural-joins with PAT's matches,
-// and -project x,y restricts the output — unions apply first, then joins,
-// then the projection.
+// once; -stats prints the plan before and after optimization. A plain
+// positional PATTERN takes the direct pipeline instead, so -stats echoes it
+// exactly as typed and reports the VA stage.
 //
 // Exit status follows the grep convention: 0 when at least one input
 // matched, 1 when nothing matched, 2 on any error (bad pattern, unreadable
@@ -69,44 +67,6 @@ join(...) and project[vars](...). Reads stdin when no files are given.
 Flags:
 `
 
-// multiFlag collects the values of a repeatable string flag.
-type multiFlag []string
-
-func (m *multiFlag) String() string { return strings.Join(*m, ", ") }
-
-func (m *multiFlag) Set(v string) error {
-	*m = append(*m, v)
-	return nil
-}
-
-// buildQuery translates the legacy composition flags into a query
-// expression: the positional pattern, united with each -union pattern,
-// joined with each -join pattern, then projected onto the -project
-// variables (when given). The query compiles once, after plan
-// optimization — the shims cost nothing over writing -query by hand.
-func buildQuery(pattern string, unions, joins []string, project string) (*spanner.Query, error) {
-	q := spanner.Pattern(pattern)
-	for _, p := range unions {
-		q = q.Union(spanner.Pattern(p))
-	}
-	for _, p := range joins {
-		q = q.Join(spanner.Pattern(p))
-	}
-	if project != "" {
-		var vars []string
-		for _, v := range strings.Split(project, ",") {
-			if v = strings.TrimSpace(v); v != "" {
-				vars = append(vars, v)
-			}
-		}
-		if len(vars) == 0 {
-			return nil, fmt.Errorf("-project %q names no variables", project)
-		}
-		q = q.Project(vars...)
-	}
-	return q, nil
-}
-
 func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("spanners", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -114,7 +74,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		fmt.Fprint(stderr, usage)
 		fs.PrintDefaults()
 	}
-	var unions, joins multiFlag
 	var (
 		countOnly = fs.Bool("count", false, "print only the number of matches per input")
 		jsonOut   = fs.Bool("json", false, "emit matches as NDJSON objects")
@@ -122,13 +81,10 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		stats     = fs.Bool("stats", false, "print automaton statistics (and the query plan) to stderr")
 		limit     = fs.Int("limit", 0, "stop after this many matches per input (0 = no limit)")
 		jobs      = fs.Int("j", 1, "evaluate FILE arguments concurrently with this many workers")
-		project   = fs.String("project", "", "restrict output to these comma-separated variables (applied last)")
 		queryStr  = fs.String("query", "", "evaluate this query expression instead of a positional PATTERN")
 		timeout   = fs.Duration("timeout", 0, "cancel evaluation after this duration (0 = none)")
 		noOpt     = fs.Bool("no-optimize", false, "compile the query plan exactly as written (skip the logical optimizer)")
 	)
-	fs.Var(&unions, "union", "also match this pattern (repeatable; spanner union)")
-	fs.Var(&joins, "join", "natural-join with this pattern's matches (repeatable)")
 	if err := fs.Parse(args); err != nil {
 		return exitError
 	}
@@ -146,10 +102,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	var err error
 	switch {
 	case *queryStr != "":
-		if len(unions) > 0 || len(joins) > 0 || *project != "" {
-			fmt.Fprintln(stderr, "spanners: -query cannot be combined with -union/-join/-project (compose inside the expression instead)")
-			return exitError
-		}
 		var q *spanner.Query
 		if q, err = spanner.ParseQuery(*queryStr); err == nil {
 			sp, err = q.Compile(opts...)
@@ -158,16 +110,8 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	case fs.NArg() < 1:
 		fs.Usage()
 		return exitError
-	case len(unions) == 0 && len(joins) == 0 && *project == "":
-		// A plain positional pattern takes the direct pipeline: -stats then
-		// reports the VA stage and echoes the pattern exactly as typed.
-		sp, err = spanner.Compile(fs.Arg(0), opts...)
-		files = fs.Args()[1:]
 	default:
-		var q *spanner.Query
-		if q, err = buildQuery(fs.Arg(0), unions, joins, *project); err == nil {
-			sp, err = q.Compile(opts...)
-		}
+		sp, err = spanner.Compile(fs.Arg(0), opts...)
 		files = fs.Args()[1:]
 	}
 	if err != nil {
@@ -456,25 +400,16 @@ func (r *renderer) count(name, val string) error {
 	return e
 }
 
-// countValue counts one materialized document, falling back to big-integer
-// arithmetic on overflow so the printed value is always exact; pos reports
-// whether the true count is non-zero. The fallback decides pos too: an
-// inexact uint64 count is the low 64 bits of the true total, so by itself
-// it cannot distinguish "overflowed then every run died" (truly zero) from
-// a huge count.
+// countValue counts one materialized document exactly, in one pass that
+// migrates to big-integer arithmetic only on overflow; pos reports whether
+// the true count is non-zero. pos comes from the exact total: a count that
+// overflowed and then saw every run die is zero, not a match.
 func countValue(ctx context.Context, sp *spanner.Spanner, doc []byte) (val string, pos bool, err error) {
-	n, exact, err := sp.CountContext(ctx, doc)
+	n, err := sp.CountBigContext(ctx, doc)
 	if err != nil {
 		return "", false, err
 	}
-	if exact {
-		return fmt.Sprintf("%d", n), n > 0, nil
-	}
-	big, err := sp.CountBigContext(ctx, doc)
-	if err != nil {
-		return "", false, err
-	}
-	return big.String(), big.Sign() > 0, nil
+	return n.String(), n.Sign() > 0, nil
 }
 
 func printStats(w io.Writer, sp *spanner.Spanner) {

@@ -281,9 +281,10 @@ func TestCLIParallelErrorMatchesSerialOrder(t *testing.T) {
 }
 
 func TestCLIAlgebraFlags(t *testing.T) {
-	// Composed evaluation: -union adds a second pattern's matches, -join
-	// filters/combines, -project restricts the output variables. The table
-	// covers each operator alone and the full chain, in both modes.
+	// Composed evaluation through -query: union adds a second pattern's
+	// matches, join filters/combines, project restricts the output
+	// variables. The table covers each operator alone and the full chain,
+	// in both modes.
 	doc := "ab <a@b>, ba <12>"
 	f := writeTemp(t, "doc.txt", []byte(doc))
 	cases := []struct {
@@ -294,35 +295,32 @@ func TestCLIAlgebraFlags(t *testing.T) {
 	}{
 		{
 			name: "union adds matches",
-			args: []string{"-union", `.*!num{(1|2)+}.*`, `.*!user{(a|b)+}@.*`, f},
+			args: []string{"-query", `union(/.*!user{(a|b)+}@.*/, /.*!num{(1|2)+}.*/)`, f},
 			want: []string{`user=[4,5) "a"`, `num=[14,16) "12"`},
 			code: 0,
 		},
 		{
 			name: "join as document filter keeps matches",
-			args: []string{"-join", `.*@.*`, `.*!user{(a|b)+}@.*`, f},
+			args: []string{"-query", `join(/.*!user{(a|b)+}@.*/, /.*@.*/)`, f},
 			want: []string{`user=[4,5) "a"`},
 			code: 0,
 		},
 		{
 			name: "join filter rejects",
-			args: []string{"-join", `(x)*`, `.*!user{(a|b)+}@.*`, f},
+			args: []string{"-query", `join(/.*!user{(a|b)+}@.*/, /(x)*/)`, f},
 			want: nil,
 			code: 1,
 		},
 		{
 			name: "project narrows variables",
-			args: []string{"-project", "host", `.*!user{(a|b)+}@!host{(a|b)+}.*`, f},
+			args: []string{"-query", `project[host](/.*!user{(a|b)+}@!host{(a|b)+}.*/)`, f},
 			want: []string{`host=[6,7) "b"`},
 			code: 0,
 		},
 		{
 			name: "union join project chain",
 			args: []string{
-				"-union", `.*!num{(1|2)+}.*`,
-				"-join", `.*@.*`,
-				"-project", "num",
-				`.*!user{(a|b)+}@.*`, f,
+				"-query", `project[num](join(union(/.*!user{(a|b)+}@.*/, /.*!num{(1|2)+}.*/), /.*@.*/))`, f,
 			},
 			// The user matches survive the join (doc contains @) and project
 			// to the empty mapping; the num matches keep their spans.
@@ -331,23 +329,23 @@ func TestCLIAlgebraFlags(t *testing.T) {
 		},
 		{
 			name: "lazy mode composes identically",
-			args: []string{"-lazy", "-union", `.*!num{(1|2)+}.*`, `.*!user{(a|b)+}@.*`, f},
+			args: []string{"-lazy", "-query", `union(/.*!user{(a|b)+}@.*/, /.*!num{(1|2)+}.*/)`, f},
 			want: []string{`user=[4,5) "a"`, `num=[14,16) "12"`},
 			code: 0,
 		},
 		{
 			name: "bad union pattern",
-			args: []string{"-union", "(", "a", f},
+			args: []string{"-query", `union(/a/, /(/)`, f},
 			code: 2,
 		},
 		{
 			name: "unknown projection variable",
-			args: []string{"-project", "nope", `.*!user{(a|b)+}@.*`, f},
+			args: []string{"-query", `project[nope](/.*!user{(a|b)+}@.*/)`, f},
 			code: 2,
 		},
 		{
 			name: "projection naming no variables",
-			args: []string{"-project", ",", `.*!user{(a|b)+}@.*`, f},
+			args: []string{"-query", `project[,](/.*!user{(a|b)+}@.*/)`, f},
 			code: 2,
 		},
 	}
@@ -435,33 +433,33 @@ func TestCLICountOverflowPrintsExactValue(t *testing.T) {
 	}
 }
 
-// TestCLIQueryFlag checks that -query expressions evaluate, that they
-// produce exactly what the equivalent legacy flags produce, and that the
-// exclusivity and error paths hold.
+// TestCLIQueryFlag checks that a -query expression evaluates to exactly
+// what the library produces for the same query, and that the error paths
+// hold.
 func TestCLIQueryFlag(t *testing.T) {
 	doc := []byte("ab@ba ba:a")
 	f := writeTemp(t, "doc.txt", doc)
 	const pEmail = `(a|b|:|@| )*!user{(a|b)+}@(a|b|:|@| )*`
 	const pPhone = `(a|b|:|@| )*!user{(a|b)+}:(a|b|:|@| )*`
+	query := fmt.Sprintf("project[user](union(/%s/, /%s/))", pEmail, pPhone)
 
-	legacyOut, _, legacyCode := runCLI(t, "", "-union", pPhone, "-project", "user", pEmail, f)
-	queryOut, _, queryCode := runCLI(t, "",
-		"-query", fmt.Sprintf("project[user](union(/%s/, /%s/))", pEmail, pPhone), f)
-	if legacyCode != 0 || queryCode != 0 {
-		t.Fatalf("exits = %d/%d, want 0", legacyCode, queryCode)
+	out, _, code := runCLI(t, "", "-query", query, f)
+	if code != 0 {
+		t.Fatalf("exit = %d, want 0", code)
 	}
-	if queryOut != legacyOut {
-		t.Fatalf("-query output differs from legacy flags:\n%q\n%q", queryOut, legacyOut)
+	var want strings.Builder
+	for m := range spanner.MustCompileQuery(query).All(doc) {
+		for _, b := range m.Bindings() {
+			fmt.Fprintf(&want, "%s=%s %q\n", b.Var, b.Span, b.Text)
+		}
 	}
-	if !strings.Contains(queryOut, "user=") {
-		t.Fatalf("no user bindings:\n%s", queryOut)
+	if out != want.String() {
+		t.Fatalf("-query output differs from the library:\n%q\n%q", out, want.String())
+	}
+	if !strings.Contains(out, "user=") {
+		t.Fatalf("no user bindings:\n%s", out)
 	}
 
-	// -query is exclusive with the legacy composition flags.
-	if _, stderr, code := runCLI(t, "", "-query", "/a/", "-union", "b", f); code != exitError ||
-		!strings.Contains(stderr, "-query cannot be combined") {
-		t.Fatalf("exclusivity: exit %d, stderr %q", code, stderr)
-	}
 	// Parse errors exit 2 with a diagnostic.
 	if _, stderr, code := runCLI(t, "", "-query", "union(/a/", f); code != exitError ||
 		!strings.Contains(stderr, "parse error") {
@@ -584,7 +582,7 @@ func TestCLIQueryLiteralEscapes(t *testing.T) {
 }
 
 // TestCLIPlainPatternStatsKeepsVAStage pins that a plain positional
-// PATTERN (no composition flags) still takes the direct pipeline: -stats
+// PATTERN (no -query) still takes the direct pipeline: -stats
 // echoes the pattern exactly as typed and reports the VA stage, which
 // query lowering (eVA-level composition) necessarily skips.
 func TestCLIPlainPatternStatsKeepsVAStage(t *testing.T) {

@@ -346,29 +346,15 @@ func Map[T any](workers, n int, fn func(int) T, emit func(int, T) bool) {
 // batch concurrently and returns the per-document counts in input order.
 // exact[i] is false when count[i] overflowed uint64.
 func (e *Engine) Count(docs [][]byte) (counts []uint64, exact []bool) {
-	n := len(docs)
-	counts = make([]uint64, n)
-	exact = make([]bool, n)
-	if n == 0 {
-		return counts, exact
-	}
-	workers := e.poolSize(n)
-	jobs := make(chan int, n)
-	for i := range docs {
-		jobs <- i
-	}
-	close(jobs)
-	done := make(chan struct{})
-	for w := 0; w < workers; w++ {
-		go func() {
-			for i := range jobs {
-				counts[i], exact[i] = e.s.Count(docs[i])
-			}
-			done <- struct{}{}
-		}()
-	}
-	for w := 0; w < workers; w++ {
-		<-done
-	}
+	counts = make([]uint64, len(docs))
+	exact = make([]bool, len(docs))
+	// Each worker writes only its own index; Map returns after every
+	// result has been handed over, so the slices are complete.
+	Map(e.poolSize(len(docs)), len(docs),
+		func(i int) struct{} {
+			counts[i], exact[i] = e.s.Count(docs[i])
+			return struct{}{}
+		},
+		func(int, struct{}) bool { return true })
 	return counts, exact
 }

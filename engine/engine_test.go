@@ -395,24 +395,22 @@ func TestProcessLoaderErrorsInOrder(t *testing.T) {
 	}
 }
 
-// TestComposedSpannerThroughEngine checks that an algebra-composed spanner
-// is an ordinary citizen of the batch pool: a union-of-joins spanner run
-// through Engine.Run produces exactly the serial trace, at every worker
-// count and in both determinization modes.
+// TestComposedSpannerThroughEngine checks that a query-composed spanner is
+// an ordinary citizen of the batch pool: a union and a join-of-union
+// spanner run through Engine.Run produce exactly the serial trace, at
+// every worker count and in both determinization modes.
 func TestComposedSpannerThroughEngine(t *testing.T) {
 	forceProcs(t, 8)
 	docs := batch(60)
-	emails := gen.Figure1Pattern()
-	numbers := `.*!num{(0|1|2|3|4|5|6|7|8|9)+}.*`
+	emails := spanner.Pattern(gen.Figure1Pattern())
+	numbers := spanner.Pattern(`.*!num{(0|1|2|3|4|5|6|7|8|9)+}.*`)
+	union := emails.Union(numbers)
 	for _, mode := range []spanner.Option{spanner.WithStrict(), spanner.WithLazy()} {
-		s1 := spanner.MustCompile(emails, mode)
-		s2 := spanner.MustCompile(numbers, mode)
-		u, err := spanner.Union(s1, s2, mode)
+		u, err := union.Compile(mode)
 		if err != nil {
 			t.Fatal(err)
 		}
-		filter := spanner.MustCompile(`.*@.*`, mode)
-		j, err := spanner.Join(u, filter, mode)
+		j, err := union.Join(spanner.Pattern(`.*@.*`)).Compile(mode)
 		if err != nil {
 			t.Fatal(err)
 		}

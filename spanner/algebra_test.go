@@ -1,13 +1,13 @@
 package spanner_test
 
-// Differential tests for the spanner algebra. The ground truth is the
-// set-theoretic composition of brute-force oracle results: each operand is
-// evaluated by internal/oracle's exhaustive marker-placement enumeration on
-// its own deterministic automaton, the mapping sets are composed with the
-// model-level UnionSets/ProjectSet/JoinSets, and the facade's composed
-// automaton must reproduce the set exactly — on >1000 random (pattern
-// pair, document) cases, in both determinization modes, and through the
-// streaming and batch entry points.
+// Differential tests for the spanner algebra, composed through the Query
+// API. The ground truth is the set-theoretic composition of brute-force
+// oracle results: each operand is evaluated by internal/oracle's
+// exhaustive marker-placement enumeration on its own deterministic
+// automaton, the mapping sets are composed with the model-level
+// UnionSets/ProjectSet/JoinSets, and the compiled query must reproduce the
+// set exactly — on >1000 random (pattern pair, document) cases, in both
+// determinization modes, and through the streaming and batch entry points.
 
 import (
 	"fmt"
@@ -59,23 +59,25 @@ func assertSet(t *testing.T, label string, s *spanner.Spanner, doc []byte, want 
 	}
 }
 
-// knownVars filters names to those registered in s.
-func knownVars(s *spanner.Spanner, names []string) []string {
+// knownVars filters names to those bound in q.
+func knownVars(t *testing.T, q *spanner.Query, names []string) []string {
+	t.Helper()
+	vars, err := q.Vars()
+	if err != nil {
+		t.Fatal(err)
+	}
 	var out []string
 	for _, n := range names {
-		for _, v := range s.Vars() {
-			if v == n {
-				out = append(out, n)
-				break
-			}
+		if slices.Contains(vars, n) {
+			out = append(out, n)
 		}
 	}
 	return out
 }
 
 // TestAlgebraDifferentialRandom is the acceptance-criteria harness: ≥1000
-// random (pattern pair, document) cases, each validating Union, Join and
-// Project against the oracle composition. Strict mode is checked on every
+// random (pattern pair, document) cases, each validating the union, join
+// and projection queries against the oracle composition. Strict mode is checked on every
 // case; lazy mode on a regular subsample (the two modes share the
 // composed automaton, differing only in determinization).
 func TestAlgebraDifferentialRandom(t *testing.T) {
@@ -86,38 +88,15 @@ func TestAlgebraDifferentialRandom(t *testing.T) {
 		n1 := gen.RandomRGX(rng, 3, []string{"x", "y"}, "ab")
 		n2 := gen.RandomRGX(rng, 3, []string{"y", "z"}, "ab")
 		p1, p2 := n1.String(), n2.String()
-		s1, err := spanner.Compile(p1)
-		if err != nil {
-			t.Fatalf("compile %q: %v", p1, err)
-		}
-		s2, err := spanner.Compile(p2)
-		if err != nil {
-			t.Fatalf("compile %q: %v", p2, err)
-		}
-		union, err := spanner.Union(s1, s2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		join, err := spanner.Join(s1, s2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		keep := knownVars(s1, []string{"y", "x"})
-		proj, err := spanner.Project(s1, keep)
-		if err != nil {
-			t.Fatal(err)
-		}
+		q1, q2 := spanner.Pattern(p1), spanner.Pattern(p2)
+		keep := knownVars(t, q1, []string{"y", "x"})
+		qu, qj, qp := q1.Union(q2), q1.Join(q2), q1.Project(keep...)
+		union, join, proj := compileQ(t, qu), compileQ(t, qj), compileQ(t, qp)
 		var lazyUnion, lazyJoin, lazyProj *spanner.Spanner
 		if pair%5 == 0 {
-			if lazyUnion, err = spanner.Union(s1, s2, spanner.WithLazy()); err != nil {
-				t.Fatal(err)
-			}
-			if lazyJoin, err = spanner.Join(s1, s2, spanner.WithLazy()); err != nil {
-				t.Fatal(err)
-			}
-			if lazyProj, err = spanner.Project(s1, keep, spanner.WithLazy()); err != nil {
-				t.Fatal(err)
-			}
+			lazyUnion = compileQ(t, qu, spanner.WithLazy())
+			lazyJoin = compileQ(t, qj, spanner.WithLazy())
+			lazyProj = compileQ(t, qp, spanner.WithLazy())
 		}
 		det1 := spannerRegistry(t, p1)
 		det2 := spannerRegistry(t, p2)
@@ -177,23 +156,12 @@ func TestAlgebraLaws(t *testing.T) {
 			n2 := gen.RandomRGX(rng, 3, []string{"y"}, "ab")
 			s1 := spanner.MustCompile(n1.String(), mode)
 			s2 := spanner.MustCompile(n2.String(), mode)
+			q1, q2 := spanner.Pattern(n1.String()), spanner.Pattern(n2.String())
 
-			u12, err := spanner.Union(s1, s2, mode)
-			if err != nil {
-				t.Fatal(err)
-			}
-			u21, err := spanner.Union(s2, s1, mode)
-			if err != nil {
-				t.Fatal(err)
-			}
-			idp, err := spanner.Project(s1, s1.Vars(), mode)
-			if err != nil {
-				t.Fatal(err)
-			}
-			j, err := spanner.Join(s1, s2, mode)
-			if err != nil {
-				t.Fatal(err)
-			}
+			u12 := compileQ(t, q1.Union(q2), mode)
+			u21 := compileQ(t, q2.Union(q1), mode)
+			idp := compileQ(t, q1.Project(s1.Vars()...), mode)
+			j := compileQ(t, q1.Join(q2), mode)
 			for _, doc := range docs {
 				if a, b := keys1Based(t, u12, doc), keys1Based(t, u21, doc); !slices.Equal(a, b) {
 					t.Fatalf("union not commutative on %q:\n%s ∪ %s: %v\n%s ∪ %s: %v",
@@ -217,15 +185,13 @@ func TestAlgebraLaws(t *testing.T) {
 }
 
 // TestJoinAsDocumentFilter pins the boolean use of natural join: joining
-// with a variable-free spanner keeps s1's matches exactly on documents the
+// with a variable-free query keeps s1's matches exactly on documents the
 // filter accepts and drops everything else.
 func TestJoinAsDocumentFilter(t *testing.T) {
-	s1 := spanner.MustCompile(`(a|b)*!w{a+}(a|b)*`)
-	filter := spanner.MustCompile(`(a|b)*ba(a|b)*`) // documents containing "ba"
-	j, err := spanner.Join(s1, filter)
-	if err != nil {
-		t.Fatal(err)
-	}
+	const p1, pFilter = `(a|b)*!w{a+}(a|b)*`, `(a|b)*ba(a|b)*` // documents containing "ba"
+	s1 := spanner.MustCompile(p1)
+	filter := spanner.MustCompile(pFilter)
+	j := compileQ(t, spanner.Pattern(p1).Join(spanner.Pattern(pFilter)))
 	for _, doc := range [][]byte{nil, []byte("aa"), []byte("ba"), []byte("aaba"), []byte("bbbb"), []byte("abab")} {
 		want := keys1Based(t, s1, doc)
 		if filter.IsEmpty(doc) {
@@ -237,29 +203,15 @@ func TestJoinAsDocumentFilter(t *testing.T) {
 	}
 }
 
-// TestAlgebraComposesNested checks that composed spanners compose again:
+// TestAlgebraComposesNested checks that composed queries compose again:
 // π_user(join(union(emails, phones), filter)) — the shape of a real
 // extraction pipeline — still matches the oracle composition.
 func TestAlgebraComposesNested(t *testing.T) {
 	const pEmail = `(a|b| )*!user{(a|b)+}@!host{(a|b)+}(a|b| )*`
 	const pPhone = `(a|b| )*!user{(a|b)+}:!num{(a|b)+}(a|b| )*`
 	const pFilter = `(a|b|@|:| )*b(a|b|@|:| )*` // documents containing a "b"
-	emails := spanner.MustCompile(pEmail)
-	phones := spanner.MustCompile(pPhone)
-	filter := spanner.MustCompile(pFilter)
-
-	u, err := spanner.Union(emails, phones)
-	if err != nil {
-		t.Fatal(err)
-	}
-	j, err := spanner.Join(u, filter)
-	if err != nil {
-		t.Fatal(err)
-	}
-	final, err := spanner.Project(j, []string{"user"})
-	if err != nil {
-		t.Fatal(err)
-	}
+	u := spanner.Pattern(pEmail).Union(spanner.Pattern(pPhone))
+	final := compileQ(t, u.Join(spanner.Pattern(pFilter)).Project("user"))
 	if got := final.Vars(); len(got) != 1 || got[0] != "user" {
 		t.Fatalf("Vars = %v, want [user]", got)
 	}
@@ -295,12 +247,7 @@ func TestAlgebraComposesNested(t *testing.T) {
 // through the Reader-based entry points identically to whole-document
 // evaluation.
 func TestAlgebraStreamingAndReaders(t *testing.T) {
-	s1 := spanner.MustCompile(`(a|b)*!x{a+}(a|b)*`)
-	s2 := spanner.MustCompile(`(a|b)*!y{b+}(a|b)*`)
-	j, err := spanner.Join(s1, s2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	j := compileQ(t, spanner.Pattern(`(a|b)*!x{a+}(a|b)*`).Join(spanner.Pattern(`(a|b)*!y{b+}(a|b)*`)))
 	doc := []byte("aabbaabab")
 	want := keys1Based(t, j, doc)
 
@@ -321,10 +268,9 @@ func TestAlgebraStreamingAndReaders(t *testing.T) {
 	}
 }
 
-// TestAlgebraErrors covers the constructor failure paths.
+// TestAlgebraErrors covers the composition failure paths.
 func TestAlgebraErrors(t *testing.T) {
-	s := spanner.MustCompile(`!x{a}`)
-	if _, err := spanner.Project(s, []string{"nope"}); err == nil {
+	if _, err := spanner.Pattern(`!x{a}`).Project("nope").Compile(); err == nil {
 		t.Fatal("projecting onto an unknown variable must fail")
 	}
 }
@@ -334,12 +280,8 @@ func TestAlgebraErrors(t *testing.T) {
 // shared-variable join reports the sequentialization the construction
 // relies on.
 func TestAlgebraStats(t *testing.T) {
-	s1 := spanner.MustCompile(`!x{a}(a|b)*`)
-	s2 := spanner.MustCompile(`!x{a*}!y{b*}`)
-	j, err := spanner.Join(s1, s2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	q1, q2 := spanner.Pattern(`!x{a}(a|b)*`), spanner.Pattern(`!x{a*}!y{b*}`)
+	j := compileQ(t, q1.Join(q2))
 	if got, want := j.Pattern(), "join(/!x{a}(a|b)*/, /!x{a*}!y{b*}/)"; got != want {
 		t.Fatalf("Pattern = %q, want %q", got, want)
 	}
@@ -364,10 +306,7 @@ func TestAlgebraStats(t *testing.T) {
 	if got := j.Vars(); !slices.Equal(got, []string{"x", "y"}) {
 		t.Fatalf("Vars = %v, want [x y]", got)
 	}
-	u, err := spanner.Union(s1, s2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	u := compileQ(t, q1.Union(q2))
 	if got := u.Vars(); !slices.Equal(got, []string{"x", "y"}) {
 		t.Fatalf("union Vars = %v, want [x y]", got)
 	}

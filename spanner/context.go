@@ -7,8 +7,10 @@
 // promptly: within O(ctxChunk) scan work or O(ctxCheckMatches) yields.
 //
 // These entry points cost one ctx.Err() load per 64 KiB of document (or per
-// 256 matches); the plain variants remain check-free for callers that do
-// not need cancellation.
+// 256 matches). The plain entry points run the same path with
+// context.Background(): Enumerate, Preprocess and the Reader variants call
+// their Context twins, Iterator and Evaluation.Enumerate the evaluate and
+// drain wrappers. Only Count and CountBig keep their own one-shot pass.
 package spanner
 
 import (
@@ -43,42 +45,56 @@ func (s *Spanner) EnumerateContext(ctx context.Context, doc []byte, yield func(*
 	return s.drainContext(ctx, res, yield)
 }
 
-// evaluateContext is the chunked, cancellable form of evaluate. The Result
-// borrows doc and, when sc is non-nil, the scratch's arena.
-func (s *Spanner) evaluateContext(ctx context.Context, doc []byte, sc *core.Scratch) (*core.Result, error) {
+// newStream starts a preprocessing pass; see core.NewStream for the
+// scratch's ownership rule.
+func (s *Spanner) newStream(sc *core.Scratch) *core.Stream {
 	unlock := s.lockLazy()
-	var st *core.Stream
-	if s.lazy != nil {
-		st = core.NewStream(s.lazy, sc)
-	} else {
-		st = core.NewStream(s.dense, sc)
-	}
-	unlock()
+	defer unlock()
+	return core.NewStream(s.automaton(), sc)
+}
+
+// newCountStream starts a counting pass.
+func (s *Spanner) newCountStream() *core.CountStream {
+	unlock := s.lockLazy()
+	defer unlock()
+	return core.NewCountStream(s.automaton())
+}
+
+// feedChunks hands doc to feed in ctxChunk steps, each under the lazy
+// lock, checking ctx before every step and once more at the end.
+func (s *Spanner) feedChunks(ctx context.Context, doc []byte, feed func(chunk []byte)) error {
 	for off := 0; off < len(doc); off += ctxChunk {
 		if err := ctx.Err(); err != nil {
-			return nil, err
+			return err
 		}
-		unlock = s.lockLazy()
-		st.FeedBorrowed(doc[off:min(off+ctxChunk, len(doc))])
+		unlock := s.lockLazy()
+		feed(doc[off:min(off+ctxChunk, len(doc))])
 		unlock()
 	}
-	if err := ctx.Err(); err != nil {
+	return ctx.Err()
+}
+
+// evaluateContext runs the Algorithm 1 preprocessing pass over doc in
+// cancellable chunks. The Result borrows doc and, when sc is non-nil, the
+// scratch's tables and arena; it is then valid only until the scratch's
+// next use, so only the bounded-lifetime entry points pass one.
+func (s *Spanner) evaluateContext(ctx context.Context, doc []byte, sc *core.Scratch) (*core.Result, error) {
+	st := s.newStream(sc)
+	if err := s.feedChunks(ctx, doc, st.FeedBorrowed); err != nil {
 		return nil, err
 	}
-	unlock = s.lockLazy()
+	unlock := s.lockLazy()
 	defer unlock()
 	res := st.CloseWith(doc)
 	s.noteAccel(st.AccelSkippedBytes(), st.AccelFellBack())
 	return res, nil
 }
 
-// drainContext is drain with a cancellation check every ctxCheckMatches
-// yields.
+// drainContext walks every output of a preprocessing Result through a
+// fresh Match scratch buffer, stopping early when yield returns false, and
+// checks ctx every ctxCheckMatches yields.
 func (s *Spanner) drainContext(ctx context.Context, res *core.Result, yield func(*Match) bool) error {
-	it := &Iterator{
-		it: res.Iterator(),
-		m:  newMatch(res.Document(), s.vars, res.Registry()),
-	}
+	it := s.iterate(res)
 	for n := 0; ; n++ {
 		if n%ctxCheckMatches == 0 {
 			if err := ctx.Err(); err != nil {
@@ -95,6 +111,12 @@ func (s *Spanner) drainContext(ctx context.Context, res *core.Result, yield func
 	}
 }
 
+// drain is drainContext for Evaluation.Enumerate, which has no Context
+// twin.
+func (s *Spanner) drain(res *core.Result, yield func(*Match) bool) {
+	_ = s.drainContext(context.Background(), res, yield)
+}
+
 // PreprocessContext is Preprocess with cancellation: the pass checks ctx
 // between chunks, and a cancelled call returns (nil, ctx.Err()) with the
 // pooled scratch already returned. The engine's ProcessContext runs it on
@@ -109,55 +131,44 @@ func (s *Spanner) PreprocessContext(ctx context.Context, doc []byte) (*Evaluatio
 	return &Evaluation{s: s, sc: sc, res: res}, nil
 }
 
-// countContext runs the chunked, cancellable counting pass over doc and
-// returns the closed stream.
-func (s *Spanner) countContext(ctx context.Context, doc []byte) (*core.CountStream, error) {
+// countContext runs the chunked, cancellable counting pass over doc; total
+// reads the closed stream under the lazy lock (totaling reads the shared
+// automaton's state table).
+func (s *Spanner) countContext(ctx context.Context, doc []byte, total func(*core.CountStream)) error {
+	cs := s.newCountStream()
+	if err := s.feedChunks(ctx, doc, cs.Feed); err != nil {
+		return err
+	}
 	unlock := s.lockLazy()
-	var cs *core.CountStream
-	if s.lazy != nil {
-		cs = core.NewCountStream(s.lazy)
-	} else {
-		cs = core.NewCountStream(s.dense)
-	}
-	unlock()
-	for off := 0; off < len(doc); off += ctxChunk {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		unlock = s.lockLazy()
-		cs.Feed(doc[off:min(off+ctxChunk, len(doc))])
-		unlock()
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
+	defer unlock()
+	total(cs)
 	s.noteAccel(cs.AccelSkippedBytes(), cs.AccelFellBack())
-	return cs, nil
+	return nil
 }
 
 // CountContext is Count with cancellation; see Count for the exactness
 // contract (the streaming pass is in fact strictly stronger, like
 // CountReader: it stays exact through intermediate overflows).
 func (s *Spanner) CountContext(ctx context.Context, doc []byte) (count uint64, exact bool, err error) {
-	cs, err := s.countContext(ctx, doc)
+	err = s.countContext(ctx, doc, func(cs *core.CountStream) {
+		count, exact = cs.Count()
+	})
 	if err != nil {
 		return 0, false, err
 	}
-	unlock := s.lockLazy()
-	defer unlock()
-	count, exact = cs.Count()
 	return count, exact, nil
 }
 
-// CountBigContext is CountBig with cancellation.
-func (s *Spanner) CountBigContext(ctx context.Context, doc []byte) (*big.Int, error) {
-	cs, err := s.countContext(ctx, doc)
+// CountBigContext is CountBig with cancellation. The single pass counts in
+// uint64 and migrates to big integers only on the first overflow.
+func (s *Spanner) CountBigContext(ctx context.Context, doc []byte) (n *big.Int, err error) {
+	err = s.countContext(ctx, doc, func(cs *core.CountStream) {
+		n = cs.CountBig()
+	})
 	if err != nil {
 		return nil, err
 	}
-	unlock := s.lockLazy()
-	defer unlock()
-	return cs.CountBig(), nil
+	return n, nil
 }
 
 // EnumerateReaderContext is EnumerateReader with cancellation: ctx is

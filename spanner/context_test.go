@@ -99,6 +99,62 @@ func TestContextVariantsMatchPlain(t *testing.T) {
 	}
 }
 
+// TestPlainEntryPointsMultiChunk pins the plain entry points on a document
+// spanning several 64 KiB scan chunks, in both modes: each runs the
+// chunked Context path with context.Background() (taking the lazy lock per
+// chunk), so every one must yield exactly EnumerateContext's matches, and
+// as many of them as Count reports.
+func TestPlainEntryPointsMultiChunk(t *testing.T) {
+	doc := gen.Contacts(8000, 11)
+	if len(doc) <= 2*(64<<10) {
+		t.Fatalf("document too small for the chunk test: %d bytes", len(doc))
+	}
+	for _, mode := range []spanner.Option{spanner.WithStrict(), spanner.WithLazy()} {
+		s := spanner.MustCompile(gen.Figure1Pattern(), mode)
+		var want []string
+		if err := s.EnumerateContext(context.Background(), doc, func(m *spanner.Match) bool {
+			want = append(want, m.Key())
+			return true
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if n, exact := s.Count(doc); !exact || n != uint64(len(want)) {
+			t.Fatalf("%s: Count = (%d, %v), EnumerateContext yielded %d", s.Mode(), n, exact, len(want))
+		}
+		if len(want) == 0 {
+			t.Fatalf("%s: no matches; the test would be vacuous", s.Mode())
+		}
+
+		got := map[string][]string{}
+		collect := func(name string) func(*spanner.Match) bool {
+			return func(m *spanner.Match) bool {
+				got[name] = append(got[name], m.Key())
+				return true
+			}
+		}
+		s.Enumerate(doc, collect("Enumerate"))
+		for m := range s.All(doc) {
+			got["All"] = append(got["All"], m.Key())
+		}
+		it := s.Iterator(doc)
+		for m, ok := it.Next(); ok; m, ok = it.Next() {
+			got["Iterator"] = append(got["Iterator"], m.Key())
+		}
+		ev := s.Preprocess(doc)
+		ev.Enumerate(collect("Preprocess"))
+		ev.Release()
+		if err := s.EnumerateReader(strings.NewReader(string(doc)), collect("EnumerateReader")); err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range []string{"Enumerate", "All", "Iterator", "Preprocess", "EnumerateReader"} {
+			if !slices.Equal(got[name], want) {
+				t.Fatalf("%s: %s yields %d matches diverging from EnumerateContext's %d",
+					s.Mode(), name, len(got[name]), len(want))
+			}
+		}
+	}
+}
+
 func TestContextPreCancelled(t *testing.T) {
 	s := spanner.MustCompile(`(a|b)*!x{a+}(a|b)*`)
 	ctx, cancel := context.WithCancel(context.Background())

@@ -242,8 +242,9 @@ func sortedKeys(s *spanner.Spanner, doc []byte) []string {
 }
 
 // FuzzAlgebraOracle is the algebra half of the differential harness: for
-// random pattern pairs and documents it checks Union, Join and Project
-// against the set-theoretic composition of brute-force oracle results.
+// random pattern pairs and documents it checks the union, join and
+// projection queries against the set-theoretic composition of brute-force
+// oracle results.
 // Documents are kept tiny — the oracle enumerates every candidate marker
 // placement, exponential in the variable count.
 func FuzzAlgebraOracle(f *testing.F) {
@@ -254,12 +255,10 @@ func FuzzAlgebraOracle(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed1, seed2 uint64, raw []byte) {
 		n1 := gen.RandomRGX(rand.New(rand.NewSource(int64(seed1))), 3, []string{"x", "y"}, "ab")
 		n2 := gen.RandomRGX(rand.New(rand.NewSource(int64(seed2))), 3, []string{"y", "z"}, "ab")
-		s1, err := spanner.CompileNode(n1)
-		if err != nil {
+		if _, err := spanner.CompileNode(n1); err != nil {
 			t.Skip()
 		}
-		s2, err := spanner.CompileNode(n2)
-		if err != nil {
+		if _, err := spanner.CompileNode(n2); err != nil {
 			t.Skip()
 		}
 		if len(raw) > 5 {
@@ -271,28 +270,20 @@ func FuzzAlgebraOracle(f *testing.F) {
 		}
 		p1, p2 := n1.String(), n2.String()
 		o1, o2 := oracleSet(t, p1, doc), oracleSet(t, p2, doc)
+		q1, q2 := spanner.Pattern(p1), spanner.Pattern(p2)
 
-		union, err := spanner.Union(s1, s2)
-		if err != nil {
-			t.Fatal(err)
-		}
+		union := compileQ(t, q1.Union(q2))
 		assertSet(t, "fuzz union", union, doc, model.UnionSets(o1, o2))
 
-		join, err := spanner.Join(s1, s2)
-		if err != nil {
-			t.Fatal(err)
-		}
+		join := compileQ(t, q1.Join(q2))
 		wantJ, err := model.JoinSets(o1, o2, spannerRegistry(t, p1), spannerRegistry(t, p2))
 		if err != nil {
 			t.Fatal(err)
 		}
 		assertSet(t, "fuzz join", join, doc, wantJ)
 
-		keep := knownVars(s1, []string{"x"})
-		proj, err := spanner.Project(s1, keep)
-		if err != nil {
-			t.Fatal(err)
-		}
+		keep := knownVars(t, q1, []string{"x"})
+		proj := compileQ(t, q1.Project(keep...))
 		wantP, err := model.ProjectSet(o1, keep, model.NewRegistryOf(keep...))
 		if err != nil {
 			t.Fatal(err)

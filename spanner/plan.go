@@ -41,8 +41,7 @@ const estCap = 1 << 30
 type plan struct {
 	op      queryOp
 	pattern string   // opPattern
-	pre     *Spanner // opPattern: pre-compiled leaf
-	node    rgx.Node // opPattern without pre: parsed formula
+	node    rgx.Node // opPattern: parsed formula
 	subs    []*plan
 	keep    []string // opProject
 	// vars are the variables bound in this subtree, first-binding order;
@@ -72,12 +71,6 @@ func newPlan(q *Query) (*plan, error) {
 func (pl *planner) build(q *Query) (*plan, error) {
 	switch q.op {
 	case opPattern:
-		if q.pre != nil {
-			return &plan{
-				op: opPattern, pattern: q.pattern, pre: q.pre,
-				vars: q.pre.Vars(), est: q.pre.seq.Size(),
-			}, nil
-		}
 		n, ok := pl.parsed[q.pattern]
 		if !ok {
 			var err error
@@ -162,8 +155,7 @@ func (p *plan) key() string {
 	return p.ckey
 }
 
-// asQuery rebuilds the plan's Query shape (for rendering only: pre-compiled
-// leaves reduce to their pattern, which is what identifies them).
+// asQuery rebuilds the plan's Query shape, for rendering.
 func (p *plan) asQuery() *Query {
 	switch p.op {
 	case opPattern:
@@ -441,9 +433,6 @@ func (l *lowerer) lower(p *plan) (*eva.EVA, error) {
 func (l *lowerer) lowerNew(p *plan) (*eva.EVA, error) {
 	switch p.op {
 	case opPattern:
-		if p.pre != nil {
-			return p.pre.seq, nil
-		}
 		v, err := rgx.Compile(p.node)
 		if err != nil {
 			return nil, err

@@ -36,7 +36,7 @@ import (
 type queryOp int
 
 const (
-	opPattern queryOp = iota // leaf: a regex formula (or pre-compiled Spanner)
+	opPattern queryOp = iota // leaf: a regex formula
 	opUnion                  // n-ary union of the operand match sets
 	opJoin                   // n-ary natural join of the operand match sets
 	opProject                // restriction of the operand's matches to keep
@@ -51,7 +51,6 @@ const (
 type Query struct {
 	op      queryOp
 	pattern string   // opPattern: the regex formula source
-	pre     *Spanner // opPattern: already-compiled leaf, reused at lowering
 	subs    []*Query // opUnion/opJoin: ≥1 operands; opProject: exactly 1
 	keep    []string // opProject: kept variables, in order, deduplicated
 }
@@ -60,17 +59,6 @@ type Query struct {
 // pattern is not parsed until the query is compiled or inspected.
 func Pattern(pattern string) *Query {
 	return &Query{op: opPattern, pattern: pattern}
-}
-
-// queryOf adapts a compiled Spanner into a query leaf. A spanner that was
-// itself compiled from a query contributes its whole tree (so nested
-// compositions flatten and deduplicate); a directly compiled spanner
-// becomes a leaf that reuses the already-built automaton at lowering time.
-func queryOf(s *Spanner) *Query {
-	if s.query != nil {
-		return s.query
-	}
-	return &Query{op: opPattern, pattern: s.pattern, pre: s}
 }
 
 // Union returns the query denoting ⟦q⟧d ∪ ⟦q1⟧d ∪ … over the union of the
@@ -229,7 +217,6 @@ func (q *Query) Compile(opts ...Option) (*Spanner, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.query = q
 	s.stats.Plan = ex
 	return s, nil
 }

@@ -347,34 +347,26 @@ func TestQueryDedupSharedSubexpression(t *testing.T) {
 	}
 }
 
-// TestDeprecatedConstructorsAreQueryShims checks that the eager wrappers
-// produce spanners equivalent to the corresponding one-node queries, carry
-// plans, and compose: a spanner built by a wrapper feeds back into another
-// wrapper via its query tree (flattening applies).
-func TestDeprecatedConstructorsAreQueryShims(t *testing.T) {
-	s1 := spanner.MustCompile(`(a|b)*!x{a+}(a|b)*`)
-	s2 := spanner.MustCompile(`(a|b)*!y{b+}(a|b)*`)
-	u, err := spanner.Union(s1, s2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if u.Stats().Plan == nil {
-		t.Fatal("wrapper result should carry a plan")
-	}
-	u2, err := spanner.Union(u, s1) // repeated operand: flattens and dedups
-	if err != nil {
-		t.Fatal(err)
-	}
+// TestQueryUnionFlattensAndDedups checks that a union repeating one of
+// its operands one level up denotes the same spanner as the union without
+// the repeat: the optimizer flattens the nesting and drops the duplicate
+// leaf, while Pattern() keeps the query as written and still round-trips.
+func TestQueryUnionFlattensAndDedups(t *testing.T) {
+	q1 := spanner.Pattern(`(a|b)*!x{a+}(a|b)*`)
+	u := compileQ(t, q1.Union(spanner.Pattern(`(a|b)*!y{b+}(a|b)*`)))
+	q2 := spanner.MustParseQuery(u.Pattern()).Union(q1) // repeated operand
+	u2 := compileQ(t, q2)
 	for _, doc := range [][]byte{nil, []byte("ab"), []byte("bba")} {
 		if a, b := keys1Based(t, u, doc), keys1Based(t, u2, doc); !slices.Equal(a, b) {
-			t.Fatalf("union(u, s1) should equal u on %q: %v vs %v", doc, a, b)
+			t.Fatalf("union(u, q1) should equal u on %q: %v vs %v", doc, a, b)
 		}
 	}
-	// Pattern() reflects the query as written (the dedup lives in the
-	// optimized plan), and still round-trips.
 	want := "union(union(/(a|b)*!x{a+}(a|b)*/, /(a|b)*!y{b+}(a|b)*/), /(a|b)*!x{a+}(a|b)*/)"
 	if got := u2.Pattern(); got != want {
 		t.Fatalf("Pattern = %q, want %q", got, want)
+	}
+	if back := spanner.MustParseQuery(want).String(); back != want {
+		t.Fatalf("Pattern does not round-trip: %q", back)
 	}
 	if st := u2.Stats(); strings.Count(st.Plan.Optimized, "/") != 2*2 {
 		t.Fatalf("optimized plan should hold 2 deduplicated leaves:\n%s", st.Plan.Optimized)

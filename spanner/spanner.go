@@ -28,6 +28,7 @@
 package spanner
 
 import (
+	"context"
 	"iter"
 	"math/big"
 	"sync"
@@ -166,9 +167,8 @@ type Stats struct {
 	PrefilterFallbacks    int64
 	CompileTime           time.Duration
 	// Plan holds the logical and optimized plan trees when the spanner was
-	// compiled from a Query (including through the deprecated algebra
-	// constructors); nil for plain pattern compiles. The pointer is shared
-	// across Stats calls; treat it as read-only.
+	// compiled from a Query; nil for plain pattern compiles. The pointer is
+	// shared across Stats calls; treat it as read-only.
 	Plan *Explain
 }
 
@@ -182,18 +182,6 @@ type Spanner struct {
 	mode    Mode
 	vars    []string
 	stats   Stats
-
-	// query is the expression tree this spanner was compiled from, nil for
-	// plain pattern compiles. The deprecated algebra constructors use it to
-	// compose further without re-parsing, and Pattern() of a query-compiled
-	// spanner is query.String() — the canonical, re-parseable syntax.
-	query *Query
-
-	// seq is the trimmed sequential eVA the determinization strategies start
-	// from. It is retained (immutably) because the algebra constructors —
-	// Union, Project, Join — compose spanners at exactly this stage of the
-	// pipeline, before determinization.
-	seq *eva.EVA
 
 	dense *eva.Compiled // strict path; nil in lazy mode
 
@@ -271,8 +259,8 @@ func CompileNode(n rgx.Node, opts ...Option) (*Spanner, error) {
 
 // compileEVA finishes the pipeline from an arbitrary (possibly
 // non-sequential, nondeterministic) eVA: trim → sequentialize if needed →
-// determinize per the chosen mode. It is shared by CompileNode and the
-// algebra constructors; start anchors CompileTime at the caller's entry.
+// determinize per the chosen mode. It is shared by CompileNode and
+// Query.Compile; start anchors CompileTime at the caller's entry.
 func compileEVA(pattern string, e *eva.EVA, start time.Time, opts []Option) (*Spanner, error) {
 	var cfg config
 	for _, o := range opts {
@@ -283,7 +271,6 @@ func compileEVA(pattern string, e *eva.EVA, start time.Time, opts []Option) (*Sp
 		pattern: pattern,
 		mode:    cfg.mode,
 		vars:    seq.Registry().Names(),
-		seq:     seq,
 		stats: Stats{
 			Pattern:        pattern,
 			Vars:           seq.Registry().Names(),
@@ -361,9 +348,9 @@ func PipelineNode(n rgx.Node) (*eva.EVA, error) {
 
 // Pattern returns the source pattern: the regex formula for plain
 // compiles, or the canonical query syntax (see ParseQuery) for spanners
-// compiled from a Query — including through the deprecated algebra
-// constructors — so the result always parses back into an equivalent
-// spanner (Compile for formulas, ParseQuery + Query.Compile for queries).
+// compiled from a Query, so the result always parses back into an
+// equivalent spanner (Compile for formulas, ParseQuery + Query.Compile for
+// queries).
 func (s *Spanner) Pattern() string { return s.pattern }
 
 // String returns the source pattern; see Pattern.
@@ -394,23 +381,13 @@ func (s *Spanner) Stats() Stats {
 	return st
 }
 
-// evaluate runs the Algorithm 1 preprocessing phase over doc. When sc is
-// non-nil the pass reuses its tables and arena; the Result is then valid
-// only until the scratch's next use, so only the bounded-lifetime entry
-// points pass one (Iterator hands the Result to the caller and must not).
-func (s *Spanner) evaluate(doc []byte, sc *core.Scratch) *core.Result {
-	var st *core.Stream
+// automaton returns the evaluator the scan passes drive: the dense table
+// in strict mode, the on-the-fly determinizer in lazy mode.
+func (s *Spanner) automaton() core.Automaton {
 	if s.lazy != nil {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		st = core.NewStream(s.lazy, sc)
-	} else {
-		st = core.NewStream(s.dense, sc)
+		return s.lazy
 	}
-	st.FeedBorrowed(doc)
-	res := st.CloseWith(doc)
-	s.noteAccel(st.AccelSkippedBytes(), st.AccelFellBack())
-	return res
+	return s.dense
 }
 
 // Iterator preprocesses doc (one O(|A|·|doc|) pass) and returns a pull
@@ -418,12 +395,23 @@ func (s *Spanner) evaluate(doc []byte, sc *core.Scratch) *core.Result {
 // in the document. The *Match returned by Next is a scratch buffer reused
 // across calls; Clone it to retain it.
 func (s *Spanner) Iterator(doc []byte) *Iterator {
-	// No scratch: the Result escapes into the Iterator, whose lifetime the
-	// facade does not control.
-	res := s.evaluate(doc, nil)
+	return s.iterate(s.evaluate(doc))
+}
+
+// evaluate is evaluateContext for Iterator, which has no Context twin. It
+// passes no scratch: the Result escapes into the Iterator, whose lifetime
+// the facade does not control.
+func (s *Spanner) evaluate(doc []byte) *core.Result {
+	res, _ := s.evaluateContext(context.Background(), doc, nil) // cannot fail
+	return res
+}
+
+// iterate returns a pull iterator over the outputs of a preprocessing
+// Result, with a fresh Match scratch buffer.
+func (s *Spanner) iterate(res *core.Result) *Iterator {
 	return &Iterator{
 		it: res.Iterator(),
-		m:  newMatch(doc, s.vars, res.Registry()),
+		m:  newMatch(res.Document(), s.vars, res.Registry()),
 	}
 }
 
@@ -432,27 +420,7 @@ func (s *Spanner) Iterator(doc []byte) *Iterator {
 // across calls; Clone it to retain it (clones hold plain span offsets and
 // stay valid indefinitely).
 func (s *Spanner) Enumerate(doc []byte, yield func(*Match) bool) {
-	sc := s.getScratch()
-	defer s.putScratch(sc)
-	s.drain(s.evaluate(doc, &sc.eval), yield)
-}
-
-// drain walks every output of a preprocessing Result through a fresh Match
-// scratch buffer, stopping early when yield returns false.
-func (s *Spanner) drain(res *core.Result, yield func(*Match) bool) {
-	it := &Iterator{
-		it: res.Iterator(),
-		m:  newMatch(res.Document(), s.vars, res.Registry()),
-	}
-	for {
-		m, ok := it.Next()
-		if !ok {
-			return
-		}
-		if !yield(m) {
-			return
-		}
-	}
+	_ = s.EnumerateContext(context.Background(), doc, yield)
 }
 
 // All returns a range-over-func iterator over the matches in doc:

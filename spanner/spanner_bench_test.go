@@ -201,15 +201,14 @@ func BenchmarkIsEmptyDeadPrefix(b *testing.B) {
 // constant-delay enumeration as directly compiled ones.
 func BenchmarkAlgebraEnumerate(b *testing.B) {
 	doc := benchScanDoc()
-	contacts := spanner.MustCompile(gen.Figure1Pattern())
-	numbers := spanner.MustCompile(`.*!num{(0|1|2|3|4|5|6|7|8|9)+}.*`)
-	filter := spanner.MustCompile(`.*@.*`)
-
-	union, err := spanner.Union(contacts, numbers)
+	contacts := spanner.Pattern(gen.Figure1Pattern())
+	numbers := spanner.Pattern(`.*!num{(0|1|2|3|4|5|6|7|8|9)+}.*`)
+	filter := spanner.Pattern(`.*@.*`)
+	union, err := contacts.Union(numbers).Compile()
 	if err != nil {
 		b.Fatal(err)
 	}
-	join, err := spanner.Join(contacts, filter)
+	join, err := contacts.Join(filter).Compile()
 	if err != nil {
 		b.Fatal(err)
 	}

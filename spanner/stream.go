@@ -52,8 +52,7 @@ func (s *Spanner) lockLazy() (unlock func()) {
 // pump reads r in chunks through the scratch's read buffer and hands each
 // chunk to feed under the lazy lock. The chunk is only valid during the
 // feed call. ctx is checked before every Read; cancellation surfaces as
-// ctx.Err() (the plain entry points pass context.Background(), whose Err
-// is a constant nil).
+// ctx.Err().
 func (s *Spanner) pump(ctx context.Context, r io.Reader, sc *evalScratch, feed func(chunk []byte)) error {
 	if sc.rbuf == nil {
 		sc.rbuf = make([]byte, readChunk)
@@ -77,29 +76,17 @@ func (s *Spanner) pump(ctx context.Context, r io.Reader, sc *evalScratch, feed f
 	}
 }
 
-// streamResult pumps r through an incremental preprocessing pass and
-// returns the closed Result. The document buffer the Result borrows is
-// freshly allocated per call — never pooled — so Matches cloned by the
-// caller keep valid span text after the scratch is reused.
-func (s *Spanner) streamResult(r io.Reader, sc *evalScratch) (*core.Result, error) {
-	return s.streamResultContext(context.Background(), r, sc)
-}
-
-// streamResultContext is streamResult with a cancellation check before
-// every Read.
+// streamResultContext pumps r through an incremental preprocessing pass,
+// checking ctx before every Read, and returns the closed Result. The
+// document buffer the Result borrows is freshly allocated per call — never
+// pooled — so Matches cloned by the caller keep valid span text after the
+// scratch is reused.
 func (s *Spanner) streamResultContext(ctx context.Context, r io.Reader, sc *evalScratch) (*core.Result, error) {
-	var st *core.Stream
-	unlock := s.lockLazy()
-	if s.lazy != nil {
-		st = core.NewStream(s.lazy, &sc.eval)
-	} else {
-		st = core.NewStream(s.dense, &sc.eval)
-	}
-	unlock()
+	st := s.newStream(&sc.eval)
 	if err := s.pump(ctx, r, sc, st.Feed); err != nil {
 		return nil, err
 	}
-	unlock = s.lockLazy()
+	unlock := s.lockLazy()
 	defer unlock()
 	res := st.Close()
 	s.noteAccel(st.AccelSkippedBytes(), st.AccelFellBack())
@@ -113,14 +100,7 @@ func (s *Spanner) streamResultContext(ctx context.Context, r io.Reader, sc *eval
 // reused across calls; Clone it to retain it (clones stay valid after the
 // call returns). The only error returned is a read error from r.
 func (s *Spanner) EnumerateReader(r io.Reader, yield func(*Match) bool) error {
-	sc := s.getScratch()
-	defer s.putScratch(sc)
-	res, err := s.streamResult(r, sc)
-	if err != nil {
-		return err
-	}
-	s.drain(res, yield)
-	return nil
+	return s.EnumerateReaderContext(context.Background(), r, yield)
 }
 
 // AllReader returns a range-over-func iterator over the matches of the
@@ -147,31 +127,19 @@ func (s *Spanner) AllReader(r io.Reader) iter.Seq2[*Match, error] {
 	}
 }
 
-// countStream pumps r through an incremental counting pass (Theorem 5.1);
-// unlike EnumerateReader it retains no document bytes at all. It borrows a
-// pooled scratch for the read buffer only. total runs under the lazy lock
-// (totaling reads the shared automaton's state table).
-func (s *Spanner) countStream(r io.Reader, total func(*core.CountStream)) error {
-	return s.countStreamContext(context.Background(), r, total)
-}
-
-// countStreamContext is countStream with a cancellation check before every
-// Read.
+// countStreamContext pumps r through an incremental counting pass
+// (Theorem 5.1), checking ctx before every Read; unlike EnumerateReader it
+// retains no document bytes at all. It borrows a pooled scratch for the
+// read buffer only. total runs under the lazy lock (totaling reads the
+// shared automaton's state table).
 func (s *Spanner) countStreamContext(ctx context.Context, r io.Reader, total func(*core.CountStream)) error {
-	var cs *core.CountStream
-	unlock := s.lockLazy()
-	if s.lazy != nil {
-		cs = core.NewCountStream(s.lazy)
-	} else {
-		cs = core.NewCountStream(s.dense)
-	}
-	unlock()
+	cs := s.newCountStream()
 	sc := s.getScratch()
 	defer s.putScratch(sc)
 	if err := s.pump(ctx, r, sc, cs.Feed); err != nil {
 		return err
 	}
-	unlock = s.lockLazy()
+	unlock := s.lockLazy()
 	defer unlock()
 	total(cs)
 	s.noteAccel(cs.AccelSkippedBytes(), cs.AccelFellBack())
@@ -181,19 +149,13 @@ func (s *Spanner) countStreamContext(ctx context.Context, r io.Reader, total fun
 // CountReader returns |⟦A⟧d| for the document read from r, in one pass and
 // O(states) memory — the document is never materialized. exact is false
 // only when |⟦A⟧d| itself does not fit in uint64 (count is then its low 64
-// bits); CountBigReader is exact always. Because the streaming pass migrates to big integers on the first
-// intermediate overflow, CountReader can report an exact count on a
-// document where Count reports exact == false (an overflowing state count
-// whose runs all die), never the reverse: whenever Count is exact, the two
-// agree.
+// bits); CountBigReader is exact always. Because the streaming pass
+// migrates to big integers on the first intermediate overflow, CountReader
+// can report an exact count on a document where Count reports exact ==
+// false (an overflowing state count whose runs all die), never the
+// reverse: whenever Count is exact, the two agree.
 func (s *Spanner) CountReader(r io.Reader) (count uint64, exact bool, err error) {
-	err = s.countStream(r, func(cs *core.CountStream) {
-		count, exact = cs.Count()
-	})
-	if err != nil {
-		return 0, false, err
-	}
-	return count, exact, nil
+	return s.CountReaderContext(context.Background(), r)
 }
 
 // Evaluation is a preprocessed document whose enumeration is deferred: the
@@ -217,8 +179,8 @@ type Evaluation struct {
 // analyzer verifies that every Preprocess/PreprocessContext result
 // reaches Release (or is handed off) on all paths, error paths included.
 func (s *Spanner) Preprocess(doc []byte) *Evaluation {
-	sc := s.getScratch()
-	return &Evaluation{s: s, sc: sc, res: s.evaluate(doc, &sc.eval)}
+	ev, _ := s.PreprocessContext(context.Background(), doc) // cannot fail
+	return ev
 }
 
 // IsEmpty reports whether the document has no matches.
@@ -246,11 +208,5 @@ func (e *Evaluation) Release() {
 // single pass stays in uint64 until the first overflow and migrates to big
 // integers only then, so the common case pays nothing for exactness.
 func (s *Spanner) CountBigReader(r io.Reader) (n *big.Int, err error) {
-	err = s.countStream(r, func(cs *core.CountStream) {
-		n = cs.CountBig()
-	})
-	if err != nil {
-		return nil, err
-	}
-	return n, nil
+	return s.CountBigReaderContext(context.Background(), r)
 }
