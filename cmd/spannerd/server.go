@@ -15,6 +15,7 @@ import (
 	"io"
 	"net/http"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -22,6 +23,7 @@ import (
 	"spanners/cluster"
 	"spanners/corpus"
 	"spanners/engine"
+	"spanners/internal/jsonrow"
 	"spanners/spanner"
 	"spanners/spanner/cache"
 )
@@ -214,18 +216,20 @@ func (s *server) compileCached(ctx context.Context, w http.ResponseWriter, req *
 	return nil, false
 }
 
-// jsonSpan is one variable binding on the wire: 0-based half-open byte
-// offsets into the document, plus the covered text.
-type jsonSpan struct {
-	Start int    `json:"start"`
-	End   int    `json:"end"`
-	Text  string `json:"text"`
-}
-
-// matchRow is one NDJSON line of an enumerate response.
-type matchRow struct {
-	Doc   int                 `json:"doc"`
-	Spans map[string]jsonSpan `json:"spans"`
+// appendRow appends one NDJSON line of an enumerate response to dst:
+//
+//	{"doc":N,"spans":{"var":{"start":S,"end":E,"text":"…"},…}}
+//
+// with 0-based half-open byte offsets into document N, one entry per
+// variable the match assigns, keys sorted. The bytes are what
+// encoding/json writes for the equivalent struct-and-map row (see package
+// jsonrow), built without allocating once dst has grown.
+func appendRow(dst []byte, doc int, spans *jsonrow.Spans, m *spanner.Match) []byte {
+	dst = append(dst, `{"doc":`...)
+	dst = strconv.AppendInt(dst, int64(doc), 10)
+	dst = append(dst, `,"spans":`...)
+	dst = spans.Append(dst, m)
+	return append(dst, "}\n"...)
 }
 
 // trailer is the final NDJSON line of an enumerate response: the exact
@@ -279,7 +283,6 @@ func (s *server) handleEnumerate(w http.ResponseWriter, r *http.Request) {
 		setCorpusHeaders(w, snap)
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
-	enc := json.NewEncoder(w)
 	flush := func() {
 		if f, ok := w.(http.Flusher); ok {
 			f.Flush()
@@ -287,7 +290,9 @@ func (s *server) handleEnumerate(w http.ResponseWriter, r *http.Request) {
 	}
 	tr := trailer{Docs: len(req.Docs)}
 	var writeErr error
-	emitDoc := func(doc int, names []string, m *spanner.Match, emitted *int) bool {
+	spans := jsonrow.NewSpans(sp.Vars())
+	var row []byte // one row at a time, reused across the response
+	emitDoc := func(doc int, m *spanner.Match, emitted *int) bool {
 		if req.Limit > 0 && *emitted >= req.Limit {
 			// Only now is truncation a fact: a match beyond the limit
 			// exists. A document with exactly limit matches ends its
@@ -296,11 +301,8 @@ func (s *server) handleEnumerate(w http.ResponseWriter, r *http.Request) {
 			tr.Truncated = true
 			return false
 		}
-		row := matchRow{Doc: doc, Spans: make(map[string]jsonSpan, len(names))}
-		for _, b := range m.Bindings() {
-			row.Spans[b.Var] = jsonSpan{Start: b.Span.Start, End: b.Span.End, Text: b.Text}
-		}
-		if writeErr = enc.Encode(row); writeErr != nil {
+		row = appendRow(row[:0], doc, spans, m)
+		if _, writeErr = w.Write(row); writeErr != nil {
 			return false
 		}
 		tr.Matches++
@@ -319,7 +321,6 @@ func (s *server) handleEnumerate(w http.ResponseWriter, r *http.Request) {
 		return true
 	}
 
-	names := sp.Vars()
 	switch {
 	case snap != nil:
 		tr.Docs = snap.Len()
@@ -328,7 +329,7 @@ func (s *server) handleEnumerate(w http.ResponseWriter, r *http.Request) {
 			func(doc int, ev *spanner.Evaluation, _ error) bool {
 				n := 0
 				ev.Enumerate(func(m *spanner.Match) bool {
-					return emitDoc(doc, names, m, &n)
+					return emitDoc(doc, m, &n)
 				})
 				snap.AddServed(snap.Owner(doc), int64(n))
 				flush()
@@ -341,7 +342,7 @@ func (s *server) handleEnumerate(w http.ResponseWriter, r *http.Request) {
 	case len(req.Docs) == 1:
 		emitted := 0
 		err := sp.EnumerateContext(ctx, []byte(req.Docs[0]), func(m *spanner.Match) bool {
-			return emitDoc(0, names, m, &emitted)
+			return emitDoc(0, m, &emitted)
 		})
 		if err != nil {
 			tr.Error = err.Error()
@@ -360,7 +361,7 @@ func (s *server) handleEnumerate(w http.ResponseWriter, r *http.Request) {
 			func(i engine.DocID, ev *spanner.Evaluation, _ error) bool {
 				n := 0
 				ev.Enumerate(func(m *spanner.Match) bool {
-					return emitDoc(int(i), names, m, &n)
+					return emitDoc(int(i), m, &n)
 				})
 				flush()
 				return writeErr == nil
@@ -380,7 +381,7 @@ func (s *server) handleEnumerate(w http.ResponseWriter, r *http.Request) {
 	}
 	tr.Trailer = true
 	tr.DocsSkipped = tr.Docs - tr.DocsProcessed
-	_ = enc.Encode(tr)
+	_ = json.NewEncoder(w).Encode(tr)
 	flush()
 }
 

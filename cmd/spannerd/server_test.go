@@ -48,6 +48,22 @@ func post(t *testing.T, ts *httptest.Server, path string, body any) (int, string
 	return resp.StatusCode, string(out)
 }
 
+// jsonSpan is one variable binding on the wire: 0-based half-open byte
+// offsets into the document, plus the covered text.
+type jsonSpan struct {
+	Start int    `json:"start"`
+	End   int    `json:"end"`
+	Text  string `json:"text"`
+}
+
+// matchRow is one NDJSON match line of an enumerate response, decoded;
+// encoding one with encoding/json is the reference rendering appendRow
+// must reproduce byte for byte.
+type matchRow struct {
+	Doc   int                 `json:"doc"`
+	Spans map[string]jsonSpan `json:"spans"`
+}
+
 // ndjson splits an enumerate response into match rows and the trailer,
 // asserting the trailer is the last line.
 func ndjson(t *testing.T, body string) ([]matchRow, trailer) {
@@ -81,7 +97,14 @@ const testQuery = `/.*!name{[A-Z][a-z]+} <(!email{[a-z0-9]+@[a-z0-9]+(\.[a-z0-9]
 // ground truth the wire format must reproduce.
 func refMatches(t *testing.T, doc string) []map[string]jsonSpan {
 	t.Helper()
-	q, err := spanner.ParseQuery(testQuery)
+	return refMatchesOf(t, testQuery, doc)
+}
+
+// refMatchesOf is refMatches for any query, compiled in the test server's
+// default (lazy) mode.
+func refMatchesOf(t *testing.T, query, doc string) []map[string]jsonSpan {
+	t.Helper()
+	q, err := spanner.ParseQuery(query)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,11 +114,7 @@ func refMatches(t *testing.T, doc string) []map[string]jsonSpan {
 	}
 	var out []map[string]jsonSpan
 	sp.Enumerate([]byte(doc), func(m *spanner.Match) bool {
-		row := make(map[string]jsonSpan)
-		for _, b := range m.Bindings() {
-			row[b.Var] = jsonSpan{Start: b.Span.Start, End: b.Span.End, Text: b.Text}
-		}
-		out = append(out, row)
+		out = append(out, bindingsOf(m))
 		return true
 	})
 	return out

@@ -36,7 +36,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -44,6 +43,7 @@ import (
 	"strings"
 
 	"spanners/engine"
+	"spanners/internal/jsonrow"
 	"spanners/spanner"
 )
 
@@ -141,7 +141,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		jsonOut: *jsonOut,
 		prefix:  len(files) > 1,
 		stdout:  stdout,
-		enc:     json.NewEncoder(stdout),
+		spans:   jsonrow.NewSpans(sp.Vars()),
 	}
 
 	var matched bool
@@ -339,33 +339,29 @@ type renderer struct {
 	jsonOut bool
 	prefix  bool
 	stdout  io.Writer
-	enc     *json.Encoder
+	spans   *jsonrow.Spans // -json: the spans object writer
+	row     []byte         // -json: the current line, reused across matches
 	err     error
 }
 
-type jsonSpan struct {
-	Start int    `json:"start"`
-	End   int    `json:"end"`
-	Text  string `json:"text"`
-}
-
 // match renders one match line; it reports whether rendering can continue.
+// A -json line is {"file":"NAME","spans":{…}}, the file member present only
+// when several inputs are named.
 func (r *renderer) match(name string, m *spanner.Match) bool {
 	if r.err != nil {
 		return false
 	}
 	if r.jsonOut {
-		row := struct {
-			File  string              `json:"file,omitempty"`
-			Spans map[string]jsonSpan `json:"spans"`
-		}{Spans: make(map[string]jsonSpan)}
+		r.row = append(r.row[:0], '{')
 		if r.prefix {
-			row.File = name
+			r.row = append(r.row, `"file":`...)
+			r.row = jsonrow.AppendString(r.row, name)
+			r.row = append(r.row, ',')
 		}
-		for _, b := range m.Bindings() {
-			row.Spans[b.Var] = jsonSpan{Start: b.Span.Start, End: b.Span.End, Text: b.Text}
-		}
-		if e := r.enc.Encode(row); e != nil {
+		r.row = append(r.row, `"spans":`...)
+		r.row = r.spans.Append(r.row, m)
+		r.row = append(r.row, "}\n"...)
+		if _, e := r.stdout.Write(r.row); e != nil {
 			r.err = e
 			return false
 		}

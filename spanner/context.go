@@ -36,8 +36,8 @@ const ctxCheckMatches = 256
 // the evaluation completes, nil otherwise (including on early stop via
 // yield).
 func (s *Spanner) EnumerateContext(ctx context.Context, doc []byte, yield func(*Match) bool) error {
-	sc := s.getScratch()
-	defer s.putScratch(sc)
+	sc := getScratch()
+	defer putScratch(sc)
 	res, err := s.evaluateContext(ctx, doc, &sc.eval)
 	if err != nil {
 		return err
@@ -122,10 +122,10 @@ func (s *Spanner) drain(res *core.Result, yield func(*Match) bool) {
 // pooled scratch already returned. The engine's ProcessContext runs it on
 // the workers so that cancelling a batch also aborts in-flight documents.
 func (s *Spanner) PreprocessContext(ctx context.Context, doc []byte) (*Evaluation, error) {
-	sc := s.getScratch()
+	sc := getScratch()
 	res, err := s.evaluateContext(ctx, doc, &sc.eval)
 	if err != nil {
-		s.putScratch(sc)
+		putScratch(sc)
 		return nil, err
 	}
 	return &Evaluation{s: s, sc: sc, res: res}, nil
@@ -182,8 +182,8 @@ func (s *Spanner) CountBigContext(ctx context.Context, doc []byte) (n *big.Int, 
 // honors deadlines itself. The same caveat applies to the other
 // *ReaderContext entry points.
 func (s *Spanner) EnumerateReaderContext(ctx context.Context, r io.Reader, yield func(*Match) bool) error {
-	sc := s.getScratch()
-	defer s.putScratch(sc)
+	sc := getScratch()
+	defer putScratch(sc)
 	res, err := s.streamResultContext(ctx, r, sc)
 	if err != nil {
 		return err

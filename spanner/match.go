@@ -46,6 +46,11 @@ func newMatch(doc []byte, names []string, reg *model.Registry) *Match {
 // registry order. The slice is shared; do not mutate.
 func (m *Match) Vars() []string { return m.names }
 
+// Doc returns the document the match's spans index into, so a caller can
+// slice a span's content without the string allocation of Text. The slice
+// is shared; do not mutate.
+func (m *Match) Doc() []byte { return m.doc }
+
 // Span returns the span assigned to the named variable and whether the
 // variable is assigned in this match.
 func (m *Match) Span(name string) (Span, bool) {

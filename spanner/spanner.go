@@ -191,12 +191,6 @@ type Spanner struct {
 	mu   sync.Mutex
 	lazy *eva.Lazy // lazy path; nil in strict mode
 
-	// scratch pools per-document evaluation state (Algorithm 1 tables plus
-	// the DAG arena) across the bounded-lifetime entry points (Enumerate,
-	// All, EnumerateReader, the engine package), so compile-once/
-	// evaluate-many workloads stop paying the per-document allocation.
-	scratch sync.Pool
-
 	// accSkipped/accFallbacks aggregate the scan-acceleration counters
 	// across evaluations; Stats surfaces them as PrefilterSkippedBytes and
 	// PrefilterFallbacks.

@@ -12,6 +12,7 @@ import (
 	"io"
 	"iter"
 	"math/big"
+	"sync"
 
 	"spanners/internal/core"
 )
@@ -27,14 +28,25 @@ type evalScratch struct {
 	rbuf []byte
 }
 
-func (s *Spanner) getScratch() *evalScratch {
-	if v := s.scratch.Get(); v != nil {
+// scratchPool pools per-document evaluation state (Algorithm 1 tables plus
+// the DAG arena) across the bounded-lifetime entry points (Enumerate, All,
+// EnumerateReader, Preprocess and through it the engine package), so
+// compile-once/evaluate-many workloads stop paying the per-document
+// allocation. It is one pool for every Spanner, not one per Spanner:
+// core.NewStream re-initializes the tables, arena and acceleration gate
+// for whatever automaton it is given, so a scratch carries no automaton
+// state between uses, and a one-shot spanner (an unseen query) reuses
+// the arena of the last one instead of allocating and stranding its own.
+var scratchPool sync.Pool
+
+func getScratch() *evalScratch {
+	if v := scratchPool.Get(); v != nil {
 		return v.(*evalScratch)
 	}
 	return &evalScratch{}
 }
 
-func (s *Spanner) putScratch(sc *evalScratch) { s.scratch.Put(sc) }
+func putScratch(sc *evalScratch) { scratchPool.Put(sc) }
 
 // lockLazy serializes against other evaluations in lazy mode (the
 // on-the-fly determinizer's memo tables mutate during the pass, and even
@@ -134,8 +146,8 @@ func (s *Spanner) AllReader(r io.Reader) iter.Seq2[*Match, error] {
 // shared automaton's state table).
 func (s *Spanner) countStreamContext(ctx context.Context, r io.Reader, total func(*core.CountStream)) error {
 	cs := s.newCountStream()
-	sc := s.getScratch()
-	defer s.putScratch(sc)
+	sc := getScratch()
+	defer putScratch(sc)
 	if err := s.pump(ctx, r, sc, cs.Feed); err != nil {
 		return err
 	}
@@ -163,7 +175,7 @@ func (s *Spanner) CountReader(r io.Reader) (count uint64, exact bool, err error)
 // with constant delay at any later point. It decouples where the two
 // phases run — the engine package preprocesses on worker goroutines and
 // enumerates on the consumer — while keeping the facade's pooled-scratch
-// economics: Release returns the evaluation state to the spanner's pool.
+// economics: Release returns the evaluation state to the shared pool.
 //
 // An Evaluation is not goroutine-safe. After Release it must not be used.
 type Evaluation struct {
@@ -193,13 +205,13 @@ func (e *Evaluation) Enumerate(yield func(*Match) bool) {
 	e.s.drain(e.res, yield)
 }
 
-// Release returns the evaluation state to the spanner's scratch pool. The
+// Release returns the evaluation state to the shared scratch pool. The
 // Evaluation — and any un-Cloned *Match it yielded — is invalid afterwards.
 func (e *Evaluation) Release() {
 	if e.sc == nil {
 		return // already released
 	}
-	e.s.putScratch(e.sc)
+	putScratch(e.sc)
 	e.sc = nil
 	e.res = nil
 }
