@@ -4,10 +4,10 @@
 // for preprocessed evaluations, goroutine termination guarantees, mutex
 // pairing and cross-function lock order, atomics-only counter fields,
 // cancelable loops in ...Context methods, spannerd's strict JSON
-// decoding, the lock-free Stats path — plus conservative shadow and
-// nilness checks. The path-sensitive analyzers (releasepair, goroleak,
-// lockorder, nilness, taintflow) share one control-flow graph per
-// function, built by the ctrlflow pass in internal/analysis.
+// decoding, and (inside lockorder) the lock-free Stats path. The
+// path-sensitive analyzers (releasepair, goroleak, lockorder, taintflow)
+// share one control-flow graph per function, built by the ctrlflow pass
+// in internal/analysis.
 //
 // Two analyzers are interprocedural: hotalloc proves the functions
 // annotated `spanlint:hotpath` transitively allocation-free, and
@@ -40,10 +40,7 @@ import (
 	"spanners/internal/analyzers/goroleak"
 	"spanners/internal/analyzers/hotalloc"
 	"spanners/internal/analyzers/lockorder"
-	"spanners/internal/analyzers/nilness"
-	"spanners/internal/analyzers/nolockstats"
 	"spanners/internal/analyzers/releasepair"
-	"spanners/internal/analyzers/shadow"
 	"spanners/internal/analyzers/strictdecode"
 	"spanners/internal/analyzers/taintflow"
 )
@@ -56,9 +53,6 @@ func main() {
 		atomicfield.Analyzer,
 		ctxloop.Analyzer,
 		strictdecode.Analyzer,
-		nolockstats.Analyzer,
-		shadow.Analyzer,
-		nilness.Analyzer,
 		hotalloc.Analyzer,
 		taintflow.Analyzer,
 	)

@@ -6,6 +6,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -52,21 +53,17 @@ func TestSmoke(t *testing.T) {
 		if err := json.Unmarshal(out, &flags); err != nil {
 			t.Fatalf("-flags output is not the JSON cmd/go expects: %v\n%s", err, out)
 		}
-		names := make(map[string]bool)
+		// Exactly one enable flag per registered analyzer. Driver-side
+		// flags (-V, -flags, -json, -ignores) must stay out of the
+		// handshake so cmd/go never forwards them on vet runs.
+		var names []string
 		for _, f := range flags {
-			names[f.Name] = true
+			names = append(names, f.Name)
 		}
-		for _, want := range []string{"releasepair", "goroleak", "lockorder", "atomicfield", "ctxloop", "strictdecode", "nolockstats", "shadow", "nilness"} {
-			if !names[want] {
-				t.Errorf("-flags is missing analyzer %q", want)
-			}
-		}
-		// Driver-side flags must stay out of the handshake so cmd/go
-		// never forwards them on vet runs.
-		for _, reserved := range []string{"V", "flags", "json", "ignores"} {
-			if names[reserved] {
-				t.Errorf("-flags must not advertise driver flag %q", reserved)
-			}
+		slices.Sort(names)
+		want := []string{"atomicfield", "ctxloop", "goroleak", "hotalloc", "lockorder", "releasepair", "strictdecode", "taintflow"}
+		if !slices.Equal(names, want) {
+			t.Errorf("-flags advertises %q, want exactly %q", names, want)
 		}
 	})
 
@@ -94,7 +91,7 @@ func TestSmoke(t *testing.T) {
 		if err := json.Unmarshal([]byte(lines[0]), &d); err != nil {
 			t.Fatalf("diagnostic line is not valid JSON: %v\n%s", err, lines[0])
 		}
-		if d.Analyzer != "nilness" || !strings.Contains(d.Message, "nil dereference") {
+		if d.Analyzer != "lockorder" || !strings.Contains(d.Message, "not unlocked on this path") {
 			t.Errorf("unexpected diagnostic: %+v", d)
 		}
 		if !strings.HasSuffix(d.File, "jsondemo.go") || d.Line == 0 || d.Column == 0 {

@@ -76,6 +76,22 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	p.Report(Diagnostic{Pos: pos, Message: fmt.Sprintf(format, args...)})
 }
 
+// Callee resolves a call expression to the function or method it
+// invokes, when that is statically known: a named function or a method
+// selected on a value or type, through any parentheses around the
+// callee. Calls of function values, builtins and conversions yield nil.
+func (p *Pass) Callee(call *ast.CallExpr) *types.Func {
+	switch fun := ast.Unparen(call.Fun).(type) {
+	case *ast.Ident:
+		fn, _ := p.TypesInfo.Uses[fun].(*types.Func)
+		return fn
+	case *ast.SelectorExpr:
+		fn, _ := p.TypesInfo.Uses[fun.Sel].(*types.Func)
+		return fn
+	}
+	return nil
+}
+
 // A Diagnostic is one finding, anchored to a source position.
 type Diagnostic struct {
 	Pos     token.Pos

@@ -150,17 +150,7 @@ func (c *checker) launchedBody(call *ast.CallExpr) *ast.BlockStmt {
 	if lit, ok := ast.Unparen(call.Fun).(*ast.FuncLit); ok {
 		return lit.Body
 	}
-	var fn *types.Func
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		fn, _ = c.pass.TypesInfo.Uses[fun].(*types.Func)
-	case *ast.SelectorExpr:
-		fn, _ = c.pass.TypesInfo.Uses[fun.Sel].(*types.Func)
-	}
-	if fn == nil {
-		return nil
-	}
-	if fd := c.decls[fn]; fd != nil {
+	if fd := c.decls[c.pass.Callee(call)]; fd != nil {
 		return fd.Body
 	}
 	return nil

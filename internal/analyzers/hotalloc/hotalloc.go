@@ -145,7 +145,7 @@ func run(pass *analysis.Pass) (any, error) {
 
 	// Seed each function's verdict from its local sites, then propagate
 	// may-allocate through same-package calls to a fixpoint, exactly like
-	// nolockstats does for lock acquisition.
+	// lockorder does for lock acquisition.
 	for _, info := range fns {
 		if len(info.sites) > 0 {
 			info.allocWhy = siteWhy(pass, info.sites[0])
@@ -352,7 +352,7 @@ func checkCall(pass *analysis.Pass, call *ast.CallExpr, evOK func(string) bool, 
 
 	checkBoxing(pass, call, addSite)
 
-	callee := calleeFunc(pass, call)
+	callee := pass.Callee(call)
 	if callee == nil {
 		return // dynamic or indirect call: not resolved, see package doc
 	}
@@ -647,18 +647,4 @@ func firstElem(path string) string {
 		return path[:i]
 	}
 	return path
-}
-
-// calleeFunc resolves a call expression to the function or method it
-// invokes, when that is statically known.
-func calleeFunc(pass *analysis.Pass, call *ast.CallExpr) *types.Func {
-	switch fun := call.Fun.(type) {
-	case *ast.Ident:
-		fn, _ := pass.TypesInfo.Uses[fun].(*types.Func)
-		return fn
-	case *ast.SelectorExpr:
-		fn, _ := pass.TypesInfo.Uses[fun.Sel].(*types.Func)
-		return fn
-	}
-	return nil
 }

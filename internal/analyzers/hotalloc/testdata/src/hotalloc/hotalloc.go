@@ -124,6 +124,13 @@ func BadCallee() *thing {
 	return helper() // want `BadCallee is marked spanlint:hotpath but calls helper, which may allocate`
 }
 
+// HotParen hides the same callee behind parentheses; it still resolves.
+//
+// spanlint:hotpath
+func HotParen() *thing {
+	return (helper)() // want `HotParen is marked spanlint:hotpath but calls helper, which may allocate`
+}
+
 // BadFmt calls into fmt, which has no allocation-free guarantee.
 //
 // spanlint:hotpath

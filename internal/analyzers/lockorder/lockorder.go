@@ -19,12 +19,22 @@
 // transfers the release obligation to the caller and discharges it
 // here. Unlocking a mutex this function never locked is not reported:
 // helpers that release a caller-held lock are legitimate.
+//
+// The same call-graph fixpoint enforces the lock-free Stats contract
+// documented on spanner.WithLazy, so that metrics scrapes can never
+// stall behind (or deadlock with) a long evaluation holding the spanner
+// mutex: a function whose doc comment carries "spanlint:nolock" must not
+// take any mutex — function-local ones and sync.Locker included, inside
+// its function literals too — nor call a same-package function that
+// (transitively) does. Hiding the lock one helper deeper does not evade
+// the check.
 package lockorder
 
 import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"sort"
 	"strings"
 
@@ -37,7 +47,8 @@ var Analyzer = &analysis.Analyzer{
 		"Every sync.Mutex/RWMutex Lock or RLock must be released on all\n" +
 		"paths (deferred to cover panics), never re-acquired while held,\n" +
 		"released in the matching mode, and acquired in a consistent order\n" +
-		"across the package's call graph.",
+		"across the package's call graph. Functions marked spanlint:nolock\n" +
+		"(the lock-free Stats contract) must not acquire a mutex at all.",
 	Requires: []*analysis.Analyzer{analysis.CFGAnalyzer},
 	Run:      run,
 }
@@ -51,6 +62,16 @@ var lockMethods = map[string]event{
 	"(*sync.RWMutex).RLock":   {kind: acquire, mode: 'R'},
 	"(*sync.RWMutex).RUnlock": {kind: release, mode: 'R'},
 }
+
+// acquiresMutex reports whether fn takes a mutex: Lock or RLock on a
+// sync.Mutex/RWMutex, or Lock through a sync.Locker.
+func acquiresMutex(fn *types.Func) bool {
+	ev, ok := lockMethods[fn.FullName()]
+	return ok && ev.kind == acquire || fn.FullName() == "(sync.Locker).Lock"
+}
+
+// nolockMarker tags the functions that must stay lock-free.
+const nolockMarker = "spanlint:nolock"
 
 type eventKind uint8
 
@@ -161,6 +182,9 @@ func run(pass *analysis.Pass) (any, error) {
 					pc.checkFunc(g)
 				}
 			}
+			if fd, ok := n.(*ast.FuncDecl); ok && fd.Body != nil && fd.Doc != nil && strings.Contains(fd.Doc.Text(), nolockMarker) {
+				pc.checkNoLock(fd)
+			}
 			return true
 		})
 	}
@@ -174,6 +198,12 @@ type summary struct {
 	name    string
 	locks   map[types.Object]bool
 	callees []*types.Func
+	// acquires is set when the function takes any mutex, classless ones
+	// included, directly, in a nested function literal, or through a
+	// same-package call; litCallees are the calls made from literals.
+	// Only the spanlint:nolock check reads it.
+	acquires   bool
+	litCallees []*types.Func
 }
 
 type pkgChecker struct {
@@ -188,8 +218,9 @@ type pkgChecker struct {
 
 // buildSummaries collects each declared function's directly acquired
 // lock classes and same-package callees, then propagates acquisition
-// through the call graph to a fixpoint. Nested function literals are
-// excluded: when they run is not the caller's program point.
+// through the call graph to a fixpoint. Nested function literals count
+// only towards the acquires bit: when they run is not the caller's
+// program point.
 func (pc *pkgChecker) buildSummaries() {
 	for _, file := range pc.pass.Files {
 		for _, decl := range file.Decls {
@@ -202,35 +233,37 @@ func (pc *pkgChecker) buildSummaries() {
 				continue
 			}
 			sum := &summary{name: fd.Name.Name, locks: make(map[types.Object]bool)}
-			var walk func(n ast.Node)
-			walk = func(n ast.Node) {
+			var walk func(n ast.Node, inLit bool)
+			walk = func(n ast.Node, inLit bool) {
 				ast.Inspect(n, func(m ast.Node) bool {
-					if _, isLit := m.(*ast.FuncLit); isLit {
+					if lit, isLit := m.(*ast.FuncLit); isLit {
+						walk(lit.Body, true)
 						return false
 					}
 					call, ok := m.(*ast.CallExpr)
 					if !ok {
 						return true
 					}
-					if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
-						if fn, _ := pc.pass.TypesInfo.Uses[sel.Sel].(*types.Func); fn != nil {
-							if ev, isLock := lockMethods[fn.FullName()]; isLock {
-								if ev.kind == acquire {
-									if cls := pc.classOf(sel.X); cls != nil {
-										sum.locks[cls] = true
-									}
-								}
-								return true
+					callee := pc.pass.Callee(call)
+					switch {
+					case callee == nil:
+					case acquiresMutex(callee):
+						sum.acquires = true
+						if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok && !inLit {
+							if cls := pc.classOf(sel.X); cls != nil {
+								sum.locks[cls] = true
 							}
 						}
-					}
-					if callee := pc.calleeFunc(call); callee != nil && callee.Pkg() == pc.pass.Pkg {
+					case callee.Pkg() != pc.pass.Pkg:
+					case inLit:
+						sum.litCallees = append(sum.litCallees, callee)
+					default:
 						sum.callees = append(sum.callees, callee)
 					}
 					return true
 				})
 			}
-			walk(fd.Body)
+			walk(fd.Body, false)
 			pc.summaries[obj] = sum
 		}
 	}
@@ -249,8 +282,39 @@ func (pc *pkgChecker) buildSummaries() {
 					}
 				}
 			}
+			if sum.acquires {
+				continue
+			}
+			for _, callee := range slices.Concat(sum.callees, sum.litCallees) {
+				if cs := pc.summaries[callee]; cs != nil && cs.acquires {
+					sum.acquires, changed = true, true
+					break
+				}
+			}
 		}
 	}
+}
+
+// checkNoLock reports every site in a spanlint:nolock function, its
+// function literals included, that takes a mutex or calls a
+// same-package function that (transitively) does.
+func (pc *pkgChecker) checkNoLock(fd *ast.FuncDecl) {
+	ast.Inspect(fd.Body, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok {
+			return true
+		}
+		callee := pc.pass.Callee(call)
+		if callee == nil {
+			return true
+		}
+		if acquiresMutex(callee) {
+			pc.pass.Reportf(call.Pos(), "%s is marked %s but acquires a mutex here; the stats path must stay lock-free", fd.Name.Name, nolockMarker)
+		} else if cs := pc.summaries[callee]; cs != nil && cs.acquires {
+			pc.pass.Reportf(call.Pos(), "%s is marked %s but calls %s, which acquires a mutex; the stats path must stay lock-free", fd.Name.Name, nolockMarker, callee.Name())
+		}
+		return true
+	})
 }
 
 func (pc *pkgChecker) checkFunc(g *analysis.CFG) {
@@ -409,7 +473,7 @@ func (pc *pkgChecker) apply(ev event, key refKey, sel *ast.SelectorExpr, call *a
 // locks: re-acquiring a held class deadlocks; acquiring a new class
 // records an order edge.
 func (pc *pkgChecker) callSite(call *ast.CallExpr, st state) {
-	callee := pc.calleeFunc(call)
+	callee := pc.pass.Callee(call)
 	if callee == nil {
 		return
 	}
@@ -571,18 +635,6 @@ func (pc *pkgChecker) classOf(recv ast.Expr) types.Object {
 		if v, ok := obj.(*types.Var); ok && v.Pkg() != nil && v.Parent() == v.Pkg().Scope() {
 			return v
 		}
-	}
-	return nil
-}
-
-func (pc *pkgChecker) calleeFunc(call *ast.CallExpr) *types.Func {
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		fn, _ := pc.pass.TypesInfo.Uses[fun].(*types.Func)
-		return fn
-	case *ast.SelectorExpr:
-		fn, _ := pc.pass.TypesInfo.Uses[fun.Sel].(*types.Func)
-		return fn
 	}
 	return nil
 }

@@ -10,3 +10,7 @@ import (
 func TestLockorder(t *testing.T) {
 	analysistest.Run(t, lockorder.Analyzer, "lockorder")
 }
+
+func TestNoLock(t *testing.T) {
+	analysistest.Run(t, lockorder.Analyzer, "nolock")
+}

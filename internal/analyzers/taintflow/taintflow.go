@@ -630,7 +630,7 @@ func (c *checker) checkCall(st state, call *ast.CallExpr) {
 			return
 		}
 	}
-	callee := calleeFunc(c.pass, call)
+	callee := c.pass.Callee(call)
 	if callee == nil || isSanitizer(callee) {
 		return
 	}
@@ -668,7 +668,7 @@ func (c *checker) checkCall(st state, call *ast.CallExpr) {
 // applyCallEffects applies a call's state side effects: decode
 // out-params (std and summarized) become attacker-controlled.
 func (c *checker) applyCallEffects(st state, call *ast.CallExpr) {
-	callee := calleeFunc(c.pass, call)
+	callee := c.pass.Callee(call)
 	if callee == nil {
 		return
 	}
@@ -724,7 +724,7 @@ func (c *checker) applyCallEffects(st state, call *ast.CallExpr) {
 // would smear its arguments' taint onto its result. A nil return means
 // the callee is genuinely outside the summary horizon (std, dynamic).
 func (c *checker) callFact(call *ast.CallExpr) *TaintFact {
-	callee := calleeFunc(c.pass, call)
+	callee := c.pass.Callee(call)
 	if callee == nil || isSanitizer(callee) {
 		return nil
 	}
@@ -830,7 +830,7 @@ func (c *checker) callTaint(st state, call *ast.CallExpr) tval {
 	if requestDerived(c.pass, call) {
 		return tval{mask: sourceBit, why: "request-derived value"}
 	}
-	callee := calleeFunc(c.pass, call)
+	callee := c.pass.Callee(call)
 	if callee != nil {
 		if isSanitizer(callee) {
 			return tval{} // depth-bounded parsers return validated structures
@@ -1065,18 +1065,4 @@ func argParamIndex(callee *types.Func, arg int) int {
 		return arg
 	}
 	return arg
-}
-
-// calleeFunc resolves a call expression to the function or method it
-// invokes, when that is statically known.
-func calleeFunc(pass *analysis.Pass, call *ast.CallExpr) *types.Func {
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		fn, _ := pass.TypesInfo.Uses[fun].(*types.Func)
-		return fn
-	case *ast.SelectorExpr:
-		fn, _ := pass.TypesInfo.Uses[fun.Sel].(*types.Func)
-		return fn
-	}
-	return nil
 }

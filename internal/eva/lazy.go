@@ -211,7 +211,7 @@ func (l *Lazy) DisableAccel() { l.accelOff = true }
 // experiments. Unlike every other method it is safe to call concurrently
 // with evaluations: the count is kept in an atomic mirror, so stats
 // endpoints can poll it without blocking (or being blocked by) the
-// evaluation lock. Enforced by the nolockstats analyzer (cmd/spanlint).
+// evaluation lock. Enforced by the lockorder analyzer (cmd/spanlint).
 //
 // spanlint:nolock
 func (l *Lazy) StatesDiscovered() int { return int(l.discovered.Load()) }

@@ -46,35 +46,49 @@ if [ "$mode" = changed ]; then
     { git diff --name-only HEAD -- '*.go'
       git ls-files --others --exclude-standard -- '*.go'; } | sort -u
   )
-  fmt_targets=() pkg_targets=() test_targets=()
+  fmt_targets=() pkg_dirs=() pkg_targets=() test_targets=()
   analyzers_changed=false
   if [ -n "$changed_files" ]; then
     while IFS= read -r f; do
-      [ -f "$f" ] || continue # deleted files have no package to lint
-      fmt_targets+=("$f")
+      # Classify before checking existence: a change made only of
+      # deletions must still re-run the analyzer tests.
       case $f in
         internal/analysis/*|internal/analyzers/*|cmd/spanlint/*) analyzers_changed=true ;;
       esac
-    done <<<"$changed_files"
-    if [ "${#fmt_targets[@]}" -gt 0 ]; then
+      if [ -f "$f" ]; then
+        fmt_targets+=("$f")
+      fi
       # testdata trees hold the analyzers' deliberate-violation fixtures;
-      # go vet ./... never descends into them, and neither may fast mode.
-      mapfile -t pkg_targets < <(printf '%s\n' "${fmt_targets[@]}" | xargs -n1 dirname |
-        grep -v -e '/testdata/' -e '/testdata$' | sort -u | sed 's|^|./|')
-    fi
+      # go vet ./... never descends into them, so a fixture change checks
+      # the package owning the tree. A deleted file's package is checked
+      # if its directory survives.
+      dir=$(dirname "$f")
+      dir=${dir%%/testdata/*}
+      dir=${dir%/testdata}
+      if [ -d "$dir" ]; then
+        pkg_dirs+=("$dir")
+      fi
+    done <<<"$changed_files"
   fi
-  if [ "${#pkg_targets[@]}" -eq 0 ]; then
+  if [ "$analyzers_changed" = true ]; then
+    # cmd/spanlint imports every analyzer, so vetting it also catches a
+    # deleted or broken analyzer package.
+    pkg_dirs+=(cmd/spanlint)
+    test_targets=(./internal/analysis/... ./internal/analyzers/... ./cmd/spanlint/)
+  fi
+  if [ "${#pkg_dirs[@]}" -eq 0 ]; then
     echo "lint (--changed): no changed Go files, nothing to do"
     exit 0
   fi
-  if [ "$analyzers_changed" = true ]; then
-    test_targets=(./internal/analysis/... ./internal/analyzers/... ./cmd/spanlint/)
-  fi
+  mapfile -t pkg_targets < <(printf '%s\n' "${pkg_dirs[@]}" | sort -u | sed 's|^|./|')
   echo "lint (--changed): scoping to ${pkg_targets[*]}"
 fi
 
 echo "==> gofmt"
-out=$(gofmt -l "${fmt_targets[@]}")
+out=""
+if [ "${#fmt_targets[@]}" -gt 0 ]; then
+  out=$(gofmt -l "${fmt_targets[@]}")
+fi
 if [ -n "$out" ]; then
   echo "gofmt needed on:"
   echo "$out"

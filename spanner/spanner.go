@@ -90,8 +90,8 @@ func WithStrict() Option { return func(c *config) { c.mode = ModeStrict } }
 //
 // Both halves of this contract are machine-checked by cmd/spanlint: the
 // atomicfield analyzer keeps the discovered-state counter on sync/atomic
-// operations, and the nolockstats analyzer proves the Stats path never
-// reaches a mutex acquisition.
+// operations, and the lockorder analyzer's spanlint:nolock check proves
+// the Stats path never reaches a mutex acquisition.
 func WithLazy() Option { return func(c *config) { c.mode = ModeLazy } }
 
 // WithMode selects the determinization mode explicitly.
@@ -362,7 +362,7 @@ func (s *Spanner) Mode() Mode { return s.mode }
 // evaluated; the counter is read atomically, so Stats neither blocks nor
 // is blocked by concurrent evaluations — monitoring surfaces (the CLI's
 // -stats, spannerd's /debug/vars) may poll it freely. The lock-free
-// property is enforced by the nolockstats analyzer (cmd/spanlint).
+// property is enforced by the lockorder analyzer (cmd/spanlint).
 //
 // spanlint:nolock
 func (s *Spanner) Stats() Stats {
