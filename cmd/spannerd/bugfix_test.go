@@ -5,12 +5,15 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 )
 
 // TestHostileTimeoutClampsToCeiling pins the timeout_ms overflow fix: a
@@ -81,16 +84,18 @@ func TestTrailingGarbageRejected(t *testing.T) {
 	}
 }
 
-// flushCountingWriter counts Flush calls and the rows written since the
-// last one, recording the largest unflushed run.
+// flushCountingWriter counts Write and Flush calls and the rows written
+// since the last flush, recording the largest unflushed run.
 type flushCountingWriter struct {
 	*httptest.ResponseRecorder
+	writes          int
 	flushes         int
 	rowsSinceFlush  int
 	maxRunUnflushed int
 }
 
 func (w *flushCountingWriter) Write(p []byte) (int, error) {
+	w.writes++
 	w.rowsSinceFlush += strings.Count(string(p), "\n")
 	if w.rowsSinceFlush > w.maxRunUnflushed {
 		w.maxRunUnflushed = w.rowsSinceFlush
@@ -108,42 +113,146 @@ func (w *flushCountingWriter) Flush() {
 // used to buffer its entire match stream (the handler only flushed between
 // documents), so a client watching a long extraction saw nothing until the
 // document finished. The handler now flushes every 256 rows inside a
-// document, on every path (single doc, batch, corpus).
+// document, on every path (single doc, batch, corpus). Between flushes it
+// coalesces rows into few writes: one per flush, plus one per 32 KiB of
+// buffered rows, plus the trailer.
 func TestFlushCadenceWithinDocument(t *testing.T) {
 	srv := newServer(serverConfig{defaultMode: 0})
 	// ~3000 matches from a single document: "ab" repeated.
 	doc := strings.Repeat("ab", 3000)
-	body := fmt.Sprintf(`{"query":"/.*!x{ab}.*/","docs":[%q]}`, doc)
+	const query = `/.*!x{ab}.*/`
 
-	run := func(t *testing.T, body string) *flushCountingWriter {
+	serve := func(t *testing.T, method, target, body string) *flushCountingWriter {
 		t.Helper()
-		req := httptest.NewRequest(http.MethodPost, "/v1/enumerate", strings.NewReader(body))
+		req := httptest.NewRequest(method, target, strings.NewReader(body))
 		w := &flushCountingWriter{ResponseRecorder: httptest.NewRecorder()}
 		srv.ServeHTTP(w, req)
 		if w.Code != http.StatusOK {
-			t.Fatalf("status %d: %s", w.Code, w.Body.String())
-		}
-		rows, tr := ndjson(t, w.Body.String())
-		if len(rows) < 1000 {
-			t.Fatalf("test document produced only %d rows", len(rows))
-		}
-		if tr.Error != "" {
-			t.Fatalf("trailer = %+v", tr)
+			t.Fatalf("%s %s: status %d: %s", method, target, w.Code, w.Body.String())
 		}
 		return w
 	}
+	serve(t, http.MethodPost, "/v1/corpus/cadence", fmt.Sprintf(`{"docs":[%q,%q]}`, doc, doc))
 
-	w := run(t, body)
-	if w.flushes < 4 {
-		t.Fatalf("single huge document: %d flushes, want the 256-row cadence (≥4)", w.flushes)
+	for _, tc := range []struct {
+		name, target, body string
+	}{
+		{"single doc", "/v1/enumerate", fmt.Sprintf(`{"query":%q,"docs":[%q]}`, query, doc)},
+		{"batch", "/v1/enumerate", fmt.Sprintf(`{"query":%q,"docs":[%q,%q]}`, query, doc, doc)},
+		{"corpus", "/v1/enumerate?corpus=cadence", fmt.Sprintf(`{"query":%q}`, query)},
+	} {
+		w := serve(t, http.MethodPost, tc.target, tc.body)
+		rows, tr := ndjson(t, w.Body.String())
+		if len(rows) < 1000 {
+			t.Fatalf("%s: test document produced only %d rows", tc.name, len(rows))
+		}
+		if tr.Error != "" {
+			t.Fatalf("%s: trailer = %+v", tc.name, tr)
+		}
+		if w.flushes < 4 {
+			t.Fatalf("%s: %d flushes, want the 256-row cadence (≥4)", tc.name, w.flushes)
+		}
+		if w.maxRunUnflushed > 300 {
+			t.Fatalf("%s: longest unflushed run is %d rows; the 256-row cadence must bound it", tc.name, w.maxRunUnflushed)
+		}
+		if limit := w.flushes + (w.Body.Len()+writeBatch-1)/writeBatch + 1; w.writes > limit {
+			t.Fatalf("%s: %d writes for %d flushes and %d bytes, want at most %d: rows must be coalesced",
+				tc.name, w.writes, w.flushes, w.Body.Len(), limit)
+		}
 	}
-	if w.maxRunUnflushed > 300 {
-		t.Fatalf("longest unflushed run is %d rows; the 256-row cadence must bound it", w.maxRunUnflushed)
-	}
+}
 
-	// Batch path: the same huge document twice.
-	batch := fmt.Sprintf(`{"query":"/.*!x{ab}.*/","docs":[%q,%q]}`, doc, doc)
-	if w := run(t, batch); w.maxRunUnflushed > 300 {
-		t.Fatalf("batch: longest unflushed run is %d rows", w.maxRunUnflushed)
+// deadClientWriter is a client that hangs up mid-stream: its Write fails
+// once more than limit bytes would have been accepted. It records every
+// call from the failing one on.
+type deadClientWriter struct {
+	*httptest.ResponseRecorder
+	limit          int
+	failedWrites   int // the failing Write and any after it
+	rowsAfterLimit int // rows carried by those writes
+	callsAfterFail int // Write or Flush calls after the failing one
+	offered        strings.Builder
+}
+
+func (w *deadClientWriter) Write(p []byte) (int, error) {
+	w.offered.Write(p)
+	if w.failedWrites > 0 {
+		w.callsAfterFail++
+	}
+	if w.failedWrites > 0 || w.Body.Len()+len(p) > w.limit {
+		w.failedWrites++
+		w.rowsAfterLimit += strings.Count(string(p), "\n")
+		return 0, errors.New("client disconnected")
+	}
+	return w.ResponseRecorder.Write(p)
+}
+
+func (w *deadClientWriter) Flush() {
+	if w.failedWrites > 0 {
+		w.callsAfterFail++
+	}
+	w.ResponseRecorder.Flush()
+}
+
+// TestDeadClientStopsEnumeration pins the dead-client path: a write that
+// fails mid-stream stops the enumeration within one batch (at most 256
+// rows are rendered past the last accepted byte), no trailer is written,
+// and the handler returns promptly even though the full stream — cubic in
+// the document — would take far longer to produce. On the batch path the
+// engine's workers must unwind as well, leaving nothing behind.
+func TestDeadClientStopsEnumeration(t *testing.T) {
+	srv := newServer(serverConfig{defaultMode: 0})
+	// ~10⁹ matches per document: x and y split any infix of it.
+	doc := strings.Repeat("ab", 1000)
+	const query = `/.*!x{.*}!y{.*}.*/`
+	for _, tc := range []struct {
+		name string
+		docs []string
+	}{
+		{"single doc", []string{doc}},
+		{"batch", []string{doc, doc, doc, doc}},
+	} {
+		base := runtime.NumGoroutine()
+		body, err := json.Marshal(map[string]any{"query": query, "docs": tc.docs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		req := httptest.NewRequest(http.MethodPost, "/v1/enumerate", strings.NewReader(string(body)))
+		w := &deadClientWriter{ResponseRecorder: httptest.NewRecorder(), limit: 64 << 10}
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			srv.ServeHTTP(w, req)
+		}()
+		select {
+		case <-done:
+		case <-time.After(30 * time.Second):
+			t.Fatalf("%s: the handler is still enumerating 30s after the client hung up", tc.name)
+		}
+		if w.failedWrites != 1 || w.callsAfterFail != 0 {
+			t.Fatalf("%s: %d failed writes and %d calls after the failure; want the handler to stop at the first",
+				tc.name, w.failedWrites, w.callsAfterFail)
+		}
+		if w.rowsAfterLimit > 256 {
+			t.Fatalf("%s: %d rows rendered past the dead client; want at most one batch (256)", tc.name, w.rowsAfterLimit)
+		}
+		if strings.Contains(w.offered.String(), `"trailer"`) {
+			t.Fatalf("%s: a trailer was written to a dead client", tc.name)
+		}
+		settleGoroutines(t, base)
+	}
+}
+
+// settleGoroutines waits until the goroutine count is back to base,
+// failing the test if it stays above it.
+func settleGoroutines(t *testing.T, base int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("goroutines leaked: %d > baseline %d\n%s", runtime.NumGoroutine(), base, buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(time.Millisecond)
 	}
 }

@@ -81,25 +81,35 @@ func TestAppendRowZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp, err := q.Compile()
+	esc, err := q.Compile()
 	if err != nil {
 		t.Fatal(err)
 	}
-	ms := sp.Collect(nil, []byte(escapeDoc), 0)
-	if len(ms) == 0 {
-		t.Fatal("no matches")
-	}
-	spans := jsonrow.NewSpans(sp.Vars())
-	var row []byte
-	for _, m := range ms {
-		row = appendRow(row[:0], 7, spans, m)
-	}
-	for _, m := range ms {
-		allocs := testing.AllocsPerRun(100, func() {
-			row = appendRow(row[:0], 7, spans, m)
-		})
-		if allocs != 0 {
-			t.Errorf("appendRow into a warm buffer: %v allocs, want 0 (row %q)", allocs, row)
+	// One document takes the escaper, the other the plain copy.
+	for _, tc := range []struct {
+		sp  *spanner.Spanner
+		doc string
+	}{
+		{esc, escapeDoc},
+		{spanner.MustCompile(fuzzRowPattern), "plain text"},
+	} {
+		ms := tc.sp.Collect(nil, []byte(tc.doc), 0)
+		if len(ms) == 0 {
+			t.Fatal("no matches")
+		}
+		spans := jsonrow.NewSpans(tc.sp.Vars())
+		var d docRows
+		var row []byte
+		for _, m := range ms {
+			row = d.appendRow(row[:0], 7, spans, m)
+		}
+		for _, m := range ms {
+			allocs := testing.AllocsPerRun(100, func() {
+				row = d.appendRow(row[:0], 7, spans, m)
+			})
+			if allocs != 0 {
+				t.Errorf("appendRow into a warm buffer: %v allocs, want 0 (row %q)", allocs, row)
+			}
 		}
 	}
 }
@@ -109,6 +119,9 @@ func TestAppendRowZeroAlloc(t *testing.T) {
 // other branch, spans the whole document and leaves the rest unassigned.
 const fuzzRowPattern = `!pre{.*}!z{!mid{.*}}!post{.*}|!u{.*}`
 
+// FuzzNDJSONRow checks every input twice: as given, and with each byte
+// that needs escaping replaced by '.', so the plain copy is exercised on
+// every input and not only on the inputs that happen to be plain.
 func FuzzNDJSONRow(f *testing.F) {
 	f.Add([]byte("John <j@g.be>, Jane <555-12>"), uint8(6), uint8(6), 0)
 	f.Add([]byte("a<b>c&d\"e\\f"), uint8(1), uint8(9), 3)
@@ -117,6 +130,8 @@ func FuzzNDJSONRow(f *testing.F) {
 	f.Add([]byte("bad\xff\xfe\xc3(\xe2\x82\xf0\x9f\x98"), uint8(4), uint8(3), 1<<40)
 	f.Add([]byte("\xed\xa0\x80surrogate\xef\xbf\xbd"), uint8(0), uint8(255), -1)
 	f.Add([]byte{}, uint8(0), uint8(0), 0)
+	f.Add([]byte("fully plain, DEL \x7f too"), uint8(2), uint8(5), 4)
+	f.Add([]byte("abc<def"), uint8(0), uint8(3), 5) // z = "abc"; the < lies outside it
 
 	sp := spanner.MustCompile(fuzzRowPattern, spanner.WithStrict())
 	spans := jsonrow.NewSpans(sp.Vars())
@@ -127,20 +142,29 @@ func FuzzNDJSONRow(f *testing.F) {
 		}
 		s := int(lo) % (len(doc) + 1)
 		e := s + int(width)%(len(doc)+1-s)
-		found := 0
-		sp.Enumerate(doc, func(m *spanner.Match) bool {
-			if z, ok := m.Span("z"); ok && (z.Start != s || z.End != e) {
+		plain := bytes.Clone(doc)
+		for i, b := range plain {
+			if !jsonrow.Plain([]byte{b}) {
+				plain[i] = '.'
+			}
+		}
+		for _, doc := range [][]byte{doc, plain} {
+			var d docRows
+			found := 0
+			sp.Enumerate(doc, func(m *spanner.Match) bool {
+				if z, ok := m.Span("z"); ok && (z.Start != s || z.End != e) {
+					return true
+				}
+				found++
+				row = d.appendRow(row[:0], id, spans, m)
+				if want := encodeRow(t, id, bindingsOf(m)); !bytes.Equal(row, want) {
+					t.Fatalf("doc %q span [%d,%d):\nappendRow %q\nencoding/json %q", doc, s, e, row, want)
+				}
 				return true
+			})
+			if found != 2 {
+				t.Fatalf("doc %q: checked %d matches, want the [%d,%d) split and the whole-document one", doc, found, s, e)
 			}
-			found++
-			row = appendRow(row[:0], id, spans, m)
-			if want := encodeRow(t, id, bindingsOf(m)); !bytes.Equal(row, want) {
-				t.Fatalf("doc %q span [%d,%d):\nappendRow %q\nencoding/json %q", doc, s, e, row, want)
-			}
-			return true
-		})
-		if found != 2 {
-			t.Fatalf("doc %q: checked %d matches, want the [%d,%d) split and the whole-document one", doc, found, s, e)
 		}
 	})
 }

@@ -216,6 +216,15 @@ func (s *server) compileCached(ctx context.Context, w http.ResponseWriter, req *
 	return nil, false
 }
 
+// docRows is one document's share of an enumerate response: the rows it
+// has emitted so far, and whether its text needs escaping at all. The
+// latter is decided by jsonrow.Plain on the first row, so a document
+// without matches never pays the scan.
+type docRows struct {
+	n     int
+	plain bool
+}
+
 // appendRow appends one NDJSON line of an enumerate response to dst:
 //
 //	{"doc":N,"spans":{"var":{"start":S,"end":E,"text":"…"},…}}
@@ -223,14 +232,30 @@ func (s *server) compileCached(ctx context.Context, w http.ResponseWriter, req *
 // with 0-based half-open byte offsets into document N, one entry per
 // variable the match assigns, keys sorted. The bytes are what
 // encoding/json writes for the equivalent struct-and-map row (see package
-// jsonrow), built without allocating once dst has grown.
-func appendRow(dst []byte, doc int, spans *jsonrow.Spans, m *spanner.Match) []byte {
+// jsonrow), built without allocating once dst has grown. Every match
+// passed for one d must come from the same document.
+func (d *docRows) appendRow(dst []byte, doc int, spans *jsonrow.Spans, m *spanner.Match) []byte {
+	if d.n == 0 {
+		d.plain = jsonrow.Plain(m.Doc())
+	}
+	d.n++
 	dst = append(dst, `{"doc":`...)
 	dst = strconv.AppendInt(dst, int64(doc), 10)
 	dst = append(dst, `,"spans":`...)
-	dst = spans.Append(dst, m)
+	dst = spans.Append(dst, m, d.plain)
 	return append(dst, "}\n"...)
 }
+
+const (
+	// flushRows is the enumerate response's flush cadence: every this
+	// many rows the handler writes and flushes what it has buffered and
+	// checks the deadline.
+	flushRows = 256
+	// writeBatch bounds the rows buffered between flush points: a
+	// buffer this large is written at once, so long texts cannot grow
+	// it without limit.
+	writeBatch = 32 << 10
+)
 
 // trailer is the final NDJSON line of an enumerate response: the exact
 // accounting of what the response contains, including how far the batch
@@ -289,11 +314,30 @@ func (s *server) handleEnumerate(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	tr := trailer{Docs: len(req.Docs)}
-	var writeErr error
 	spans := jsonrow.NewSpans(sp.Vars())
-	var row []byte // one row at a time, reused across the response
-	emitDoc := func(doc int, m *spanner.Match, emitted *int) bool {
-		if req.Limit > 0 && *emitted >= req.Limit {
+	// Rows accumulate in buf, reused across the response, and reach w in
+	// batches: at every flush point, at every document's end, before the
+	// trailer, and whenever buf reaches writeBatch bytes. A failed write
+	// is latched in writeErr and stops the enumeration at the next batch.
+	var buf []byte
+	var writeErr error
+	write := func() bool {
+		if len(buf) > 0 && writeErr == nil {
+			_, writeErr = w.Write(buf)
+		}
+		buf = buf[:0]
+		return writeErr == nil
+	}
+	// push writes the buffered rows and flushes them to the client.
+	push := func() bool {
+		if !write() {
+			return false
+		}
+		flush()
+		return true
+	}
+	emitDoc := func(doc int, m *spanner.Match, d *docRows) bool {
+		if req.Limit > 0 && d.n >= req.Limit {
 			// Only now is truncation a fact: a match beyond the limit
 			// exists. A document with exactly limit matches ends its
 			// enumeration naturally and is never flagged (the extra peek
@@ -301,24 +345,17 @@ func (s *server) handleEnumerate(w http.ResponseWriter, r *http.Request) {
 			tr.Truncated = true
 			return false
 		}
-		row = appendRow(row[:0], doc, spans, m)
-		if _, writeErr = w.Write(row); writeErr != nil {
-			return false
-		}
+		buf = d.appendRow(buf, doc, spans, m)
 		tr.Matches++
-		*emitted++
 		// The enumeration phase replays matches without touching the scan
 		// loops, so every few hundred yields it checks the deadline itself
 		// — and pushes the buffered rows to the client, so one document
 		// with millions of matches still streams visible progress instead
 		// of buffering until the document (or the response) completes.
-		if tr.Matches%256 == 0 {
-			flush()
-			if ctx.Err() != nil {
-				return false
-			}
+		if tr.Matches%flushRows == 0 {
+			return push() && ctx.Err() == nil
 		}
-		return true
+		return len(buf) < writeBatch || write()
 	}
 
 	switch {
@@ -327,22 +364,21 @@ func (s *server) handleEnumerate(w http.ResponseWriter, r *http.Request) {
 		co := cluster.New(sp, snap, cluster.Workers(s.cfg.workers))
 		gather, cerr := co.ProcessContext(ctx,
 			func(doc int, ev *spanner.Evaluation, _ error) bool {
-				n := 0
+				var d docRows
 				ev.Enumerate(func(m *spanner.Match) bool {
-					return emitDoc(doc, m, &n)
+					return emitDoc(doc, m, &d)
 				})
-				snap.AddServed(snap.Owner(doc), int64(n))
-				flush()
-				return writeErr == nil
+				snap.AddServed(snap.Owner(doc), int64(d.n))
+				return push()
 			})
 		tr.DocsProcessed = gather.Processed
 		if cerr != nil {
 			tr.Error = cerr.Error()
 		}
 	case len(req.Docs) == 1:
-		emitted := 0
+		var d docRows
 		err := sp.EnumerateContext(ctx, []byte(req.Docs[0]), func(m *spanner.Match) bool {
-			return emitDoc(0, m, &emitted)
+			return emitDoc(0, m, &d)
 		})
 		if err != nil {
 			tr.Error = err.Error()
@@ -359,19 +395,18 @@ func (s *server) handleEnumerate(w http.ResponseWriter, r *http.Request) {
 		emitted, ctxErr := eng.ProcessContext(ctx, len(docs),
 			func(i engine.DocID) ([]byte, error) { return []byte(docs[i]), nil },
 			func(i engine.DocID, ev *spanner.Evaluation, _ error) bool {
-				n := 0
+				var d docRows
 				ev.Enumerate(func(m *spanner.Match) bool {
-					return emitDoc(int(i), m, &n)
+					return emitDoc(int(i), m, &d)
 				})
-				flush()
-				return writeErr == nil
+				return push()
 			})
 		tr.DocsProcessed = emitted
 		if ctxErr != nil {
 			tr.Error = ctxErr.Error()
 		}
 	}
-	if writeErr != nil {
+	if !write() {
 		return // the client is gone; no point writing a trailer
 	}
 	if tr.Error == "" {

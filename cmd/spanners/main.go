@@ -35,6 +35,7 @@
 package main
 
 import (
+	"bufio"
 	"context"
 	"flag"
 	"fmt"
@@ -140,7 +141,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	r := &renderer{
 		jsonOut: *jsonOut,
 		prefix:  len(files) > 1,
-		stdout:  stdout,
+		out:     bufio.NewWriterSize(stdout, 64<<10),
 		spans:   jsonrow.NewSpans(sp.Vars()),
 	}
 
@@ -149,6 +150,9 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		matched, err = runBatch(ctx, sp, files, stdin, *jobs, *countOnly, *limit, r)
 	} else {
 		matched, err = runSerial(ctx, sp, inputs, stdin, *countOnly, *limit, r)
+	}
+	if ferr := r.flush(); err == nil {
+		err = ferr
 	}
 	if err != nil {
 		fmt.Fprintf(stderr, "spanners: %v\n", err)
@@ -174,6 +178,9 @@ func runSerial(ctx context.Context, sp *spanner.Spanner, inputs []string, stdin 
 			m, e = processStdin(ctx, sp, stdin, countOnly, limit, r)
 		} else {
 			m, e = processFile(ctx, sp, name, countOnly, limit, r)
+		}
+		if e == nil {
+			e = r.flush()
 		}
 		if e != nil {
 			return matched, e
@@ -287,7 +294,7 @@ func runBatch(ctx context.Context, sp *spanner.Spanner, files []string, stdin io
 				emitted++
 				return limit == 0 || emitted < limit
 			})
-			return r.err == nil
+			return r.flush() == nil
 		})
 	if err == nil {
 		err = ctxErr
@@ -322,7 +329,11 @@ func runBatchCount(ctx context.Context, sp *spanner.Spanner, files []string, std
 				err = res.err
 				return false
 			}
-			if e := r.count(files[i], res.val); e != nil {
+			e := r.count(files[i], res.val)
+			if e == nil {
+				e = r.flush()
+			}
+			if e != nil {
 				err = e
 				return false
 			}
@@ -333,15 +344,29 @@ func runBatchCount(ctx context.Context, sp *spanner.Spanner, files []string, std
 }
 
 // renderer owns the output formatting shared by the serial and batch
-// paths. A false return from match/count-reporting means a write failed;
-// the first failure is latched in err.
+// paths. Output is buffered and written through to stdout by flush, at
+// the end of every input. A false return from match/count-reporting means
+// a write failed; the first failure is latched in err.
 type renderer struct {
 	jsonOut bool
 	prefix  bool
-	stdout  io.Writer
+	out     *bufio.Writer  // over stdout
 	spans   *jsonrow.Spans // -json: the spans object writer
 	row     []byte         // -json: the current line, reused across matches
+	scanned bool           // -json: plain is decided for the current input
+	plain   bool           // -json: jsonrow.Plain of the current input
 	err     error
+}
+
+// flush writes the buffered output through to stdout and ends the current
+// input: the next match belongs to a new document. It returns the first
+// write error, latched like a failed row write.
+func (r *renderer) flush() error {
+	r.scanned = false
+	if r.err == nil {
+		r.err = r.out.Flush()
+	}
+	return r.err
 }
 
 // match renders one match line; it reports whether rendering can continue.
@@ -352,6 +377,9 @@ func (r *renderer) match(name string, m *spanner.Match) bool {
 		return false
 	}
 	if r.jsonOut {
+		if !r.scanned {
+			r.plain, r.scanned = jsonrow.Plain(m.Doc()), true
+		}
 		r.row = append(r.row[:0], '{')
 		if r.prefix {
 			r.row = append(r.row, `"file":`...)
@@ -359,9 +387,9 @@ func (r *renderer) match(name string, m *spanner.Match) bool {
 			r.row = append(r.row, ',')
 		}
 		r.row = append(r.row, `"spans":`...)
-		r.row = r.spans.Append(r.row, m)
+		r.row = r.spans.Append(r.row, m, r.plain)
 		r.row = append(r.row, "}\n"...)
-		if _, e := r.stdout.Write(r.row); e != nil {
+		if _, e := r.out.Write(r.row); e != nil {
 			r.err = e
 			return false
 		}
@@ -378,7 +406,7 @@ func (r *renderer) match(name string, m *spanner.Match) bool {
 	if r.prefix {
 		line = name + ":" + line
 	}
-	if _, e := fmt.Fprintln(r.stdout, line); e != nil {
+	if _, e := fmt.Fprintln(r.out, line); e != nil {
 		r.err = e
 		return false
 	}
@@ -389,9 +417,9 @@ func (r *renderer) match(name string, m *spanner.Match) bool {
 func (r *renderer) count(name, val string) error {
 	var e error
 	if r.prefix {
-		_, e = fmt.Fprintf(r.stdout, "%s:%s\n", name, val)
+		_, e = fmt.Fprintf(r.out, "%s:%s\n", name, val)
 	} else {
-		_, e = fmt.Fprintln(r.stdout, val)
+		_, e = fmt.Fprintln(r.out, val)
 	}
 	return e
 }

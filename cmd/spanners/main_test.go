@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -596,5 +597,55 @@ func TestCLIPlainPatternStatsKeepsVAStage(t *testing.T) {
 	}
 	if !strings.Contains(stderr, "VA:") {
 		t.Fatalf("plain pattern lost the VA stats line:\n%s", stderr)
+	}
+}
+
+// countingWriter counts Write calls; with fail set every call fails.
+type countingWriter struct {
+	bytes.Buffer
+	writes int
+	fail   bool
+}
+
+func (w *countingWriter) Write(p []byte) (int, error) {
+	w.writes++
+	if w.fail {
+		return 0, errors.New("broken pipe")
+	}
+	return w.Buffer.Write(p)
+}
+
+// TestCLIBufferedOutput pins that output reaches stdout in a few large
+// writes rather than one per match, on the serial and the batch path and
+// in every output mode, and that a failing stdout still ends the run with
+// the write error and exit status 2.
+func TestCLIBufferedOutput(t *testing.T) {
+	f1 := writeTemp(t, "a.txt", gen.DenseMarkers(1<<10, 1))
+	f2 := writeTemp(t, "b.txt", gen.DenseMarkers(1<<10, 2))
+	pattern := gen.NestedPattern(2)
+	for _, args := range [][]string{
+		{"-json", "-limit", "5000", pattern, f1},
+		{"-limit", "5000", pattern, f1},
+		{"-j", "2", "-json", "-limit", "2500", pattern, f1, f2},
+	} {
+		var out countingWriter
+		var errb bytes.Buffer
+		if code := run(args, strings.NewReader(""), &out, &errb); code != exitMatch {
+			t.Fatalf("%q: exit %d, stderr %q", args, code, errb.String())
+		}
+		if rows := strings.Count(out.String(), "\n"); rows != 5000 || out.writes > rows/50 {
+			t.Fatalf("%q: %d rows in %d writes, want 5000 rows in a few writes", args, rows, out.writes)
+		}
+
+		fail := countingWriter{fail: true}
+		errb.Reset()
+		if code := run(args, strings.NewReader(""), &fail, &errb); code != exitError || errb.String() != "spanners: broken pipe\n" {
+			t.Fatalf("%q into a failing stdout: exit %d, stderr %q; want 2 and the write error", args, code, errb.String())
+		}
+	}
+	fail := countingWriter{fail: true}
+	var errb bytes.Buffer
+	if code := run([]string{"-count", pattern, f1}, strings.NewReader(""), &fail, &errb); code != exitError || errb.String() != "spanners: broken pipe\n" {
+		t.Fatalf("-count into a failing stdout: exit %d, stderr %q; want 2 and the write error", code, errb.String())
 	}
 }

@@ -6,11 +6,18 @@
 // default HTML-safe string escaping, invalid UTF-8 replaced by U+FFFD. What
 // it saves is the per-match map, the Bindings slice, the Text strings and
 // the reflection walk; a warm buffer appends a row without allocating.
+//
+// Two decisions are taken once instead of per match: NewSpans resolves the
+// sorted names to their Vars indices once per variable set, and Plain
+// decides once per document whether any of its bytes needs escaping. A
+// text sliced from a plain document is copied through between quotes,
+// without the escaper's byte-by-byte scan.
 package jsonrow
 
 import (
 	"slices"
 	"strconv"
+	"strings"
 	"unicode/utf8"
 
 	"spanners/spanner"
@@ -20,31 +27,36 @@ import (
 // variables. Build it once per variable set (per request); it is
 // read-only afterwards and safe for concurrent use.
 type Spans struct {
-	names []string // sorted, the order encoding/json gives map keys
-	keys  [][]byte // keys[i] is names[i] quoted, then `:{"start":`
+	vars []int    // Vars indices, in the sorted order encoding/json gives map keys
+	keys [][]byte // keys[i] is the name of vars[i] quoted, then `:{"start":`
 }
 
 // NewSpans prepares the writer for matches of a spanner whose variables
-// are vars (Spanner.Vars).
+// are vars (Spanner.Vars, indexed like Match.Vars).
 func NewSpans(vars []string) *Spans {
-	names := slices.Clone(vars)
-	slices.Sort(names)
-	keys := make([][]byte, len(names))
-	for i, name := range names {
-		keys[i] = append(AppendString(nil, name), `:{"start":`...)
+	order := make([]int, len(vars))
+	for i := range order {
+		order[i] = i
 	}
-	return &Spans{names: names, keys: keys}
+	slices.SortFunc(order, func(a, b int) int { return strings.Compare(vars[a], vars[b]) })
+	keys := make([][]byte, len(order))
+	for i, v := range order {
+		keys[i] = append(AppendString(nil, vars[v]), `:{"start":`...)
+	}
+	return &Spans{vars: order, keys: keys}
 }
 
 // Append appends m's spans object to dst and returns the extended buffer:
 // one {"start":S,"end":E,"text":"…"} entry per variable m assigns, the
-// text sliced from the match's document.
-func (s *Spans) Append(dst []byte, m *spanner.Match) []byte {
+// text sliced from the match's document. plain must be Plain(m.Doc()),
+// computed once per document: when it is set each text is copied through
+// as is.
+func (s *Spans) Append(dst []byte, m *spanner.Match, plain bool) []byte {
 	doc := m.Doc()
 	dst = append(dst, '{')
 	first := true
-	for i, name := range s.names {
-		sp, ok := m.Span(name)
+	for i, v := range s.vars {
+		sp, ok := m.SpanAt(v)
 		if !ok {
 			continue
 		}
@@ -57,16 +69,36 @@ func (s *Spans) Append(dst []byte, m *spanner.Match) []byte {
 		dst = append(dst, `,"end":`...)
 		dst = strconv.AppendInt(dst, int64(sp.End), 10)
 		dst = append(dst, `,"text":`...)
-		dst = AppendString(dst, doc[sp.Start:sp.End])
+		if plain {
+			dst = append(dst, '"')
+			dst = append(dst, doc[sp.Start:sp.End]...)
+			dst = append(dst, '"')
+		} else {
+			dst = AppendString(dst, doc[sp.Start:sp.End])
+		}
 		dst = append(dst, '}')
 	}
 	return append(dst, '}')
 }
 
-// plain marks the ASCII bytes that encoding/json copies through unescaped
-// in its default HTML-safe mode: printable ASCII and DEL, minus the quote,
-// the backslash and <, >, &.
-var plain = func() (t [utf8.RuneSelf]bool) {
+// Plain reports whether every slice s of doc renders as `"` + s + `"`,
+// that is whether AppendString copies each byte of doc through unescaped.
+// Bytes from 0x80 up never do: a slice can end inside a multi-byte rune.
+// It is one O(|doc|) pass, meant to run once per document.
+func Plain(doc []byte) bool {
+	for _, b := range doc {
+		if !plain[b] {
+			return false
+		}
+	}
+	return true
+}
+
+// plain marks the bytes that encoding/json copies through unescaped in its
+// default HTML-safe mode: printable ASCII and DEL, minus the quote, the
+// backslash and <, >, &. No byte from 0x80 up is plain: it starts or
+// continues a multi-byte sequence that AppendString must decode.
+var plain = func() (t [256]bool) {
 	for b := 0x20; b < utf8.RuneSelf; b++ {
 		t[b] = true
 	}

@@ -40,6 +40,33 @@ func TestAppendStringMatchesEncodingJSON(t *testing.T) {
 	}
 }
 
+// TestPlainMatchesAppendString is the differential pin of the plain fast
+// path: Plain(d) holds exactly when AppendString copies every slice of d
+// through between quotes, for every single byte and every escape case.
+// Valid multi-byte UTF-8 renders verbatim as a whole, yet is not plain: a
+// span can end inside a rune, and that slice is invalid UTF-8.
+func TestPlainMatchesAppendString(t *testing.T) {
+	check := func(d string) {
+		t.Helper()
+		verbatim := true
+		for i := 0; i <= len(d); i++ {
+			for j := i; j <= len(d); j++ {
+				s := d[i:j]
+				verbatim = verbatim && string(jsonrow.AppendString(nil, s)) == `"`+s+`"`
+			}
+		}
+		if got := jsonrow.Plain([]byte(d)); got != verbatim {
+			t.Errorf("Plain(%q) = %v, but AppendString copies every slice verbatim: %v", d, got, verbatim)
+		}
+	}
+	for b := 0; b < 256; b++ {
+		check(string([]byte{byte(b)}))
+	}
+	for _, d := range escapeCases {
+		check(d)
+	}
+}
+
 func TestSpansMatchesEncodingJSON(t *testing.T) {
 	type jsonSpan struct {
 		Start int    `json:"start"`
@@ -48,26 +75,34 @@ func TestSpansMatchesEncodingJSON(t *testing.T) {
 	}
 	// Registry order z, a, m; the writer must emit a, m, z and skip the
 	// variables a match leaves unassigned.
-	s := spanner.MustCompile(`.*!z{[<&]+}!a{.}.*|.*!m{\xe2\x80\xa8}.*`)
-	spans := jsonrow.NewSpans(s.Vars())
-	doc := []byte("x<&\"y\u2028\xff")
-	n := 0
-	s.Enumerate(doc, func(m *spanner.Match) bool {
-		n++
-		ref := make(map[string]jsonSpan)
-		for _, b := range m.Bindings() {
-			ref[b.Var] = jsonSpan{Start: b.Span.Start, End: b.Span.End, Text: b.Text}
+	cases := []struct {
+		name, pattern, doc string
+	}{
+		{"special bytes inside the spans", `.*!z{[<&]+}!a{.}.*|.*!m{\xe2\x80\xa8}.*`, "x<&\"y\u2028\xff"},
+		{"plain document", `.*!z{[bc]+}!a{[a-z]}.*|.*!m{x}.*`, "abcaxb"},
+		{"special byte outside every span", `.*!z{[bc]+}!a{[a-z]}.*|.*!m{x}.*`, "abca<xb"},
+	}
+	for _, tc := range cases {
+		s := spanner.MustCompile(tc.pattern)
+		spans := jsonrow.NewSpans(s.Vars())
+		n := 0
+		s.Enumerate([]byte(tc.doc), func(m *spanner.Match) bool {
+			n++
+			ref := make(map[string]jsonSpan)
+			for _, b := range m.Bindings() {
+				ref[b.Var] = jsonSpan{Start: b.Span.Start, End: b.Span.End, Text: b.Text}
+			}
+			want, err := json.Marshal(ref)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := spans.Append(nil, m, jsonrow.Plain(m.Doc())); !bytes.Equal(got, want) {
+				t.Errorf("%s: Append = %s, want %s", tc.name, got, want)
+			}
+			return true
+		})
+		if n < 3 {
+			t.Fatalf("%s: only %d matches; want both union branches covered", tc.name, n)
 		}
-		want, err := json.Marshal(ref)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := spans.Append(nil, m); !bytes.Equal(got, want) {
-			t.Errorf("Append = %s, want %s", got, want)
-		}
-		return true
-	})
-	if n < 3 {
-		t.Fatalf("only %d matches; want both union branches covered", n)
 	}
 }

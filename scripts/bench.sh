@@ -7,7 +7,7 @@ set -e
 cd "$(dirname "$0")/.."
 OUT="${OUT:-BENCH_spanner.json}"
 
-go test -run='^$' -bench=. -benchtime="${BENCHTIME:-500ms}" ./spanner/ ./spanner/cache/ ./engine/ ./corpus/ ./cluster/ |
+go test -run='^$' -bench=. -benchtime="${BENCHTIME:-500ms}" ./spanner/ ./spanner/cache/ ./engine/ ./corpus/ ./cluster/ ./cmd/spannerd/ |
 awk -v go="$(go version | awk '{print $3}')" \
     -v date="$(date -u +%Y-%m-%dT%H:%M:%SZ)" '
 /^cpu:/ {

@@ -58,7 +58,14 @@ func (m *Match) Span(name string) (Span, bool) {
 	if !ok {
 		return Span{}, false
 	}
-	s := m.spans[v]
+	return m.SpanAt(int(v))
+}
+
+// SpanAt is Span for the variable Vars()[i], without the name lookup: a
+// caller emitting many matches of one spanner resolves its names to
+// indices once and reads every match by index.
+func (m *Match) SpanAt(i int) (Span, bool) {
+	s := m.spans[i]
 	if s.IsZero() {
 		return Span{}, false
 	}

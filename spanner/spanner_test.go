@@ -111,6 +111,27 @@ func TestMatchAccessors(t *testing.T) {
 	}
 }
 
+// TestMatchSpanAt pins SpanAt(i) to Span(Vars()[i]) on matches that leave
+// some variables unassigned.
+func TestMatchSpanAt(t *testing.T) {
+	s := spanner.MustCompile(`.*!z{a+}!a{b}.*|.*!m{c}.*`)
+	n := 0
+	s.Enumerate([]byte("aabcab"), func(m *spanner.Match) bool {
+		n++
+		for i, name := range m.Vars() {
+			got, gotOK := m.SpanAt(i)
+			want, wantOK := m.Span(name)
+			if got != want || gotOK != wantOK {
+				t.Fatalf("%s: SpanAt(%d) = %v, %v; Span(%q) = %v, %v", m, i, got, gotOK, name, want, wantOK)
+			}
+		}
+		return true
+	})
+	if n < 3 {
+		t.Fatalf("only %d matches; want both union branches", n)
+	}
+}
+
 func TestMatchScratchReuseAndClone(t *testing.T) {
 	s := spanner.MustCompile(`.*!w{[a-z]}.*`)
 	it := s.Iterator([]byte("ab"))
