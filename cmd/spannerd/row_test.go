@@ -168,3 +168,17 @@ func FuzzNDJSONRow(f *testing.F) {
 		}
 	})
 }
+
+// TestRowBufPoolDropsOversize: a row buffer a long row grew past
+// 4*writeBatch never goes back to the pool, so pooled buffers stay small.
+func TestRowBufPoolDropsOversize(t *testing.T) {
+	big := make([]byte, 0, 4*writeBatch+1)
+	putRowBuf(&big)
+	for range 8 {
+		b := getRowBuf()
+		if cap(*b) > 4*writeBatch {
+			t.Fatalf("pool returned a %d-byte buffer, over the %d-byte bound", cap(*b), 4*writeBatch)
+		}
+		defer putRowBuf(b)
+	}
+}

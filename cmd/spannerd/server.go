@@ -17,6 +17,7 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -257,6 +258,26 @@ const (
 	writeBatch = 32 << 10
 )
 
+// rowBufs pools the enumerate responses' row buffers across requests, so
+// a small response does not grow a fresh buffer from nothing each time.
+// Since a buffer is written out once it reaches writeBatch bytes, its
+// capacity stays near that; one a long row grew past 4*writeBatch is left
+// to the collector instead.
+var rowBufs sync.Pool
+
+func getRowBuf() *[]byte {
+	if v := rowBufs.Get(); v != nil {
+		return v.(*[]byte)
+	}
+	return new([]byte)
+}
+
+func putRowBuf(b *[]byte) {
+	if cap(*b) <= 4*writeBatch {
+		rowBufs.Put(b)
+	}
+}
+
 // trailer is the final NDJSON line of an enumerate response: the exact
 // accounting of what the response contains, including how far the batch
 // got when a deadline cut it short. DocsProcessed counts the documents
@@ -315,11 +336,13 @@ func (s *server) handleEnumerate(w http.ResponseWriter, r *http.Request) {
 	}
 	tr := trailer{Docs: len(req.Docs)}
 	spans := jsonrow.NewSpans(sp.Vars())
-	// Rows accumulate in buf, reused across the response, and reach w in
+	// Rows accumulate in buf, pooled across responses, and reach w in
 	// batches: at every flush point, at every document's end, before the
 	// trailer, and whenever buf reaches writeBatch bytes. A failed write
 	// is latched in writeErr and stops the enumeration at the next batch.
-	var buf []byte
+	bp := getRowBuf()
+	buf := (*bp)[:0]
+	defer func() { *bp = buf; putRowBuf(bp) }()
 	var writeErr error
 	write := func() bool {
 		if len(buf) > 0 && writeErr == nil {
