@@ -344,7 +344,8 @@ func Map[T any](workers, n int, fn func(int) T, emit func(int, T) bool) {
 
 // Count evaluates the Theorem 5.1 counting pass over every document of the
 // batch concurrently and returns the per-document counts in input order.
-// exact[i] is false when count[i] overflowed uint64.
+// exact[i] is false only when the true count does not fit in uint64;
+// count[i] is then its low 64 bits.
 func (e *Engine) Count(docs [][]byte) (counts []uint64, exact []bool) {
 	counts = make([]uint64, len(docs))
 	exact = make([]bool, len(docs))

@@ -209,11 +209,11 @@ func TestEnumerateEarlyStop(t *testing.T) {
 
 func TestCountFigure3(t *testing.T) {
 	a := gen.Figure3EVA()
-	c, exact := core.Count(a, []byte("ab"))
+	c, exact := core.CountDoc(a, []byte("ab"))
 	if !exact || c != 3 {
 		t.Fatalf("Count = %d (exact=%v), want 3", c, exact)
 	}
-	if big := core.CountBig(a, []byte("ab")); big.Int64() != 3 {
+	if big := core.CountDocBig(a, []byte("ab")); big.Int64() != 3 {
 		t.Fatalf("CountBig = %v, want 3", big)
 	}
 }
@@ -229,11 +229,11 @@ func TestCountMatchesEnumerationRandom(t *testing.T) {
 			res := core.Evaluate(d, doc)
 			enum := 0
 			res.Enumerate(func(*model.Mapping) bool { enum++; return true })
-			cnt, exact := core.Count(d, doc)
+			cnt, exact := core.CountDoc(d, doc)
 			if !exact || cnt != uint64(enum) {
 				t.Fatalf("case %d doc %q: Count = %d, enumerated %d", i, doc, cnt, enum)
 			}
-			if big := core.CountBig(d, doc); big.Uint64() != cnt {
+			if big := core.CountDocBig(d, doc); big.Uint64() != cnt {
 				t.Fatalf("case %d doc %q: CountBig = %v, Count = %d", i, doc, big, cnt)
 			}
 		}
@@ -364,7 +364,7 @@ func TestNestedOutputCardinality(t *testing.T) {
 	d := pipeline(t, gen.NestedPattern(2))
 	for _, n := range []int{1, 2, 3, 4, 5} {
 		doc := gen.RandomDoc(n, "a", 1)
-		cnt, exact := core.Count(d, doc)
+		cnt, exact := core.CountDoc(d, doc)
 		if !exact {
 			t.Fatal("overflow unexpected")
 		}
@@ -383,8 +383,8 @@ func TestNestedOutputCardinality(t *testing.T) {
 }
 
 func TestCountOverflowDetection(t *testing.T) {
-	// 40 nested variables over a modest document overflow uint64; Count
-	// must say so and CountBig must agree with the exact value.
+	// 12 nested variables over 60 bytes overflow uint64; Count must say so
+	// and CountBig must hold the exact value.
 	node := rgx.MustParse(gen.NestedPattern(12))
 	v, err := rgx.Compile(node)
 	if err != nil {
@@ -393,8 +393,8 @@ func TestCountOverflowDetection(t *testing.T) {
 	e := v.ToExtended()
 	d := e.Determinize()
 	doc := gen.RandomDoc(60, "a", 1)
-	cnt, exact := core.Count(d, doc)
-	big := core.CountBig(d, doc)
+	cnt, exact := core.CountDoc(d, doc)
+	big := core.CountDocBig(d, doc)
 	if exact {
 		// Not an error per se, but with 12 nested vars over 60 bytes the
 		// count is astronomically larger than 2^64.

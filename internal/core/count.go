@@ -4,59 +4,6 @@ import (
 	"math/big"
 )
 
-// Count implements Algorithm 3 (appendix C): it computes |⟦A⟧d| for a
-// deterministic sequential eVA in time O(|A| × |d|) by replacing each node
-// list of Algorithm 1 with the number of partial runs reaching the state.
-// Because the automaton is sequential (every partial run encodes a valid
-// partial mapping) and deterministic (each partial run encodes a distinct
-// partial mapping), the run count per state equals the partial-mapping
-// count, and summing over the final states yields |⟦A⟧d|.
-//
-// Counts use uint64 arithmetic — the uniform-cost RAM model the paper
-// assumes; exact reports whether the result is free of overflow (counts
-// grow like n^2ℓ, so overflow is reachable on purpose-built inputs). When
-// exact is false, count is still well-defined: every addition wraps modulo
-// 2^64, so the returned value is the low 64 bits of the true |⟦A⟧d| — the
-// same contract CountStream.Count keeps after big-integer migration. Use
-// CountBig for the full value.
-//
-// The pass stops as soon as the live state set drains: once no partial run
-// survives, no later byte can revive one, so a document whose prefix kills
-// the automaton costs only the prefix (the property Spanner.IsEmpty relies
-// on for cheap rejection).
-func Count(a Automaton, doc []byte) (count uint64, exact bool) {
-	c := &counter{a: a}
-	q0 := a.Initial()
-	c.ensure(q0)
-	c.counts[q0] = 1
-	c.inLive[q0] = true
-	c.live = append(c.live, q0)
-
-	var gate accelGate
-	gate.init(a)
-	for i, last := 0, 0; i < len(doc) && len(c.live) > 0; {
-		// Counting admits the same bulk skip as enumeration: over an inert
-		// byte the Capturing+Reading round maps the singleton configuration
-		// (and its run counts) to itself, and the counting pass tracks no
-		// positions at all.
-		if gate.on {
-			if q, ok := gate.scanState(c.live); ok {
-				n := gate.trySkip(q, doc[i:], i-last)
-				last = i + n
-				if n > 0 {
-					i += n
-					continue
-				}
-			}
-		}
-		c.capturing()
-		c.reading(doc[i])
-		i++
-	}
-	c.capturing()
-	return c.total()
-}
-
 // total sums the counts of the accepting live states; exact is false when
 // any step of the computation overflowed uint64 (the sum is then the low
 // 64 bits of the true total).
@@ -84,9 +31,21 @@ type counter struct {
 	counts   []uint64
 	live     []int
 	inLive   []bool
-	olds     []uint64
+	pre      []uint64 // Capturing's snapshot: the counts of live[:len(pre)] at round start
+	olds     []uint64 // Reading's snapshot
 	nextLive []int
 	overflow bool
+}
+
+// reset starts a pass of a at its initial state, keeping the buffers.
+func (c *counter) reset(a Automaton) {
+	c.a, c.overflow = a, false
+	c.counts, c.inLive, c.live = c.counts[:0], c.inLive[:0], c.live[:0]
+	q0 := a.Initial()
+	c.ensure(q0)
+	c.counts[q0] = 1
+	c.inLive[q0] = true
+	c.live = append(c.live, q0)
 }
 
 func (c *counter) ensure(q int) {
@@ -108,11 +67,13 @@ func addOverflow(a, b uint64) (uint64, bool) {
 }
 
 // capturing mirrors Capturing(i): N[p] += N′[q] for every capture
-// transition (q, S, p), where N′ is the snapshot before the procedure.
+// transition (q, S, p), where N′ (pre) is the snapshot before the
+// procedure. It only appends to live, so live[:len(pre)] and pre still
+// describe the round's starting configuration after it.
 func (c *counter) capturing() {
-	c.olds = c.olds[:0]
+	c.pre = c.pre[:0]
 	for _, q := range c.live {
-		c.olds = append(c.olds, c.counts[q])
+		c.pre = append(c.pre, c.counts[q])
 	}
 	n := len(c.live)
 	for k := 0; k < n; k++ {
@@ -123,7 +84,7 @@ func (c *counter) capturing() {
 				c.inLive[t.To] = true
 				c.live = append(c.live, t.To)
 			}
-			c.add(t.To, c.olds[k])
+			c.add(t.To, c.pre[k])
 		}
 	}
 }
@@ -150,37 +111,6 @@ func (c *counter) reading(ch byte) {
 		c.add(t, c.olds[k])
 	}
 	c.live, c.nextLive = c.nextLive, c.live
-}
-
-// CountBig is Count with arbitrary-precision arithmetic. It shares the
-// same O(|A| × |d|) structure; each arithmetic step costs the size of the
-// count's representation instead of O(1).
-func CountBig(a Automaton, doc []byte) *big.Int {
-	c := &bigCounter{a: a}
-	q0 := a.Initial()
-	c.ensure(q0)
-	c.counts[q0] = big.NewInt(1)
-	c.live = append(c.live, q0)
-
-	var gate accelGate
-	gate.init(a)
-	for i, last := 0, 0; i < len(doc) && len(c.live) > 0; {
-		if gate.on {
-			if q, ok := gate.scanState(c.live); ok {
-				n := gate.trySkip(q, doc[i:], i-last)
-				last = i + n
-				if n > 0 {
-					i += n
-					continue
-				}
-			}
-		}
-		c.capturing()
-		c.reading(doc[i])
-		i++
-	}
-	c.capturing()
-	return c.total()
 }
 
 // total sums the counts of the accepting live states.
@@ -225,7 +155,7 @@ func (c *bigCounter) capturing() {
 	for _, q := range c.live {
 		// A live state normally carries a materialized count, but the
 		// invariant is load-bearing across CountStream.migrate, which
-		// rebuilds the live set from a snapshot: tolerate a nil (zero)
+		// rebuilds the live set from a rewound round: tolerate a nil (zero)
 		// count rather than panic on it.
 		old := new(big.Int)
 		if c.counts[q] != nil {
@@ -271,48 +201,51 @@ func (c *bigCounter) reading(ch byte) {
 	c.live, c.nextLive = c.nextLive, c.live
 }
 
-// CountStream is the incremental form of the Algorithm 3 counting pass:
-// Feed advances the per-state run counts chunk-by-chunk and Close runs the
-// final Capturing, so |⟦A⟧d| can be computed over a document that is never
-// materialized (counting, unlike enumeration, needs no document bytes).
+// CountStream is Algorithm 3 (appendix C): it computes |⟦A⟧d| for a
+// deterministic sequential eVA in time O(|A| × |d|) by replacing each node
+// list of Algorithm 1 with the number of partial runs reaching the state.
+// Because the automaton is sequential (every partial run encodes a valid
+// partial mapping) and deterministic (each partial run encodes a distinct
+// partial mapping), the run count per state equals the partial-mapping
+// count, and summing over the final states yields |⟦A⟧d|. Feed advances
+// the per-state counts chunk by chunk and Close runs the final Capturing,
+// so the document is never materialized (counting, unlike enumeration,
+// needs no document bytes).
 //
 // Counts run in uint64 — the paper's uniform-cost RAM model — until the
-// first overflow. The stream snapshots its O(states) counter state at each
-// chunk boundary; when a chunk overflows, it rewinds to the snapshot,
-// replays that chunk with arbitrary-precision arithmetic, and stays in big
-// mode from then on. Count therefore reports exact uint64 results whenever
-// they fit, while CountBig is exact always, in a single pass over the
-// input. A CountStream is not goroutine-safe.
+// first overflow. The round (Capturing and Reading over one byte) that
+// overflows is rewound from the counts Capturing set aside, replayed with
+// arbitrary-precision arithmetic, and the stream stays in big mode from
+// then on. A CountStream is not goroutine-safe.
 type CountStream struct {
-	a      Automaton
 	c      counter
 	gate   accelGate
 	bc     *bigCounter // non-nil once migrated to big arithmetic
-	snapC  []uint64    // counter state at the last chunk boundary
-	snapL  []int
-	snapG  accelGate
 	closed bool
 }
 
 // NewCountStream starts an incremental counting pass of a over a document
 // to be delivered via Feed.
 func NewCountStream(a Automaton) *CountStream {
-	s := &CountStream{a: a, c: counter{a: a}}
-	q0 := a.Initial()
-	s.c.ensure(q0)
-	s.c.counts[q0] = 1
-	s.c.inLive[q0] = true
-	s.c.live = append(s.c.live, q0)
-	s.gate.init(a)
+	s := new(CountStream)
+	s.Reset(a)
 	return s
+}
+
+// Reset restarts s as a fresh counting pass of a. It keeps the buffers of
+// the previous pass, so a reused CountStream counts without allocating
+// once they have grown to the automaton's size.
+func (s *CountStream) Reset(a Automaton) {
+	s.bc, s.closed = nil, false
+	s.c.reset(a)
+	s.gate.init(a)
 }
 
 // Feed advances the counting pass over the next chunk of the document. The
 // chunk is not retained. Feed panics if the stream is already closed.
 //
-// Once the live state set drains — no partial run survives — no later byte
-// can revive one, so Feed returns immediately and the remaining input costs
-// nothing beyond delivery.
+// Once the live state set drains (see Dead), Feed returns immediately and
+// the remaining input costs nothing beyond delivery.
 //
 // spanlint:hotpath — the uint64 counting loop allocates nothing; hotalloc
 // (cmd/spanlint) enforces it. The arbitrary-precision fallback (feedBig)
@@ -321,40 +254,52 @@ func (s *CountStream) Feed(chunk []byte) {
 	if s.closed {
 		panic("core: CountStream.Feed after Close")
 	}
-	if s.bc == nil {
-		if len(s.c.live) == 0 {
-			return
-		}
-		s.snapshot()
-		for i, last := 0, 0; i < len(chunk) && len(s.c.live) > 0; {
-			if s.gate.on {
-				if q, ok := s.gate.scanState(s.c.live); ok {
-					n := s.gate.trySkip(q, chunk[i:], i-last)
-					last = i + n
-					if n > 0 {
-						i += n
-						continue
-					}
+	i, last := 0, 0
+	for s.bc == nil && i < len(chunk) && len(s.c.live) > 0 {
+		if s.gate.on {
+			if q, ok := s.gate.scanState(s.c.live); ok {
+				n := s.gate.trySkip(q, chunk[i:], i-last)
+				last = i + n
+				if n > 0 {
+					i += n
+					continue
 				}
 			}
-			s.c.capturing()
-			s.c.reading(chunk[i])
-			i++
 		}
-		if !s.c.overflow {
-			return
+		s.c.capturing()
+		s.c.reading(chunk[i])
+		if s.c.overflow {
+			// Reading moved the round's starting live list to nextLive.
+			// feedBig replays the round at i; the skip attempt it repeats
+			// there sees the same configuration and skips nothing.
+			//spanlint:ignore hotalloc one-time switch to big.Int counts, entered only on the first uint64 overflow
+			s.migrate(s.c.nextLive[:len(s.c.pre)], s.c.pre)
+			break
 		}
-		s.migrate()
+		i++
 	}
-	//spanlint:ignore hotalloc big.Int arithmetic allocates by design; entered only after a uint64 overflow, never on the fast path
-	s.feedBig(chunk)
+	if s.bc != nil {
+		//spanlint:ignore hotalloc big.Int arithmetic allocates by design; entered only after a uint64 overflow, never on the fast path
+		s.feedBig(chunk, i, last)
+	}
 }
 
-// feedBig advances the arbitrary-precision counting pass over chunk. It is
-// the post-overflow continuation of Feed and allocates freely (big.Int
+// Dead reports whether the live state set has drained: no partial run
+// survives and no later byte can revive one, so the count is 0 whatever
+// follows and callers may stop feeding.
+func (s *CountStream) Dead() bool {
+	if s.bc != nil {
+		return len(s.bc.live) == 0
+	}
+	return len(s.c.live) == 0
+}
+
+// feedBig advances the arbitrary-precision counting pass over chunk from
+// position i, with last the position after the previous skip attempt. It
+// is the post-overflow continuation of Feed and allocates freely (big.Int
 // arithmetic), which is why it lives outside the spanlint:hotpath contract.
-func (s *CountStream) feedBig(chunk []byte) {
-	for i, last := 0, 0; i < len(chunk) && len(s.bc.live) > 0; {
+func (s *CountStream) feedBig(chunk []byte, i, last int) {
+	for i < len(chunk) && len(s.bc.live) > 0 {
 		if s.gate.on {
 			if q, ok := s.gate.scanState(s.bc.live); ok {
 				n := s.gate.trySkip(q, chunk[i:], i-last)
@@ -371,33 +316,22 @@ func (s *CountStream) feedBig(chunk []byte) {
 	}
 }
 
-// snapshot saves the uint64 counter state so an overflowing chunk can be
-// replayed in big mode. The acceleration gate is snapshotted alongside:
-// the big-mode replay makes the same skip decisions the uint64 pass made,
-// so rewinding the gate keeps its counters from double-counting the chunk.
-func (s *CountStream) snapshot() {
-	s.snapC = append(s.snapC[:0], s.c.counts...)
-	s.snapL = append(s.snapL[:0], s.c.live...)
-	s.snapG = s.gate
-}
-
-// migrate rebuilds the counter state of the last chunk boundary with
-// arbitrary-precision counts; the caller replays the chunk that overflowed.
-// Every live state gets a materialized count — including zero-valued ones —
-// establishing the bigCounter invariant "live ⟺ non-nil count" even if the
-// snapshot ever carries a live state whose uint64 count is zero, and
-// dropping any duplicate the snapshot might hold (total() sums per live
-// entry, so a duplicate would double-count).
-func (s *CountStream) migrate() {
-	bc := &bigCounter{a: s.a, counts: make([]*big.Int, len(s.snapC))}
-	for _, q := range s.snapL {
+// migrate switches to big arithmetic from the configuration where each
+// live[k] carries counts[k] runs: the start of the round that overflowed,
+// which the caller then replays. Every live state gets a materialized
+// count — including zero-valued ones — establishing the bigCounter
+// invariant "live ⟺ non-nil count", and a duplicate entry is dropped
+// (total() sums per live entry, so a duplicate would double-count).
+func (s *CountStream) migrate(live []int, counts []uint64) {
+	bc := &bigCounter{a: s.c.a}
+	for k, q := range live {
+		bc.ensure(q)
 		if bc.counts[q] == nil {
-			bc.counts[q] = new(big.Int).SetUint64(s.snapC[q])
+			bc.counts[q] = new(big.Int).SetUint64(counts[k])
 			bc.live = append(bc.live, q)
 		}
 	}
 	s.bc = bc
-	s.gate = s.snapG
 }
 
 // Close runs the final Capturing. It is idempotent; Count and CountBig call
@@ -408,28 +342,18 @@ func (s *CountStream) Close() {
 	}
 	s.closed = true
 	if s.bc == nil {
-		s.snapshot()
 		s.c.capturing()
-		if s.c.overflow {
-			s.migrate()
-			s.bc.capturing()
+		if !s.c.overflow {
+			return
 		}
-		return
+		s.migrate(s.c.live[:len(s.c.pre)], s.c.pre)
 	}
 	s.bc.capturing()
 }
 
-// Count returns |⟦A⟧d| for the document fed so far; exact is false when the
-// count does not fit in uint64 (use CountBig then). This is a stronger
-// exactness guarantee than the one-shot Count's: after migrating to big
-// arithmetic the stream still knows the true total, so it reports exact
-// results on documents whose intermediate per-state counts overflow but
-// whose |⟦A⟧d| fits — where Count can only report exact == false. The two
-// agree whenever Count reports exact == true.
-//
-// When exact is false, count is the low 64 bits of the true total — the
-// same value on both internal paths: uint64 arithmetic wraps modulo 2^64
-// throughout, and the migrated big-integer total is truncated the same way.
+// Count returns |⟦A⟧d| for the document fed so far. exact is false only
+// when |⟦A⟧d| does not fit in uint64; count is then its low 64 bits, and
+// CountBig has the full value.
 func (s *CountStream) Count() (count uint64, exact bool) {
 	s.Close()
 	if s.bc != nil {
@@ -470,7 +394,7 @@ func (s *CountStream) CountBig() *big.Int {
 	total := new(big.Int)
 	var t big.Int
 	for _, q := range s.c.live {
-		if s.a.Accepting(q) {
+		if s.c.a.Accepting(q) {
 			total.Add(total, t.SetUint64(s.c.counts[q]))
 		}
 	}

@@ -76,74 +76,63 @@ func repeatA(n int) []byte {
 	return doc
 }
 
-// TestInexactCountIsLow64Bits pins the unified contract: whenever exact is
-// false, the returned count is the true total reduced modulo 2^64 — on the
-// never-migrated uint64 path (per-state counts fit, only the final
-// summation wraps) and on the big-integer path after migration alike, and
-// identically for the one-shot Count.
+// TestInexactCountIsLow64Bits pins the counting contract: whenever exact
+// is false, the returned count is the true total reduced modulo 2^64 — on
+// the never-migrated uint64 path (per-state counts fit, only the final
+// summation wraps) and on the big-integer path after migration alike. The
+// doubler's closed-form total 5·2^n − 1 is the reference.
 func TestInexactCountIsLow64Bits(t *testing.T) {
-	mask := new(big.Int).SetUint64(^uint64(0))
-	wantLow := func(a Automaton, doc []byte) uint64 {
-		return new(big.Int).And(CountBig(a, doc), mask).Uint64()
+	doublerTotal := func(n uint) *big.Int {
+		return new(big.Int).Sub(new(big.Int).Lsh(big.NewInt(5), n), big.NewInt(1))
 	}
 
 	t.Run("uint64 path", func(t *testing.T) {
-		a := doublerAutomaton()
-		doc := repeatA(63) // total 5·2^63−1 > 2^64, every per-state count fits
-		want := wantLow(a, doc)
-		if got, exact := Count(a, doc); exact || got != want {
-			t.Fatalf("Count = (%d, %v), want (%d, false)", got, exact, want)
-		}
-		s := NewCountStream(a)
-		s.Feed(doc)
+		total := doublerTotal(63) // > 2^64, every per-state count fits
+		s := NewCountStream(doublerAutomaton())
+		s.Feed(repeatA(63))
 		if s.bc != nil {
 			t.Fatal("stream migrated: per-state counts were meant to fit uint64")
 		}
-		if got, exact := s.Count(); exact || got != want {
-			t.Fatalf("CountStream.Count = (%d, %v), want (%d, false)", got, exact, want)
+		if got, exact := s.Count(); exact || got != low64(total) {
+			t.Fatalf("CountStream.Count = (%d, %v), want (%d, false)", got, exact, low64(total))
 		}
-		if got := s.CountBig(); new(big.Int).And(got, mask).Uint64() != want || got.BitLen() <= 64 {
-			t.Fatalf("CountBig = %v: inconsistent with the wrapped count %d", got, want)
+		if got := s.CountBig(); got.Cmp(total) != 0 {
+			t.Fatalf("CountBig = %v, want 5·2^63 − 1 = %v", got, total)
 		}
 	})
 
 	t.Run("migrated path", func(t *testing.T) {
-		a := doublerAutomaton()
-		doc := repeatA(70) // per-state counts wrap mid-document
-		want := wantLow(a, doc)
-		s := NewCountStream(a)
+		total := doublerTotal(70) // per-state counts wrap mid-document
+		if low64(total) == 0 {
+			t.Fatal("low 64 bits are zero: the case cannot distinguish the old (0, false) contract")
+		}
+		doc := repeatA(70)
+		s := NewCountStream(doublerAutomaton())
 		s.Feed(doc[:40])
 		s.Feed(doc[40:])
 		if s.bc == nil {
 			t.Fatal("stream did not migrate: the construction no longer overflows")
 		}
-		got, exact := s.Count()
-		if exact || got != want {
-			t.Fatalf("CountStream.Count = (%d, %v), want (%d, false)", got, exact, want)
+		if got, exact := s.Count(); exact || got != low64(total) {
+			t.Fatalf("CountStream.Count = (%d, %v), want (%d, false)", got, exact, low64(total))
 		}
-		if want == 0 {
-			t.Fatal("low 64 bits are zero: the case cannot distinguish the old (0, false) contract")
-		}
-		// The one-shot Count wraps to the same value.
-		if oneshot, exact := Count(a, doc); exact || oneshot != want {
-			t.Fatalf("Count = (%d, %v), want (%d, false)", oneshot, exact, want)
+		if got := s.CountBig(); got.Cmp(total) != 0 {
+			t.Fatalf("CountBig = %v, want 5·2^70 − 1 = %v", got, total)
 		}
 	})
 }
 
 // TestMigrateMaterializesZeroLiveCounts is the migrate → capturing
-// regression: a snapshot can in principle carry a live state whose uint64
-// count is zero (a sum that wrapped to exactly 2^64). migrate must not
-// leave such a state with a nil big count — bigCounter.capturing snapshots
-// every live state's count and used to panic on nil.
+// regression: a rewound round can in principle carry a live state whose
+// uint64 count is zero (a sum that wrapped to exactly 2^64). migrate must
+// not leave such a state with a nil big count — bigCounter.capturing
+// snapshots every live state's count and used to panic on nil.
 func TestMigrateMaterializesZeroLiveCounts(t *testing.T) {
 	a := doublerAutomaton()
 	s := NewCountStream(a)
-	// Install a hostile snapshot directly: state 0 live with a wrapped-to-
-	// zero count, state 3 live with a real count.
-	s.snapC = []uint64{0, 0, 0, 7}
-	s.snapL = []int{0, 3}
-	s.migrate()
+	// Migrate from a hostile configuration directly: state 0 live with a
+	// wrapped-to-zero count, state 3 live with a real count.
+	s.migrate([]int{0, 3}, []uint64{0, 7})
 	for _, q := range s.bc.live {
 		if s.bc.counts[q] == nil {
 			t.Fatalf("migrate left live state %d with a nil count", q)
@@ -166,12 +155,10 @@ func TestNoDuplicateLiveOnZeroCounts(t *testing.T) {
 
 	t.Run("big", func(t *testing.T) {
 		s := NewCountStream(a)
-		// Hostile snapshot: state 1 live with a wrapped-to-zero count and a
-		// duplicate entry; state 0 live with a real count, whose capture
-		// edges target 1 again during capturing.
-		s.snapC = []uint64{3, 0, 0, 0}
-		s.snapL = []int{0, 1, 1}
-		s.migrate()
+		// Hostile configuration: state 1 live with a wrapped-to-zero count
+		// and a duplicate entry; state 0 live with a real count, whose
+		// capture edges target 1 again during capturing.
+		s.migrate([]int{0, 1, 1}, []uint64{3, 0, 0})
 		if len(s.bc.live) != 2 {
 			t.Fatalf("migrate kept %d live entries, want 2 (deduplicated)", len(s.bc.live))
 		}
@@ -222,14 +209,11 @@ func TestInitialStateCaptureSelfLoop(t *testing.T) {
 		letters: []map[byte]int{nil},
 	}
 	// On the empty document: the empty mapping plus x = [1,1⟩ — exactly 2.
-	if got, exact := Count(a, nil); !exact || got != 2 {
-		t.Fatalf("Count = (%d, %v), want (2, true)", got, exact)
-	}
 	s := NewCountStream(a)
 	if got, exact := s.Count(); !exact || got != 2 {
 		t.Fatalf("CountStream.Count = (%d, %v), want (2, true)", got, exact)
 	}
-	if got := CountBig(a, nil); !got.IsUint64() || got.Uint64() != 2 {
+	if got := s.CountBig(); !got.IsUint64() || got.Uint64() != 2 {
 		t.Fatalf("CountBig = %v, want 2", got)
 	}
 }
@@ -267,37 +251,18 @@ func deadEndAutomaton() *fakeAutomaton {
 	}
 }
 
-// TestCountEarlyExitOnDeadPrefix checks that all counting passes stop
-// doing per-byte work once the live set drains: the number of Step calls
-// must be proportional to where the automaton dies, not to |doc|.
+// TestCountEarlyExitOnDeadPrefix checks that the counting pass stops
+// doing per-byte work once the live set drains — the number of Step calls
+// must be proportional to where the automaton dies, not to |doc| — and
+// that Dead flips exactly then, on the uint64 and the migrated path.
 func TestCountEarlyExitOnDeadPrefix(t *testing.T) {
 	doc := append(repeatA(10), make([]byte, 100000)...) // dies at byte 11
 	const maxSteps = 20                                 // 11 live bytes, one state each
 
 	a := deadEndAutomaton()
-	if n, exact := Count(a, doc); !exact || n != 0 {
-		t.Fatalf("Count = (%d, %v), want (0, true)", n, exact)
-	}
-	if a.steps > maxSteps {
-		t.Fatalf("Count made %d Step calls on a document dead after byte 11", a.steps)
-	}
-
-	a = deadEndAutomaton()
-	if n := CountBig(a, doc); n.Sign() != 0 {
-		t.Fatalf("CountBig = %v, want 0", n)
-	}
-	if a.steps > maxSteps {
-		t.Fatalf("CountBig made %d Step calls on a document dead after byte 11", a.steps)
-	}
-
-	a = deadEndAutomaton()
 	s := NewCountStream(a)
 	for i := 0; i < len(doc); i += 1000 {
-		end := i + 1000
-		if end > len(doc) {
-			end = len(doc)
-		}
-		s.Feed(doc[i:end])
+		s.Feed(doc[i:min(i+1000, len(doc))])
 	}
 	if n, exact := s.Count(); !exact || n != 0 {
 		t.Fatalf("CountStream.Count = (%d, %v), want (0, true)", n, exact)
@@ -306,15 +271,38 @@ func TestCountEarlyExitOnDeadPrefix(t *testing.T) {
 		t.Fatalf("CountStream made %d Step calls on a document dead after byte 11", a.steps)
 	}
 
+	// Byte by byte, Dead stays false while a run survives and flips on the
+	// killing byte.
+	s = NewCountStream(deadEndAutomaton())
+	for i, c := range doc[:11] {
+		if s.Dead() {
+			t.Fatalf("uint64 stream Dead before byte %d, with a live run", i)
+		}
+		s.Feed([]byte{c})
+	}
+	if !s.Dead() {
+		t.Fatal("uint64 stream not Dead after the killing byte")
+	}
+
 	// The migrated counter early-exits too: force-migrate a live stream,
 	// then feed a killing byte followed by dead input.
 	a = deadEndAutomaton()
 	s = NewCountStream(a)
 	s.Feed(repeatA(3))
-	s.snapshot()
-	s.migrate()
+	s.migrate(s.c.live, []uint64{s.c.counts[0]})
+	if s.Dead() {
+		t.Fatal("migrated stream Dead with a live run")
+	}
+	s.Feed([]byte{'a'})
+	if s.Dead() {
+		t.Fatal("migrated stream Dead after a surviving byte")
+	}
 	a.steps = 0
-	s.Feed(append([]byte{'b'}, repeatA(50000)...))
+	s.Feed([]byte{'b'})
+	if !s.Dead() {
+		t.Fatal("migrated stream not Dead after the killing byte")
+	}
+	s.Feed(repeatA(50000))
 	if a.steps > maxSteps {
 		t.Fatalf("migrated CountStream made %d Step calls after death", a.steps)
 	}

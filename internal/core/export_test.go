@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/big"
 	"sort"
 	"strings"
 )
@@ -74,4 +75,19 @@ func FinalListSizes(r *Result) []int {
 	}
 	sort.Ints(out)
 	return out
+}
+
+// CountDoc feeds doc to a fresh CountStream as one chunk and returns its
+// Count: the whole-document form of the counting pass.
+func CountDoc(a Automaton, doc []byte) (count uint64, exact bool) {
+	s := NewCountStream(a)
+	s.Feed(doc)
+	return s.Count()
+}
+
+// CountDocBig is CountDoc with the arbitrary-precision total.
+func CountDocBig(a Automaton, doc []byte) *big.Int {
+	s := NewCountStream(a)
+	s.Feed(doc)
+	return s.CountBig()
 }

@@ -11,6 +11,7 @@ import (
 	"spanners/internal/core"
 	"spanners/internal/gen"
 	"spanners/internal/rgx"
+	"spanners/spanner"
 )
 
 // chunks splits doc into pseudo-random pieces (including empty ones) so the
@@ -167,16 +168,16 @@ func TestScratchReuseStopsAllocating(t *testing.T) {
 	}
 }
 
-// TestCountStreamMatchesCount checks full (count, exact) agreement on
-// inputs whose counting never overflows uint64 — the only regime where
-// Count's results are reliable and equality is guaranteed.
-// TestCountStreamExactnessIsOneWay covers the overflow regime.
+// TestCountStreamMatchesCount checks that chunk boundaries never change
+// the (count, exact) outcome: randomly chunked streams agree with the
+// whole-document pass. TestCountStreamExactnessIsOneWay covers the
+// overflow regime.
 func TestCountStreamMatchesCount(t *testing.T) {
 	rng := rand.New(rand.NewSource(303))
 	for _, pattern := range []string{gen.Figure1Pattern(), gen.NestedPattern(2)} {
 		d := pipeline(t, pattern)
 		for _, doc := range [][]byte{nil, gen.Figure1Doc(), gen.Contacts(30, 4)} {
-			wantN, wantExact := core.Count(d, doc)
+			wantN, wantExact := core.CountDoc(d, doc)
 			for trial := 0; trial < 5; trial++ {
 				s := core.NewCountStream(d)
 				for _, c := range chunks(doc, rng) {
@@ -195,14 +196,13 @@ func TestCountStreamMatchesCount(t *testing.T) {
 	}
 }
 
-// TestCountStreamExactnessIsOneWay pins down the intended semantics where
-// Count and CountStream diverge: a branch whose per-state counts overflow
-// uint64 mid-document but whose runs all die before accepting. Count's
-// arithmetic is corrupted by then, so it must conservatively report
-// exact == false; CountStream migrates to big integers at the overflow and
-// still knows the true total (here 1, from the other branch), so it
-// reports the exact count. The stream's exactness is strictly stronger —
-// never weaker — than Count's.
+// TestCountStreamExactnessIsOneWay pins the overflow-then-die case: a
+// branch whose per-state counts overflow uint64 mid-document but whose runs
+// all die before accepting. The stream migrates to big integers at the
+// overflow and still knows the true total (here 1, from the other branch),
+// so it reports the exact count; so does the facade Count, which runs the
+// same pass. Exactness depends only on |⟦A⟧d|, never on the intermediate
+// counts.
 func TestCountStreamExactnessIsOneWay(t *testing.T) {
 	// (a*!x1{a*...!x12{a*}...a*})|(a*b) over a^60 b: the nested branch
 	// overflows during the a's (cf. TestCountStreamOverflowMigration), then
@@ -218,16 +218,15 @@ func TestCountStreamExactnessIsOneWay(t *testing.T) {
 	}
 	b.WriteString(")|(a*b)")
 	d := pipeline(t, b.String())
-	doc := append(bytes.Repeat([]byte("a"), 60), 'b')
+	prefix := bytes.Repeat([]byte("a"), 60)
+	doc := append(prefix, 'b')
 
-	if want := core.CountBig(d, doc); want.Cmp(big.NewInt(1)) != 0 {
+	if _, exact := core.CountDoc(d, prefix); exact {
+		t.Fatal("the a^60 prefix counts exactly: the construction no longer overflows, the test is vacuous")
+	}
+	if want := core.CountDocBig(d, doc); want.Cmp(big.NewInt(1)) != 0 {
 		t.Fatalf("CountBig = %v, want 1; the construction no longer overflows-and-dies", want)
 	}
-	n, exact := core.Count(d, doc)
-	if exact {
-		t.Fatal("Count reported exact: intermediate counts no longer overflow, the test is vacuous")
-	}
-	_ = n // unreliable by contract once exact == false
 
 	rng := rand.New(rand.NewSource(17))
 	for trial := 0; trial < 5; trial++ {
@@ -240,11 +239,16 @@ func TestCountStreamExactnessIsOneWay(t *testing.T) {
 			t.Fatalf("trial %d: CountStream = (%d, %v), want (1, true)", trial, gotN, gotExact)
 		}
 	}
+	if n, exact := spanner.MustCompile(b.String()).Count(doc); !exact || n != 1 {
+		t.Fatalf("Spanner.Count = (%d, %v), want (1, true)", n, exact)
+	}
 }
 
 func TestCountStreamOverflowMigration(t *testing.T) {
 	// 12 nested variables over 60 bytes overflows uint64 mid-stream; the
-	// hybrid counter must migrate to big integers and stay exact.
+	// hybrid counter must migrate to big integers and stay exact. The
+	// mappings are the chains x1 ⊇ … ⊇ x12 of spans over a^60: 24 boundary
+	// positions chosen with repetition from 61, C(84, 24) in all.
 	node := rgx.MustParse(gen.NestedPattern(12))
 	v, err := rgx.Compile(node)
 	if err != nil {
@@ -252,7 +256,10 @@ func TestCountStreamOverflowMigration(t *testing.T) {
 	}
 	d := v.ToExtended().Determinize()
 	doc := gen.RandomDoc(60, "a", 1)
-	want := core.CountBig(d, doc)
+	want := new(big.Int).Binomial(84, 24)
+	if got := core.CountDocBig(d, doc); got.Cmp(want) != 0 {
+		t.Fatalf("whole-document CountBig = %v, want C(84, 24) = %v", got, want)
+	}
 
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 5; trial++ {

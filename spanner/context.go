@@ -8,9 +8,9 @@
 //
 // These entry points cost one ctx.Err() load per 64 KiB of document (or per
 // 256 matches). The plain entry points run the same path with
-// context.Background(): Enumerate, Preprocess and the Reader variants call
-// their Context twins, Iterator and Evaluation.Enumerate the evaluate and
-// drain wrappers. Only Count and CountBig keep their own one-shot pass.
+// context.Background(): Enumerate, Preprocess, Count, CountBig, IsEmpty and
+// the Reader variants call their Context twins, Iterator and
+// Evaluation.Enumerate the evaluate and drain wrappers.
 package spanner
 
 import (
@@ -53,17 +53,20 @@ func (s *Spanner) newStream(sc *core.Scratch) *core.Stream {
 	return core.NewStream(s.automaton(), sc)
 }
 
-// newCountStream starts a counting pass.
-func (s *Spanner) newCountStream() *core.CountStream {
+// newCountStream starts a counting pass in the scratch's CountStream.
+func (s *Spanner) newCountStream(sc *evalScratch) *core.CountStream {
 	unlock := s.lockLazy()
 	defer unlock()
-	return core.NewCountStream(s.automaton())
+	sc.count.Reset(s.automaton())
+	return &sc.count
 }
 
 // feedChunks hands doc to feed in ctxChunk steps, each under the lazy
-// lock, checking ctx before every step and once more at the end.
-func (s *Spanner) feedChunks(ctx context.Context, doc []byte, feed func(chunk []byte)) error {
-	for off := 0; off < len(doc); off += ctxChunk {
+// lock, checking ctx before every step and once more at the end. It stops
+// early once dead reports that no run survives: the rest of the document
+// cannot change the outcome.
+func (s *Spanner) feedChunks(ctx context.Context, doc []byte, feed func(chunk []byte), dead func() bool) error {
+	for off := 0; off < len(doc) && !dead(); off += ctxChunk {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
@@ -80,7 +83,7 @@ func (s *Spanner) feedChunks(ctx context.Context, doc []byte, feed func(chunk []
 // next use, so only the bounded-lifetime entry points pass one.
 func (s *Spanner) evaluateContext(ctx context.Context, doc []byte, sc *core.Scratch) (*core.Result, error) {
 	st := s.newStream(sc)
-	if err := s.feedChunks(ctx, doc, st.FeedBorrowed); err != nil {
+	if err := s.feedChunks(ctx, doc, st.FeedBorrowed, st.Dead); err != nil {
 		return nil, err
 	}
 	unlock := s.lockLazy()
@@ -131,12 +134,14 @@ func (s *Spanner) PreprocessContext(ctx context.Context, doc []byte) (*Evaluatio
 	return &Evaluation{s: s, sc: sc, res: res}, nil
 }
 
-// countContext runs the chunked, cancellable counting pass over doc; total
-// reads the closed stream under the lazy lock (totaling reads the shared
-// automaton's state table).
+// countContext runs the chunked, cancellable counting pass over doc in a
+// pooled CountStream; total reads the closed stream under the lazy lock
+// (totaling reads the shared automaton's state table).
 func (s *Spanner) countContext(ctx context.Context, doc []byte, total func(*core.CountStream)) error {
-	cs := s.newCountStream()
-	if err := s.feedChunks(ctx, doc, cs.Feed); err != nil {
+	sc := getScratch()
+	defer putScratch(sc)
+	cs := s.newCountStream(sc)
+	if err := s.feedChunks(ctx, doc, cs.Feed, cs.Dead); err != nil {
 		return err
 	}
 	unlock := s.lockLazy()
@@ -146,9 +151,7 @@ func (s *Spanner) countContext(ctx context.Context, doc []byte, total func(*core
 	return nil
 }
 
-// CountContext is Count with cancellation; see Count for the exactness
-// contract (the streaming pass is in fact strictly stronger, like
-// CountReader: it stays exact through intermediate overflows).
+// CountContext is Count with cancellation.
 func (s *Spanner) CountContext(ctx context.Context, doc []byte) (count uint64, exact bool, err error) {
 	err = s.countContext(ctx, doc, func(cs *core.CountStream) {
 		count, exact = cs.Count()

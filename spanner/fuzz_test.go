@@ -166,6 +166,13 @@ func FuzzStrictLazyEquivalence(f *testing.F) {
 		if fmt.Sprint(got) != fmt.Sprint(sortedWant) {
 			t.Fatalf("enumerations diverge\npattern %s doc %q\nstrict %v\nlazy   %v", node, doc, sortedWant, got)
 		}
+		// Algorithm 2 is an independent reference for the counting pass.
+		if uint64(len(want)) != wantN {
+			t.Fatalf("Count = %d, enumerated %d\npattern %s doc %q", wantN, len(want), node, doc)
+		}
+		if strict.IsEmpty(doc) != (wantN == 0) || lazy.IsEmpty(doc) != (wantN == 0) {
+			t.Fatalf("IsEmpty disagrees with count %d\npattern %s doc %q", wantN, node, doc)
+		}
 		// And the streaming path over the strict backend, with a chunking
 		// derived from the same entropy.
 		rng := rand.New(rand.NewSource(int64(patSeed) ^ int64(len(raw))))

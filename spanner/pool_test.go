@@ -81,6 +81,9 @@ func TestScratchSharedAcrossSpanners(t *testing.T) {
 					t.Fatal(err)
 				}
 			})
+			if n, exact := sub.s.Count(doc); !exact || n != uint64(len(sub.want[string(doc)])) {
+				t.Fatalf("round %d, %s on %q: Count = (%d, %v), want %d", round, sub.label, doc, n, exact, len(sub.want[string(doc)]))
+			}
 		}
 		// Drain and release in an order that differs from acquisition.
 		for i := len(subjects) - 1; i >= 0; i-- {
@@ -119,5 +122,22 @@ func TestFreshSpannerStartsOnPooledScratch(t *testing.T) {
 	})
 	if first > steady {
 		t.Errorf("first Preprocess+Release of a never-evaluated spanner: %v allocs, want at most the warm spanner's %v (no scratch, table or arena chunk of its own)", first, steady)
+	}
+}
+
+// TestWarmCountAllocatesNothing pins the counting pass's fixed cost: once
+// the pooled scratch has grown to the automaton, a strict spanner's Count
+// and IsEmpty allocate nothing. (Lazy mode still allocates the unlock
+// closures lockLazy returns.)
+func TestWarmCountAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts at random under the race detector")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	doc := gen.Contacts(40, 5)
+	s := spanner.MustCompile(gen.Figure1Pattern(), spanner.WithStrict())
+	s.Count(doc)
+	if n := testing.AllocsPerRun(20, func() { s.Count(doc); s.IsEmpty(doc) }); n != 0 {
+		t.Errorf("warm Count+IsEmpty made %v allocations, want 0", n)
 	}
 }

@@ -139,7 +139,7 @@ func TestPrefilterDifferentialAdversarial(t *testing.T) {
 		if n, exact := v.s.Count(big); n != wantN || exact != wantExact {
 			t.Fatalf("%s: Count = (%d, %v), reference (%d, %v)", v.name, n, exact, wantN, wantExact)
 		}
-		// The streaming count path harvests the gate counters into Stats.
+		// Both count paths harvest the gate counters into Stats.
 		if n, exact, err := v.s.CountReader(bytes.NewReader(big)); err != nil || n != wantN || exact != wantExact {
 			t.Fatalf("%s: CountReader = (%d, %v, %v), reference (%d, %v)", v.name, n, exact, err, wantN, wantExact)
 		}
@@ -264,4 +264,50 @@ func FuzzPrefilterEquivalence(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestPrefilterStatsModeParity checks that strict mode, which reads the
+// prefilter facts off its compiled automaton, reports exactly what lazy
+// mode's standalone analysis does — with the prefilter on and off. The
+// patterns are the differential suites' workloads, the structural Figure-1
+// variants of the query-churn benchmark (Figure 1 itself is the first),
+// and an anchored pattern. NestedPattern(2) has no scan anchor.
+func TestPrefilterStatsModeParity(t *testing.T) {
+	patterns := []string{
+		gen.Figure1Pattern(),
+		gen.SparsePattern,
+		gen.NestedPattern(2),
+		`.*!name{[A-Z][a-z]+} <!email{[a-z0-9]+@[a-z0-9]+(\.[a-z0-9]+)+}>.*`,
+		`.*!name{[A-Z][a-z]+} <!phone{[0-9]+-[0-9]+}>.*`,
+		`.*<(!email{[a-z0-9]+@[a-z0-9]+(\.[a-z0-9]+)+}|!phone{[0-9]+-[0-9]+})>.*`,
+		`abc(a|b|c)*`,
+	}
+	type facts struct {
+		enabled        bool
+		literal, leave string
+	}
+	anchored, unanchored := 0, 0
+	for _, p := range patterns {
+		vs := prefilterVariants(t, p) // strict/off, strict/on, lazy/off, lazy/on
+		var fs []facts
+		for _, v := range vs {
+			st := v.s.Stats()
+			fs = append(fs, facts{st.PrefilterEnabled, st.PrefilterLiteral, st.PrefilterLeaveBytes})
+		}
+		for i := range fs {
+			want := fs[i%2] // the strict variant with the same option
+			want.enabled = i%2 == 1 && want.leave != ""
+			if fs[i] != want {
+				t.Fatalf("%q %s: prefilter stats %+v, want %+v", p, vs[i].name, fs[i], want)
+			}
+		}
+		if fs[1].leave != "" {
+			anchored++
+		} else {
+			unanchored++
+		}
+	}
+	if anchored == 0 || unanchored == 0 {
+		t.Fatalf("%d patterns with a scan anchor, %d without: the table must cover both", anchored, unanchored)
+	}
 }

@@ -159,8 +159,7 @@ type Stats struct {
 	PrefilterLeaveBytes string
 	// PrefilterSkippedBytes is the total number of document bytes the
 	// acceleration layer bulk-skipped across this spanner's lifetime, over
-	// the entry points that harvest counters (Enumerate, All, the Reader
-	// and Context variants, Preprocess). PrefilterFallbacks counts the
+	// every evaluation and counting pass. PrefilterFallbacks counts the
 	// documents on which the density fallback disabled acceleration
 	// mid-scan. Both are read atomically, like DetStates in lazy mode.
 	PrefilterSkippedBytes int64
@@ -274,18 +273,25 @@ func compileEVA(pattern string, e *eva.EVA, start time.Time, opts []Option) (*Sp
 			EVATransitions: seq.NumTransitions(),
 		},
 	}
+	// The prefilter facts: strict mode reads them off the automaton it
+	// compiles; lazy mode, which has no materialized automaton to ask, runs
+	// the same analysis over an ephemeral on-the-fly determinization.
+	var pf eva.Prefilter
 	switch cfg.mode {
 	case ModeLazy:
 		s.lazy = eva.NewLazy(seq)
 		if cfg.noPrefilter {
 			s.lazy.DisableAccel()
 		}
+		pf = eva.AnalyzePrefilter(seq)
 	default:
 		det := seq.Determinize()
 		dense, err := det.CompileDense()
 		if err != nil {
 			return nil, err
 		}
+		pf.LeaveInitial, pf.Accelerated = dense.ScanLeaveBytes()
+		pf.Literal = dense.ScanLiteral()
 		if cfg.noPrefilter {
 			dense = dense.WithoutAccel()
 		}
@@ -295,10 +301,7 @@ func compileEVA(pattern string, e *eva.EVA, start time.Time, opts []Option) (*Sp
 		s.stats.ByteClasses = dense.NumClasses()
 		s.stats.AcceleratedStates = dense.AcceleratedStates()
 	}
-	// The prefilter facts come from the trimmed sequential eVA via an
-	// ephemeral on-the-fly determinization, so both modes report the same
-	// analysis (the lazy path has no materialized automaton to ask).
-	if pf := eva.AnalyzePrefilter(seq); pf.Accelerated {
+	if pf.Accelerated {
 		s.stats.PrefilterEnabled = !cfg.noPrefilter
 		s.stats.PrefilterLiteral = pf.Literal
 		s.stats.PrefilterLeaveBytes = pf.LeaveInitial.String()
@@ -427,44 +430,23 @@ func (s *Spanner) All(doc []byte) iter.Seq[*Match] {
 }
 
 // Count returns |⟦A⟧doc| in O(|A|·|doc|) without enumerating (Theorem 5.1).
-// exact is false when any step of the uint64 arithmetic overflowed — the
-// returned count is then the low 64 bits of the true total; use CountBig
-// (or the hybrid CountReader, which stays exact through intermediate
-// overflows) for the full value.
+// exact is false only when the count does not fit in uint64; count is then
+// its low 64 bits, and CountBig has the full value.
 func (s *Spanner) Count(doc []byte) (count uint64, exact bool) {
-	if s.lazy != nil {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		return core.Count(s.lazy, doc)
-	}
-	return core.Count(s.dense, doc)
+	count, exact, _ = s.CountContext(context.Background(), doc) // cannot fail
+	return count, exact
 }
 
 // CountBig is Count with arbitrary-precision arithmetic.
 func (s *Spanner) CountBig(doc []byte) *big.Int {
-	if s.lazy != nil {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		return core.CountBig(s.lazy, doc)
-	}
-	return core.CountBig(s.dense, doc)
+	n, _ := s.CountBigContext(context.Background(), doc) // cannot fail
+	return n
 }
 
 // IsEmpty reports whether doc has no matches. It runs the counting pass,
-// which needs only O(states) memory, rather than materializing the
-// enumeration DAG.
+// which needs only O(states) memory and stops where the automaton dies,
+// rather than materializing the enumeration DAG.
 func (s *Spanner) IsEmpty(doc []byte) bool {
 	n, exact := s.Count(doc)
-	if n != 0 {
-		// Exact or wrapped, a non-zero low-64-bits count means matches.
-		return false
-	}
-	if exact {
-		return true
-	}
-	// (0, false) is ambiguous: the intermediate arithmetic overflowed (so
-	// some state count was once huge) yet the low 64 bits of the total are
-	// zero — either every run died after the overflow (truly empty) or the
-	// true total is a multiple of 2^64. Resolve with exact arithmetic.
-	return s.CountBig(doc).Sign() == 0
+	return exact && n == 0
 }

@@ -106,7 +106,9 @@ func BenchmarkCountThroughput(b *testing.B) {
 	run := func(b *testing.B, a core.Automaton) {
 		b.SetBytes(int64(len(doc)))
 		for i := 0; i < b.N; i++ {
-			core.Count(a, doc)
+			cs := core.NewCountStream(a)
+			cs.Feed(doc)
+			cs.Count()
 		}
 	}
 	b.Run("dense", func(b *testing.B) { run(b, dense) })

@@ -257,6 +257,11 @@ func TestGoroutineSafety(t *testing.T) {
 						t.Errorf("goroutine %d: enumerated %d, count says %d", g, n, want)
 						return
 					}
+					// Counting reuses pooled scratch across goroutines too.
+					if c, _ := s.Count(doc); c != want {
+						t.Errorf("goroutine %d: recount %d, first count %d", g, c, want)
+						return
+					}
 				}
 			}(g)
 		}
@@ -264,12 +269,11 @@ func TestGoroutineSafety(t *testing.T) {
 	}
 }
 
-// TestIsEmptyOverflowThenDeath pins IsEmpty on the ambiguous (0, false)
-// counting outcome: 12 nested variables over 60 a's push the intermediate
-// uint64 counts past overflow, then a trailing 'b' kills every run. The
-// wrapped count is 0 with exact == false — under the low-64-bits contract
-// that no longer implies "certainly non-zero", so IsEmpty must resolve the
-// ambiguity with exact arithmetic and report true.
+// TestIsEmptyOverflowThenDeath pins IsEmpty on a document whose counting
+// overflows and then dies: 12 nested variables over 60 a's push the
+// intermediate counts past uint64, then a trailing 'b' kills every run.
+// The counting pass migrates to big integers at the overflow, so Count
+// reports the exact (0, true) and IsEmpty answers true.
 func TestIsEmptyOverflowThenDeath(t *testing.T) {
 	// a*!x1{a*…!x12{a*}…a*}: nested captures over an a-only alphabet, so a
 	// trailing 'b' is fatal after the counts have already overflowed.
@@ -282,16 +286,18 @@ func TestIsEmptyOverflowThenDeath(t *testing.T) {
 		p.WriteString("}a*")
 	}
 	s := spanner.MustCompile(p.String())
-	doc := append(bytes.Repeat([]byte("a"), 60), 'b')
-	n, exact := s.Count(doc)
-	if exact || n != 0 {
-		t.Fatalf("Count = (%d, %v); the construction no longer hits the ambiguous case", n, exact)
+	prefix := bytes.Repeat([]byte("a"), 60)
+	if _, exact := s.Count(prefix); exact {
+		t.Fatal("the a^60 prefix counts exactly: the construction no longer overflows")
+	}
+	doc := append(prefix, 'b')
+	if n, exact := s.Count(doc); !exact || n != 0 {
+		t.Fatalf("Count = (%d, %v), want (0, true)", n, exact)
 	}
 	if !s.IsEmpty(doc) {
 		t.Fatal("IsEmpty = false on a document with zero matches")
 	}
-	// The unambiguous directions stay cheap and correct.
-	if s.IsEmpty(bytes.Repeat([]byte("a"), 60)) {
+	if s.IsEmpty(prefix) {
 		t.Fatal("IsEmpty = true on a matching document with overflowing counts")
 	}
 }

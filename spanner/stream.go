@@ -21,22 +21,25 @@ import (
 const readChunk = 64 << 10
 
 // evalScratch bundles the pooled per-document state: the core evaluation
-// scratch (Algorithm 1 tables + DAG arena) and the Read buffer of the
-// Reader-based entry points.
+// scratch (Algorithm 1 tables + DAG arena), the counting pass's per-state
+// tables, and the Read buffer of the Reader-based entry points.
 type evalScratch struct {
-	eval core.Scratch
-	rbuf []byte
+	eval  core.Scratch
+	count core.CountStream
+	rbuf  []byte
 }
 
 // scratchPool pools per-document evaluation state (Algorithm 1 tables plus
-// the DAG arena) across the bounded-lifetime entry points (Enumerate, All,
-// EnumerateReader, Preprocess and through it the engine package), so
+// the DAG arena, and the counting tables) across the bounded-lifetime
+// entry points (Enumerate, All, EnumerateReader, Preprocess and through it
+// the engine package, and the counting passes), so
 // compile-once/evaluate-many workloads stop paying the per-document
 // allocation. It is one pool for every Spanner, not one per Spanner:
-// core.NewStream re-initializes the tables, arena and acceleration gate
-// for whatever automaton it is given, so a scratch carries no automaton
-// state between uses, and a one-shot spanner (an unseen query) reuses
-// the arena of the last one instead of allocating and stranding its own.
+// core.NewStream and CountStream.Reset re-initialize the tables, arena and
+// acceleration gate for whatever automaton they are given, so a scratch
+// carries no automaton state between uses, and a one-shot spanner (an
+// unseen query) reuses the arena of the last one instead of allocating
+// and stranding its own.
 var scratchPool sync.Pool
 
 func getScratch() *evalScratch {
@@ -142,12 +145,12 @@ func (s *Spanner) AllReader(r io.Reader) iter.Seq2[*Match, error] {
 // countStreamContext pumps r through an incremental counting pass
 // (Theorem 5.1), checking ctx before every Read; unlike EnumerateReader it
 // retains no document bytes at all. It borrows a pooled scratch for the
-// read buffer only. total runs under the lazy lock (totaling reads the
-// shared automaton's state table).
+// read buffer and the counting tables. total runs under the lazy lock
+// (totaling reads the shared automaton's state table).
 func (s *Spanner) countStreamContext(ctx context.Context, r io.Reader, total func(*core.CountStream)) error {
-	cs := s.newCountStream()
 	sc := getScratch()
 	defer putScratch(sc)
+	cs := s.newCountStream(sc)
 	if err := s.pump(ctx, r, sc, cs.Feed); err != nil {
 		return err
 	}
@@ -158,14 +161,8 @@ func (s *Spanner) countStreamContext(ctx context.Context, r io.Reader, total fun
 	return nil
 }
 
-// CountReader returns |⟦A⟧d| for the document read from r, in one pass and
-// O(states) memory — the document is never materialized. exact is false
-// only when |⟦A⟧d| itself does not fit in uint64 (count is then its low 64
-// bits); CountBigReader is exact always. Because the streaming pass
-// migrates to big integers on the first intermediate overflow, CountReader
-// can report an exact count on a document where Count reports exact ==
-// false (an overflowing state count whose runs all die), never the
-// reverse: whenever Count is exact, the two agree.
+// CountReader is Count over the document read from r, in one pass and
+// O(states) memory — the document is never materialized.
 func (s *Spanner) CountReader(r io.Reader) (count uint64, exact bool, err error) {
 	return s.CountReaderContext(context.Background(), r)
 }
