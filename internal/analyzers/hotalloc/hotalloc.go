@@ -18,7 +18,7 @@
 //
 //   - capacity-managed growth: any allocation dominated by a branch
 //     whose condition reads cap(…) (the arena's
-//     `if len(a.nodes) == cap(a.nodes)` chunk rollover), and lazy
+//     `if len(a.cells) == cap(a.cells)` regrowth), and lazy
 //     initialization under a nil check — cold paths that amortize away;
 //   - evidenced appends: append(x[:0], …), or an append whose
 //     destination is truncated (`x = x[:…]`) somewhere in the package —
@@ -227,8 +227,8 @@ func siteWhy(pass *analysis.Pass, s site) string {
 // one function body, applying the cold-path exemptions.
 func scanBody(pass *analysis.Pass, fd *ast.FuncDecl, evidence map[string]bool, info *fnInfo) {
 	// A function that guards on cap(x) manages x's capacity by hand (the
-	// arena chunk-rollover shape): its appends to x are evidenced even
-	// though the growth branch, not a truncation, supplies the room.
+	// arena regrowth shape): its appends to x are evidenced even though
+	// the growth branch, not a truncation, supplies the room.
 	local := capGuardKeys(pass, fd.Body)
 	evOK := func(key string) bool { return evidence[key] || local[key] }
 

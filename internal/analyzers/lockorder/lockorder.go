@@ -15,10 +15,10 @@
 // may be held, whether it is definitely held (used for double-acquire
 // and mode checks, so one-armed conditional locks do not false-
 // positive), and whether release is deferred. Passing the unlock as a
-// method value (`return s.mu.Unlock`, the stream.lockLazy idiom)
-// transfers the release obligation to the caller and discharges it
-// here. Unlocking a mutex this function never locked is not reported:
-// helpers that release a caller-held lock are legitimate.
+// method value (`return s.mu.Unlock`) transfers the release
+// obligation to the caller and discharges it here. Unlocking a mutex
+// this function never locked is not reported: helpers that release a
+// caller-held lock are legitimate.
 //
 // The same call-graph fixpoint enforces the lock-free Stats contract
 // documented on spanner.WithLazy, so that metrics scrapes can never
@@ -418,7 +418,7 @@ func (pc *pkgChecker) node(n ast.Node, st state, report bool) {
 			if !inCallPos[ast.Expr(m)] {
 				if _, key, ok := pc.lockMethodOn(m); ok {
 					// Method value escape: the obligation moves with the
-					// value (the stream.lockLazy idiom).
+					// value.
 					delete(st, key)
 				}
 			}

@@ -1,6 +1,6 @@
 // Fixture for the lockorder analyzer: the repo's locking idioms that
 // must stay clean (defer-unlock, explicit branch unlocks, the
-// stream.lockLazy method-value handoff, conditional lock+defer), and
+// method-value unlock handoff, conditional lock+defer), and
 // the discipline violations the contract forbids (leaked locks, locks
 // held across panics, double-acquire, mode mismatches, self-deadlock
 // through a helper, and inconsistent cross-function order).
@@ -49,8 +49,8 @@ type streamT struct {
 	lazy func()
 }
 
-// The stream.lockLazy idiom: the unlock obligation is handed to the
-// caller as a method value.
+// The method-value handoff: the unlock obligation is handed to the
+// caller.
 func okMethodValue(s *streamT) func() {
 	s.mu.Lock()
 	return s.mu.Unlock

@@ -45,7 +45,7 @@ func TestEvaluateScratchZeroAlloc(t *testing.T) {
 	for name, doc := range allocDocs() {
 		t.Run(name, func(t *testing.T) {
 			sc := &core.Scratch{}
-			// Warm the scratch: arena chunks and per-state tables grow to
+			// Warm the scratch: the arena and per-state tables grow to
 			// steady state on the first passes and are recycled afterwards.
 			for i := 0; i < 3; i++ {
 				core.EvaluateScratch(comp, doc, sc)

@@ -13,6 +13,14 @@
 // pull-based (Result.Iterator); the delay between consecutive outputs is
 // O(ℓ) in the number of variables — constant in the document.
 //
+// The paper's data structures (Section 3.2.2) live in one index-addressed
+// arena per pass. Since Capturing adds every node it creates to exactly
+// one list and Reading only splices existing elements, a DAG node and its
+// list element are one 24-byte, pointer-free cell. Index 0 is nil; a list
+// is a (head, tail) index pair, so lazycopy copies the pair; add prepends
+// a new cell; appendList is the one write to an existing cell's next. A
+// cell names its marker set by index into a small per-pass set table.
+//
 // Count (Algorithm 3, appendix C) reuses the same two-procedure loop but
 // keeps only the number of partial runs per state, computing |⟦A⟧d| in
 // O(|A| × |d|).

@@ -33,11 +33,12 @@ type Iterator struct {
 	steps uint64
 }
 
-// frame is one level of the DFS: the remaining elements of a node list and
-// the node whose adjacency list it is (nil for the top-level final lists).
+// frame is one level of the DFS: the remaining cells of a node list, and
+// the variable bitmap to restore when the list is exhausted (the bitmap
+// before its owner node was applied; for the top-level final lists, the
+// empty bitmap).
 type frame struct {
-	cur, tail *element
-	owner     *node
+	cur, tail uint32
 	prevVars  uint64
 }
 
@@ -57,6 +58,7 @@ func (r *Result) Iterator() *Iterator {
 // Next returns the next output mapping, or ok = false when the enumeration
 // is complete.
 func (it *Iterator) Next() (m *model.Mapping, ok bool) {
+	cells := it.r.ar.cells
 	for {
 		if len(it.stack) == 0 {
 			if it.finalIdx >= len(it.r.finals) {
@@ -66,35 +68,32 @@ func (it *Iterator) Next() (m *model.Mapping, ok bool) {
 			it.finalIdx++
 			it.steps++
 			if !l.empty() {
-				it.stack = append(it.stack, frame{cur: l.head, tail: l.tail})
+				it.stack = append(it.stack, frame{cur: l.head, tail: l.tail, prevVars: it.vars})
 			}
 			continue
 		}
 		f := &it.stack[len(it.stack)-1]
-		if f.cur == nil {
+		if f.cur == 0 {
 			// List exhausted: undo the owner node's markers and pop.
 			it.steps++
-			it.undo(f.owner, f.prevVars)
+			it.vars = f.prevVars
 			it.stack = it.stack[:len(it.stack)-1]
 			continue
 		}
-		e := f.cur
-		if e == f.tail {
-			f.cur = nil // iteration is bounded by tail, not by next == nil
+		c := &cells[f.cur]
+		if f.cur == f.tail {
+			f.cur = 0 // iteration is bounded by tail, not by next == 0
 		} else {
-			f.cur = e.next
+			f.cur = c.next
 		}
 		it.steps++
-		if e.n.pos == 0 {
+		if c.pos == 0 {
 			// ⊥ reached: the path holds a complete accepting run.
 			return it.emit(), true
 		}
 		prev := it.vars
-		it.apply(e.n)
-		it.stack = append(it.stack, frame{
-			cur: e.n.list.head, tail: e.n.list.tail,
-			owner: e.n, prevVars: prev,
-		})
+		it.apply(c)
+		it.stack = append(it.stack, frame{cur: c.adj.head, tail: c.adj.tail, prevVars: prev})
 	}
 }
 
@@ -102,21 +101,15 @@ func (it *Iterator) Next() (m *model.Mapping, ok bool) {
 // The traversal runs backwards through the document, so closes are seen
 // before their opens; validity of runs guarantees each variable is touched
 // at most once per path.
-func (it *Iterator) apply(n *node) {
-	for b := n.set.Opens(); b != 0; b &= b - 1 {
-		it.starts[bits.TrailingZeros64(b)] = n.pos
+func (it *Iterator) apply(c *cell) {
+	set := it.r.ar.sets[c.set]
+	for b := set.Opens(); b != 0; b &= b - 1 {
+		it.starts[bits.TrailingZeros64(b)] = c.pos
 	}
-	for b := n.set.Closes(); b != 0; b &= b - 1 {
-		it.ends[bits.TrailingZeros64(b)] = n.pos
+	for b := set.Closes(); b != 0; b &= b - 1 {
+		it.ends[bits.TrailingZeros64(b)] = c.pos
 	}
-	it.vars |= n.set.Closes()
-}
-
-func (it *Iterator) undo(n *node, prevVars uint64) {
-	if n == nil {
-		return
-	}
-	it.vars = prevVars
+	it.vars |= set.Closes()
 }
 
 // emit assembles the scratch mapping from the marker positions of the

@@ -15,7 +15,7 @@ import (
 type Result struct {
 	reg    *model.Registry
 	finals []list
-	ar     *arena
+	ar     arena
 	doc    []byte
 }
 
@@ -58,14 +58,18 @@ func EvaluateScratch(a Automaton, doc []byte, sc *Scratch) *Result {
 // embedded in Scratch so that its tables — and the arena holding the DAG —
 // can be recycled across documents.
 type evaluation struct {
-	a      Automaton
-	ar     *arena
-	bottom *node
+	a  Automaton
+	ar arena
 	// lists[q] is list_q from Algorithm 1; live holds exactly the states
 	// with non-empty lists (the states reachable by some run over the
 	// prefix processed so far).
 	lists []list
 	live  []int
+	// base[q] is the set-table index of Captures(q)[0], or -1 until
+	// Capturing first fires q's captures in this pass; a cell created by
+	// Captures(q)[j] stores base[q]+j. Captures(q) is stable by contract,
+	// so the indices hold for the whole pass, also for lazy automata.
+	base []int
 	// olds is scratch storage, parallel to live, holding the lazy copies
 	// taken at the start of each procedure; nextLive is the live set under
 	// construction during reading.
@@ -74,23 +78,19 @@ type evaluation struct {
 }
 
 // init prepares the evaluation for a fresh document, recycling the arena
-// chunks and table capacities left over from a previous pass.
+// and table capacities left over from a previous pass.
 func (e *evaluation) init(a Automaton) {
 	e.a = a
-	if e.ar == nil {
-		e.ar = &arena{}
-	} else {
-		e.ar.reset()
-	}
+	e.ar.reset()
 	e.lists = e.lists[:0]
+	e.base = e.base[:0]
 	e.live = e.live[:0]
 	e.olds = e.olds[:0]
 	e.nextLive = e.nextLive[:0]
-	e.bottom = e.ar.newNode(model.Set{}, 0, list{})
 
 	q0 := a.Initial()
 	e.ensure(q0)
-	e.lists[q0].add(e.bottom, e.ar)
+	e.lists[q0].add(&e.ar, 0, 0, list{}) // ⊥
 	e.live = append(e.live, q0)
 }
 
@@ -99,6 +99,7 @@ func (e *evaluation) init(a Automaton) {
 func (e *evaluation) ensure(q int) {
 	for len(e.lists) <= q {
 		e.lists = append(e.lists, list{})
+		e.base = append(e.base, -1)
 	}
 }
 
@@ -120,13 +121,20 @@ func (e *evaluation) capturing(i int) {
 	n := len(e.live)
 	for k := 0; k < n; k++ {
 		q := e.live[k]
-		for _, t := range e.a.Captures(q) {
-			nd := e.ar.newNode(t.S, i, e.olds[k])
+		caps := e.a.Captures(q)
+		if len(caps) == 0 {
+			continue
+		}
+		if e.base[q] < 0 {
+			e.base[q] = int(e.ar.addSets(caps))
+		}
+		base := uint32(e.base[q])
+		for j, t := range caps {
 			e.ensure(t.To)
 			if e.lists[t.To].empty() {
 				e.live = append(e.live, t.To)
 			}
-			e.lists[t.To].add(nd, e.ar)
+			e.lists[t.To].add(&e.ar, i, base+uint32(j), e.olds[k])
 		}
 	}
 }
@@ -153,7 +161,7 @@ func (e *evaluation) reading(_ int, c byte) {
 		if e.lists[t].empty() {
 			e.nextLive = append(e.nextLive, t)
 		}
-		e.lists[t].appendList(e.olds[k])
+		e.lists[t].appendList(e.olds[k], e.ar.cells)
 	}
 	e.live, e.nextLive = e.nextLive, e.live
 }

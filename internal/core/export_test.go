@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/big"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -12,21 +13,22 @@ import (
 // Algorithm 1 against Figure 6 of the paper. Nodes are numbered in
 // discovery order (breadth-first from the final lists, list order).
 func DumpDAG(r *Result) string {
-	ids := make(map[*node]int)
-	var order []*node
+	cells := r.ar.cells
+	ids := make(map[uint32]int)
+	var order []uint32
 	var visitList func(l list) []int
 	visitList = func(l list) []int {
 		var out []int
 		if l.empty() {
 			return out
 		}
-		for e := l.head; ; e = e.next {
-			if _, ok := ids[e.n]; !ok {
-				ids[e.n] = len(order)
-				order = append(order, e.n)
+		for c := l.head; ; c = cells[c].next {
+			if _, ok := ids[c]; !ok {
+				ids[c] = len(order)
+				order = append(order, c)
 			}
-			out = append(out, ids[e.n])
-			if e == l.tail {
+			out = append(out, ids[c])
+			if c == l.tail {
 				break
 			}
 		}
@@ -38,24 +40,27 @@ func DumpDAG(r *Result) string {
 		fmt.Fprintf(&b, "final[%d]: %v\n", i, visitList(l))
 	}
 	for i := 0; i < len(order); i++ {
-		n := order[i]
-		if n.pos == 0 {
+		c := cells[order[i]]
+		if c.pos == 0 {
 			fmt.Fprintf(&b, "n%d: ⊥\n", i)
 			continue
 		}
-		children := visitList(n.list)
-		fmt.Fprintf(&b, "n%d: (%s, %d) -> %v\n", i, n.set.String(r.reg), n.pos, children)
+		children := visitList(c.adj)
+		fmt.Fprintf(&b, "n%d: (%s, %d) -> %v\n", i, r.ar.sets[c.set].String(r.reg), c.pos, children)
 	}
 	return b.String()
 }
 
 // NodeCount returns the number of DAG nodes allocated during preprocessing
-// (excluding ⊥), used to check the worked example against Figure 6 and to
-// measure memory in the experiments.
-func NodeCount(r *Result) int { return r.ar.nNodes - 1 }
+// (the cells minus the nil sentinel and ⊥), used to check the worked
+// example against Figure 6 and to measure memory in the experiments.
+func NodeCount(r *Result) int { return len(r.ar.cells) - 2 }
 
-// ElementCount returns the number of list elements allocated.
-func ElementCount(r *Result) int { return r.ar.nElems }
+// SameDAG reports whether two Results hold identical arenas: the same
+// cells, index for index, and the same set table.
+func SameDAG(a, b *Result) bool {
+	return slices.Equal(a.ar.cells, b.ar.cells) && slices.Equal(a.ar.sets, b.ar.sets)
+}
 
 // FinalListSizes returns the lengths of the accepting states' node lists in
 // sorted order.
@@ -64,9 +69,9 @@ func FinalListSizes(r *Result) []int {
 	for _, l := range r.finals {
 		n := 0
 		if !l.empty() {
-			for e := l.head; ; e = e.next {
+			for c := l.head; ; c = r.ar.cells[c].next {
 				n++
-				if e == l.tail {
+				if c == l.tail {
 					break
 				}
 			}

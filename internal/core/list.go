@@ -1,143 +1,129 @@
 package core
 
-import "spanners/internal/model"
+import (
+	"math"
 
-// node is a vertex of the reverse-dual DAG built by Algorithm 1. Its
-// content is an annotated marker set (S, i) — "the markers S were executed
-// just before reading letter i" — and its adjacency list points to the
-// nodes of the variable transitions that could precede it in a run. The
-// sink ⊥ (a node with pos 0) plays the role of the initial product state.
-type node struct {
-	set  model.Set
-	pos  int
-	list list
-}
+	"spanners/internal/model"
+)
 
-// element is a cell of a singly linked node list. Elements are created and
-// never modified, with one exception: an element whose next pointer is nil
-// may have it set, once, when the list it terminates is appended to
-// another. This discipline (Section 3.2.2, "Data structures") is what
-// makes lazy copies sound.
-type element struct {
-	n    *node
-	next *element
-}
-
-// list is a (start, end) pair of element pointers. Iteration runs from
-// head and stops at tail — not at next == nil — so a lazycopy of a list
-// remains correct even after the original's tail element has its next
-// pointer spliced by a later append.
+// cell is a vertex of the reverse-dual DAG built by Algorithm 1 fused with
+// the one list element that holds it. Its content is an annotated marker
+// set (S, i) — "the markers S were executed just before reading letter i"
+// — with S stored as an index into the pass's set table; adj is its
+// adjacency list, the nodes of the variable transitions that could precede
+// it in a run; next links it to the following element of its list. The
+// sink ⊥ (a cell with pos 0) plays the role of the initial product state.
 //
-// The paper's list methods map as follows: add prepends, appendList splices
-// in O(1), and lazycopy is plain struct assignment (the value is the
-// (start, end) pair).
-type list struct {
-	head, tail *element
+// Node and element are fused because they are 1:1: Capturing adds every
+// node it creates to exactly one list, and Reading only splices existing
+// elements (Section 3.2.2, "Data structures"). Cells are created and never
+// modified, with one exception: a cell whose next is 0 may have it set,
+// once, when the list it terminates is appended to another. This
+// discipline is what makes lazy copies sound.
+type cell struct {
+	pos  int
+	set  uint32
+	adj  list
+	next uint32
 }
 
-func (l list) empty() bool { return l.head == nil }
+// list is a (head, tail) pair of cell indices, 0 meaning nil. Iteration
+// runs from head and stops at tail — not at next == 0 — so a lazycopy of a
+// list remains correct even after the original's tail cell has its next
+// index spliced by a later append.
+//
+// The paper's list methods map onto the fused cell as follows: add
+// prepends a new cell, appendList splices in O(1) with the one permitted
+// next write, and lazycopy is plain struct assignment (the value is the
+// index pair).
+type list struct {
+	head, tail uint32
+}
 
-// add inserts n at the beginning of the list.
-func (l *list) add(n *node, ar *arena) {
-	e := ar.newElement(n, l.head)
-	if l.head == nil {
-		l.tail = e
+func (l list) empty() bool { return l.head == 0 }
+
+// add creates the node (set, pos) with adjacency list adj and inserts it at
+// the beginning of the list: node and element are one new cell.
+func (l *list) add(ar *arena, pos int, set uint32, adj list) {
+	c := ar.newCell(pos, set, adj, l.head)
+	if l.head == 0 {
+		l.tail = c
 	}
-	l.head = e
+	l.head = c
 }
 
 // appendList splices o onto the end of l. The splice writes o's head into
-// the next pointer of l's tail — the single permitted mutation of an
-// element. Each list value is appended at most once, which the evaluator
-// guarantees because the automaton is deterministic: every old state list
-// is consumed by at most one letter transition per position.
-func (l *list) appendList(o list) {
-	if o.head == nil {
+// the next index of l's tail — the single permitted mutation of a cell.
+// Each list value is appended at most once, which the evaluator guarantees
+// because the automaton is deterministic: every old state list is consumed
+// by at most one letter transition per position.
+func (l *list) appendList(o list, cells []cell) {
+	if o.head == 0 {
 		return
 	}
-	if l.head == nil {
+	if l.head == 0 {
 		*l = o
 		return
 	}
-	l.tail.next = o.head
+	cells[l.tail].next = o.head
 	l.tail = o.tail
 }
 
-// arena bump-allocates nodes and elements in fixed-size chunks so that the
-// preprocessing loop performs O(1) amortized allocations per created node,
-// and the whole DAG is released as a unit when the Result is dropped.
-//
-// Retired chunks are kept on used lists so that reset can move them to a
-// free list instead of surrendering them to the garbage collector: a reused
-// arena reaches its high-water mark once and then evaluates further
-// documents without allocating. Reset must only run once every Result
-// pointing into the arena has been fully consumed (see Scratch).
+// arena holds the DAG of one pass: the cells in one contiguous slice
+// indexed by uint32, with index 0 the nil sentinel, and the marker sets the
+// cells name by index. Both slices are pointer-free, so the garbage
+// collector never scans them, and indices survive regrowth where pointers
+// would not. reset keeps the high-water capacity: a reused arena reaches
+// it once and then evaluates further documents without allocating. Reset
+// must only run once every Result pointing into the arena has been fully
+// consumed (see Scratch).
 type arena struct {
-	nodes  []node
-	elems  []element
-	nNodes int
-	nElems int
-	// usedN/usedE hold the filled chunks of the current pass; freeN/freeE
-	// hold empty chunks recycled from previous passes.
-	usedN, freeN [][]node
-	usedE, freeE [][]element
+	cells []cell
+	sets  []model.Set
 }
 
-const arenaChunk = 4096
+// arenaFloor is the capacity an empty arena table first grows to.
+const arenaFloor = 4096
 
-func (a *arena) newNode(set model.Set, pos int, adj list) *node {
-	if len(a.nodes) == cap(a.nodes) {
-		if cap(a.nodes) > 0 {
-			a.usedN = append(a.usedN, a.nodes)
-		}
-		if n := len(a.freeN); n > 0 {
-			a.nodes = a.freeN[n-1]
-			a.freeN = a.freeN[:n-1]
-		} else {
-			a.nodes = make([]node, 0, arenaChunk)
-		}
+// newCell appends a cell and returns its index.
+func (a *arena) newCell(pos int, set uint32, adj list, next uint32) uint32 {
+	if len(a.cells) == cap(a.cells) {
+		a.cells = grow(a.cells, 1)
 	}
-	a.nodes = append(a.nodes, node{set: set, pos: pos, list: adj})
-	a.nNodes++
-	return &a.nodes[len(a.nodes)-1]
+	a.cells = append(a.cells, cell{pos: pos, set: set, adj: adj, next: next})
+	return uint32(len(a.cells) - 1)
 }
 
-func (a *arena) newElement(n *node, next *element) *element {
-	if len(a.elems) == cap(a.elems) {
-		if cap(a.elems) > 0 {
-			a.usedE = append(a.usedE, a.elems)
-		}
-		if n := len(a.freeE); n > 0 {
-			a.elems = a.freeE[n-1]
-			a.freeE = a.freeE[:n-1]
-		} else {
-			a.elems = make([]element, 0, arenaChunk)
-		}
+// addSets appends sets to the set table and returns the index of the
+// first.
+func (a *arena) addSets(caps []model.Capture) uint32 {
+	base := len(a.sets)
+	if base+len(caps) > cap(a.sets) {
+		a.sets = grow(a.sets, len(caps))
 	}
-	a.elems = append(a.elems, element{n: n, next: next})
-	a.nElems++
-	return &a.elems[len(a.elems)-1]
+	for _, t := range caps {
+		a.sets = append(a.sets, t.S)
+	}
+	return uint32(base)
 }
 
-// reset recycles every chunk for a fresh pass. Chunk contents are not
-// zeroed — each cell is fully overwritten when reallocated — so reset is
-// O(number of chunks), not O(nodes).
+// grow returns s, contents kept, with room for n more elements: the
+// capacity doubles, with a floor of arenaFloor. Arena indices are uint32,
+// so grow panics before one would pass 2³²−1.
+func grow[T any](s []T, n int) []T {
+	if uint64(len(s)+n) > math.MaxUint32+1 {
+		panic("core: DAG arena exceeds 2^32-1 entries")
+	}
+	g := make([]T, len(s), max(2*cap(s), len(s)+n, arenaFloor))
+	copy(g, s)
+	return g
+}
+
+// reset empties the arena for a fresh pass, keeping its capacity, and
+// re-creates the nil sentinel at index 0. Cells are not zeroed — each is
+// fully overwritten when reallocated — so reset is O(1).
 func (a *arena) reset() {
-	if cap(a.nodes) > 0 {
-		a.freeN = append(a.freeN, a.nodes[:0])
-		a.nodes = nil
-	}
-	for _, c := range a.usedN {
-		a.freeN = append(a.freeN, c[:0])
-	}
-	a.usedN = a.usedN[:0]
-	if cap(a.elems) > 0 {
-		a.freeE = append(a.freeE, a.elems[:0])
-		a.elems = nil
-	}
-	for _, c := range a.usedE {
-		a.freeE = append(a.freeE, c[:0])
-	}
-	a.usedE = a.usedE[:0]
-	a.nNodes, a.nElems = 0, 0
+	a.cells = a.cells[:0]
+	a.sets = a.sets[:0]
+	a.newCell(0, 0, list{}, 0)
 }

@@ -42,7 +42,7 @@ type Stream struct {
 // NewStream or EvaluateScratch with it). Consume the Result completely
 // (Enumerate, Collect, Count the matches) before reusing the scratch;
 // mappings must be Cloned to outlive it (their clones hold plain span
-// integers, not arena pointers). A Scratch is not goroutine-safe; pool one
+// integers, not arena references). A Scratch is not goroutine-safe; pool one
 // per worker (see the spanner facade's sync.Pool).
 type Scratch struct {
 	eval   evaluation

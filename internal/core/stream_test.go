@@ -10,6 +10,8 @@ import (
 
 	"spanners/internal/core"
 	"spanners/internal/gen"
+	"spanners/internal/model"
+	"spanners/internal/oracle"
 	"spanners/internal/rgx"
 	"spanners/spanner"
 )
@@ -150,7 +152,7 @@ func TestScratchReuse(t *testing.T) {
 
 func TestScratchReuseStopsAllocating(t *testing.T) {
 	// After the arena reaches its high-water mark, evaluating the same
-	// document through the scratch must recycle every chunk.
+	// document through the scratch must reuse its cells.
 	d := pipeline(t, gen.Figure1Pattern())
 	doc := gen.Contacts(200, 9)
 	sc := &core.Scratch{}
@@ -162,7 +164,7 @@ func TestScratchReuseStopsAllocating(t *testing.T) {
 		}
 	})
 	// A handful of fixed-size allocations (Stream, Result headers) remain;
-	// the point is that the ~hundreds of arena chunks do not.
+	// the point is that the arena's regrowths do not.
 	if allocs > 10 {
 		t.Fatalf("scratch reuse still allocates %.0f objects per evaluation", allocs)
 	}
@@ -272,6 +274,67 @@ func TestCountStreamOverflowMigration(t *testing.T) {
 		}
 		if got := s.CountBig(); got.Cmp(want) != 0 {
 			t.Fatalf("trial %d: CountBig = %v, want %v", trial, got, want)
+		}
+	}
+}
+
+// TestDAGSurvivesArenaGrowth drives the arena through several doublings in
+// the middle of a pass: a scratch warmed on a tiny document sits at the
+// floor capacity, and NestedPattern(2) over 16 KiB of DenseMarkers creates
+// ~10 cells per byte. Cells are addressed by index, so regrowth must leave
+// the DAG exactly as a fresh whole-document pass builds it. The full
+// output (~10^15 mappings) is out of reach, so the enumeration is checked
+// on a prefix, and Collect against the oracle on a small document served
+// by the grown scratch.
+func TestDAGSurvivesArenaGrowth(t *testing.T) {
+	const (
+		prefix  = 2000 // outputs compared in order
+		checked = 200  // of which re-checked by forced simulation
+	)
+	d := pipeline(t, gen.NestedPattern(2))
+	doc := gen.DenseMarkers(16<<10, 5)
+	want := core.Evaluate(d, doc)
+	if n := core.NodeCount(want); n < 1<<16 {
+		t.Fatalf("%d DAG nodes: too few to force several regrowths", n)
+	}
+	var wantOut []*model.Mapping
+	for it := want.Iterator(); len(wantOut) < prefix; {
+		m, ok := it.Next()
+		if !ok {
+			t.Fatalf("only %d outputs", len(wantOut))
+		}
+		wantOut = append(wantOut, m.Clone())
+	}
+
+	for _, chunk := range []int{1, 7} {
+		sc := &core.Scratch{}
+		core.EvaluateScratch(d, gen.DenseMarkers(8, 1), sc)
+		s := core.NewStream(d, sc)
+		for off := 0; off < len(doc); off += chunk {
+			s.Feed(doc[off:min(off+chunk, len(doc))])
+		}
+		got := s.Close()
+		if !core.SameDAG(got, want) {
+			t.Fatalf("chunk %d: the regrown arena differs from a fresh pass's", chunk)
+		}
+		// Two iterators interleaved over the same Result stay independent.
+		it1, it2 := got.Iterator(), got.Iterator()
+		for k, w := range wantOut {
+			m1, ok1 := it1.Next()
+			m2, ok2 := it2.Next()
+			if !ok1 || !ok2 {
+				t.Fatalf("chunk %d: enumeration ended at output %d", chunk, k)
+			}
+			if !m1.Equal(w) || !m2.Equal(w) {
+				t.Fatalf("chunk %d output %d: got %v and %v, want %v", chunk, k, m1, m2, w)
+			}
+			if k < checked && !oracle.Matches(d, doc, m1) {
+				t.Fatalf("chunk %d output %d: %v is not in ⟦A⟧d", chunk, k, m1)
+			}
+		}
+		small := gen.DenseMarkers(10, int64(chunk))
+		if got, want := core.EvaluateScratch(d, small, sc).Collect(), oracle.Enumerate(d, small); !got.Equal(want) {
+			t.Fatalf("chunk %d: grown scratch on a small document:\n%v", chunk, want.Diff(got, 10))
 		}
 	}
 }

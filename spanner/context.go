@@ -48,15 +48,15 @@ func (s *Spanner) EnumerateContext(ctx context.Context, doc []byte, yield func(*
 // newStream starts a preprocessing pass; see core.NewStream for the
 // scratch's ownership rule.
 func (s *Spanner) newStream(sc *core.Scratch) *core.Stream {
-	unlock := s.lockLazy()
-	defer unlock()
+	l := s.lockLazy()
+	defer l.Unlock()
 	return core.NewStream(s.automaton(), sc)
 }
 
 // newCountStream starts a counting pass in the scratch's CountStream.
 func (s *Spanner) newCountStream(sc *evalScratch) *core.CountStream {
-	unlock := s.lockLazy()
-	defer unlock()
+	l := s.lockLazy()
+	defer l.Unlock()
 	sc.count.Reset(s.automaton())
 	return &sc.count
 }
@@ -70,9 +70,9 @@ func (s *Spanner) feedChunks(ctx context.Context, doc []byte, feed func(chunk []
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		unlock := s.lockLazy()
+		l := s.lockLazy()
 		feed(doc[off:min(off+ctxChunk, len(doc))])
-		unlock()
+		l.Unlock()
 	}
 	return ctx.Err()
 }
@@ -86,8 +86,8 @@ func (s *Spanner) evaluateContext(ctx context.Context, doc []byte, sc *core.Scra
 	if err := s.feedChunks(ctx, doc, st.FeedBorrowed, st.Dead); err != nil {
 		return nil, err
 	}
-	unlock := s.lockLazy()
-	defer unlock()
+	l := s.lockLazy()
+	defer l.Unlock()
 	res := st.CloseWith(doc)
 	s.noteAccel(st.AccelSkippedBytes(), st.AccelFellBack())
 	return res, nil
@@ -144,8 +144,8 @@ func (s *Spanner) countContext(ctx context.Context, doc []byte, total func(*core
 	if err := s.feedChunks(ctx, doc, cs.Feed, cs.Dead); err != nil {
 		return err
 	}
-	unlock := s.lockLazy()
-	defer unlock()
+	l := s.lockLazy()
+	defer l.Unlock()
 	total(cs)
 	s.noteAccel(cs.AccelSkippedBytes(), cs.AccelFellBack())
 	return nil

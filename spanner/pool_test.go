@@ -126,18 +126,19 @@ func TestFreshSpannerStartsOnPooledScratch(t *testing.T) {
 }
 
 // TestWarmCountAllocatesNothing pins the counting pass's fixed cost: once
-// the pooled scratch has grown to the automaton, a strict spanner's Count
-// and IsEmpty allocate nothing. (Lazy mode still allocates the unlock
-// closures lockLazy returns.)
+// the pooled scratch has grown to the automaton, a spanner's Count and
+// IsEmpty allocate nothing, in strict and in lazy mode.
 func TestWarmCountAllocatesNothing(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops Puts at random under the race detector")
 	}
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	doc := gen.Contacts(40, 5)
-	s := spanner.MustCompile(gen.Figure1Pattern(), spanner.WithStrict())
-	s.Count(doc)
-	if n := testing.AllocsPerRun(20, func() { s.Count(doc); s.IsEmpty(doc) }); n != 0 {
-		t.Errorf("warm Count+IsEmpty made %v allocations, want 0", n)
+	for _, mode := range []spanner.Mode{spanner.ModeStrict, spanner.ModeLazy} {
+		s := spanner.MustCompile(gen.Figure1Pattern(), spanner.WithMode(mode))
+		s.Count(doc)
+		if n := testing.AllocsPerRun(20, func() { s.Count(doc); s.IsEmpty(doc) }); n != 0 {
+			t.Errorf("%v: warm Count+IsEmpty made %v allocations, want 0", mode, n)
+		}
 	}
 }

@@ -70,6 +70,23 @@ func BenchmarkEvaluateThroughput(b *testing.B) {
 	b.Run("lazy", func(b *testing.B) { run(b, lazy) })
 }
 
+// BenchmarkPreprocessNested measures the Algorithm 1 pass where the DAG,
+// not the automaton, dominates: NestedPattern(2) over a 4 KiB DenseMarkers
+// document fires ~10 capture edges per byte, so each byte creates ~10
+// nodes. The scratch is reused across iterations, as the facade does.
+func BenchmarkPreprocessNested(b *testing.B) {
+	_, dense, _ := benchAutomata(b, gen.NestedPattern(2))
+	doc := gen.DenseMarkers(4<<10, 1)
+	var sc core.Scratch
+	core.EvaluateScratch(dense, doc, &sc) // warm the scratch
+	b.SetBytes(int64(len(doc)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		core.EvaluateScratch(dense, doc, &sc)
+	}
+}
+
 var stepSink int
 
 // BenchmarkStepDispatch isolates the per-byte letter-transition cost that

@@ -53,16 +53,25 @@ func putScratch(sc *evalScratch) { scratchPool.Put(sc) }
 
 // lockLazy serializes against other evaluations in lazy mode (the
 // on-the-fly determinizer's memo tables mutate during the pass, and even
-// read paths observe its growing state table). It returns the matching
-// unlock, a no-op in strict mode. Locking per chunk rather than per
+// read paths observe its growing state table). It returns the held lock
+// for the caller to Unlock: the spanner's mutex in lazy mode, a no-op in
+// strict mode; neither allocates. Locking per chunk rather than per
 // document keeps the lock from being held across Reads.
-func (s *Spanner) lockLazy() (unlock func()) {
-	if s.lazy == nil {
-		return func() {}
+func (s *Spanner) lockLazy() sync.Locker {
+	var l sync.Locker = noLock{}
+	if s.lazy != nil {
+		l = &s.mu
 	}
-	s.mu.Lock()
-	return s.mu.Unlock
+	l.Lock()
+	return l
 }
+
+// noLock is the lock lockLazy hands out in strict mode: a strict spanner's
+// evaluations share no mutable state.
+type noLock struct{}
+
+func (noLock) Lock()   {}
+func (noLock) Unlock() {}
 
 // pump reads r in chunks through the scratch's read buffer and hands each
 // chunk to feed under the lazy lock. The chunk is only valid during the
@@ -78,9 +87,9 @@ func (s *Spanner) pump(ctx context.Context, r io.Reader, sc *evalScratch, feed f
 		}
 		n, err := r.Read(sc.rbuf)
 		if n > 0 {
-			unlock := s.lockLazy()
+			l := s.lockLazy()
 			feed(sc.rbuf[:n])
-			unlock()
+			l.Unlock()
 		}
 		if err == io.EOF {
 			return nil
@@ -101,8 +110,8 @@ func (s *Spanner) streamResultContext(ctx context.Context, r io.Reader, sc *eval
 	if err := s.pump(ctx, r, sc, st.Feed); err != nil {
 		return nil, err
 	}
-	unlock := s.lockLazy()
-	defer unlock()
+	l := s.lockLazy()
+	defer l.Unlock()
 	res := st.Close()
 	s.noteAccel(st.AccelSkippedBytes(), st.AccelFellBack())
 	return res, nil
@@ -154,8 +163,8 @@ func (s *Spanner) countStreamContext(ctx context.Context, r io.Reader, total fun
 	if err := s.pump(ctx, r, sc, cs.Feed); err != nil {
 		return err
 	}
-	unlock := s.lockLazy()
-	defer unlock()
+	l := s.lockLazy()
+	defer l.Unlock()
 	total(cs)
 	s.noteAccel(cs.AccelSkippedBytes(), cs.AccelFellBack())
 	return nil
