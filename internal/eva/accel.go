@@ -74,6 +74,9 @@ type accel struct {
 	// lit is the required literal of accelLiteral states; lit[0] is the
 	// state's only exit byte.
 	lit []byte
+	// sink reports that every byte is inert (skip holds all 256), which
+	// the scan gate asks about once per byte while a few states are live.
+	sink bool
 }
 
 // find returns how many leading bytes of chunk are provably inert while
@@ -128,16 +131,20 @@ func (a *accel) find(chunk []byte) int {
 }
 
 // stepper abstracts the deterministic automaton views the analysis runs
-// over: the dense-compiled table and the lazy determinizer.
+// over: the dense-compiled table and the lazy determinizer. classes is a
+// byte partition no transition of the view separates, so the analysis
+// probes one representative byte per class.
 type stepper interface {
 	step(q int, b byte) (int, bool)
 	caps(q int) []model.Capture
+	classes() *classes
 }
 
 // analyzeAccel computes the acceleration record of state q. withLiteral
 // additionally runs the forced-departure literal extraction when the state
 // has a single exit byte; it is requested only at the scan-anchor state
-// (see findScanState) because extraction explores up to 32×256 transitions.
+// (see findScanState) because extraction explores up to 32 transitions per
+// byte class from every state of the departure.
 func analyzeAccel(s stepper, q int, withLiteral bool) accel {
 	for _, t := range s.caps(q) {
 		if t.To == q {
@@ -146,26 +153,27 @@ func analyzeAccel(s stepper, q int, withLiteral bool) accel {
 	}
 	var skip model.ByteSet
 	targets := s.caps(q)
-	for b := 0; b < 256; b++ {
-		t, ok := s.step(q, byte(b))
+	p := s.classes()
+	for k, b := range p.rep {
+		t, ok := s.step(q, b)
 		if !ok || t != q {
 			continue
 		}
 		inert := true
 		for _, e := range targets {
-			if _, ok := s.step(e.To, byte(b)); ok {
+			if _, ok := s.step(e.To, b); ok {
 				inert = false
 				break
 			}
 		}
 		if inert {
-			skip.Add(byte(b))
+			skip = skip.Union(p.set[k])
 		}
 	}
 	if skip.IsEmpty() {
 		return accel{}
 	}
-	a := accel{mode: accelScan, skip: skip}
+	a := accel{mode: accelScan, skip: skip, sink: skip == model.AnyByte()}
 	exits := skip.Negate().Bytes()
 	if len(exits) <= maxAccelExits {
 		a.mode = accelMemchr
@@ -249,14 +257,15 @@ func extractLiteral(s stepper, q int, b0 byte) []byte {
 				ext = addX(ext, e.To)
 			}
 		}
-		// Images per byte: exactly one byte may keep the departure alive,
-		// and no byte may route it back into q.
+		// Images per byte class: exactly one byte may keep the departure
+		// alive, and no byte may route it back into q.
+		p := s.classes()
 		next := -1 // the unique continuation byte, -1 while unknown
 		var nx []int
-		for b := 0; b < 256; b++ {
+		for k, b := range p.rep {
 			var img []int
 			for _, y := range ext {
-				if t, ok := s.step(y, byte(b)); ok {
+				if t, ok := s.step(y, b); ok {
 					if t == q {
 						return lit
 					}
@@ -266,10 +275,10 @@ func extractLiteral(s stepper, q int, b0 byte) []byte {
 			if len(img) == 0 {
 				continue
 			}
-			if next >= 0 {
+			if next >= 0 || p.set[k].Len() > 1 {
 				return lit // two live continuations: literal ends here
 			}
-			next, nx = b, img
+			next, nx = int(b), img
 		}
 		if next < 0 {
 			// Every continuation dies; the departure is a dead end (rare —
@@ -316,14 +325,14 @@ func findScanState(s stepper, q0 int) int {
 			if a := analyzeAccel(s, q, false); a.mode != accelNone {
 				return q
 			}
-			for b := 0; b < 256; b++ {
-				t, ok := s.step(q, byte(b))
+			for _, b := range s.classes().rep {
+				t, ok := s.step(q, b)
 				if !ok || seen[t] {
 					continue
 				}
 				singleton := true
 				for _, e := range s.caps(q) {
-					if _, ok := s.step(e.To, byte(b)); ok {
+					if _, ok := s.step(e.To, b); ok {
 						singleton = false
 						break
 					}
@@ -338,48 +347,4 @@ func findScanState(s stepper, q0 int) int {
 		frontier = next
 	}
 	return -1
-}
-
-// Prefilter describes the scan-path analysis of a compiled spanner: the
-// bytes that can leave the scan-anchor configuration and the required
-// literal extracted by the forced-departure analysis, when one exists. It
-// is the compile-time half of the acceleration story, surfaced through
-// spanner.Stats and the CLI's -stats.
-type Prefilter struct {
-	// LeaveInitial is the set of bytes that can leave the scan-anchor
-	// configuration (the initial configuration followed through its
-	// dead-prefix lead-in): every other byte is inert there, so a document
-	// region without any of these bytes can never start a match.
-	LeaveInitial model.ByteSet
-	// Literal is the required literal anchored at the scan-anchor
-	// configuration (empty when the departure analysis finds none): every
-	// match departing from it must read the literal in full.
-	Literal string
-	// Accelerated reports whether a scan-anchor state exists at all.
-	Accelerated bool
-}
-
-// AnalyzePrefilter runs the scan-anchor acceleration analysis over the
-// trimmed sequential eVA seq, via an ephemeral on-the-fly determinizer —
-// it materializes only the deterministic states the analysis touches, so
-// it is cheap even when full determinization would not be. Both
-// compilation modes use it to report the same prefilter facts.
-func AnalyzePrefilter(seq *EVA) Prefilter {
-	if seq.Initial() < 0 {
-		return Prefilter{}
-	}
-	l := NewLazy(seq)
-	scanQ := findScanState(lazyStepper{l}, l.Initial())
-	if scanQ < 0 {
-		return Prefilter{}
-	}
-	a := analyzeAccel(lazyStepper{l}, scanQ, true)
-	if a.mode == accelNone {
-		return Prefilter{}
-	}
-	return Prefilter{
-		LeaveInitial: a.skip.Negate(),
-		Literal:      string(a.lit),
-		Accelerated:  true,
-	}
 }

@@ -41,8 +41,23 @@ func scanEVA(t *testing.T, lit string, lead int) *EVA {
 	return a
 }
 
+// prefilter holds the scan-anchor facts the facade reports.
+type prefilter struct {
+	LeaveInitial model.ByteSet
+	Literal      string
+	Accelerated  bool
+}
+
+// prefilterOf reads the scan-anchor facts off a lazy determinizer of a, as
+// the facade's lazy mode does.
+func prefilterOf(a *EVA) prefilter {
+	l := NewLazy(a)
+	leave, ok := l.ScanLeaveBytes()
+	return prefilter{leave, l.ScanLiteral(), ok}
+}
+
 func TestAnalyzePrefilterLiteral(t *testing.T) {
-	pf := AnalyzePrefilter(scanEVA(t, "www.", 0))
+	pf := prefilterOf(scanEVA(t, "www.", 0))
 	if !pf.Accelerated || pf.Literal != "www." {
 		t.Fatalf("prefilter = %+v, want literal %q", pf, "www.")
 	}
@@ -54,7 +69,7 @@ func TestAnalyzePrefilterLiteral(t *testing.T) {
 func TestFindScanStateSkipsLeadIn(t *testing.T) {
 	// The initial state only reaches the self-loop after a few `.` steps;
 	// the analysis must still find the anchor and its literal.
-	pf := AnalyzePrefilter(scanEVA(t, "ab", 3))
+	pf := prefilterOf(scanEVA(t, "ab", 3))
 	if !pf.Accelerated || pf.Literal != "ab" {
 		t.Fatalf("prefilter with lead-in = %+v", pf)
 	}
@@ -173,7 +188,7 @@ func TestMultiExitStaysMemchrNoLiteral(t *testing.T) {
 	if err := a.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	pf := AnalyzePrefilter(a)
+	pf := prefilterOf(a)
 	if !pf.Accelerated {
 		t.Fatal("must accelerate on the two exit bytes")
 	}

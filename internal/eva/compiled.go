@@ -17,13 +17,13 @@ import (
 // evaluate-many facade hands out for the strict path.
 //
 // Bytes that no letter edge distinguishes share a column: the 256 byte
-// values collapse into equivalence classes computed once for the whole
-// automaton (a single shared 256→class map), and each state stores one row
-// per class rather than one per byte. Patterns over ASCII-ish alphabets
-// typically need a few dozen classes, cutting table memory 4–8× versus
-// the former 1 KiB/state layout and keeping the working set cache-resident.
-// The row stride is the class count rounded up to a power of two so the
-// hot-path index stays a shift and an or.
+// values collapse into equivalence classes (a single shared 256→class
+// map), and each state stores one row per class rather than one per byte.
+// The classes come from byteClasses over the automaton's own edges; for
+// the output of Determinize they are the source eVA's classes, merged
+// wherever no det edge separates them. Patterns over ASCII-ish alphabets
+// typically need a few dozen classes, keeping the table cache-resident. The row stride is the class count rounded up to a power
+// of two so the hot-path index stays a shift and an or.
 //
 // Compiled also carries the per-state acceleration records (see accel.go):
 // states whose self-loop covers most bytes answer AccelSkip with a
@@ -34,11 +34,9 @@ type Compiled struct {
 	reg       *model.Registry
 	initial   int
 	accepting []bool
-	// classOf maps a byte to its equivalence class; bytes in the same
-	// class are indistinguishable to every letter edge of the automaton.
-	classOf [256]uint8
-	// numClasses is the number of byte equivalence classes in use.
-	numClasses int
+	// cls maps each byte to its equivalence class; bytes in the same class
+	// are indistinguishable to every letter edge of the automaton.
+	cls classes
 	// shift is log2 of the row stride; next[q<<shift|class] is δ(q, class),
 	// or -1 when undefined.
 	shift    uint
@@ -54,48 +52,6 @@ type Compiled struct {
 	sparse    map[int]*accel
 	scanState int
 	accelOff  bool
-}
-
-// byteClasses computes the byte equivalence classes of the automaton by
-// refining {all bytes} against every distinct letter-edge ByteSet: two
-// bytes end up in the same class iff every edge either contains both or
-// neither, which makes collapsing table columns semantics-preserving.
-func byteClasses(a *EVA) (classOf [256]uint8, numClasses int) {
-	numClasses = 1
-	seen := make(map[model.ByteSet]bool)
-	for q := 0; q < a.NumStates(); q++ {
-		for _, e := range a.letters[q] {
-			if seen[e.Class] {
-				continue
-			}
-			seen[e.Class] = true
-			// Split every class that has members both in and out of e.Class.
-			var hasIn, hasOut [256]bool
-			for b := 0; b < 256; b++ {
-				if e.Class.Has(byte(b)) {
-					hasIn[classOf[b]] = true
-				} else {
-					hasOut[classOf[b]] = true
-				}
-			}
-			var remap [256]int
-			for i := range remap {
-				remap[i] = -1
-			}
-			for b := 0; b < 256; b++ {
-				c := classOf[b]
-				if !hasIn[c] || !hasOut[c] || !e.Class.Has(byte(b)) {
-					continue
-				}
-				if remap[c] < 0 {
-					remap[c] = numClasses
-					numClasses++
-				}
-				classOf[b] = uint8(remap[c])
-			}
-		}
-	}
-	return classOf, numClasses
 }
 
 // CompileDense builds the dense form of a. It fails unless a validates and
@@ -118,9 +74,9 @@ func (a *EVA) CompileDense() (*Compiled, error) {
 		accepting: append([]bool(nil), a.final...),
 		captures:  make([][]model.Capture, n),
 	}
-	c.classOf, c.numClasses = byteClasses(a)
+	c.cls = *byteClasses(a)
 	stride := 1
-	for stride < c.numClasses {
+	for stride < len(c.cls.rep) {
 		stride <<= 1
 	}
 	c.shift = uint(bits.TrailingZeros(uint(stride)))
@@ -131,8 +87,10 @@ func (a *EVA) CompileDense() (*Compiled, error) {
 	for q := 0; q < n; q++ {
 		row := c.next[q<<c.shift : q<<c.shift+stride]
 		for _, e := range a.letters[q] {
-			for _, b := range e.Class.Bytes() {
-				row[c.classOf[b]] = int32(e.To)
+			for k, b := range c.cls.rep {
+				if e.Class.Has(b) {
+					row[k] = int32(e.To)
+				}
 			}
 		}
 		c.captures[q] = append([]model.Capture(nil), a.captures[q]...)
@@ -162,6 +120,7 @@ type compiledStepper struct{ c *Compiled }
 
 func (s compiledStepper) step(q int, b byte) (int, bool) { return s.c.Step(q, b) }
 func (s compiledStepper) caps(q int) []model.Capture     { return s.c.Captures(q) }
+func (s compiledStepper) classes() *classes              { return &s.c.cls }
 
 // Initial returns the initial state.
 func (c *Compiled) Initial() int { return c.initial }
@@ -171,7 +130,7 @@ func (c *Compiled) Initial() int { return c.initial }
 // spanlint:hotpath — the dense-dispatch inner step; hotalloc
 // (cmd/spanlint) keeps it allocation-free.
 func (c *Compiled) Step(q int, ch byte) (int, bool) {
-	t := c.next[q<<c.shift|int(c.classOf[ch])]
+	t := c.next[q<<c.shift|int(c.cls.of[ch])]
 	return int(t), t >= 0
 }
 
@@ -191,11 +150,11 @@ func (c *Compiled) NumStates() int { return len(c.accepting) }
 // NumClasses returns the number of byte equivalence classes the transition
 // table is indexed by (≤ 256; the per-state row stride is the next power
 // of two).
-func (c *Compiled) NumClasses() int { return c.numClasses }
+func (c *Compiled) NumClasses() int { return len(c.cls.rep) }
 
 // TableBytes returns the size of the dense transition table in bytes,
 // including the shared byte→class map.
-func (c *Compiled) TableBytes() int { return len(c.next)*4 + len(c.classOf) }
+func (c *Compiled) TableBytes() int { return len(c.next)*4 + len(c.cls.of) }
 
 // accelFor returns the acceleration record of q, or nil when q is not
 // accelerated (or acceleration is disabled on this instance).
@@ -235,7 +194,7 @@ func (c *Compiled) AccelSkip(q int, chunk []byte) int {
 // the accepting tail stays live forever.
 func (c *Compiled) AccelSink(q int) bool {
 	a := c.accelFor(q)
-	return a != nil && a.skip.Len() == 256
+	return a != nil && a.sink
 }
 
 // AccelEnabled reports whether any state of this instance answers

@@ -1,8 +1,8 @@
 package eva
 
 import (
-	"sort"
-	"strconv"
+	"encoding/binary"
+	"slices"
 
 	"spanners/internal/model"
 )
@@ -11,8 +11,8 @@ import (
 // construction of Proposition 3.2: the classical NFA determinization with
 // the alphabet Σ ∪ (2^MarkersV ∖ {∅}), treating each exact marker set as
 // one symbol. Capture transitions of the members are grouped by their exact
-// set S; letter transitions are re-partitioned into byte classes whose
-// member bytes lead to the same subset.
+// set S; letter transitions are computed once per byte class of a and
+// grouped into one edge per target subset.
 //
 // Only subsets reachable from {q0} are materialized, so the 2^n worst case
 // (which Propositions 4.1 and 4.3 account for) is paid only when the
@@ -20,119 +20,150 @@ import (
 // and functionality, because it preserves the set of accepting label
 // sequences and validity is a property of the label sequence alone.
 func (a *EVA) Determinize() *EVA {
+	out := New(a.reg)
 	if a.initial < 0 {
-		return New(a.reg)
+		return out
 	}
-	d := &determinizer{src: a, out: New(a.reg), index: make(map[string]int)}
-	d.intern([]int{a.initial})
-	for id := 0; id < len(d.members); id++ {
-		d.expand(id)
+	s := newSubsets(a)
+	// at[t] is 1 + the index of the letter edge into t while a state is
+	// expanded, 0 otherwise.
+	var at []int32
+	for id := 0; id < len(s.members); id++ {
+		// Capture edges in marker-set order; To holds the group index
+		// until the target subset is interned.
+		sets, targets := s.capGroups(id)
+		var caps []model.Capture
+		for i, set := range sets {
+			caps = append(caps, model.Capture{S: set, To: i})
+		}
+		slices.SortFunc(caps, func(x, y model.Capture) int {
+			switch {
+			case x.S.Less(y.S):
+				return -1
+			case y.S.Less(x.S):
+				return 1
+			}
+			return 0
+		})
+		for i := range caps {
+			caps[i].To = s.intern(normalize(targets[caps[i].To]))
+		}
+		var letters []model.Letter
+		for k := range s.cls.rep {
+			t := s.letter(id, k)
+			if t < 0 {
+				continue
+			}
+			for len(at) < len(s.members) {
+				at = append(at, 0)
+			}
+			if at[t] == 0 {
+				letters = append(letters, model.Letter{To: t})
+				at[t] = int32(len(letters))
+			}
+			e := &letters[at[t]-1]
+			e.Class = e.Class.Union(s.cls.set[k])
+		}
+		for _, e := range letters {
+			at[e.To] = 0
+		}
+		out.letters = append(out.letters, letters)
+		out.captures = append(out.captures, caps)
 	}
-	d.out.SetInitial(0)
-	return d.out
+	out.final = s.final
+	out.initial = 0
+	return out
 }
 
-type determinizer struct {
-	src     *EVA
-	out     *EVA
+// subsets is the subset construction both determinization strategies
+// share: the index of the subsets of source states minted so far, and
+// their successor subsets, computed once per byte class of the source from
+// the class's representative byte. Determinize drives it to a fixpoint;
+// Lazy drives it on demand.
+type subsets struct {
+	src *EVA
+	cls *classes
+	// index maps a subset's key (its members as uvarints) to its id.
 	index   map[string]int
 	members [][]int
+	final   []bool
+	// to and key are scratch buffers, so that only minting allocates.
+	to  []int
+	key []byte
 }
 
-// intern returns the det-state id for a normalized subset, minting it if
-// new.
-func (d *determinizer) intern(set []int) int {
-	key := subsetKey(set)
-	if id, ok := d.index[key]; ok {
+// newSubsets returns the construction over src with {q0} minted as id 0.
+func newSubsets(src *EVA) *subsets {
+	s := &subsets{src: src, cls: byteClasses(src), index: make(map[string]int)}
+	if src.initial >= 0 {
+		s.intern([]int{src.initial})
+	}
+	return s
+}
+
+// intern returns the id of a normalized subset, minting it if new. set may
+// alias scratch storage; a minted subset keeps a copy.
+func (s *subsets) intern(set []int) int {
+	s.key = s.key[:0]
+	for _, q := range set {
+		s.key = binary.AppendUvarint(s.key, uint64(q))
+	}
+	if id, ok := s.index[string(s.key)]; ok {
 		return id
 	}
-	id := d.out.AddState()
-	d.index[key] = id
-	d.members = append(d.members, set)
+	id := len(s.members)
+	s.index[string(s.key)] = id
+	s.members = append(s.members, slices.Clone(set))
+	final := false
 	for _, q := range set {
-		if d.src.final[q] {
-			d.out.SetFinal(id, true)
+		if s.src.final[q] {
+			final = true
 			break
 		}
 	}
+	s.final = append(s.final, final)
 	return id
 }
 
-// expand computes the outgoing transitions of det state id.
-func (d *determinizer) expand(id int) {
-	set := d.members[id]
-
-	// Capture transitions: group member edges by exact marker set.
-	capTargets := make(map[model.Set][]int)
-	for _, q := range set {
-		for _, e := range d.src.captures[q] {
-			capTargets[e.S] = append(capTargets[e.S], e.To)
-		}
-	}
-	capSets := make([]model.Set, 0, len(capTargets))
-	for s := range capTargets {
-		capSets = append(capSets, s)
-	}
-	sort.Slice(capSets, func(i, j int) bool { return capSets[i].Less(capSets[j]) })
-	for _, s := range capSets {
-		d.out.AddCapture(id, s, d.intern(normalize(capTargets[s])))
-	}
-
-	// Letter transitions: compute the target subset per byte, then group
-	// bytes with identical target subsets into one class edge.
-	type group struct {
-		class model.ByteSet
-		to    []int
-	}
-	groups := make(map[string]*group)
-	var order []string
-	for c := 0; c < 256; c++ {
-		var to []int
-		for _, q := range set {
-			for _, e := range d.src.letters[q] {
-				if e.Class.Has(byte(c)) {
-					to = append(to, e.To)
-				}
+// letter returns the successor of subset id on the bytes of class k, or
+// −1 when no member reads them.
+func (s *subsets) letter(id, k int) int {
+	b := s.cls.rep[k]
+	to := s.to[:0]
+	for _, q := range s.members[id] {
+		for _, e := range s.src.letters[q] {
+			if e.Class.Has(b) {
+				to = append(to, e.To)
 			}
 		}
-		if len(to) == 0 {
-			continue
-		}
-		to = normalize(to)
-		k := subsetKey(to)
-		g, ok := groups[k]
-		if !ok {
-			g = &group{to: to}
-			groups[k] = g
-			order = append(order, k)
-		}
-		g.class.Add(byte(c))
 	}
-	for _, k := range order {
-		g := groups[k]
-		d.out.AddLetter(id, g.class, d.intern(g.to))
+	s.to = to
+	if len(to) == 0 {
+		return -1
 	}
+	return s.intern(normalize(to))
+}
+
+// capGroups returns the capture transitions of subset id grouped by exact
+// marker set, in order of first occurrence among the members' edges:
+// sets[i] leads to the (unnormalized) targets[i]. Nothing is minted.
+func (s *subsets) capGroups(id int) (sets []model.Set, targets [][]int) {
+	for _, q := range s.members[id] {
+		for _, e := range s.src.captures[q] {
+			i := slices.Index(sets, e.S)
+			if i < 0 {
+				i = len(sets)
+				sets = append(sets, e.S)
+				targets = append(targets, nil)
+			}
+			targets[i] = append(targets[i], e.To)
+		}
+	}
+	return sets, targets
 }
 
 // normalize sorts and deduplicates a subset in place.
 func normalize(set []int) []int {
-	sort.Ints(set)
-	out := set[:0]
-	prev := -1
-	for _, q := range set {
-		if q != prev {
-			out = append(out, q)
-			prev = q
-		}
-	}
-	return out
-}
-
-func subsetKey(set []int) string {
-	buf := make([]byte, 0, len(set)*3)
-	for _, q := range set {
-		buf = strconv.AppendInt(buf, int64(q), 32)
-		buf = append(buf, ',')
-	}
-	return string(buf)
+	slices.Sort(set)
+	return slices.Compact(set)
 }

@@ -16,16 +16,29 @@ import (
 // worst case.
 //
 // Lazy implements the same automaton interface as a deterministic *EVA
-// (Initial, Step, Captures, Accepting, Registry). It memoizes transitions,
-// so repeated evaluations share work. It is not safe for concurrent use;
-// wrap it per goroutine or materialize with Determinize for sharing. The
-// sole exception is StatesDiscovered, which reads an atomic counter and may
-// be called at any time from any goroutine — monitoring surfaces poll it
-// without serializing against in-flight evaluations.
+// (Initial, Step, Captures, Accepting, Registry). It runs the subset
+// construction of Determinize, over the same byte classes of src, and
+// memoizes its transitions so repeated evaluations share work: each subset
+// state owns one class-indexed row of K entries (K×4 bytes for K classes),
+// and a memoized Step costs a lookup in an inline byte→class map and one
+// load from the flat row table. It is not safe
+// for concurrent use; wrap it per goroutine or materialize with
+// Determinize for sharing. The sole exception is StatesDiscovered, which
+// reads an atomic counter and may be called at any time from any goroutine
+// — monitoring surfaces poll it without serializing against in-flight
+// evaluations.
 type Lazy struct {
-	src   *EVA
-	index map[string]int
-	sts   []*lazyState
+	sub *subsets
+	// letter holds one class-indexed row per minted state: letter[q*k+c]
+	// is the det target of state q on the bytes of class c of src — ≥ 0 a
+	// state id, −1 no transition, −2 not yet computed. A row costs k×4
+	// bytes.
+	letter []int32
+	k      int
+	// of is src's byte→class map, kept inline (as Compiled keeps its own)
+	// so that a memoized Step is this one lookup plus the row load.
+	of  [256]uint8
+	sts []*lazyState
 
 	// accelOff disables AccelSkip on this instance (the facade's
 	// WithoutPrefilter option and differential tests). scanQ memoizes the
@@ -42,13 +55,8 @@ type Lazy struct {
 }
 
 type lazyState struct {
-	members   []int
-	accepting bool
-	captures  []model.Capture // memoized on first request
-	capsDone  bool
-	// letter[c] is the det target for byte c: ≥ 0 a state id, −1 no
-	// transition, −2 not yet computed.
-	letter [256]int32
+	captures []model.Capture // memoized on first request
+	capsDone bool
 	// acc is the acceleration record of the state, memoized on first
 	// AccelSkip (the analysis itself mints states, like Step does).
 	acc     accel
@@ -58,68 +66,53 @@ type lazyState struct {
 // NewLazy returns a lazy determinizer over src, which must be sequential
 // for downstream enumeration to be duplicate-free (as with Determinize).
 func NewLazy(src *EVA) *Lazy {
-	l := &Lazy{src: src, index: make(map[string]int)}
-	if src.initial >= 0 {
-		l.intern([]int{src.initial})
-	}
+	sub := newSubsets(src)
+	l := &Lazy{sub: sub, k: len(sub.cls.rep), of: sub.cls.of}
+	l.grow()
 	return l
 }
 
-func (l *Lazy) intern(set []int) int {
-	key := subsetKey(set)
-	if id, ok := l.index[key]; ok {
-		return id
-	}
-	st := &lazyState{members: set}
-	for i := range st.letter {
-		st.letter[i] = -2
-	}
-	for _, q := range set {
-		if l.src.final[q] {
-			st.accepting = true
-			break
+// grow gives every state the subset construction minted since the last
+// call its memo row and record.
+func (l *Lazy) grow() {
+	for len(l.sts) < len(l.sub.members) {
+		l.sts = append(l.sts, &lazyState{})
+		for range l.k {
+			l.letter = append(l.letter, -2)
 		}
 	}
-	l.sts = append(l.sts, st)
-	id := len(l.sts) - 1
-	l.index[key] = id
 	l.discovered.Store(int64(len(l.sts)))
-	return id
 }
 
 // Initial returns the subset state {q0}.
 func (l *Lazy) Initial() int { return 0 }
 
 // Registry returns the variable registry.
-func (l *Lazy) Registry() *model.Registry { return l.src.reg }
+func (l *Lazy) Registry() *model.Registry { return l.sub.src.reg }
 
 // Accepting reports whether the subset contains a final state of the
 // source automaton.
-func (l *Lazy) Accepting(q int) bool { return l.sts[q].accepting }
+func (l *Lazy) Accepting(q int) bool { return l.sub.final[q] }
+
+// NumClasses returns the number of byte classes a memo row is indexed by:
+// those of the source automaton.
+func (l *Lazy) NumClasses() int { return l.k }
 
 // Step returns δ(q, c), computing and memoizing it on first use.
 func (l *Lazy) Step(q int, c byte) (int, bool) {
-	st := l.sts[q]
-	if t := st.letter[c]; t != -2 {
+	i := q*l.k + int(l.of[c])
+	if t := l.letter[i]; t != -2 {
 		return int(t), t >= 0
 	}
-	var to []int
-	for _, m := range st.members {
-		for _, e := range l.src.letters[m] {
-			if e.Class.Has(c) {
-				to = append(to, e.To)
-			}
-		}
-	}
-	if len(to) == 0 {
-		st.letter[c] = -1
-		return 0, false
-	}
-	id := l.intern(normalize(to))
-	// Re-fetch st: intern may have grown l.sts, but st is a pointer, so
-	// only the slice header changed; the pointed-to state is stable.
-	st.letter[c] = int32(id)
-	return id, true
+	return l.fill(q, i)
+}
+
+// fill computes the memo entry i = q*k+class of Step's miss path.
+func (l *Lazy) fill(q, i int) (int, bool) {
+	t := l.sub.letter(q, i-q*l.k)
+	l.grow()
+	l.letter[i] = int32(t)
+	return t, t >= 0
 }
 
 // Captures returns the extended variable transitions of subset state q,
@@ -129,19 +122,11 @@ func (l *Lazy) Captures(q int) []model.Capture {
 	if st.capsDone {
 		return st.captures
 	}
-	capTargets := make(map[model.Set][]int)
-	var order []model.Set
-	for _, m := range st.members {
-		for _, e := range l.src.captures[m] {
-			if _, ok := capTargets[e.S]; !ok {
-				order = append(order, e.S)
-			}
-			capTargets[e.S] = append(capTargets[e.S], e.To)
-		}
+	sets, targets := l.sub.capGroups(q)
+	for i, s := range sets {
+		st.captures = append(st.captures, model.Capture{S: s, To: l.sub.intern(normalize(targets[i]))})
 	}
-	for _, s := range order {
-		st.captures = append(st.captures, model.Capture{S: s, To: l.intern(normalize(capTargets[s]))})
-	}
+	l.grow()
 	st.capsDone = true
 	return st.captures
 }
@@ -153,18 +138,28 @@ type lazyStepper struct{ l *Lazy }
 
 func (s lazyStepper) step(q int, b byte) (int, bool) { return s.l.Step(q, b) }
 func (s lazyStepper) caps(q int) []model.Capture     { return s.l.Captures(q) }
+func (s lazyStepper) classes() *classes              { return s.l.sub.cls }
+
+// scanState returns the memoized findScanState anchor, -1 when none.
+func (l *Lazy) scanState() int {
+	if !l.scanQDone {
+		l.scanQ = -1
+		if len(l.sts) > 0 {
+			l.scanQ = findScanState(lazyStepper{l}, l.Initial())
+		}
+		l.scanQDone = true
+	}
+	return l.scanQ
+}
 
 // accelRec returns q's memoized acceleration record, computing it on first
 // use exactly like the transition memos. The literal analysis runs only at
 // the scan-anchor state, where sparse scans spend their time.
 func (l *Lazy) accelRec(q int) *accel {
-	if !l.scanQDone {
-		l.scanQ = findScanState(lazyStepper{l}, l.Initial())
-		l.scanQDone = true
-	}
+	scanQ := l.scanState()
 	st := l.sts[q]
 	if !st.accDone {
-		st.acc = analyzeAccel(lazyStepper{l}, q, q == l.scanQ)
+		st.acc = analyzeAccel(lazyStepper{l}, q, q == scanQ)
 		st.accDone = true
 	}
 	return &st.acc
@@ -191,11 +186,40 @@ func (l *Lazy) AccelSkip(q int, chunk []byte) int {
 // Compiled.AccelSink). Like AccelSkip it may mint states and memoizes the
 // per-state record, so it follows the same single-goroutine discipline.
 func (l *Lazy) AccelSink(q int) bool {
+	return !l.accelOff && l.accelRec(q).sink
+}
+
+// scanAccel returns the acceleration record of the scan anchor, nil when
+// there is no anchor or acceleration is off. The analysis mints and
+// memoizes the states it touches, which evaluation would otherwise mint at
+// its first AccelSkip.
+func (l *Lazy) scanAccel() *accel {
 	if l.accelOff {
-		return false
+		return nil
 	}
-	a := l.accelRec(q)
-	return a.mode != accelNone && a.skip.Len() == 256
+	if q := l.scanState(); q >= 0 {
+		return l.accelRec(q)
+	}
+	return nil
+}
+
+// ScanLeaveBytes returns the set of bytes that can leave the scan-anchor
+// configuration, when that anchor exists (see Compiled.ScanLeaveBytes).
+func (l *Lazy) ScanLeaveBytes() (model.ByteSet, bool) {
+	if a := l.scanAccel(); a != nil && a.mode != accelNone {
+		return a.skip.Negate(), true
+	}
+	return model.ByteSet{}, false
+}
+
+// ScanLiteral returns the required literal anchored at the scan-anchor
+// configuration, or "" when the forced-departure analysis found none (see
+// Compiled.ScanLiteral).
+func (l *Lazy) ScanLiteral() string {
+	if a := l.scanAccel(); a != nil && a.mode == accelLiteral {
+		return string(a.lit)
+	}
+	return ""
 }
 
 // AccelEnabled reports whether AccelSkip may answer non-zero on this

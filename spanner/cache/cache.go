@@ -262,8 +262,9 @@ func estimateCost(key string, s *spanner.Spanner) int64 {
 	cost += int64(st.DenseTableBytes)
 	cost += int64(st.EVAStates)*64 + int64(st.EVATransitions)*32
 	if st.Mode == spanner.ModeLazy {
-		// Each discovered subset state will own a 256-entry transition row.
-		cost += int64(st.EVAStates) * 1024
+		// Each discovered subset state will own a memo row of one 4-byte
+		// entry per byte class.
+		cost += int64(st.EVAStates) * int64(st.ByteClasses) * 4
 	}
 	return cost
 }

@@ -387,3 +387,33 @@ func TestPurge(t *testing.T) {
 		t.Fatalf("purged entry must recompile: %+v", st)
 	}
 }
+
+// TestLazyCostFollowsByteClasses pins the lazy entry estimate to its memo
+// rows: each source state is charged one 4-byte entry per byte class, not
+// a 256-entry row. The two queries differ only in one byte, so their
+// automata have the same sizes and their keys the same length, but /!x{a+}b/
+// has one byte class more than /!x{a+}a/.
+func TestLazyCostFollowsByteClasses(t *testing.T) {
+	ctx := context.Background()
+	cost := func(src string) (int64, spanner.Stats) {
+		c := cache.New(cache.Config{})
+		s, err := c.Get(ctx, src, spanner.ModeLazy)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c.Stats().Bytes, s.Stats()
+	}
+	two, st2 := cost(`/!x{a+}a/`)
+	three, st3 := cost(`/!x{a+}b/`)
+	if st2.ByteClasses != 2 || st3.ByteClasses != 3 || st2.EVAStates != st3.EVAStates ||
+		st2.EVATransitions != st3.EVATransitions {
+		t.Fatalf("queries must differ only in their byte classes: %+v vs %+v", st2, st3)
+	}
+	if got, want := three-two, int64(st3.EVAStates)*4; got != want {
+		t.Fatalf("one more byte class costs %d bytes, want %d (4 per source state)", got, want)
+	}
+	fig, st := cost(`/` + gen.Figure1Pattern() + `/`)
+	if old := int64(st.EVAStates) * 1024; fig >= old {
+		t.Fatalf("Figure 1 lazy entry costs %d bytes, want below the 256-entry rows alone (%d)", fig, old)
+	}
+}

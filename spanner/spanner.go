@@ -37,6 +37,7 @@ import (
 
 	"spanners/internal/core"
 	"spanners/internal/eva"
+	"spanners/internal/model"
 	"spanners/internal/rgx"
 )
 
@@ -136,9 +137,10 @@ type Stats struct {
 	// (byte-class compressed: one row per byte equivalence class, plus the
 	// shared 256→class map); zero in lazy mode.
 	DenseTableBytes int
-	// ByteClasses is the number of byte equivalence classes of the strict
-	// path's dense table; zero in lazy mode (the lazy determinizer keeps
-	// per-byte memo rows).
+	// ByteClasses is the number of byte equivalence classes the transition
+	// rows are indexed by: the dense table's in strict mode, the sequential
+	// eVA's in lazy mode (each discovered state owns one memo row of
+	// ByteClasses entries).
 	ByteClasses int
 	// AcceleratedStates is how many deterministic states carry an
 	// acceleration record (self-loop skip sets or a required literal) in
@@ -274,25 +276,30 @@ func compileEVA(pattern string, e *eva.EVA, start time.Time, opts []Option) (*Sp
 			EVATransitions: seq.NumTransitions(),
 		},
 	}
-	// The prefilter facts: strict mode reads them off the automaton it
-	// compiles; lazy mode, which has no materialized automaton to ask, runs
-	// the same analysis over an ephemeral on-the-fly determinization.
-	var pf eva.Prefilter
+	// The prefilter facts: both modes read them off the automaton they
+	// evaluate, before the WithoutPrefilter option turns acceleration off.
+	var (
+		leave    model.ByteSet
+		anchored bool
+		literal  string
+	)
 	switch cfg.mode {
 	case ModeLazy:
 		s.lazy = eva.NewLazy(seq)
+		leave, anchored = s.lazy.ScanLeaveBytes()
+		literal = s.lazy.ScanLiteral()
 		if cfg.noPrefilter {
 			s.lazy.DisableAccel()
 		}
-		pf = eva.AnalyzePrefilter(seq)
+		s.stats.ByteClasses = s.lazy.NumClasses()
 	default:
 		det := seq.Determinize()
 		dense, err := det.CompileDense()
 		if err != nil {
 			return nil, err
 		}
-		pf.LeaveInitial, pf.Accelerated = dense.ScanLeaveBytes()
-		pf.Literal = dense.ScanLiteral()
+		leave, anchored = dense.ScanLeaveBytes()
+		literal = dense.ScanLiteral()
 		if cfg.noPrefilter {
 			dense = dense.WithoutAccel()
 		}
@@ -302,10 +309,10 @@ func compileEVA(pattern string, e *eva.EVA, start time.Time, opts []Option) (*Sp
 		s.stats.ByteClasses = dense.NumClasses()
 		s.stats.AcceleratedStates = dense.AcceleratedStates()
 	}
-	if pf.Accelerated {
+	if anchored {
 		s.stats.PrefilterEnabled = !cfg.noPrefilter
-		s.stats.PrefilterLiteral = pf.Literal
-		s.stats.PrefilterLeaveBytes = pf.LeaveInitial.String()
+		s.stats.PrefilterLiteral = literal
+		s.stats.PrefilterLeaveBytes = leave.String()
 	}
 	s.stats.CompileTime = time.Since(start)
 	return s, nil

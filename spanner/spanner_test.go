@@ -234,6 +234,38 @@ func TestStatsShape(t *testing.T) {
 	}
 }
 
+// TestLazyCompileStats pins what a lazy spanner reports right after
+// compile. Its prefilter facts are read off its own Lazy, so the analysis
+// has already minted the scan anchor {q0} and the states the anchor's
+// self-loop and exits reach: 4 of the 29 that contacts documents need. The
+// class count is that of the sequential eVA the memo rows are indexed by
+// (and the cache's cost estimate charges); for Figure 1 it equals the
+// strict det-level count.
+func TestLazyCompileStats(t *testing.T) {
+	for _, c := range []struct {
+		opt   spanner.Option
+		after int // DetStates after one contacts document
+	}{
+		{spanner.WithLazy(), 29},
+		// Without the prefilter no acceleration analysis runs during the
+		// scan, so the one state only that analysis steps into stays unminted.
+		{spanner.WithoutPrefilter(), 28},
+	} {
+		l := spanner.MustCompile(gen.Figure1Pattern(), spanner.WithLazy(), c.opt)
+		st := l.Stats()
+		if st.DetStates != 4 || st.ByteClasses != 10 {
+			t.Fatalf("after compile: DetStates = %d, ByteClasses = %d, want 4 and 10", st.DetStates, st.ByteClasses)
+		}
+		l.Enumerate(gen.Contacts(100, 5), func(*spanner.Match) bool { return true })
+		if got := l.Stats().DetStates; got != c.after {
+			t.Fatalf("after a contacts document: DetStates = %d, want %d", got, c.after)
+		}
+	}
+	if s := spanner.MustCompile(gen.Figure1Pattern()); s.Stats().ByteClasses != 10 {
+		t.Fatalf("strict ByteClasses = %d, want 10", s.Stats().ByteClasses)
+	}
+}
+
 func TestGoroutineSafety(t *testing.T) {
 	for _, mode := range []spanner.Option{spanner.WithStrict(), spanner.WithLazy()} {
 		s := spanner.MustCompile(gen.Figure1Pattern(), mode)
