@@ -6,7 +6,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -30,9 +29,9 @@ func postRaw(t *testing.T, ts *httptest.Server, path string, body any) *http.Res
 	return resp
 }
 
-func registerCorpus(t *testing.T, ts *httptest.Server, name string, docs []string, shards int) corpusInfo {
+func registerCorpus(t *testing.T, ts *httptest.Server, name string, docs []string) corpusInfo {
 	t.Helper()
-	code, body := post(t, ts, "/v1/corpus/"+name, corpusRequest{Docs: docs, Shards: shards})
+	code, body := post(t, ts, "/v1/corpus/"+name, corpusRequest{Docs: docs})
 	if code != http.StatusOK {
 		t.Fatalf("register %s: %d %s", name, code, body)
 	}
@@ -66,12 +65,12 @@ func TestCorpusLifecycle(t *testing.T) {
 	ts := testServer(t, serverConfig{})
 	docs := corpusDocs(10)
 
-	info := registerCorpus(t, ts, "contacts", docs, 3)
-	if info.Generation != 1 || info.Docs != 10 || info.Shards != 3 || info.Bytes <= 0 {
+	info := registerCorpus(t, ts, "contacts", docs)
+	if info.Generation != 1 || info.Docs != 10 || info.Bytes <= 0 || info.MatchesServed != 0 {
 		t.Fatalf("register info = %+v", info)
 	}
 
-	// GET info exposes the per-shard partition.
+	// GET info describes the same snapshot.
 	code, body := get(t, ts, "/v1/corpus/contacts")
 	if code != http.StatusOK {
 		t.Fatalf("info: %d %s", code, body)
@@ -80,19 +79,11 @@ func TestCorpusLifecycle(t *testing.T) {
 	if err := json.Unmarshal([]byte(body), &full); err != nil {
 		t.Fatal(err)
 	}
-	if len(full.ShardInfo) != 3 {
-		t.Fatalf("shard info = %+v", full.ShardInfo)
-	}
-	shardDocs, shardBytes := 0, int64(0)
-	for _, sh := range full.ShardInfo {
-		shardDocs += sh.Docs
-		shardBytes += sh.Bytes
-	}
-	if shardDocs != full.Docs || shardBytes != full.Bytes {
-		t.Fatalf("shards don't partition the corpus: %+v", full)
+	if full != info {
+		t.Fatalf("info = %+v, registration said %+v", full, info)
 	}
 
-	if info := registerCorpus(t, ts, "contacts", docs[:4], 2); info.Generation != 2 || info.Docs != 4 {
+	if info := registerCorpus(t, ts, "contacts", docs[:4]); info.Generation != 2 || info.Docs != 4 {
 		t.Fatalf("replace info = %+v", info)
 	}
 
@@ -120,14 +111,14 @@ func TestCorpusLifecycle(t *testing.T) {
 	if code, _ := get(t, ts, "/v1/corpus/contacts"); code != http.StatusNotFound {
 		t.Fatalf("info after delete = %d, want 404", code)
 	}
-	if info := registerCorpus(t, ts, "contacts", docs[:1], 1); info.Generation != 4 {
+	if info := registerCorpus(t, ts, "contacts", docs[:1]); info.Generation != 4 {
 		t.Fatalf("re-register generation = %d, want 4 (past the tombstone)", info.Generation)
 	}
 }
 
 func TestCorpusRegistrationErrors(t *testing.T) {
 	ts := testServer(t, serverConfig{corpusLimits: corpus.Limits{
-		MaxCorpora: 4, MaxDocs: 50, MaxBytes: 1 << 20, MaxShards: 16,
+		MaxCorpora: 4, MaxDocs: 50, MaxBytes: 1 << 20,
 	}})
 	cases := []struct {
 		name string
@@ -136,8 +127,7 @@ func TestCorpusRegistrationErrors(t *testing.T) {
 		code int
 	}{
 		{"invalid name", "/v1/corpus/bad%20name", corpusRequest{Docs: []string{"x"}}, http.StatusBadRequest},
-		{"too many shards", "/v1/corpus/c", corpusRequest{Docs: []string{"x"}, Shards: 1000}, http.StatusBadRequest},
-		{"negative shards", "/v1/corpus/c", corpusRequest{Docs: []string{"x"}, Shards: -1}, http.StatusBadRequest},
+		{"shards field", "/v1/corpus/c", map[string]any{"docs": []string{"x"}, "shards": 4}, http.StatusBadRequest},
 		{"too many docs", "/v1/corpus/c", corpusRequest{Docs: make([]string, 100)}, http.StatusBadRequest},
 		{"unknown field", "/v1/corpus/c", map[string]any{"docs": []string{"x"}, "nope": 1}, http.StatusBadRequest},
 	}
@@ -169,45 +159,69 @@ func TestCorpusRegistrationErrors(t *testing.T) {
 }
 
 // TestCorpusEnumerateByteIdentical is the acceptance differential: the
-// NDJSON stream (rows AND trailer) of a K-shard corpus enumeration is
-// byte-identical to the unsharded evaluation of the same documents as
-// request-body docs, for K ∈ {1, 2, 8}, strict and lazy.
+// NDJSON stream (rows AND trailer) of a corpus enumeration, and its
+// counts, are byte-identical to the evaluation of the same documents as
+// request-body docs, strict and lazy.
 func TestCorpusEnumerateByteIdentical(t *testing.T) {
 	ts := testServer(t, serverConfig{})
 	docs := corpusDocs(23)
+	registerCorpus(t, ts, "c", docs)
 
 	for _, mode := range []string{"strict", "lazy"} {
-		_, unsharded := post(t, ts, "/v1/enumerate", map[string]any{
+		_, want := post(t, ts, "/v1/enumerate", map[string]any{
 			"query": testQuery, "docs": docs, "mode": mode,
 		})
-		_, unshardedCounts := post(t, ts, "/v1/count", map[string]any{
+		_, wantCounts := post(t, ts, "/v1/count", map[string]any{
 			"query": testQuery, "docs": docs, "mode": mode,
 		})
-		for _, k := range []int{1, 2, 8} {
-			name := fmt.Sprintf("c%s%d", mode, k)
-			registerCorpus(t, ts, name, docs, k)
+		resp := postRaw(t, ts, "/v1/enumerate?corpus=c", map[string]any{
+			"query": testQuery, "mode": mode,
+		})
+		body := readAll(t, resp)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: %d %s", mode, resp.StatusCode, body)
+		}
+		if body != want {
+			t.Fatalf("%s: corpus stream diverges from the docs stream\ngot  %s\nwant %s", mode, body, want)
+		}
+		if g := resp.Header.Get("X-Spanners-Corpus-Generation"); g != "1" {
+			t.Fatalf("%s: generation header %q", mode, g)
+		}
+		if code, counts := post(t, ts, "/v1/count?corpus=c", map[string]any{
+			"query": testQuery, "mode": mode,
+		}); code != http.StatusOK || counts != wantCounts {
+			t.Fatalf("%s: corpus counts diverge (%d)\ngot  %s\nwant %s", mode, code, counts, wantCounts)
+		}
+	}
+}
 
-			resp := postRaw(t, ts, "/v1/enumerate?corpus="+name, map[string]any{
-				"query": testQuery, "mode": mode,
-			})
-			body := readAll(t, resp)
-			if resp.StatusCode != http.StatusOK {
-				t.Fatalf("%s K=%d: %d %s", mode, k, resp.StatusCode, body)
-			}
-			if body != unsharded {
-				t.Fatalf("%s K=%d: corpus stream diverges from unsharded stream\ngot  %s\nwant %s", mode, k, body, unsharded)
-			}
-			if g := resp.Header.Get("X-Spanners-Corpus-Generation"); g != "1" {
-				t.Fatalf("%s K=%d: generation header %q", mode, k, g)
-			}
-			if sh := resp.Header.Get("X-Spanners-Corpus-Shards"); sh != strconv.Itoa(k) {
-				t.Fatalf("%s K=%d: shards header %q", mode, k, sh)
-			}
+// TestCorpusEdgeSizes runs the corpora at the edges of the two evaluation
+// paths through enumerate and count in both modes: an empty corpus, which
+// answers with an empty trailer and no counts, and a one-document corpus,
+// which takes the single-document path and must match the docs request
+// byte for byte.
+func TestCorpusEdgeSizes(t *testing.T) {
+	ts := testServer(t, serverConfig{})
+	one := []string{string(gen.Figure1Doc())}
+	registerCorpus(t, ts, "empty", []string{})
+	registerCorpus(t, ts, "one", one)
 
-			if code, counts := post(t, ts, "/v1/count?corpus="+name, map[string]any{
-				"query": testQuery, "mode": mode,
-			}); code != http.StatusOK || counts != unshardedCounts {
-				t.Fatalf("%s K=%d: corpus counts diverge (%d)\ngot  %s\nwant %s", mode, k, code, counts, unshardedCounts)
+	for _, mode := range []string{"strict", "lazy"} {
+		q := map[string]any{"query": testQuery, "mode": mode}
+		if code, body := post(t, ts, "/v1/enumerate?corpus=empty", q); code != http.StatusOK ||
+			body != `{"trailer":true,"docs":0,"docs_processed":0,"docs_skipped":0,"matches":0}`+"\n" {
+			t.Errorf("%s: empty corpus enumerate = %d %q", mode, code, body)
+		}
+		if code, body := post(t, ts, "/v1/count?corpus=empty", q); code != http.StatusOK || body != `{"counts":[]}`+"\n" {
+			t.Errorf("%s: empty corpus count = %d %q", mode, code, body)
+		}
+
+		withDocs := map[string]any{"query": testQuery, "mode": mode, "docs": one}
+		for _, ep := range []string{"/v1/enumerate", "/v1/count"} {
+			_, want := post(t, ts, ep, withDocs)
+			code, body := post(t, ts, ep+"?corpus=one", q)
+			if code != http.StatusOK || body != want {
+				t.Errorf("%s %s: one-document corpus = %d\ngot  %q\nwant %q", mode, ep, code, body, want)
 			}
 		}
 	}
@@ -223,7 +237,7 @@ func TestCorpusDeadlineAccounting(t *testing.T) {
 	for i := range docs {
 		docs[i] = doc
 	}
-	registerCorpus(t, ts, "big", docs, 8)
+	registerCorpus(t, ts, "big", docs)
 	// Warm the cache so compilation doesn't eat the budget.
 	if code, body := post(t, ts, "/v1/count", map[string]any{
 		"query": testQuery, "docs": []string{"warm"}}); code != http.StatusOK {
@@ -245,12 +259,20 @@ func TestCorpusDeadlineAccounting(t *testing.T) {
 	if tr.DocsSkipped == 0 {
 		t.Fatalf("deadline reported but nothing skipped: %+v", tr)
 	}
+	// The engine emits a strict input-order prefix, and every document
+	// of this corpus has matches, so each processed document — the last
+	// one, cut mid-stream, included — carries at least one row.
 	seen := make(map[int]bool)
 	for _, row := range rows {
 		if row.Doc >= tr.DocsProcessed {
 			t.Fatalf("row for doc %d beyond the processed prefix %d", row.Doc, tr.DocsProcessed)
 		}
 		seen[row.Doc] = true
+	}
+	for doc := range tr.DocsProcessed {
+		if !seen[doc] {
+			t.Fatalf("doc %d inside the processed prefix %d has no row", doc, tr.DocsProcessed)
+		}
 	}
 	if int64(len(rows)) != tr.Matches {
 		t.Fatalf("%d rows but trailer says %d matches", len(rows), tr.Matches)
@@ -278,7 +300,7 @@ func TestCorpusReplaceNeverMixesGenerations(t *testing.T) {
 		}
 		return docs
 	}
-	if info := registerCorpus(t, ts, "flip", genDocs(1), 4); info.Generation != 1 {
+	if info := registerCorpus(t, ts, "flip", genDocs(1)); info.Generation != 1 {
 		t.Fatalf("seed generation %d", info.Generation)
 	}
 
@@ -291,7 +313,7 @@ func TestCorpusReplaceNeverMixesGenerations(t *testing.T) {
 		// generation forever, which the invariant tolerates.
 		defer wg.Done()
 		for g := 2; !stop.Load(); g++ {
-			body, _ := json.Marshal(corpusRequest{Docs: genDocs(g), Shards: 1 + g%5})
+			body, _ := json.Marshal(corpusRequest{Docs: genDocs(g)})
 			resp, err := http.Post(ts.URL+"/v1/corpus/flip", "application/json", strings.NewReader(string(body)))
 			if err != nil {
 				return
@@ -334,44 +356,47 @@ func TestCorpusReplaceNeverMixesGenerations(t *testing.T) {
 	}
 }
 
-// TestCorpusVars pins the per-shard monitoring gauges: after serving a
-// corpus enumeration, /debug/vars reports each shard's docs/bytes and the
-// matches it served.
+// TestCorpusVars pins the per-corpus monitoring gauge: /debug/vars
+// reports each corpus's docs and bytes, and matches_served equals the
+// trailer matches of its enumerations summed; a replacement snapshot
+// starts again from 0.
 func TestCorpusVars(t *testing.T) {
 	ts := testServer(t, serverConfig{})
 	docs := corpusDocs(17)
-	registerCorpus(t, ts, "mon", docs, 4)
-	code, body := post(t, ts, "/v1/enumerate?corpus=mon", map[string]any{"query": testQuery})
-	if code != http.StatusOK {
-		t.Fatalf("enumerate: %d %s", code, body)
-	}
-	_, tr := ndjson(t, body)
-	if tr.Matches == 0 {
-		t.Fatal("test corpus produced no matches")
+	registerCorpus(t, ts, "mon", docs)
+	corpora := func() []corpusInfo {
+		t.Helper()
+		vars := debugVars(t, ts)
+		var cs []corpusInfo
+		if err := json.Unmarshal(vars["spannerd_corpora"], &cs); err != nil {
+			t.Fatalf("spannerd_corpora: %v\n%s", err, vars["spannerd_corpora"])
+		}
+		return cs
 	}
 
-	vars := debugVars(t, ts)
-	var cs []corpusInfo
-	if err := json.Unmarshal(vars["spannerd_corpora"], &cs); err != nil {
-		t.Fatalf("spannerd_corpora: %v\n%s", err, vars["spannerd_corpora"])
+	var matches int64
+	for _, limit := range []int{0, 3} {
+		code, body := post(t, ts, "/v1/enumerate?corpus=mon", map[string]any{"query": testQuery, "limit": limit})
+		if code != http.StatusOK {
+			t.Fatalf("enumerate: %d %s", code, body)
+		}
+		_, tr := ndjson(t, body)
+		if tr.Matches == 0 {
+			t.Fatal("test corpus produced no matches")
+		}
+		matches += tr.Matches
 	}
-	if len(cs) != 1 || cs[0].Name != "mon" || cs[0].Generation != 1 || cs[0].Docs != len(docs) {
+	cs := corpora()
+	if len(cs) != 1 || cs[0].Name != "mon" || cs[0].Generation != 1 || cs[0].Docs != len(docs) || cs[0].Bytes <= 0 {
 		t.Fatalf("spannerd_corpora = %+v", cs)
 	}
-	if len(cs[0].ShardInfo) != 4 {
-		t.Fatalf("shard info = %+v", cs[0].ShardInfo)
+	if cs[0].MatchesServed != matches {
+		t.Fatalf("matches_served = %d, the two trailers reported %d matches", cs[0].MatchesServed, matches)
 	}
-	var served int64
-	var shardDocs int
-	for _, sh := range cs[0].ShardInfo {
-		served += sh.MatchesServed
-		shardDocs += sh.Docs
-	}
-	if served != tr.Matches {
-		t.Fatalf("per-shard served sums to %d, trailer reported %d matches", served, tr.Matches)
-	}
-	if shardDocs != len(docs) {
-		t.Fatalf("per-shard docs sum to %d of %d", shardDocs, len(docs))
+
+	registerCorpus(t, ts, "mon", docs)
+	if cs := corpora(); len(cs) != 1 || cs[0].Generation != 2 || cs[0].MatchesServed != 0 {
+		t.Fatalf("after replacement spannerd_corpora = %+v, want generation 2 with 0 served", cs)
 	}
 }
 

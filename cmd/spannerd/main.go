@@ -16,22 +16,21 @@
 //
 //	POST /v1/enumerate  NDJSON: one line per match, then a trailer line
 //	                    accounting for documents processed/skipped.
-//	                    ?corpus=name evaluates a registered corpus via
-//	                    sharded scatter/gather instead of body docs.
+//	                    ?corpus=name evaluates a registered corpus
+//	                    instead of body docs, on the same engine pool.
 //	POST /v1/count      JSON: exact per-document match counts (Theorem
 //	                    5.1 counting pass; decimal strings, never
 //	                    enumerating). Accepts ?corpus=name too.
-//	POST /v1/corpus/{name}    register/replace a corpus: {"docs": [...],
-//	                          "shards": K}; replacement bumps the
-//	                          generation atomically.
+//	POST /v1/corpus/{name}    register/replace a corpus: {"docs": [...]};
+//	                          replacement bumps the generation atomically.
 //	GET  /v1/corpus           list registered corpora.
-//	GET  /v1/corpus/{name}    corpus info incl. per-shard gauges.
+//	GET  /v1/corpus/{name}    corpus info: docs, bytes, matches served.
 //	DELETE /v1/corpus/{name}  delete (consumes a tombstone generation).
 //	GET  /healthz       liveness probe.
 //	GET  /debug/vars    expvar-format snapshot: cache hit/miss/eviction
 //	                    counters, in-flight requests, per-query lazy
 //	                    determinization progress, and per-corpus
-//	                    per-shard gauges.
+//	                    matches served.
 //
 // Queries compile once per (canonical text, mode) and are reused by every
 // subsequent request; by default they compile in lazy (on-the-fly
@@ -72,11 +71,9 @@ func main() {
 		maxDocs      = flag.Int("max-docs", 1024, "max documents per request")
 		workers      = flag.Int("workers", 0, "engine worker-pool size per batch request (0 = GOMAXPROCS)")
 
-		shards          = flag.Int("shards", 4, "default shard count for registered corpora")
-		maxCorpora      = flag.Int("max-corpora", corpus.DefaultMaxCorpora, "max registered corpora")
-		maxCorpusDocs   = flag.Int("max-corpus-docs", corpus.DefaultMaxDocs, "max documents per registered corpus")
-		maxCorpusBytes  = flag.Int64("max-corpus-bytes", corpus.DefaultMaxBytes, "max raw document bytes per registered corpus")
-		maxCorpusShards = flag.Int("max-corpus-shards", corpus.DefaultMaxShards, "max shard count a registration may request")
+		maxCorpora     = flag.Int("max-corpora", corpus.DefaultMaxCorpora, "max registered corpora")
+		maxCorpusDocs  = flag.Int("max-corpus-docs", corpus.DefaultMaxDocs, "max documents per registered corpus")
+		maxCorpusBytes = flag.Int64("max-corpus-bytes", corpus.DefaultMaxBytes, "max raw document bytes per registered corpus")
 	)
 	flag.Parse()
 
@@ -99,12 +96,10 @@ func main() {
 		maxBody:      *maxBody,
 		maxDocs:      *maxDocs,
 		workers:      *workers,
-		shards:       *shards,
 		corpusLimits: corpus.Limits{
 			MaxCorpora: *maxCorpora,
 			MaxDocs:    *maxCorpusDocs,
 			MaxBytes:   *maxCorpusBytes,
-			MaxShards:  *maxCorpusShards,
 		},
 	})
 	httpSrv := &http.Server{

@@ -21,7 +21,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"spanners/cluster"
 	"spanners/corpus"
 	"spanners/engine"
 	"spanners/internal/jsonrow"
@@ -39,7 +38,6 @@ type serverConfig struct {
 	maxBody      int64         // request body bound, bytes
 	maxDocs      int           // documents per request
 	workers      int           // engine pool size; <1 = GOMAXPROCS
-	shards       int           // default shards per registered corpus
 	corpusLimits corpus.Limits // registration bounds
 }
 
@@ -66,9 +64,6 @@ func newServer(cfg serverConfig) *server {
 	}
 	if cfg.maxDocs <= 0 {
 		cfg.maxDocs = 1024
-	}
-	if cfg.shards <= 0 {
-		cfg.shards = 4
 	}
 	s := &server{
 		cfg:     cfg,
@@ -105,7 +100,8 @@ type request struct {
 	Query string `json:"query"`
 	// Docs are the documents to evaluate, fanned out across the engine
 	// worker pool when there is more than one. Mutually exclusive with
-	// the ?corpus= query parameter.
+	// the ?corpus= query parameter, which takes the documents of a
+	// registered corpus instead.
 	Docs []string `json:"docs"`
 	// Mode selects the determinization mode: "lazy", "strict", or "" for
 	// the server default.
@@ -217,13 +213,60 @@ func (s *server) compileCached(ctx context.Context, w http.ResponseWriter, req *
 	return nil, false
 }
 
+// batch is the documents one evaluation request runs over: the body's
+// docs, or the current snapshot of the corpus it names.
+type batch struct {
+	docs []string
+	snap *corpus.Snapshot // nil for body docs
+}
+
+func (b batch) len() int {
+	if b.snap != nil {
+		return b.snap.Len()
+	}
+	return len(b.docs)
+}
+
+// doc returns document i. A corpus document is shared with its snapshot;
+// a body document is copied out of its string.
+func (b batch) doc(i int) []byte {
+	if b.snap != nil {
+		return b.snap.Doc(i)
+	}
+	return []byte(b.docs[i])
+}
+
+// batch resolves req's documents. A ?corpus= name that is not registered
+// is a 404, written to w; ok reports whether the request goes on.
+func (s *server) batch(w http.ResponseWriter, req *request) (b batch, ok bool) {
+	b.docs = req.Docs
+	if req.Corpus == "" {
+		return b, true
+	}
+	if b.snap, ok = s.corpora.Get(req.Corpus); !ok {
+		writeError(w, http.StatusNotFound, fmt.Sprintf("no corpus registered as %q", req.Corpus))
+	}
+	return b, ok
+}
+
+// stamp marks a successful corpus response with the generation it was
+// computed against. Headers rather than trailer fields on purpose: the
+// NDJSON stream of a corpus enumeration stays byte-identical to the
+// equivalent request-docs stream.
+func (b batch) stamp(w http.ResponseWriter) {
+	if b.snap == nil {
+		return
+	}
+	h := w.Header()
+	h.Set("X-Spanners-Corpus", b.snap.Name())
+	h.Set("X-Spanners-Corpus-Generation", strconv.FormatUint(b.snap.Generation(), 10))
+}
+
 // docRows is one document's share of an enumerate response: the rows it
-// has emitted so far, and whether its text needs escaping at all. The
-// latter is decided by jsonrow.Plain on the first row, so a document
-// without matches never pays the scan.
+// has emitted so far, and the escaping state of its texts.
 type docRows struct {
-	n     int
-	plain bool
+	n   int
+	esc jsonrow.DocState
 }
 
 // appendRow appends one NDJSON line of an enumerate response to dst:
@@ -236,14 +279,11 @@ type docRows struct {
 // jsonrow), built without allocating once dst has grown. Every match
 // passed for one d must come from the same document.
 func (d *docRows) appendRow(dst []byte, doc int, spans *jsonrow.Spans, m *spanner.Match) []byte {
-	if d.n == 0 {
-		d.plain = jsonrow.Plain(m.Doc())
-	}
 	d.n++
 	dst = append(dst, `{"doc":`...)
 	dst = strconv.AppendInt(dst, int64(doc), 10)
 	dst = append(dst, `,"spans":`...)
-	dst = spans.Append(dst, m, d.plain)
+	dst = spans.Append(dst, m, &d.esc)
 	return append(dst, "}\n"...)
 }
 
@@ -298,25 +338,19 @@ type trailer struct {
 
 // handleEnumerate streams every match of every document as NDJSON,
 // grouped by document in input order, and closes with a trailer line.
-// Single documents run sp.EnumerateContext directly; batches fan out
-// through engine.ProcessContext, preprocessing on the worker pool; a
-// ?corpus= request scatters over the registered corpus's shards and
-// gathers the per-shard streams back into the same global input order
-// (package cluster), so the response is byte-identical to evaluating the
-// corpus documents unsharded.
+// A single document runs sp.EnumerateContext directly; more fan out
+// through engine.ProcessContext, preprocessing on the worker pool. Body
+// docs and corpus documents take the same paths, so a corpus response is
+// byte-identical to the same documents sent in the body.
 func (s *server) handleEnumerate(w http.ResponseWriter, r *http.Request) {
 	req, err := s.decodeRequest(w, r)
 	if err != nil {
 		writeRequestError(w, err)
 		return
 	}
-	var snap *corpus.Snapshot
-	if req.Corpus != "" {
-		var ok bool
-		if snap, ok = s.corpora.Get(req.Corpus); !ok {
-			writeError(w, http.StatusNotFound, fmt.Sprintf("no corpus registered as %q", req.Corpus))
-			return
-		}
+	b, ok := s.batch(w, req)
+	if !ok {
+		return
 	}
 	ctx, cancel := s.deadline(r, req)
 	defer cancel()
@@ -325,16 +359,14 @@ func (s *server) handleEnumerate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	if snap != nil {
-		setCorpusHeaders(w, snap)
-	}
+	b.stamp(w)
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	flush := func() {
 		if f, ok := w.(http.Flusher); ok {
 			f.Flush()
 		}
 	}
-	tr := trailer{Docs: len(req.Docs)}
+	tr := trailer{Docs: b.len()}
 	spans := jsonrow.NewSpans(sp.Vars())
 	// Rows accumulate in buf, pooled across responses, and reach w in
 	// batches: at every flush point, at every document's end, before the
@@ -381,26 +413,9 @@ func (s *server) handleEnumerate(w http.ResponseWriter, r *http.Request) {
 		return len(buf) < writeBatch || write()
 	}
 
-	switch {
-	case snap != nil:
-		tr.Docs = snap.Len()
-		co := cluster.New(sp, snap, cluster.Workers(s.cfg.workers))
-		gather, cerr := co.ProcessContext(ctx,
-			func(doc int, ev *spanner.Evaluation, _ error) bool {
-				var d docRows
-				ev.Enumerate(func(m *spanner.Match) bool {
-					return emitDoc(doc, m, &d)
-				})
-				snap.AddServed(snap.Owner(doc), int64(d.n))
-				return push()
-			})
-		tr.DocsProcessed = gather.Processed
-		if cerr != nil {
-			tr.Error = cerr.Error()
-		}
-	case len(req.Docs) == 1:
+	if tr.Docs == 1 {
 		var d docRows
-		err := sp.EnumerateContext(ctx, []byte(req.Docs[0]), func(m *spanner.Match) bool {
+		err := sp.EnumerateContext(ctx, b.doc(0), func(m *spanner.Match) bool {
 			return emitDoc(0, m, &d)
 		})
 		if err != nil {
@@ -412,11 +427,10 @@ func (s *server) handleEnumerate(w http.ResponseWriter, r *http.Request) {
 		if err == nil || tr.Matches > 0 {
 			tr.DocsProcessed = 1
 		}
-	default:
-		docs := req.Docs
+	} else {
 		eng := engine.New(sp, engine.Workers(s.cfg.workers))
-		emitted, ctxErr := eng.ProcessContext(ctx, len(docs),
-			func(i engine.DocID) ([]byte, error) { return []byte(docs[i]), nil },
+		emitted, ctxErr := eng.ProcessContext(ctx, tr.Docs,
+			func(i engine.DocID) ([]byte, error) { return b.doc(int(i)), nil },
 			func(i engine.DocID, ev *spanner.Evaluation, _ error) bool {
 				var d docRows
 				ev.Enumerate(func(m *spanner.Match) bool {
@@ -428,6 +442,9 @@ func (s *server) handleEnumerate(w http.ResponseWriter, r *http.Request) {
 		if ctxErr != nil {
 			tr.Error = ctxErr.Error()
 		}
+	}
+	if b.snap != nil {
+		b.snap.AddServed(tr.Matches)
 	}
 	if !write() {
 		return // the client is gone; no point writing a trailer
@@ -457,24 +474,21 @@ type countResponse struct {
 }
 
 // handleCount runs the Theorem 5.1 counting pass — no enumeration, no
-// match materialization — over every document, fanning batches across an
-// ordered worker pool. Counts are always exact: the uint64 pass falls back
-// to big-integer arithmetic when it overflows. Unlike enumerate (which
-// streams and therefore reports partial progress in its trailer), count
-// responds all-or-nothing: a deadline mid-batch is a 504.
+// match materialization — over every document, body docs or a corpus
+// alike, fanning batches across an ordered worker pool. Counts are always
+// exact: the uint64 pass falls back to big-integer arithmetic when it
+// overflows. Unlike enumerate (which streams and therefore reports partial
+// progress in its trailer), count responds all-or-nothing: a deadline
+// mid-batch is a 504.
 func (s *server) handleCount(w http.ResponseWriter, r *http.Request) {
 	req, err := s.decodeRequest(w, r)
 	if err != nil {
 		writeRequestError(w, err)
 		return
 	}
-	var snap *corpus.Snapshot
-	if req.Corpus != "" {
-		var ok bool
-		if snap, ok = s.corpora.Get(req.Corpus); !ok {
-			writeError(w, http.StatusNotFound, fmt.Sprintf("no corpus registered as %q", req.Corpus))
-			return
-		}
+	b, ok := s.batch(w, req)
+	if !ok {
+		return
 	}
 	ctx, cancel := s.deadline(r, req)
 	defer cancel()
@@ -483,37 +497,15 @@ func (s *server) handleCount(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	if snap != nil {
-		// Scatter the counting pass over the corpus shards; results land
-		// in global document order, all-or-nothing like the docs path.
-		resp := countResponse{Counts: make([]countResult, snap.Len())}
-		co := cluster.New(sp, snap, cluster.Workers(s.cfg.workers))
-		err := co.CountContext(ctx, func(ctx context.Context, doc int, data []byte) error {
-			c, err := countDoc(ctx, sp, data)
-			if err != nil {
-				return err
-			}
-			resp.Counts[doc] = c
-			return nil
-		})
-		if err != nil {
-			writeError(w, http.StatusGatewayTimeout, err.Error())
-			return
-		}
-		setCorpusHeaders(w, snap)
-		writeJSON(w, http.StatusOK, resp)
-		return
-	}
-
-	resp := countResponse{Counts: make([]countResult, len(req.Docs))}
+	resp := countResponse{Counts: make([]countResult, b.len())}
 	workers := s.cfg.workers
 	if workers < 1 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	var evalErr error
-	engine.Map(workers, len(req.Docs),
+	engine.Map(workers, len(resp.Counts),
 		func(i int) error {
-			c, err := countDoc(ctx, sp, []byte(req.Docs[i]))
+			c, err := countDoc(ctx, sp, b.doc(i))
 			if err != nil {
 				return err
 			}
@@ -531,6 +523,7 @@ func (s *server) handleCount(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusGatewayTimeout, evalErr.Error())
 		return
 	}
+	b.stamp(w)
 	writeJSON(w, http.StatusOK, resp)
 }
 
@@ -549,63 +542,26 @@ type corpusRequest struct {
 	// Docs are the corpus documents, in the input order every enumeration
 	// of the corpus will reproduce.
 	Docs []string `json:"docs"`
-	// Shards overrides the server's default shard count (-shards);
-	// 0 means the default.
-	Shards int `json:"shards,omitempty"`
 }
 
-// corpusInfo describes one registered corpus on the wire; shard is
-// present in the per-shard listing of GET /v1/corpus/{name} and
-// /debug/vars but omitted from summaries.
+// corpusInfo describes one registered corpus on the wire, with the
+// matches its enumerations have streamed (this generation).
 type corpusInfo struct {
-	Name       string           `json:"name"`
-	Generation uint64           `json:"generation"`
-	Docs       int              `json:"docs"`
-	Bytes      int64            `json:"bytes"`
-	Shards     int              `json:"shards"`
-	ShardInfo  []corpusShardVar `json:"shard_info,omitempty"`
+	Name          string `json:"name"`
+	Generation    uint64 `json:"generation"`
+	Docs          int    `json:"docs"`
+	Bytes         int64  `json:"bytes"`
+	MatchesServed int64  `json:"matches_served"`
 }
 
-// corpusShardVar is one shard's gauges: its slice of the corpus plus the
-// matches it has served (this generation).
-type corpusShardVar struct {
-	Shard         int   `json:"shard"`
-	Docs          int   `json:"docs"`
-	Bytes         int64 `json:"bytes"`
-	MatchesServed int64 `json:"matches_served"`
-}
-
-func snapInfo(snap *corpus.Snapshot, shards bool) corpusInfo {
-	info := corpusInfo{
-		Name:       snap.Name(),
-		Generation: snap.Generation(),
-		Docs:       snap.Len(),
-		Bytes:      snap.Bytes(),
-		Shards:     snap.Shards(),
+func snapInfo(snap *corpus.Snapshot) corpusInfo {
+	return corpusInfo{
+		Name:          snap.Name(),
+		Generation:    snap.Generation(),
+		Docs:          snap.Len(),
+		Bytes:         snap.Bytes(),
+		MatchesServed: snap.Served(),
 	}
-	if shards {
-		info.ShardInfo = make([]corpusShardVar, snap.Shards())
-		for k := range info.ShardInfo {
-			info.ShardInfo[k] = corpusShardVar{
-				Shard:         k,
-				Docs:          len(snap.ShardDocs(k)),
-				Bytes:         snap.ShardBytes(k),
-				MatchesServed: snap.Served(k),
-			}
-		}
-	}
-	return info
-}
-
-// setCorpusHeaders stamps a corpus-backed response with the generation it
-// was computed against. Headers rather than trailer fields on purpose: the
-// NDJSON stream of a corpus enumeration stays byte-identical to the
-// equivalent request-docs stream, which is the merge's whole contract.
-func setCorpusHeaders(w http.ResponseWriter, snap *corpus.Snapshot) {
-	h := w.Header()
-	h.Set("X-Spanners-Corpus", snap.Name())
-	h.Set("X-Spanners-Corpus-Generation", fmt.Sprintf("%d", snap.Generation()))
-	h.Set("X-Spanners-Corpus-Shards", fmt.Sprintf("%d", snap.Shards()))
 }
 
 // handleCorpusRegister installs (or replaces) a named corpus. Replacement
@@ -617,10 +573,6 @@ func (s *server) handleCorpusRegister(w http.ResponseWriter, r *http.Request) {
 	if err := decodeStrict(http.MaxBytesReader(w, r.Body, s.corpusBodyLimit()), &req); err != nil {
 		writeRequestError(w, err)
 		return
-	}
-	shards := req.Shards
-	if shards == 0 {
-		shards = s.cfg.shards
 	}
 	// The registry enforces its own document cap, but only after this
 	// handler has materialized the [][]byte — and the body limit alone
@@ -634,12 +586,14 @@ func (s *server) handleCorpusRegister(w http.ResponseWriter, r *http.Request) {
 	for i, d := range req.Docs {
 		docs[i] = []byte(d)
 	}
-	snap, err := s.corpora.Register(name, docs, shards)
+	// One shard: the daemon evaluates a corpus on the engine pool, like
+	// body docs, so the partition has nothing to do here.
+	snap, err := s.corpora.Register(name, docs, 1)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	writeJSON(w, http.StatusOK, snapInfo(snap, false))
+	writeJSON(w, http.StatusOK, snapInfo(snap))
 }
 
 // corpusDocLimit mirrors the registry's per-corpus document cap so the
@@ -667,7 +621,7 @@ func (s *server) handleCorpusInfo(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, fmt.Sprintf("no corpus registered as %q", r.PathValue("name")))
 		return
 	}
-	writeJSON(w, http.StatusOK, snapInfo(snap, true))
+	writeJSON(w, http.StatusOK, snapInfo(snap))
 }
 
 func (s *server) handleCorpusDelete(w http.ResponseWriter, r *http.Request) {
@@ -686,7 +640,7 @@ func (s *server) handleCorpusList(w http.ResponseWriter, r *http.Request) {
 	snaps := s.corpora.List()
 	infos := make([]corpusInfo, len(snaps))
 	for i, snap := range snaps {
-		infos[i] = snapInfo(snap, false)
+		infos[i] = snapInfo(snap)
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"corpora": infos})
 }
@@ -768,12 +722,12 @@ func (s *server) handleVars(w http.ResponseWriter, r *http.Request) {
 	}))
 	emit("spannerd_queries", mustJSON(qs))
 
-	// Per-corpus, per-shard gauges: docs/bytes owned and matches served,
-	// for the current generation of each registered corpus.
+	// Per-corpus gauges: docs, bytes and matches served, for the current
+	// generation of each registered corpus.
 	snaps := s.corpora.List()
 	cs := make([]corpusInfo, len(snaps))
 	for i, snap := range snaps {
-		cs[i] = snapInfo(snap, true)
+		cs[i] = snapInfo(snap)
 	}
 	emit("spannerd_corpora", mustJSON(cs))
 	b.WriteString("\n}\n")

@@ -350,11 +350,10 @@ func runBatchCount(ctx context.Context, sp *spanner.Spanner, files []string, std
 type renderer struct {
 	jsonOut bool
 	prefix  bool
-	out     *bufio.Writer  // over stdout
-	spans   *jsonrow.Spans // -json: the spans object writer
-	row     []byte         // -json: the current line, reused across matches
-	scanned bool           // -json: plain is decided for the current input
-	plain   bool           // -json: jsonrow.Plain of the current input
+	out     *bufio.Writer    // over stdout
+	spans   *jsonrow.Spans   // -json: the spans object writer
+	row     []byte           // -json: the current line, reused across matches
+	doc     jsonrow.DocState // -json: escaping state of the current input
 	err     error
 }
 
@@ -362,7 +361,7 @@ type renderer struct {
 // input: the next match belongs to a new document. It returns the first
 // write error, latched like a failed row write.
 func (r *renderer) flush() error {
-	r.scanned = false
+	r.doc = jsonrow.DocState{}
 	if r.err == nil {
 		r.err = r.out.Flush()
 	}
@@ -377,9 +376,6 @@ func (r *renderer) match(name string, m *spanner.Match) bool {
 		return false
 	}
 	if r.jsonOut {
-		if !r.scanned {
-			r.plain, r.scanned = jsonrow.Plain(m.Doc()), true
-		}
 		r.row = append(r.row[:0], '{')
 		if r.prefix {
 			r.row = append(r.row, `"file":`...)
@@ -387,7 +383,7 @@ func (r *renderer) match(name string, m *spanner.Match) bool {
 			r.row = append(r.row, ',')
 		}
 		r.row = append(r.row, `"spans":`...)
-		r.row = r.spans.Append(r.row, m, r.plain)
+		r.row = r.spans.Append(r.row, m, &r.doc)
 		r.row = append(r.row, "}\n"...)
 		if _, e := r.out.Write(r.row); e != nil {
 			r.err = e

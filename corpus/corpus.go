@@ -1,11 +1,8 @@
 // Package corpus turns spannerd from a stateless evaluator of
 // request-supplied documents into a service over *registered* document
 // sets. A corpus is a named, ordered sequence of documents that is
-// registered once and queried many times; registration hash-partitions
-// the documents into K shards so a query can be fanned out across
-// per-shard workers (package cluster) and the per-shard streams merged
-// back into the globally deterministic input-order stream the engine
-// guarantees per process.
+// registered once and queried many times; spannerd evaluates it on the
+// engine pool exactly as it evaluates request-body documents.
 //
 // Two invariants carry the whole design:
 //
@@ -22,13 +19,16 @@
 //     consumes a generation (the tombstone), closing the ABA window where
 //     a delete+re-register could masquerade as the deleted corpus.
 //
-// Sharding is by stable document ordinal (the document's position in the
-// registered order), mixed through a 64-bit finalizer: balanced whatever
-// the document contents, deterministic for a given (corpus size, K), and
-// the groundwork for user-supplied document keys once shards split over
-// TCP. Within a shard, documents keep their global order, so a shard's
-// evaluation stream is an order-preserving subsequence of the corpus
-// stream — exactly what the cluster merge relies on.
+// Registration also hash-partitions the documents into K shards. The
+// partition serves only package cluster, a scatter/gather evaluator that
+// the benchmark's traced ladder (perfbench) imports and spannerd does not;
+// spannerd registers every corpus with K = 1. Sharding is by stable
+// document ordinal (the document's position in the registered order),
+// mixed through a 64-bit finalizer: balanced whatever the document
+// contents and deterministic for a given (corpus size, K). Within a
+// shard, documents keep their global order, so a shard's evaluation
+// stream is an order-preserving subsequence of the corpus stream —
+// exactly what the cluster merge relies on.
 package corpus
 
 import (
@@ -45,7 +45,6 @@ type Limits struct {
 	MaxCorpora int   // distinct names (default 64)
 	MaxDocs    int   // documents per corpus (default 1<<20)
 	MaxBytes   int64 // sum of raw document bytes per corpus (default 1<<30)
-	MaxShards  int   // shard count per corpus (default 256)
 }
 
 // Defaults for Limits fields left zero.
@@ -53,7 +52,6 @@ const (
 	DefaultMaxCorpora = 64
 	DefaultMaxDocs    = 1 << 20
 	DefaultMaxBytes   = 1 << 30
-	DefaultMaxShards  = 256
 )
 
 func (l Limits) withDefaults() Limits {
@@ -66,9 +64,6 @@ func (l Limits) withDefaults() Limits {
 	if l.MaxBytes <= 0 {
 		l.MaxBytes = DefaultMaxBytes
 	}
-	if l.MaxShards <= 0 {
-		l.MaxShards = DefaultMaxShards
-	}
 	return l
 }
 
@@ -77,18 +72,17 @@ func (l Limits) withDefaults() Limits {
 // methods are safe for concurrent use; the document bytes returned by Doc
 // are shared, not copied, and must not be mutated.
 //
-// The only mutable state is the per-shard served-matches counters — plain
-// gauges for monitoring, reset naturally when a replacement snapshot is
+// The only mutable state is the served-matches counter — a plain gauge
+// for monitoring, reset naturally when a replacement snapshot is
 // installed.
 type Snapshot struct {
 	name       string
 	generation uint64
 	docs       [][]byte
 	bytes      int64
-	owner      []int   // document ordinal -> shard
-	shards     [][]int // shard -> ascending document ordinals
-	shardBytes []int64
-	served     []atomic.Int64 // matches served per shard, this generation; spanlint:atomic
+	owner      []int        // document ordinal -> shard
+	shards     [][]int      // shard -> ascending document ordinals
+	served     atomic.Int64 // matches served, this generation; spanlint:atomic
 }
 
 // NewSnapshot partitions docs into shards and returns a free-standing
@@ -105,14 +99,11 @@ func NewSnapshot(name string, generation uint64, docs [][]byte, shards int) *Sna
 		docs:       docs,
 		owner:      make([]int, len(docs)),
 		shards:     make([][]int, shards),
-		shardBytes: make([]int64, shards),
-		served:     make([]atomic.Int64, shards),
 	}
 	for i, d := range docs {
 		k := int(mix64(uint64(i)) % uint64(shards))
 		s.owner[i] = k
 		s.shards[k] = append(s.shards[k], i)
-		s.shardBytes[k] += int64(len(d))
 		s.bytes += int64(len(d))
 	}
 	return s
@@ -154,14 +145,11 @@ func (s *Snapshot) Owner(i int) int { return s.owner[i] }
 // order. The slice is shared: callers must not mutate it.
 func (s *Snapshot) ShardDocs(k int) []int { return s.shards[k] }
 
-// ShardBytes returns the raw document bytes owned by shard k.
-func (s *Snapshot) ShardBytes(k int) int64 { return s.shardBytes[k] }
+// AddServed adds n to the served-matches counter.
+func (s *Snapshot) AddServed(n int64) { s.served.Add(n) }
 
-// AddServed adds n to shard k's served-matches counter.
-func (s *Snapshot) AddServed(k int, n int64) { s.served[k].Add(n) }
-
-// Served reads shard k's served-matches counter.
-func (s *Snapshot) Served(k int) int64 { return s.served[k].Load() }
+// Served reads the served-matches counter.
+func (s *Snapshot) Served() int64 { return s.served.Load() }
 
 // Registry is the named-corpus directory: Register installs snapshots,
 // Get hands them out, Delete removes them. It is safe for concurrent use;
@@ -211,14 +199,14 @@ func ValidName(name string) bool {
 // Register installs (or replaces) the corpus under name, partitioned into
 // shards, and returns its snapshot. The documents are referenced, not
 // copied, and must not be mutated afterwards. A non-nil error is a client
-// error: invalid name, shard count outside [1, MaxShards], or a corpus
-// over the registry's size limits.
+// error: invalid name, a shard count below 1, or a corpus over the
+// registry's size limits.
 func (r *Registry) Register(name string, docs [][]byte, shards int) (*Snapshot, error) {
 	if !ValidName(name) {
 		return nil, fmt.Errorf("invalid corpus name %q (want 1-128 bytes of [A-Za-z0-9._-])", name)
 	}
-	if shards < 1 || shards > r.limits.MaxShards {
-		return nil, fmt.Errorf("shard count %d outside [1, %d]", shards, r.limits.MaxShards)
+	if shards < 1 {
+		return nil, fmt.Errorf("shard count %d is below 1", shards)
 	}
 	if len(docs) > r.limits.MaxDocs {
 		return nil, fmt.Errorf("corpus has %d documents; this registry accepts at most %d", len(docs), r.limits.MaxDocs)

@@ -65,9 +65,6 @@ func TestSnapshotBytes(t *testing.T) {
 	if snap.Bytes() != 5 {
 		t.Fatalf("Bytes() = %d, want 5", snap.Bytes())
 	}
-	if snap.ShardBytes(0)+snap.ShardBytes(1) != 5 {
-		t.Fatalf("shard bytes %d + %d != 5", snap.ShardBytes(0), snap.ShardBytes(1))
-	}
 }
 
 // TestGenerationsMonotone pins the generation contract: first Register is
@@ -104,15 +101,12 @@ func TestGenerationsMonotone(t *testing.T) {
 }
 
 func TestRegistryLimits(t *testing.T) {
-	r := NewRegistry(Limits{MaxCorpora: 2, MaxDocs: 3, MaxBytes: 10, MaxShards: 4})
+	r := NewRegistry(Limits{MaxCorpora: 2, MaxDocs: 3, MaxBytes: 10})
 	if _, err := r.Register("c", docsOf(4), 1); err == nil {
 		t.Fatal("over-doc-count register accepted")
 	}
 	if _, err := r.Register("c", [][]byte{make([]byte, 11)}, 1); err == nil {
 		t.Fatal("over-bytes register accepted")
-	}
-	if _, err := r.Register("c", docsOf(1), 5); err == nil {
-		t.Fatal("over-shards register accepted")
 	}
 	if _, err := r.Register("c", docsOf(1), 0); err == nil {
 		t.Fatal("zero shards accepted")

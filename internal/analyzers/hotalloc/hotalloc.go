@@ -19,7 +19,10 @@
 //   - capacity-managed growth: any allocation dominated by a branch
 //     whose condition reads cap(…) (the arena's
 //     `if len(a.cells) == cap(a.cells)` regrowth), and lazy
-//     initialization under a nil check — cold paths that amortize away;
+//     initialization under a nil check — an assignment to x itself in
+//     the branch where x is nil (`if x == nil { x = make(…) }`); other
+//     statements in that branch are checked like any code. Both are cold
+//     paths that amortize away;
 //   - evidenced appends: append(x[:0], …), or an append whose
 //     destination is truncated (`x = x[:…]`) somewhere in the package —
 //     the scratch-reuse idiom that recycles capacity across documents.
@@ -465,8 +468,9 @@ func checkBoxing(pass *analysis.Pass, call *ast.CallExpr, addSite func(token.Pos
 
 // exemptRanges returns the source ranges of cold-path code inside body:
 // whole if-statements whose condition reads cap(…) (capacity-managed
-// growth), then-branches of == nil checks and else-branches of != nil
-// checks (lazy initialization).
+// growth), and lazy initialization: the assignments to x in the
+// then-branch of an x == nil check or the else-branch of an x != nil
+// check.
 func exemptRanges(body *ast.BlockStmt) [][2]token.Pos {
 	var ranges [][2]token.Pos
 	add := func(n ast.Node) {
@@ -483,14 +487,24 @@ func exemptRanges(body *ast.BlockStmt) [][2]token.Pos {
 			add(ifs)
 			return true
 		}
-		if op, ok := nilComparison(ifs.Cond); ok {
-			switch op {
-			case token.EQL:
-				add(ifs.Body)
-			case token.NEQ:
-				add(ifs.Else)
-			}
+		x, op, ok := nilComparison(ifs.Cond)
+		if !ok {
+			return true
 		}
+		branch := ast.Node(ifs.Body)
+		if op == token.NEQ {
+			branch = ifs.Else
+		}
+		if branch == nil {
+			return true
+		}
+		key := types.ExprString(x)
+		ast.Inspect(branch, func(n ast.Node) bool {
+			if as, ok := n.(*ast.AssignStmt); ok && len(as.Lhs) == 1 && types.ExprString(as.Lhs[0]) == key {
+				add(as)
+			}
+			return true
+		})
 		return true
 	})
 	return ranges
@@ -511,16 +525,20 @@ func condReadsCap(cond ast.Expr) bool {
 	return found
 }
 
-// nilComparison recognizes a top-level x == nil / x != nil condition.
-func nilComparison(cond ast.Expr) (token.Token, bool) {
+// nilComparison recognizes a top-level x == nil / x != nil condition and
+// returns x and the operator.
+func nilComparison(cond ast.Expr) (ast.Expr, token.Token, bool) {
 	be, ok := cond.(*ast.BinaryExpr)
 	if !ok || (be.Op != token.EQL && be.Op != token.NEQ) {
-		return 0, false
+		return nil, 0, false
 	}
-	if isNilIdent(be.X) || isNilIdent(be.Y) {
-		return be.Op, true
+	switch {
+	case isNilIdent(be.Y):
+		return be.X, be.Op, true
+	case isNilIdent(be.X):
+		return be.Y, be.Op, true
 	}
-	return 0, false
+	return nil, 0, false
 }
 
 func isNilIdent(e ast.Expr) bool {

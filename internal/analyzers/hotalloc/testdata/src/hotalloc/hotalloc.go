@@ -68,6 +68,19 @@ func (s *scratch) HotLazy() int {
 	return len(s.buf)
 }
 
+// BadLazy allocates an unrelated buffer inside a nil check: only the
+// assignment to the checked field is lazy initialization.
+//
+// spanlint:hotpath
+func (s *scratch) BadLazy(n int) int {
+	if s.buf == nil {
+		s.buf = make([]int, 0, 16)
+		tmp := make([]int, n) // want `calls make, which allocates`
+		return len(tmp)
+	}
+	return len(s.buf)
+}
+
 // BadLit escapes a composite literal.
 //
 // spanlint:hotpath

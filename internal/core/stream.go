@@ -17,7 +17,6 @@ package core
 // chunk arrives. A Stream is not goroutine-safe.
 type Stream struct {
 	e      *evaluation
-	sc     *Scratch
 	gate   accelGate
 	buf    []byte
 	pos    int
@@ -57,17 +56,12 @@ type Scratch struct {
 // spanlint:hotpath — the warm-scratch path allocates nothing; hotalloc
 // (cmd/spanlint) enforces it transitively.
 func NewStream(a Automaton, sc *Scratch) *Stream {
-	var s *Stream
-	var e *evaluation
-	if sc != nil {
-		s = &sc.stream
-		e = &sc.eval
-	} else {
-		s = &Stream{}
-		e = &evaluation{}
+	if sc == nil {
+		sc = new(Scratch)
 	}
+	s, e := &sc.stream, &sc.eval
 	finals := s.finals[:0]
-	*s = Stream{e: e, sc: sc, finals: finals}
+	*s = Stream{e: e, finals: finals}
 	e.init(a)
 	s.gate.init(a)
 	return s

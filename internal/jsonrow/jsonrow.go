@@ -8,10 +8,14 @@
 // the reflection walk; a warm buffer appends a row without allocating.
 //
 // Two decisions are taken once instead of per match: NewSpans resolves the
-// sorted names to their Vars indices once per variable set, and Plain
-// decides once per document whether any of its bytes needs escaping. A
-// text sliced from a plain document is copied through between quotes,
-// without the escaper's byte-by-byte scan.
+// sorted names to their Vars indices once per variable set, and a DocState
+// decides at most once per document, through Plain, whether any of its
+// bytes needs escaping. A text sliced from a plain document is copied
+// through between quotes, without the escaper's byte-by-byte scan. The
+// decision waits until the rows of a document have emitted as many bytes
+// as the document holds, so a document with a few short matches never pays
+// an O(|doc|) scan for them: the plainness work stays within about twice
+// the cheaper of the two strategies, escaping every span or scanning once.
 package jsonrow
 
 import (
@@ -46,13 +50,28 @@ func NewSpans(vars []string) *Spans {
 	return &Spans{vars: order, keys: keys}
 }
 
+// DocState is the escaping state of one document's rows. The zero value
+// starts a document: its texts are escaped through AppendString until the
+// spans objects appended for it reach len(doc) bytes; then Plain runs once,
+// and if it holds every later text is copied through as is. Use one
+// DocState per document, never across documents.
+type DocState struct {
+	emitted int  // bytes appended for the document while undecided
+	decided bool // Plain has run; plain holds its answer
+	plain   bool
+}
+
+// plainOf is Plain, called through a variable so the package's own tests
+// can count the scans a DocState runs.
+var plainOf = Plain
+
 // Append appends m's spans object to dst and returns the extended buffer:
 // one {"start":S,"end":E,"text":"…"} entry per variable m assigns, the
-// text sliced from the match's document. plain must be Plain(m.Doc()),
-// computed once per document: when it is set each text is copied through
-// as is.
-func (s *Spans) Append(dst []byte, m *spanner.Match, plain bool) []byte {
+// text sliced from the match's document. st is the DocState of m's
+// document, updated in place.
+func (s *Spans) Append(dst []byte, m *spanner.Match, st *DocState) []byte {
 	doc := m.Doc()
+	verbatim, start := st.plain, len(dst)
 	dst = append(dst, '{')
 	first := true
 	for i, v := range s.vars {
@@ -69,7 +88,7 @@ func (s *Spans) Append(dst []byte, m *spanner.Match, plain bool) []byte {
 		dst = append(dst, `,"end":`...)
 		dst = strconv.AppendInt(dst, int64(sp.End), 10)
 		dst = append(dst, `,"text":`...)
-		if plain {
+		if verbatim {
 			dst = append(dst, '"')
 			dst = append(dst, doc[sp.Start:sp.End]...)
 			dst = append(dst, '"')
@@ -78,13 +97,19 @@ func (s *Spans) Append(dst []byte, m *spanner.Match, plain bool) []byte {
 		}
 		dst = append(dst, '}')
 	}
-	return append(dst, '}')
+	dst = append(dst, '}')
+	if !st.decided {
+		if st.emitted += len(dst) - start; st.emitted >= len(doc) {
+			st.plain, st.decided = plainOf(doc), true
+		}
+	}
+	return dst
 }
 
 // Plain reports whether every slice s of doc renders as `"` + s + `"`,
 // that is whether AppendString copies each byte of doc through unescaped.
 // Bytes from 0x80 up never do: a slice can end inside a multi-byte rune.
-// It is one O(|doc|) pass, meant to run once per document.
+// It is one O(|doc|) pass; DocState runs it at most once per document.
 func Plain(doc []byte) bool {
 	for _, b := range doc {
 		if !plain[b] {

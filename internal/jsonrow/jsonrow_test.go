@@ -86,6 +86,9 @@ func TestSpansMatchesEncodingJSON(t *testing.T) {
 		s := spanner.MustCompile(tc.pattern)
 		spans := jsonrow.NewSpans(s.Vars())
 		n := 0
+		// doc carries one state across the document's matches, so later
+		// rows take whichever strategy Plain picks; fresh escapes each row.
+		var doc jsonrow.DocState
 		s.Enumerate([]byte(tc.doc), func(m *spanner.Match) bool {
 			n++
 			ref := make(map[string]jsonSpan)
@@ -96,8 +99,12 @@ func TestSpansMatchesEncodingJSON(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := spans.Append(nil, m, jsonrow.Plain(m.Doc())); !bytes.Equal(got, want) {
+			if got := spans.Append(nil, m, &doc); !bytes.Equal(got, want) {
 				t.Errorf("%s: Append = %s, want %s", tc.name, got, want)
+			}
+			var fresh jsonrow.DocState
+			if got := spans.Append(nil, m, &fresh); !bytes.Equal(got, want) {
+				t.Errorf("%s: Append with a fresh state = %s, want %s", tc.name, got, want)
 			}
 			return true
 		})

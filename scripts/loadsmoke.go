@@ -35,7 +35,6 @@ func main() {
 		c          = flag.Int("c", 8, "concurrent clients")
 		docKB      = flag.Int("doc-kb", 16, "approximate document size per request, KiB")
 		corpusDocs = flag.Int("corpus-docs", 64, "documents in the corpus phase (0 disables it)")
-		shards     = flag.Int("shards", 8, "shard count for the corpus phase")
 	)
 	flag.Parse()
 
@@ -114,7 +113,7 @@ func main() {
 
 	corpusFailed := int64(0)
 	if *corpusDocs > 0 {
-		corpusFailed = corpusPhase(client, *addr, *corpusDocs, *shards, *n/3, *c)
+		corpusFailed = corpusPhase(client, *addr, *corpusDocs, *n/3, *c)
 	}
 
 	if failed.Load()+corpusFailed > 0 {
@@ -122,15 +121,15 @@ func main() {
 	}
 }
 
-// corpusPhase registers a sharded corpus and drives mixed scatter/gather
-// enumerate/count traffic against it, then prints the per-shard counter
-// summary from /debug/vars. Returns the number of failed requests.
-func corpusPhase(client *http.Client, addr string, docs, shards, n, c int) int64 {
+// corpusPhase registers a corpus and drives mixed enumerate/count traffic
+// against it, then prints the corpus gauges from /debug/vars. Returns the
+// number of failed requests, a failed registration counting as one.
+func corpusPhase(client *http.Client, addr string, docs, n, c int) int64 {
 	corpus := make([]string, docs)
 	for i := range corpus {
 		corpus[i] = syntheticDoc(4 << 10)
 	}
-	reg := mustBody(map[string]any{"docs": corpus, "shards": shards})
+	reg := mustBody(map[string]any{"docs": corpus})
 	resp, err := client.Post(addr+"/v1/corpus/smoke", "application/json", bytes.NewReader(reg))
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "loadsmoke: corpus register: %v\n", err)
@@ -201,8 +200,8 @@ func corpusPhase(client *http.Client, addr string, docs, shards, n, c int) int64
 		}
 		return lats[int(p*float64(len(lats)-1))]
 	}
-	fmt.Printf("loadsmoke[corpus]: %d requests (%d failed) over %d docs x %d shards, wall %.2fs, %.1f req/s\n",
-		n, failed.Load(), docs, shards, wall.Seconds(), float64(len(lats))/wall.Seconds())
+	fmt.Printf("loadsmoke[corpus]: %d requests (%d failed) over %d docs, wall %.2fs, %.1f req/s\n",
+		n, failed.Load(), docs, wall.Seconds(), float64(len(lats))/wall.Seconds())
 	fmt.Printf("loadsmoke[corpus]: latency p50 %s  p90 %s  p99 %s  max %s\n",
 		pct(0.50).Round(time.Microsecond), pct(0.90).Round(time.Microsecond),
 		pct(0.99).Round(time.Microsecond), pct(1.0).Round(time.Microsecond))
@@ -210,8 +209,8 @@ func corpusPhase(client *http.Client, addr string, docs, shards, n, c int) int64
 	return failed.Load()
 }
 
-// printCorpusVars surfaces the per-shard gauges after the corpus phase: a
-// healthy smoke shows every shard owning documents and serving matches.
+// printCorpusVars surfaces the corpus gauges after the corpus phase: a
+// healthy smoke shows the corpus serving matches.
 func printCorpusVars(client *http.Client, addr string) {
 	resp, err := client.Get(addr + "/debug/vars")
 	if err != nil {
@@ -220,26 +219,19 @@ func printCorpusVars(client *http.Client, addr string) {
 	defer resp.Body.Close()
 	var vars struct {
 		Corpora []struct {
-			Name       string `json:"name"`
-			Generation uint64 `json:"generation"`
-			Docs       int    `json:"docs"`
-			ShardInfo  []struct {
-				Shard         int   `json:"shard"`
-				Docs          int   `json:"docs"`
-				Bytes         int64 `json:"bytes"`
-				MatchesServed int64 `json:"matches_served"`
-			} `json:"shard_info"`
+			Name          string `json:"name"`
+			Generation    uint64 `json:"generation"`
+			Docs          int    `json:"docs"`
+			Bytes         int64  `json:"bytes"`
+			MatchesServed int64  `json:"matches_served"`
 		} `json:"spannerd_corpora"`
 	}
 	if json.NewDecoder(resp.Body).Decode(&vars) != nil {
 		return
 	}
 	for _, c := range vars.Corpora {
-		fmt.Printf("loadsmoke[corpus]: %s gen=%d docs=%d shards:", c.Name, c.Generation, c.Docs)
-		for _, sh := range c.ShardInfo {
-			fmt.Printf(" [%d: %d docs, %d B, %d served]", sh.Shard, sh.Docs, sh.Bytes, sh.MatchesServed)
-		}
-		fmt.Println()
+		fmt.Printf("loadsmoke[corpus]: %s gen=%d docs=%d bytes=%d matches_served=%d\n",
+			c.Name, c.Generation, c.Docs, c.Bytes, c.MatchesServed)
 	}
 }
 
