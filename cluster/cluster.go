@@ -1,7 +1,9 @@
 // Package cluster fans one compiled spanner out over the shards of a
 // corpus snapshot and merges the per-shard streams back into a single
-// globally deterministic sequence — the scatter/gather layer between the
-// per-process engine and a registered corpus.
+// globally deterministic sequence — a scatter/gather layer over the
+// per-process engine. spannerd does not use it (it runs corpora on the
+// engine directly); the benchmark's traced ladder measures it against
+// the engine.
 //
 // Scatter: each shard runs the existing engine.ProcessContext over its
 // slice of the corpus, so the per-shard evaluation inherits everything the
@@ -25,7 +27,7 @@
 // documents evaluated behind the parked emit.
 //
 // The result is byte-for-byte the stream a single unsharded process would
-// produce, whatever K — the property the daemon's differential tests pin —
+// produce, whatever K — the property TestScatterGatherMatchesSerial pins —
 // while a deadline still leaves exact accounting: per-shard emitted
 // prefixes (engine semantics: documents whose delivery began), summed into
 // the processed total a trailer can report.

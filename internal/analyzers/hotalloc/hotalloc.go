@@ -19,10 +19,9 @@
 //   - capacity-managed growth: any allocation dominated by a branch
 //     whose condition reads cap(…) (the arena's
 //     `if len(a.cells) == cap(a.cells)` regrowth), and lazy
-//     initialization under a nil check — an assignment to x itself in
-//     the branch where x is nil (`if x == nil { x = make(…) }`); other
-//     statements in that branch are checked like any code. Both are cold
-//     paths that amortize away;
+//     initialization: an assignment to x in the branch where x is nil
+//     (`if x == nil { x = make(…) }`) — cold paths that amortize away.
+//     Other statements in that branch are checked like any code;
 //   - evidenced appends: append(x[:0], …), or an append whose
 //     destination is truncated (`x = x[:…]`) somewhere in the package —
 //     the scratch-reuse idiom that recycles capacity across documents.
