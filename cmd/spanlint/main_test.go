@@ -100,13 +100,13 @@ func TestSmoke(t *testing.T) {
 	})
 
 	t.Run("ignores", func(t *testing.T) {
-		out, err := exec.Command(exe, "-ignores", "spanners/engine").Output()
+		out, err := exec.Command(exe, "-ignores", "spanners/cluster").Output()
 		if err != nil {
 			t.Fatalf("-ignores: %v", err)
 		}
 		s := string(out)
-		if !strings.Contains(s, "ctxloop") || !strings.Contains(s, "buffered to exactly n") {
-			t.Errorf("-ignores audit is missing the engine suppression site:\n%s", s)
+		if !strings.Contains(s, "ctxloop") || !strings.Contains(s, "bounded accounting over the in-memory shard map") {
+			t.Errorf("-ignores audit is missing the cluster suppression site:\n%s", s)
 		}
 	})
 

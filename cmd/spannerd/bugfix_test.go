@@ -162,6 +162,39 @@ func TestFlushCadenceWithinDocument(t *testing.T) {
 	}
 }
 
+// TestEnumerateLastDocumentSharesTrailerFlush pins the end of the stream:
+// every document but the last is flushed when its rows end, and the last
+// document's rows go out with the trailer in one flush. A one-document
+// request is therefore one rows write, one trailer write and one flush.
+func TestEnumerateLastDocumentSharesTrailerFlush(t *testing.T) {
+	srv := newServer(serverConfig{defaultMode: 0})
+	for _, tc := range []struct {
+		docs, wantFlushes int
+	}{
+		{1, 1},
+		{3, 3},
+	} {
+		docs := make([]string, tc.docs)
+		for i := range docs {
+			docs[i] = "xabyab"
+		}
+		body, _ := json.Marshal(map[string]any{"query": `/.*!x{ab}.*/`, "docs": docs})
+		req := httptest.NewRequest(http.MethodPost, "/v1/enumerate", strings.NewReader(string(body)))
+		w := &flushCountingWriter{ResponseRecorder: httptest.NewRecorder()}
+		srv.ServeHTTP(w, req)
+		rows, tr := ndjson(t, w.Body.String())
+		if w.Code != http.StatusOK || len(rows) != 2*tc.docs || tr.DocsProcessed != tc.docs {
+			t.Fatalf("%d docs: status %d, %d rows, trailer %+v", tc.docs, w.Code, len(rows), tr)
+		}
+		if w.flushes != tc.wantFlushes {
+			t.Fatalf("%d docs: %d flushes, want %d", tc.docs, w.flushes, tc.wantFlushes)
+		}
+		if tc.docs == 1 && w.writes != 2 {
+			t.Fatalf("one document: %d writes, want the rows and the trailer", w.writes)
+		}
+	}
+}
+
 // deadClientWriter is a client that hangs up mid-stream: its Write fails
 // once more than limit bytes would have been accepted. It records every
 // call from the failing one on.

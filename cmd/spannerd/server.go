@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -338,9 +337,9 @@ type trailer struct {
 
 // handleEnumerate streams every match of every document as NDJSON,
 // grouped by document in input order, and closes with a trailer line.
-// A single document runs sp.EnumerateContext directly; more fan out
-// through engine.ProcessContext, preprocessing on the worker pool. Body
-// docs and corpus documents take the same paths, so a corpus response is
+// Every batch runs through engine.ProcessContext, which preprocesses on
+// the worker pool (a one-document batch on the handler goroutine). Body
+// docs and corpus documents take the same path, so a corpus response is
 // byte-identical to the same documents sent in the body.
 func (s *server) handleEnumerate(w http.ResponseWriter, r *http.Request) {
 	req, err := s.decodeRequest(w, r)
@@ -413,35 +412,23 @@ func (s *server) handleEnumerate(w http.ResponseWriter, r *http.Request) {
 		return len(buf) < writeBatch || write()
 	}
 
-	if tr.Docs == 1 {
-		var d docRows
-		err := sp.EnumerateContext(ctx, b.doc(0), func(m *spanner.Match) bool {
-			return emitDoc(0, m, &d)
-		})
-		if err != nil {
-			tr.Error = err.Error()
-		}
-		// Processed means delivery began (the batch path's emit-call
-		// semantics): a deadline can land after rows were already
-		// streamed, and those rows must stay inside the processed prefix.
-		if err == nil || tr.Matches > 0 {
-			tr.DocsProcessed = 1
-		}
-	} else {
-		eng := engine.New(sp, engine.Workers(s.cfg.workers))
-		emitted, ctxErr := eng.ProcessContext(ctx, tr.Docs,
-			func(i engine.DocID) ([]byte, error) { return b.doc(int(i)), nil },
-			func(i engine.DocID, ev *spanner.Evaluation, _ error) bool {
-				var d docRows
-				ev.Enumerate(func(m *spanner.Match) bool {
-					return emitDoc(int(i), m, &d)
-				})
-				return push()
+	eng := engine.New(sp, engine.Workers(s.cfg.workers))
+	emitted, ctxErr := eng.ProcessContext(ctx, tr.Docs,
+		func(i engine.DocID) ([]byte, error) { return b.doc(int(i)), nil },
+		func(i engine.DocID, ev *spanner.Evaluation, _ error) bool {
+			var d docRows
+			ev.Enumerate(func(m *spanner.Match) bool {
+				return emitDoc(int(i), m, &d)
 			})
-		tr.DocsProcessed = emitted
-		if ctxErr != nil {
-			tr.Error = ctxErr.Error()
-		}
+			// The last document's rows go out with the trailer: one
+			// write and one flush instead of two.
+			return int(i) == tr.Docs-1 || push()
+		})
+	// Processed means delivery began: a deadline can land after rows were
+	// already streamed, and those rows stay inside the processed prefix.
+	tr.DocsProcessed = emitted
+	if ctxErr != nil {
+		tr.Error = ctxErr.Error()
 	}
 	if b.snap != nil {
 		b.snap.AddServed(tr.Matches)
@@ -498,12 +485,8 @@ func (s *server) handleCount(w http.ResponseWriter, r *http.Request) {
 	}
 
 	resp := countResponse{Counts: make([]countResult, b.len())}
-	workers := s.cfg.workers
-	if workers < 1 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	var evalErr error
-	engine.Map(workers, len(resp.Counts),
+	ctxErr := engine.MapContext(ctx, s.cfg.workers, len(resp.Counts),
 		func(i int) error {
 			c, err := countDoc(ctx, sp, b.doc(i))
 			if err != nil {
@@ -519,6 +502,9 @@ func (s *server) handleCount(w http.ResponseWriter, r *http.Request) {
 			}
 			return true
 		})
+	if evalErr == nil {
+		evalErr = ctxErr
+	}
 	if evalErr != nil {
 		writeError(w, http.StatusGatewayTimeout, evalErr.Error())
 		return

@@ -13,13 +13,14 @@
 // Each output line is one match. In text mode a match renders as
 // tab-separated "var=[start,end) "text"" bindings (byte offsets, half-open);
 // with -json each match is one NDJSON object. -count prints only |⟦A⟧d|
-// per input, computed without enumerating (Theorem 5.1). With -j N,
-// multiple FILE arguments are evaluated concurrently by N workers; the
-// output order is identical to the serial order. Stdin is consumed
-// incrementally (chunk-by-chunk preprocessing), so matching starts the
-// moment the pipe closes, and -count over stdin never materializes the
-// document at all. -timeout D cancels everything — queued files, in-flight
-// preprocessing, enumeration — after D.
+// per input, computed without enumerating (Theorem 5.1). FILE arguments
+// run through the engine's ordered batch pool, -j N of them at a time (one
+// by default); the output is in FILE order whatever N is, and a "-" in the
+// list reads stdin whole. Stdin alone (no FILE, or the single FILE "-") is
+// consumed incrementally instead (chunk-by-chunk preprocessing), so
+// matching starts the moment the pipe closes, and -count over stdin never
+// materializes the document at all. -timeout D cancels everything —
+// queued files, in-flight preprocessing, enumeration — after D.
 //
 // Composition is expressed with -query: a single expression over
 // /pattern/ literals combining union(…), join(…) and project[…](…), parsed
@@ -41,7 +42,9 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strconv"
 	"strings"
+	"unicode/utf8"
 
 	"spanners/engine"
 	"spanners/internal/jsonrow"
@@ -134,10 +137,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		stdin = newDeadlineReader(ctx, stdin)
 	}
 
-	inputs := files
-	if len(inputs) == 0 {
-		inputs = []string{"-"}
-	}
 	r := &renderer{
 		jsonOut: *jsonOut,
 		prefix:  len(files) > 1,
@@ -146,10 +145,10 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	}
 
 	var matched bool
-	if *jobs > 1 && len(files) > 1 {
-		matched, err = runBatch(ctx, sp, files, stdin, *jobs, *countOnly, *limit, r)
+	if len(files) == 0 || len(files) == 1 && files[0] == "-" {
+		matched, err = processStdin(ctx, sp, stdin, *countOnly, *limit, r)
 	} else {
-		matched, err = runSerial(ctx, sp, inputs, stdin, *countOnly, *limit, r)
+		matched, err = runBatch(ctx, sp, files, stdin, max(*jobs, 1), *countOnly, *limit, r)
 	}
 	if ferr := r.flush(); err == nil {
 		err = ferr
@@ -165,29 +164,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		return exitMatch
 	}
 	return exitNoMatch
-}
-
-// runSerial evaluates the inputs one after the other. Stdin ("-") is
-// consumed incrementally through the streaming entry points; files are read
-// whole (their matches need the document bytes anyway).
-func runSerial(ctx context.Context, sp *spanner.Spanner, inputs []string, stdin io.Reader, countOnly bool, limit int, r *renderer) (matched bool, err error) {
-	for _, name := range inputs {
-		var m bool
-		var e error
-		if name == "-" {
-			m, e = processStdin(ctx, sp, stdin, countOnly, limit, r)
-		} else {
-			m, e = processFile(ctx, sp, name, countOnly, limit, r)
-		}
-		if e == nil {
-			e = r.flush()
-		}
-		if e != nil {
-			return matched, e
-		}
-		matched = matched || m
-	}
-	return matched, nil
 }
 
 // processStdin streams stdin through the incremental evaluator: -count
@@ -216,38 +192,11 @@ func processStdin(ctx context.Context, sp *spanner.Spanner, stdin io.Reader, cou
 	return matched, err
 }
 
-func processFile(ctx context.Context, sp *spanner.Spanner, name string, countOnly bool, limit int, r *renderer) (matched bool, err error) {
-	doc, err := os.ReadFile(name)
-	if err != nil {
-		return false, err
-	}
-	if countOnly {
-		val, pos, err := countValue(ctx, sp, doc)
-		if err != nil {
-			return false, err
-		}
-		return pos, r.count(name, val)
-	}
-	emitted := 0
-	err = sp.EnumerateContext(ctx, doc, func(m *spanner.Match) bool {
-		matched = true
-		if !r.match(name, m) {
-			return false
-		}
-		emitted++
-		return limit == 0 || emitted < limit
-	})
-	if err == nil {
-		err = r.err
-	}
-	return matched, err
-}
-
 // batchLoader returns the document loader for a batch of FILE arguments.
-// A "-" argument means stdin, exactly as on the serial path: the first "-"
-// consumes the whole stream; any later "-" sees the drained reader, i.e. an
-// empty document. The first-"-" index is resolved up front so the
-// assignment stays deterministic however the concurrent loads interleave.
+// A "-" argument means stdin, read whole: the first "-" consumes the
+// stream; any later "-" sees the drained reader, i.e. an empty document.
+// The first-"-" index is resolved up front so the assignment stays
+// deterministic however the concurrent loads interleave.
 func batchLoader(files []string, stdin io.Reader) func(engine.DocID) ([]byte, error) {
 	firstDash := -1
 	for i, name := range files {
@@ -267,12 +216,13 @@ func batchLoader(files []string, stdin io.Reader) func(engine.DocID) ([]byte, er
 	}
 }
 
-// runBatch fans the files out across an engine worker pool. Files are read
-// lazily inside the workers, so resident memory stays bounded by the
-// in-flight window regardless of how many files are listed, and the merged
-// output — including where a read error surfaces — is byte-identical to
-// the serial order. Cancellation (the -timeout flag) stops queued and
-// in-flight work promptly.
+// runBatch evaluates a FILE list on an engine pool of jobs workers (one
+// file runs on the calling goroutine). Files are read lazily inside the
+// workers, so resident memory stays bounded by the in-flight window
+// regardless of how many files are listed, and the output — including
+// where a read error surfaces — is in FILE order whatever jobs is.
+// Cancellation (the -timeout flag) stops queued and in-flight work
+// promptly; enumeration checks it every 256 matches.
 func runBatch(ctx context.Context, sp *spanner.Spanner, files []string, stdin io.Reader, jobs int, countOnly bool, limit int, r *renderer) (matched bool, err error) {
 	if countOnly {
 		return runBatchCount(ctx, sp, files, stdin, jobs, r)
@@ -292,9 +242,13 @@ func runBatch(ctx context.Context, sp *spanner.Spanner, files []string, stdin io
 					return false
 				}
 				emitted++
+				if emitted%256 == 0 && ctx.Err() != nil {
+					err = ctx.Err()
+					return false
+				}
 				return limit == 0 || emitted < limit
 			})
-			return r.flush() == nil
+			return err == nil && r.flush() == nil
 		})
 	if err == nil {
 		err = ctxErr
@@ -305,9 +259,9 @@ func runBatch(ctx context.Context, sp *spanner.Spanner, files []string, stdin io
 	return matched, err
 }
 
-// runBatchCount runs the per-file counting pass on an engine.Map pool:
-// each worker reads a file, counts, and drops the document, so memory
-// stays at O(workers) files and the counts print in input order.
+// runBatchCount runs the per-file counting pass on an engine.MapContext
+// pool: each worker reads a file, counts, and drops the document, so
+// memory stays at O(workers) files and the counts print in input order.
 func runBatchCount(ctx context.Context, sp *spanner.Spanner, files []string, stdin io.Reader, jobs int, r *renderer) (matched bool, err error) {
 	load := batchLoader(files, stdin)
 	type result struct {
@@ -315,7 +269,7 @@ func runBatchCount(ctx context.Context, sp *spanner.Spanner, files []string, std
 		pos bool
 		err error
 	}
-	engine.Map(jobs, len(files),
+	ctxErr := engine.MapContext(ctx, jobs, len(files),
 		func(i int) result {
 			doc, e := load(engine.DocID(i))
 			if e != nil {
@@ -340,10 +294,13 @@ func runBatchCount(ctx context.Context, sp *spanner.Spanner, files []string, std
 			matched = matched || res.pos
 			return true
 		})
+	if err == nil {
+		err = ctxErr
+	}
 	return matched, err
 }
 
-// renderer owns the output formatting shared by the serial and batch
+// renderer owns the output formatting shared by the stdin and batch
 // paths. Output is buffered and written through to stdout by flush, at
 // the end of every input. A false return from match/count-reporting means
 // a write failed; the first failure is latched in err.
@@ -352,7 +309,7 @@ type renderer struct {
 	prefix  bool
 	out     *bufio.Writer    // over stdout
 	spans   *jsonrow.Spans   // -json: the spans object writer
-	row     []byte           // -json: the current line, reused across matches
+	row     []byte           // the current line, reused across matches
 	doc     jsonrow.DocState // -json: escaping state of the current input
 	err     error
 }
@@ -391,23 +348,65 @@ func (r *renderer) match(name string, m *spanner.Match) bool {
 		}
 		return true
 	}
-	parts := make([]string, 0, 4)
-	for _, b := range m.Bindings() {
-		parts = append(parts, fmt.Sprintf("%s=%s %q", b.Var, b.Span, b.Text))
-	}
-	if len(parts) == 0 {
-		parts = append(parts, "{}") // the empty mapping: accepted, nothing captured
-	}
-	line := strings.Join(parts, "\t")
+	r.row = r.row[:0]
 	if r.prefix {
-		line = name + ":" + line
+		r.row = append(append(r.row, name...), ':')
 	}
-	if _, e := fmt.Fprintln(r.out, line); e != nil {
+	start := len(r.row)
+	for i, v := range m.Vars() {
+		sp, ok := m.SpanAt(i)
+		if !ok {
+			continue
+		}
+		if len(r.row) > start {
+			r.row = append(r.row, '\t')
+		}
+		r.row = append(append(r.row, v...), "=["...)
+		r.row = strconv.AppendInt(r.row, int64(sp.Start), 10)
+		r.row = append(r.row, ',')
+		r.row = strconv.AppendInt(r.row, int64(sp.End), 10)
+		r.row = append(r.row, ") "...)
+		r.row = appendQuoted(r.row, m.Doc()[sp.Start:sp.End])
+	}
+	if len(r.row) == start {
+		r.row = append(r.row, "{}"...) // the empty mapping: accepted, nothing captured
+	}
+	r.row = append(r.row, '\n')
+	if _, e := r.out.Write(r.row); e != nil {
 		r.err = e
 		return false
 	}
 	return true
 }
+
+// appendQuoted appends text as a double-quoted Go string literal, exactly
+// as strconv.Quote (and fmt's %q) renders it, without converting text to
+// a string. Only non-printable runes need an escape sequence; for those
+// the single-quoted rune literal strconv.AppendQuoteRune writes carries
+// the same escape between its quotes.
+func appendQuoted(dst, text []byte) []byte {
+	dst = append(dst, '"')
+	for len(text) > 0 {
+		r, w := utf8.DecodeRune(text)
+		switch {
+		case r == utf8.RuneError && w == 1:
+			dst = append(dst, `\x`...)
+			dst = append(dst, hexDigits[text[0]>>4], hexDigits[text[0]&0xf])
+		case r == '"' || r == '\\':
+			dst = append(dst, '\\', byte(r))
+		case strconv.IsPrint(r):
+			dst = append(dst, text[:w]...)
+		default:
+			n := len(dst)
+			dst = strconv.AppendQuoteRune(dst, r)
+			dst = append(dst[:n], dst[n+1:len(dst)-1]...)
+		}
+		text = text[w:]
+	}
+	return append(dst, '"')
+}
+
+const hexDigits = "0123456789abcdef"
 
 // count renders one per-input count line.
 func (r *renderer) count(name, val string) error {

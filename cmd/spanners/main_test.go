@@ -1,12 +1,15 @@
 package main
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -647,5 +650,120 @@ func TestCLIBufferedOutput(t *testing.T) {
 	var errb bytes.Buffer
 	if code := run([]string{"-count", pattern, f1}, strings.NewReader(""), &fail, &errb); code != exitError || errb.String() != "spanners: broken pipe\n" {
 		t.Fatalf("-count into a failing stdout: exit %d, stderr %q; want 2 and the write error", code, errb.String())
+	}
+}
+
+// fmtRow is the text row as the CLI rendered it through Match.Bindings and
+// fmt: the reference for the append-based renderer.
+func fmtRow(name string, prefix bool, m *spanner.Match) string {
+	var parts []string
+	for _, b := range m.Bindings() {
+		parts = append(parts, fmt.Sprintf("%s=%s %q", b.Var, b.Span, b.Text))
+	}
+	if len(parts) == 0 {
+		parts = append(parts, "{}")
+	}
+	line := strings.Join(parts, "\t")
+	if prefix {
+		line = name + ":" + line
+	}
+	return line + "\n"
+}
+
+// TestTextRowMatchesFmt pins the text renderer byte for byte to the fmt
+// rendering it replaced, over texts that need quoting: quotes,
+// backslashes, tabs, newlines, control and non-printable runes, invalid
+// UTF-8 (including cut multi-byte sequences), and the empty mapping.
+func TestTextRowMatchesFmt(t *testing.T) {
+	docs := []string{
+		`say "hi" \ bye`,
+		"tab\there\r\nnext\x00\x07\x7f",
+		"h\u00e9llo \u2603 \u00a0\u2028\ufeff\U0001F600",
+		"bad \xff\xfe\xc3 \xed\xa0\x80 \xef\xbf\xbd",
+		"",
+	}
+	patterns := []string{
+		`.*!x{(.|\n)+}.*`,        // every non-empty substring: cuts runes apart
+		`!a{(.|\n)*}!b{(.|\n)*}`, // two variables, every split
+		`!x{(.|\n)*}b|(.|\n)*`,   // a partial mapping and the empty one
+		`(.|\n)*`,                // no variables: the empty mapping only
+		`.*!q{"}.*|.*!s{\\}.*|.*!t{\t}.*`,
+	}
+	for _, pattern := range patterns {
+		sp := spanner.MustCompile(pattern)
+		rows := 0
+		for _, prefix := range []bool{false, true} {
+			for _, doc := range docs {
+				var out bytes.Buffer
+				r := &renderer{prefix: prefix, out: bufio.NewWriter(&out)}
+				var want strings.Builder
+				sp.Enumerate([]byte(doc), func(m *spanner.Match) bool {
+					want.WriteString(fmtRow("in.txt", prefix, m))
+					rows++
+					return r.match("in.txt", m)
+				})
+				if err := r.flush(); err != nil {
+					t.Fatal(err)
+				}
+				if out.String() != want.String() {
+					t.Fatalf("%s over %q (prefix %v): rows differ\n--- got ---\n%s--- want ---\n%s",
+						pattern, doc, prefix, out.String(), want.String())
+				}
+			}
+		}
+		if rows == 0 {
+			t.Fatalf("%s: no rows; the comparison would be vacuous", pattern)
+		}
+	}
+}
+
+// TestAppendQuotedMatchesStrconv checks appendQuoted against strconv.Quote
+// on every single byte and on a sweep of multi-byte sequences.
+func TestAppendQuotedMatchesStrconv(t *testing.T) {
+	var texts [][]byte
+	for b := 0; b < 256; b++ {
+		texts = append(texts, []byte{byte(b)}, []byte{'x', byte(b), 'y'})
+	}
+	for _, r := range []rune{0x80, 0x9f, 0xa0, 0xad, 0x2028, 0x2029, 0xd7ff, 0xe000, 0xfeff, 0xfffd, 0xffff, 0x10000, 0x1f600, 0xe0001, 0x10ffff} {
+		texts = append(texts, []byte(string(r)), []byte(string(r))[:1])
+	}
+	for _, text := range texts {
+		if got, want := string(appendQuoted(nil, text)), strconv.Quote(string(text)); got != want {
+			t.Fatalf("appendQuoted(%x) = %s, want %s", text, got, want)
+		}
+	}
+}
+
+// TestTextRowZeroAlloc pins that a warm text row allocates nothing, for
+// short texts and for texts too long for a stack-converted string.
+func TestTextRowZeroAlloc(t *testing.T) {
+	for _, tc := range []struct{ pattern, doc string }{
+		{gen.Figure1Pattern(), string(gen.Figure1Doc())},
+		{`!x{(.|\n)*}`, strings.Repeat("long \"text\"\twith\xff escapes\n", 20)},
+	} {
+		var m *spanner.Match
+		spanner.MustCompile(tc.pattern).Enumerate([]byte(tc.doc), func(mm *spanner.Match) bool { m = mm.Clone(); return false })
+		r := &renderer{prefix: true, out: bufio.NewWriterSize(io.Discard, 64<<10)}
+		r.match("doc.txt", m) // warm the row buffer
+		if allocs := testing.AllocsPerRun(100, func() { r.match("doc.txt", m) }); allocs != 0 {
+			t.Fatalf("%s: %v allocations per text row, want 0", tc.pattern, allocs)
+		}
+	}
+}
+
+// TestCLITimeoutLongFile pins -timeout during the enumeration of one FILE:
+// a short document with millions of matches must still stop at the
+// deadline, not when its enumeration finishes.
+func TestCLITimeoutLongFile(t *testing.T) {
+	f := writeTemp(t, "a.txt", bytes.Repeat([]byte{'a'}, 4000))
+	start := time.Now()
+	var out bytes.Buffer
+	var errb bytes.Buffer
+	code := run([]string{"-timeout", "100ms", `.*!x{a*}.*`, f}, strings.NewReader(""), &out, &errb)
+	if code != exitError || !strings.Contains(errb.String(), "deadline") {
+		t.Fatalf("exit = %d, stderr %q; want %d and the deadline", code, errb.String(), exitError)
+	}
+	if d := time.Since(start); d > 3*time.Second {
+		t.Fatalf("-timeout 100ms took %v to stop one long enumeration", d)
 	}
 }

@@ -21,12 +21,20 @@
 // follows the facade's ownership rule: it is a scratch buffer reused
 // across yields — Clone it to retain it. Use spanner.Spanner.Collect when
 // a batch of retained matches is wanted instead.
+//
+// One ordered pool runs every batch: Run, Process and ProcessContext over
+// documents, Count, Map and MapContext over arbitrary per-index work. It
+// holds at most 2×workers results at a time, honours cancellation at
+// every stage, and leaks no goroutines. A batch of exactly one item has
+// nothing to overlap, so it runs on the calling goroutine and starts no
+// worker; callers therefore need no single-document path of their own.
 package engine
 
 import (
 	"context"
 	"iter"
 	"runtime"
+	"sync"
 	"sync/atomic"
 
 	"spanners/spanner"
@@ -75,15 +83,6 @@ func New(s *spanner.Spanner, opts ...Option) *Engine {
 		o(e)
 	}
 	return e
-}
-
-// poolSize resolves the effective worker count for a batch of n documents.
-func (e *Engine) poolSize(n int) int {
-	w := e.workers
-	if w < 1 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	return min(w, n)
 }
 
 // Run evaluates every document of the batch and returns a range-over-func
@@ -135,15 +134,15 @@ func (e *Engine) Process(n int, load func(DocID) ([]byte, error), emit func(DocI
 }
 
 // ProcessContext is Process with cancellation. When ctx is cancelled the
-// batch stops promptly at every stage: queued documents are skipped by the
-// workers, in-flight preprocessing passes abort between chunks
+// batch stops promptly at every stage: queued documents are never loaded,
+// in-flight preprocessing passes abort between chunks
 // (spanner.PreprocessContext), and the consumer stops emitting — emit is
 // never called after the cancellation is observed. ProcessContext returns
 // ctx.Err() when the batch was cut short by the context, nil when every
 // document was emitted or emit stopped the batch itself. No goroutines are
 // leaked either way. (That promise is machine-checked: the goroleak
 // analyzer in cmd/spanlint requires every goroutine launched in a library
-// package — the workers below included — to carry a termination
+// package — the pool's workers included — to carry a termination
 // guarantee on all paths.)
 //
 // emitted is the exact number of emit calls that ran: because the consumer
@@ -154,192 +153,190 @@ func (e *Engine) Process(n int, load func(DocID) ([]byte, error), emit func(DocI
 // without instrumenting its emit callback. emitted == n exactly when err
 // is nil and emit never stopped the batch.
 func (e *Engine) ProcessContext(ctx context.Context, n int, load func(DocID) ([]byte, error), emit func(DocID, *spanner.Evaluation, error) bool) (emitted int, err error) {
-	if n == 0 {
-		return 0, nil
-	}
-	workers := e.poolSize(n)
-
-	// Every document index is queued up front; results[i] is buffered so
-	// a worker can always deliver and move on, even when the consumer has
-	// stopped — that is what makes early termination leak-free without
-	// draining. A loaded-and-preprocessed document pins its bytes and an
-	// evaluation arena until the consumer drains it, so inflight tickets
-	// bound the resident set; stopCh wakes workers blocked on a ticket
-	// when the consumer quits early.
-	//
-	// Deadlock freedom: a worker acquires its inflight ticket BEFORE
-	// dequeuing an index, so every dequeued index progresses to delivery
-	// without further blocking. jobs is FIFO, hence the lowest undrained
-	// index is always either already deliverable or still in jobs with a
-	// ticket obtainable for it (tickets held by delivered documents are
-	// freed by the in-order consumer as it drains them). Ticketing after
-	// the dequeue would be unsound: a worker could dequeue the lowest
-	// index, stall on a full ticket window while the consumer waits on
-	// that very index, and wedge the batch.
 	type result struct {
 		ev  *spanner.Evaluation
 		err error
 	}
-	jobs := make(chan int, n)
-	//spanlint:ignore ctxloop jobs is buffered to exactly n, so every send completes without blocking
-	for i := 0; i < n; i++ {
-		jobs <- i
+	return ordered(ctx, e.workers, n,
+		func(i int) result {
+			doc, err := load(DocID(i))
+			if err != nil {
+				return result{err: err}
+			}
+			// A pass the context aborts between chunks reports the
+			// context's error, which the pool never emits.
+			ev, err := e.s.PreprocessContext(ctx, doc)
+			return result{ev: ev, err: err}
+		},
+		func(i int, r result) bool { return emit(DocID(i), r.ev, r.err) },
+		func(r result) {
+			if r.ev != nil {
+				r.ev.Release()
+			}
+		})
+}
+
+// Map is MapContext without cancellation.
+func Map[T any](workers, n int, fn func(int) T, emit func(int, T) bool) {
+	_ = MapContext(context.Background(), workers, n, fn, emit)
+}
+
+// MapContext runs fn over the indexes [0, n) on a pool of workers and
+// hands each result to emit strictly in index order on the calling
+// goroutine. fn calls run concurrently and must be safe to do so; errors
+// are folded into T. Workers reads like the Workers option: values below
+// 1 select GOMAXPROCS, and the pool is never larger than the batch. At
+// most 2×workers results are held at a time.
+//
+// emit returning false stops the batch, and a cancelled ctx stops it with
+// ctx.Err(): emit is never called again, fn never starts for an index
+// still queued, and no goroutines are leaked. fn calls already running
+// complete, their results dropped; fn observes ctx itself if it should
+// stop sooner.
+//
+// MapContext is the ordered fan-in for per-index work whose results are
+// small (counts, summaries); Engine.ProcessContext is the same pool over
+// documents, releasing each document's evaluation after its emit.
+func MapContext[T any](ctx context.Context, workers, n int, fn func(int) T, emit func(int, T) bool) error {
+	_, err := ordered(ctx, workers, n, fn, emit, func(T) {})
+	return err
+}
+
+// ordered is the one batch pool behind ProcessContext and MapContext. It
+// runs work over the indexes [0, n), hands the results to emit strictly in
+// index order on the calling goroutine, and hands every result work
+// produced to done exactly once: after its emit, or in place of it when
+// the batch stops (emit false) or ctx is cancelled. emitted and err follow
+// ProcessContext's contract. workers below 1 mean GOMAXPROCS; the pool is
+// capped at n.
+//
+// A batch of one item has nothing to overlap, so it runs inline on the
+// caller and starts no goroutine.
+func ordered[T any](ctx context.Context, workers, n int, work func(int) T, emit func(int, T) bool, done func(T)) (emitted int, err error) {
+	switch n {
+	case 0:
+		return 0, nil
+	case 1:
+		if err := ctx.Err(); err != nil {
+			return 0, err
+		}
+		v := work(0)
+		defer done(v)
+		if err := ctx.Err(); err != nil {
+			return 0, err
+		}
+		emit(0, v)
+		return 1, nil
 	}
-	close(jobs)
-	results := make([]chan result, n)
+	if workers < 1 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	workers = min(workers, n)
+
+	// results[i] is buffered so a worker can always deliver and move on.
+	// A delivered result may pin a document and an evaluation arena until
+	// the consumer drains it, so inflight tickets bound the resident set
+	// to 2×workers results; stopCh wakes workers blocked on a ticket when
+	// the consumer quits.
+	//
+	// Deadlock freedom: a worker acquires its inflight ticket BEFORE
+	// dequeuing an index, so every dequeued index progresses to delivery
+	// without further blocking. Dequeuing is FIFO (next counts up), hence
+	// the lowest undrained index is always either already deliverable or
+	// still queued with a ticket obtainable for it (tickets held by
+	// delivered results are freed by the in-order consumer as it drains
+	// them). Ticketing after the dequeue would be unsound: a worker could
+	// dequeue the lowest index, stall on a full ticket window while the
+	// consumer waits on that very index, and wedge the batch.
+	//
+	// Exactly-once done: stopCh is closed under mu, and a worker delivers
+	// under mu only while stopCh is open. A result is therefore either
+	// delivered before the close — and the consumer emits it or drains it
+	// on the way out — or finished after it, and its worker calls done.
+	var next atomic.Int64
+	results := make([]chan T, n)
 	for i := range results {
-		results[i] = make(chan result, 1)
+		results[i] = make(chan T, 1)
 	}
 	inflight := make(chan struct{}, 2*workers)
 	stopCh := make(chan struct{})
-	var stop atomic.Bool
+	var mu sync.Mutex
+	stopped := func() bool {
+		select {
+		case <-stopCh:
+			return true
+		default:
+			return false
+		}
+	}
 
 	for w := 0; w < workers; w++ {
 		go func() {
 			for {
-				ticket := false
 				select {
 				case inflight <- struct{}{}:
-					ticket = true
 				case <-stopCh:
+					return
 				case <-ctx.Done():
-				}
-				i, ok := <-jobs
-				if !ok {
-					if ticket {
-						<-inflight
-					}
 					return
 				}
-				if !ticket || stop.Load() || ctx.Err() != nil {
-					if ticket {
-						<-inflight
-					}
-					results[i] <- result{}
-					continue
-				}
-				doc, err := load(DocID(i))
-				if err != nil {
+				i := int(next.Add(1) - 1)
+				if i >= n || stopped() || ctx.Err() != nil {
 					<-inflight
-					results[i] <- result{err: err}
-					continue
+					return
 				}
-				// The context aborts in-flight preprocessing between chunks;
-				// a cancelled pass reports a nil Evaluation, like the stop
-				// path.
-				ev, err := e.s.PreprocessContext(ctx, doc)
-				if err != nil || stop.Load() {
-					// Cancelled, or the consumer quit during the pass;
-					// nobody will drain this result, so return the pooled
-					// scratch here instead of dropping it to the GC.
-					if ev != nil {
-						ev.Release()
-					}
+				v := work(i)
+				mu.Lock()
+				quit := stopped()
+				if !quit {
+					results[i] <- v
+				}
+				mu.Unlock()
+				if quit {
+					done(v)
 					<-inflight
-					results[i] <- result{}
-					continue
+					return
 				}
-				results[i] <- result{ev: ev}
 			}
 		}()
 	}
 
 	defer func() {
-		if stop.CompareAndSwap(false, true) {
-			close(stopCh)
+		mu.Lock()
+		close(stopCh)
+		mu.Unlock()
+		for _, ch := range results {
+			select {
+			case v := <-ch:
+				done(v)
+			default:
+			}
 		}
 	}()
 	for i := 0; i < n; i++ {
-		// Empty results (both fields nil) exist only on the stop and
-		// cancellation paths; the cancellation check below keeps the
-		// consumer from ever emitting one.
-		var res result
+		var v T
 		select {
-		case res = <-results[i]:
+		case v = <-results[i]:
 		case <-ctx.Done():
-			// A worker may have delivered results[i] in the same instant
-			// the cancellation won the select; drain it non-blockingly so
-			// its pooled scratch and inflight ticket are not dropped.
-			select {
-			case res = <-results[i]:
-				if res.ev != nil {
-					res.ev.Release()
-					<-inflight
-				}
-			default:
-			}
 			return i, ctx.Err()
 		}
 		if err := ctx.Err(); err != nil {
 			// The select may race a delivered result against the
 			// cancellation; prefer the cancellation and never emit after
-			// it, releasing the undrained evaluation ourselves.
-			if res.ev != nil {
-				res.ev.Release()
-				<-inflight
-			}
+			// it.
+			done(v)
 			return i, err
 		}
-		ok := emit(DocID(i), res.ev, res.err)
-		if res.ev != nil {
-			res.ev.Release()
-			<-inflight
-		}
+		ok := emit(i, v)
+		done(v)
+		<-inflight
 		if !ok {
 			return i + 1, nil
 		}
 	}
-	// Every document was emitted: the batch completed, whatever the
-	// context did in the meantime.
+	// Every result was emitted: the batch completed, whatever the context
+	// did in the meantime.
 	return n, nil
-}
-
-// Map runs fn over the indexes [0, n) on a pool of workers and hands each
-// result to emit strictly in index order on the calling goroutine. fn calls
-// run concurrently and must be safe to do so; errors are folded into T.
-// emit returning false stops the batch: emit is never called again, no
-// goroutines are leaked, and workers skip fn for indexes they dequeue
-// after observing the stop — a best-effort cutoff, so in-flight and
-// just-dequeued fn calls may still run to completion with their results
-// dropped. Values below 1 for workers mean 1.
-//
-// Map is the ordered fan-in primitive for per-index work whose results are
-// small (counts, summaries): every result is buffered until the consumer
-// reaches its index. Engine.Process serves the document-sized case, adding
-// ticketing that bounds the resident payloads to a 2×workers window.
-func Map[T any](workers, n int, fn func(int) T, emit func(int, T) bool) {
-	if n == 0 {
-		return
-	}
-	workers = max(1, min(workers, n))
-	jobs := make(chan int, n)
-	for i := 0; i < n; i++ {
-		jobs <- i
-	}
-	close(jobs)
-	results := make([]chan T, n)
-	for i := range results {
-		results[i] = make(chan T, 1)
-	}
-	var stop atomic.Bool
-	for w := 0; w < workers; w++ {
-		go func() {
-			var zero T
-			for i := range jobs {
-				if stop.Load() {
-					results[i] <- zero
-					continue
-				}
-				results[i] <- fn(i)
-			}
-		}()
-	}
-	defer stop.Store(true)
-	for i := 0; i < n; i++ {
-		if !emit(i, <-results[i]) {
-			return
-		}
-	}
 }
 
 // Count evaluates the Theorem 5.1 counting pass over every document of the
@@ -351,7 +348,7 @@ func (e *Engine) Count(docs [][]byte) (counts []uint64, exact []bool) {
 	exact = make([]bool, len(docs))
 	// Each worker writes only its own index; Map returns after every
 	// result has been handed over, so the slices are complete.
-	Map(e.poolSize(len(docs)), len(docs),
+	Map(e.workers, len(docs),
 		func(i int) struct{} {
 			counts[i], exact[i] = e.s.Count(docs[i])
 			return struct{}{}

@@ -362,36 +362,46 @@ func TestMapOrderedAndEarlyStop(t *testing.T) {
 func TestProcessLoaderErrorsInOrder(t *testing.T) {
 	forceProcs(t, 8)
 	// Process must deliver a load error at the document's position, after
-	// every earlier document's matches; stopping there must not leak.
+	// every earlier document's matches; stopping there must not leak. A
+	// one-document batch runs inline, a larger one on the pool.
 	s := spanner.MustCompile(gen.Figure1Pattern())
-	docs := batch(20)
-	failAt := engine.DocID(11)
 	e := engine.New(s, engine.Workers(4))
+	for _, tc := range []struct {
+		name   string
+		n      int
+		failAt engine.DocID
+	}{
+		{"one", 1, 0},
+		{"many", 20, 11},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			docs := batch(tc.n)
+			var trace []string
+			e.Process(len(docs),
+				func(i engine.DocID) ([]byte, error) {
+					if i == tc.failAt {
+						return nil, fmt.Errorf("load %d failed", i)
+					}
+					return docs[i], nil
+				},
+				func(i engine.DocID, ev *spanner.Evaluation, err error) bool {
+					if err != nil {
+						trace = append(trace, fmt.Sprintf("%d:ERR", i))
+						return false
+					}
+					ev.Enumerate(func(m *spanner.Match) bool {
+						trace = append(trace, fmt.Sprintf("%d:%s", i, m.Key()))
+						return true
+					})
+					return true
+				})
 
-	var trace []string
-	e.Process(len(docs),
-		func(i engine.DocID) ([]byte, error) {
-			if i == failAt {
-				return nil, fmt.Errorf("load %d failed", i)
+			want := serialTrace(s, docs[:tc.failAt])
+			want = append(want, fmt.Sprintf("%d:ERR", tc.failAt))
+			if fmt.Sprint(trace) != fmt.Sprint(want) {
+				t.Fatalf("trace diverges from serial-with-error:\ngot  %v\nwant %v", trace, want)
 			}
-			return docs[i], nil
-		},
-		func(i engine.DocID, ev *spanner.Evaluation, err error) bool {
-			if err != nil {
-				trace = append(trace, fmt.Sprintf("%d:ERR", i))
-				return false
-			}
-			ev.Enumerate(func(m *spanner.Match) bool {
-				trace = append(trace, fmt.Sprintf("%d:%s", i, m.Key()))
-				return true
-			})
-			return true
 		})
-
-	want := serialTrace(s, docs[:failAt])
-	want = append(want, fmt.Sprintf("%d:ERR", failAt))
-	if fmt.Sprint(trace) != fmt.Sprint(want) {
-		t.Fatalf("trace diverges from serial-with-error:\ngot  %v\nwant %v", trace, want)
 	}
 }
 
@@ -487,48 +497,61 @@ func TestProcessContextBackgroundMatchesProcess(t *testing.T) {
 	}
 }
 
-// TestProcessContextCancellationLeakFree is the cancellation leak test of
-// the issue: a batch cancelled mid-flight must return ctx.Err() promptly,
-// never call emit after the cancellation is observed, skip most of the
-// queued work, and leave no goroutines behind.
+// TestProcessContextCancellationLeakFree is the cancellation leak test: a
+// batch cancelled mid-flight must return ctx.Err() promptly, never call
+// emit after the cancellation is observed, skip most of the queued work,
+// and leave no goroutines behind. The one-document batch, which runs
+// inline, is cancelled from its loader; the pool batch from emit.
 func TestProcessContextCancellationLeakFree(t *testing.T) {
 	forceProcs(t, 4)
-	base := runtime.NumGoroutine()
 	s := spanner.MustCompile(gen.Figure1Pattern())
-	const n = 256
 	eng := engine.New(s, engine.Workers(4))
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
+	for _, tc := range []struct {
+		name     string
+		n        int
+		cancelAt int   // cancel inside this emit call; 0 cancels in the first load
+		maxLoads int64 // loads allowed to start, cancellation included
+	}{
+		{"one", 1, 0, 1},
+		// A 4-worker pool (≤ 8 inflight tickets) stopping at document 3:
+		// the vast majority of the 256 queued loads must never start.
+		{"many", 256, 3, 64},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			base := runtime.NumGoroutine()
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
 
-	var loads atomic.Int64
-	emits := 0
-	emitted, err := eng.ProcessContext(ctx, n,
-		func(i engine.DocID) ([]byte, error) {
-			loads.Add(1)
-			return gen.Contacts(20, int64(i)), nil
-		},
-		func(i engine.DocID, ev *spanner.Evaluation, e error) bool {
-			emits++
-			if emits == 3 {
-				cancel()
+			var loads atomic.Int64
+			emits := 0
+			emitted, err := eng.ProcessContext(ctx, tc.n,
+				func(i engine.DocID) ([]byte, error) {
+					if loads.Add(1) == 1 && tc.cancelAt == 0 {
+						cancel()
+					}
+					return gen.Contacts(20, int64(i)), nil
+				},
+				func(i engine.DocID, ev *spanner.Evaluation, e error) bool {
+					emits++
+					if emits == tc.cancelAt {
+						cancel()
+					}
+					return true
+				})
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("err = %v, want Canceled", err)
 			}
-			return true
+			if emits != tc.cancelAt {
+				t.Fatalf("emit ran %d times; the consumer must never emit after observing the cancellation", emits)
+			}
+			if emitted != emits {
+				t.Fatalf("ProcessContext reported %d emitted but emit ran %d times", emitted, emits)
+			}
+			settleGoroutines(t, base)
+			if l := loads.Load(); l > tc.maxLoads {
+				t.Fatalf("%d of %d documents were loaded after a cancellation at emit %d", l, tc.n, tc.cancelAt)
+			}
 		})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want Canceled", err)
-	}
-	if emits != 3 {
-		t.Fatalf("emit ran %d times; the consumer must never emit after observing the cancellation", emits)
-	}
-	if emitted != emits {
-		t.Fatalf("ProcessContext reported %d emitted but emit ran %d times", emitted, emits)
-	}
-	settleGoroutines(t, base)
-	// Workers skip queued documents once cancelled: with a 4-worker pool
-	// (≤ 8 inflight tickets) and the consumer stopping at document 3, the
-	// vast majority of the 256 queued loads must never have started.
-	if l := loads.Load(); l > 64 {
-		t.Fatalf("%d of %d documents were loaded after a cancellation at document 3", l, n)
 	}
 }
 
@@ -639,8 +662,18 @@ func TestProcessContextEmittedAccounting(t *testing.T) {
 	forceProcs(t, 4)
 	s := spanner.MustCompile(gen.Figure1Pattern())
 	eng := engine.New(s, engine.Workers(4))
-	const n = 48
+	for _, tc := range []struct {
+		name string
+		n    int
+	}{
+		{"one", 1},
+		{"many", 48},
+	} {
+		t.Run(tc.name, func(t *testing.T) { testEmittedAccounting(t, eng, tc.n) })
+	}
+}
 
+func testEmittedAccounting(t *testing.T, eng *engine.Engine, n int) {
 	check := func(t *testing.T, emitted int, err error, seen []int, stopped bool) {
 		t.Helper()
 		if emitted != len(seen) {
@@ -667,7 +700,7 @@ func TestProcessContextEmittedAccounting(t *testing.T) {
 	}
 
 	// Cancellation from inside emit, at every possible prefix length.
-	for at := 1; at <= 6; at++ {
+	for at := 1; at <= min(6, n); at++ {
 		ctx, cancel := context.WithCancel(context.Background())
 		var seen []int
 		emitted, err := eng.ProcessContext(ctx, n,
@@ -705,16 +738,17 @@ func TestProcessContextEmittedAccounting(t *testing.T) {
 	// emit stopping the batch itself: emitted counts the stopping call too,
 	// and the error stays nil.
 	{
+		stopAt := min(7, n)
 		var seen []int
 		emitted, err := eng.ProcessContext(context.Background(), n,
 			func(i engine.DocID) ([]byte, error) { return gen.Contacts(5, int64(i)), nil },
 			func(i engine.DocID, ev *spanner.Evaluation, e error) bool {
 				seen = append(seen, int(i))
-				return len(seen) < 7
+				return len(seen) < stopAt
 			})
 		check(t, emitted, err, seen, true)
-		if emitted != 7 || err != nil {
-			t.Fatalf("emit-stop batch: emitted = %d, err = %v; want 7, nil", emitted, err)
+		if emitted != stopAt || err != nil {
+			t.Fatalf("emit-stop batch: emitted = %d, err = %v; want %d, nil", emitted, err, stopAt)
 		}
 	}
 }
@@ -764,4 +798,104 @@ func TestConcurrentBatchesShareOneEngine(t *testing.T) {
 		}(k)
 	}
 	wg.Wait()
+}
+
+// TestOneItemBatchRunsInline pins the one-item rule: a batch of exactly
+// one document (or index) has nothing to overlap, so ProcessContext, Map
+// and MapContext run it on the calling goroutine and start no worker.
+func TestOneItemBatchRunsInline(t *testing.T) {
+	forceProcs(t, 4)
+	s := spanner.MustCompile(`!x{a+}`)
+	eng := engine.New(s, engine.Workers(4))
+	batches := map[string]func(emit func()){
+		"ProcessContext": func(emit func()) {
+			_, _ = eng.ProcessContext(context.Background(), 1,
+				func(engine.DocID) ([]byte, error) { return []byte("aa"), nil },
+				func(engine.DocID, *spanner.Evaluation, error) bool { emit(); return true })
+		},
+		"Map": func(emit func()) {
+			engine.Map(4, 1, func(i int) int { return i }, func(int, int) bool { emit(); return true })
+		},
+		"MapContext": func(emit func()) {
+			_ = engine.MapContext(context.Background(), 4, 1, func(i int) int { return i }, func(int, int) bool { emit(); return true })
+		},
+	}
+	for name, run := range batches {
+		// Goroutines left over from earlier tests may exit between the two
+		// readings; a started worker would show on every attempt.
+		var before, during int
+		for attempt := 0; attempt < 20; attempt++ {
+			emits := 0
+			before = runtime.NumGoroutine()
+			run(func() { emits++; during = runtime.NumGoroutine() })
+			if emits != 1 {
+				t.Fatalf("%s: emit ran %d times, want 1", name, emits)
+			}
+			if during == before {
+				break
+			}
+		}
+		if during != before {
+			t.Fatalf("%s: %d goroutines inside emit, %d before the call; a one-item batch must start none", name, during, before)
+		}
+	}
+}
+
+// TestMapContextCancellation cancels a MapContext batch mid-flight: it
+// must return ctx.Err(), never call emit after the cancellation, never
+// start fn for an index still queued, and leak no goroutines.
+func TestMapContextCancellation(t *testing.T) {
+	forceProcs(t, 4)
+	base := runtime.NumGoroutine()
+	const n, workers, cancelAt = 200, 4, 5
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+
+	var started [n]atomic.Bool
+	emits := 0
+	err := engine.MapContext(ctx, workers, n,
+		func(i int) int {
+			started[i].Store(true)
+			runtime.Gosched()
+			return i * i
+		},
+		func(i, v int) bool {
+			if ctx.Err() != nil {
+				t.Errorf("emit(%d) ran after the cancellation", i)
+			}
+			if i != emits || v != i*i {
+				t.Errorf("emit (%d, %d), want (%d, %d)", i, v, emits, emits*emits)
+			}
+			emits++
+			if i == cancelAt {
+				cancel()
+			}
+			return true
+		})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want Canceled", err)
+	}
+	if emits != cancelAt+1 {
+		t.Fatalf("emit ran %d times, want %d", emits, cancelAt+1)
+	}
+	settleGoroutines(t, base)
+	// While emit(cancelAt) runs, the 2×workers tickets are held by indexes
+	// cancelAt and above, so no index from cancelAt+2×workers on has been
+	// dequeued; every one dequeued later sees the cancellation.
+	queued, ran := 0, 0
+	for i := range started {
+		if !started[i].Load() {
+			continue
+		}
+		ran++
+		if i >= cancelAt+2*workers {
+			queued++
+		}
+	}
+	if queued > 0 {
+		t.Fatalf("fn started for %d indexes still queued at the cancellation", queued)
+	}
+	if ran < cancelAt+1 || ran > cancelAt+2*workers {
+		t.Fatalf("fn ran for %d of %d indexes, want between %d and %d", ran, n, cancelAt+1, cancelAt+2*workers)
+	}
 }
