@@ -44,7 +44,6 @@ import (
 	"os"
 	"strconv"
 	"strings"
-	"unicode/utf8"
 
 	"spanners/engine"
 	"spanners/internal/jsonrow"
@@ -366,7 +365,7 @@ func (r *renderer) match(name string, m *spanner.Match) bool {
 		r.row = append(r.row, ',')
 		r.row = strconv.AppendInt(r.row, int64(sp.End), 10)
 		r.row = append(r.row, ") "...)
-		r.row = appendQuoted(r.row, m.Doc()[sp.Start:sp.End])
+		r.row = strconv.AppendQuote(r.row, string(m.Doc()[sp.Start:sp.End]))
 	}
 	if len(r.row) == start {
 		r.row = append(r.row, "{}"...) // the empty mapping: accepted, nothing captured
@@ -378,35 +377,6 @@ func (r *renderer) match(name string, m *spanner.Match) bool {
 	}
 	return true
 }
-
-// appendQuoted appends text as a double-quoted Go string literal, exactly
-// as strconv.Quote (and fmt's %q) renders it, without converting text to
-// a string. Only non-printable runes need an escape sequence; for those
-// the single-quoted rune literal strconv.AppendQuoteRune writes carries
-// the same escape between its quotes.
-func appendQuoted(dst, text []byte) []byte {
-	dst = append(dst, '"')
-	for len(text) > 0 {
-		r, w := utf8.DecodeRune(text)
-		switch {
-		case r == utf8.RuneError && w == 1:
-			dst = append(dst, `\x`...)
-			dst = append(dst, hexDigits[text[0]>>4], hexDigits[text[0]&0xf])
-		case r == '"' || r == '\\':
-			dst = append(dst, '\\', byte(r))
-		case strconv.IsPrint(r):
-			dst = append(dst, text[:w]...)
-		default:
-			n := len(dst)
-			dst = strconv.AppendQuoteRune(dst, r)
-			dst = append(dst[:n], dst[n+1:len(dst)-1]...)
-		}
-		text = text[w:]
-	}
-	return append(dst, '"')
-}
-
-const hexDigits = "0123456789abcdef"
 
 // count renders one per-input count line.
 func (r *renderer) count(name, val string) error {

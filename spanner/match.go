@@ -160,20 +160,14 @@ func (s *Spanner) Collect(dst []*Match, doc []byte, limit int) []*Match {
 // lexicographic order with 0-based spans. Two matches over the same
 // document are equal exactly when their keys are equal.
 func (m *Match) Key() string {
-	vars := make([]int, 0, len(m.spans))
-	for i, s := range m.spans {
-		if !s.IsZero() {
-			vars = append(vars, i)
-		}
-	}
-	sort.Slice(vars, func(a, b int) bool { return m.names[vars[a]] < m.names[vars[b]] })
+	bs := m.Bindings()
+	sort.Slice(bs, func(i, j int) bool { return bs[i].Var < bs[j].Var })
 	var b strings.Builder
-	for k, i := range vars {
-		if k > 0 {
+	for i, bd := range bs {
+		if i > 0 {
 			b.WriteByte('|')
 		}
-		s, _ := m.SpanAt(i)
-		fmt.Fprintf(&b, "%s=%s", m.names[i], s)
+		fmt.Fprintf(&b, "%s=%s", bd.Var, bd.Span)
 	}
 	return b.String()
 }
@@ -182,15 +176,11 @@ func (m *Match) Key() string {
 func (m *Match) String() string {
 	var b strings.Builder
 	b.WriteByte('{')
-	for i := range m.spans {
-		s, ok := m.SpanAt(i)
-		if !ok {
-			continue
-		}
-		if b.Len() > 1 {
+	for i, bd := range m.Bindings() {
+		if i > 0 {
 			b.WriteString(", ")
 		}
-		fmt.Fprintf(&b, "%s=%s %q", m.names[i], s, m.doc[s.Start:s.End])
+		fmt.Fprintf(&b, "%s=%s %q", bd.Var, bd.Span, bd.Text)
 	}
 	b.WriteByte('}')
 	return b.String()
