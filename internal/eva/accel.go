@@ -56,9 +56,10 @@ const (
 	maxAccelExits = 4
 	// maxAccelLiteral caps the extracted literal length.
 	maxAccelLiteral = 32
-	// maxAccelStates caps eager per-state analysis at compile time; larger
-	// automata accelerate only the initial state (the common .*lit.* shape)
-	// to keep CompileDense linear-ish in the table size.
+	// maxAccelStates caps eager per-state analysis when a table freezes;
+	// larger automata accelerate only the initial state and the scan anchor
+	// (the common .*lit.* shape) to keep freezing linear-ish in the table
+	// size.
 	maxAccelStates = 1 << 16
 )
 
@@ -130,38 +131,33 @@ func (a *accel) find(chunk []byte) int {
 	return 0
 }
 
-// stepper abstracts the deterministic automaton views the analysis runs
-// over: the dense-compiled table and the lazy determinizer. classes is a
-// byte partition no transition of the view separates, so the analysis
-// probes one representative byte per class.
-type stepper interface {
-	step(q int, b byte) (int, bool)
-	caps(q int) []model.Capture
-	classes() *classes
-}
+// noAccel is the record of an analyzed state that is not accelerated.
+var noAccel accel
 
-// analyzeAccel computes the acceleration record of state q. withLiteral
-// additionally runs the forced-departure literal extraction when the state
-// has a single exit byte; it is requested only at the scan-anchor state
-// (see findScanState) because extraction explores up to 32 transitions per
-// byte class from every state of the departure.
-func analyzeAccel(s stepper, q int, withLiteral bool) accel {
-	for _, t := range s.caps(q) {
+// analyzeAccel computes the acceleration record of state q, &noAccel when
+// q is not accelerated. withLiteral additionally runs the forced-departure
+// literal extraction when the state has a single exit byte; it is
+// requested only at the scan-anchor state (see findScanState) because
+// extraction explores up to 32 transitions per byte class from every state
+// of the departure. On a filling table the analysis mints the states it
+// steps into, like Step does.
+func (c *Compiled) analyzeAccel(q int, withLiteral bool) *accel {
+	targets := c.caps(q)
+	for _, t := range targets {
 		if t.To == q {
-			return accel{} // Capturing would grow q's own list
+			return &noAccel // Capturing would grow q's own list
 		}
 	}
 	var skip model.ByteSet
-	targets := s.caps(q)
-	p := s.classes()
+	p := &c.cls
 	for k, b := range p.rep {
-		t, ok := s.step(q, b)
+		t, ok := c.step(q, b)
 		if !ok || t != q {
 			continue
 		}
 		inert := true
 		for _, e := range targets {
-			if _, ok := s.step(e.To, b); ok {
+			if _, ok := c.step(e.To, b); ok {
 				inert = false
 				break
 			}
@@ -171,16 +167,16 @@ func analyzeAccel(s stepper, q int, withLiteral bool) accel {
 		}
 	}
 	if skip.IsEmpty() {
-		return accel{}
+		return &noAccel
 	}
-	a := accel{mode: accelScan, skip: skip, sink: skip == model.AnyByte()}
+	a := &accel{mode: accelScan, skip: skip, sink: skip == model.AnyByte()}
 	exits := skip.Negate().Bytes()
 	if len(exits) <= maxAccelExits {
 		a.mode = accelMemchr
 		a.exits = exits
 	}
 	if withLiteral && len(exits) == 1 {
-		if lit := extractLiteral(s, q, exits[0]); len(lit) >= 2 {
+		if lit := c.extractLiteral(q, exits[0]); len(lit) >= 2 {
 			a.mode = accelLiteral
 			a.lit = lit
 		}
@@ -214,8 +210,8 @@ func analyzeAccel(s stepper, q int, withLiteral bool) accel {
 // Whenever a condition fails the literal is capped at its current length:
 // departures that read the whole capped literal are full occurrences,
 // which accel.find always hands to the real evaluator.
-func extractLiteral(s stepper, q int, b0 byte) []byte {
-	if t, ok := s.step(q, b0); !ok || t != q {
+func (c *Compiled) extractLiteral(q int, b0 byte) []byte {
+	if t, ok := c.step(q, b0); !ok || t != q {
 		return nil
 	}
 	seen := map[int]bool{q: true}
@@ -228,8 +224,8 @@ func extractLiteral(s stepper, q int, b0 byte) []byte {
 		}
 		return append(set, t)
 	}
-	for _, e := range s.caps(q) {
-		if t, ok := s.step(e.To, b0); ok {
+	for _, e := range c.caps(q) {
+		if t, ok := c.step(e.To, b0); ok {
 			if t == q {
 				return nil
 			}
@@ -250,7 +246,7 @@ func extractLiteral(s stepper, q int, b0 byte) []byte {
 		// would pollute q's surviving list, so it caps the literal.
 		ext := append([]int(nil), x...)
 		for _, y := range x {
-			for _, e := range s.caps(y) {
+			for _, e := range c.caps(y) {
 				if e.To == q {
 					return lit
 				}
@@ -259,13 +255,13 @@ func extractLiteral(s stepper, q int, b0 byte) []byte {
 		}
 		// Images per byte class: exactly one byte may keep the departure
 		// alive, and no byte may route it back into q.
-		p := s.classes()
+		p := &c.cls
 		next := -1 // the unique continuation byte, -1 while unknown
 		var nx []int
 		for k, b := range p.rep {
 			var img []int
 			for _, y := range ext {
-				if t, ok := s.step(y, b); ok {
+				if t, ok := c.step(y, b); ok {
 					if t == q {
 						return lit
 					}
@@ -313,7 +309,7 @@ const maxScanDepth = 8
 // capture target of q surviving b — which is exactly how a dead prefix
 // evolves, and returns the first accelerable state found (breadth-first,
 // bounded depth), or -1.
-func findScanState(s stepper, q0 int) int {
+func (c *Compiled) findScanState(q0 int) int {
 	if q0 < 0 {
 		return -1
 	}
@@ -322,17 +318,17 @@ func findScanState(s stepper, q0 int) int {
 	for depth := 0; depth <= maxScanDepth && len(frontier) > 0; depth++ {
 		var next []int
 		for _, q := range frontier {
-			if a := analyzeAccel(s, q, false); a.mode != accelNone {
+			if a := c.analyzeAccel(q, false); a.mode != accelNone {
 				return q
 			}
-			for _, b := range s.classes().rep {
-				t, ok := s.step(q, b)
+			for _, b := range c.cls.rep {
+				t, ok := c.step(q, b)
 				if !ok || seen[t] {
 					continue
 				}
 				singleton := true
-				for _, e := range s.caps(q) {
-					if _, ok := s.step(e.To, b); ok {
+				for _, e := range c.caps(q) {
+					if _, ok := c.step(e.To, b); ok {
 						singleton = false
 						break
 					}

@@ -80,7 +80,7 @@ func TestAnalyzeAccelSingleByteNoLiteral(t *testing.T) {
 	// in memchr mode over its single exit byte.
 	a := scanEVA(t, "z", 0)
 	l := NewLazy(a)
-	rec := analyzeAccel(lazyStepper{l}, findScanState(lazyStepper{l}, l.Initial()), true)
+	rec := l.analyzeAccel(l.findScanState(l.Initial()), true)
 	if rec.mode != accelMemchr || len(rec.exits) != 1 || rec.exits[0] != 'z' {
 		t.Fatalf("record = %+v, want memchr on 'z'", rec)
 	}
@@ -107,8 +107,8 @@ func TestCompiledAndLazyAccelAgree(t *testing.T) {
 	// Drive both AccelSkips from their scan anchors over the same chunk
 	// and check they agree (state ids differ between the constructions,
 	// so compare behavior, not records).
-	cq := findScanState(compiledStepper{c}, c.Initial())
-	lq := findScanState(lazyStepper{l}, l.Initial())
+	cq := c.findScanState(c.Initial())
+	lq := l.findScanState(l.Initial())
 	if cq < 0 || lq < 0 {
 		t.Fatalf("scan states: dense %d lazy %d", cq, lq)
 	}
@@ -119,20 +119,20 @@ func TestCompiledAndLazyAccelAgree(t *testing.T) {
 	}
 }
 
-func TestWithoutAccelDisables(t *testing.T) {
-	c, err := scanEVA(t, "ab", 0).Determinize().CompileDense()
+func TestDisableAccelDisables(t *testing.T) {
+	c, err := scanEVA(t, "ab", 0).Compile()
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := c.WithoutAccel()
-	if d.AccelEnabled() || d.AcceleratedStates() != 0 {
-		t.Fatal("WithoutAccel must disable acceleration")
-	}
-	if n := d.AccelSkip(d.Initial(), []byte("xxxx")); n != 0 {
-		t.Fatalf("disabled AccelSkip = %d", n)
-	}
 	if !c.AccelEnabled() {
-		t.Fatal("WithoutAccel must not touch the receiver")
+		t.Fatal("the compiled automaton must accelerate before DisableAccel")
+	}
+	c.DisableAccel()
+	if c.AccelEnabled() || c.AcceleratedStates() != 0 {
+		t.Fatal("DisableAccel must disable acceleration")
+	}
+	if n := c.AccelSkip(c.Initial(), []byte("xxxx")); n != 0 {
+		t.Fatalf("disabled AccelSkip = %d", n)
 	}
 	l := NewLazy(scanEVA(t, "ab", 0))
 	l.DisableAccel()
@@ -206,7 +206,7 @@ func TestAccelSkipNeverSkipsExitBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q := findScanState(compiledStepper{c}, c.Initial())
+	q := c.findScanState(c.Initial())
 	lit := []byte("www.")
 	doc := []byte("xyz wxy www.hostw ww.x wwwww www.a")
 	for lo := 0; lo <= len(doc); lo++ {

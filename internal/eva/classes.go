@@ -26,8 +26,9 @@ type classes struct {
 // that E cuts into C∩E and C∖E with ByteSet word operations, so the cost
 // grows with edges × classes, not with the 256 bytes. The subset
 // construction computes it once per compile, on the sequential eVA both
-// determinization strategies start from; CompileDense, once, on its
-// deterministic input.
+// determinization modes start from; a strict table reaches the classes of
+// its deterministic automaton by merging columns when it freezes.
+// CompileDense computes it once on its deterministic input.
 func byteClasses(a *EVA) *classes {
 	parts := []model.ByteSet{model.ByteSet{}.Negate()}
 	seen := make(map[model.ByteSet]bool)

@@ -1,62 +1,172 @@
 package eva
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"spanners/internal/model"
 )
 
-// Compiled is the dense-dispatch form of a deterministic eVA: per state a
-// class-indexed next-state row, flattened into one contiguous table, so
-// that a letter transition costs two array loads (byte→class, then
-// class→state) instead of EVA.Step's linear scan over class edges. The
-// automaton is immutable after construction and therefore safe for
-// concurrent evaluation — the representation the compile-once/
-// evaluate-many facade hands out for the strict path.
+// maxDenseStates is the dense-table state limit: Compile stops minting
+// subsets there, and CompileDense rejects larger automata.
+var maxDenseStates = 1 << 23
+
+// unknown marks a table entry, or the scan anchor, that a filling table
+// has not computed yet.
+const unknown = -2
+
+// Compiled is the class-indexed transition table of a deterministic eVA,
+// the one table both determinization modes evaluate. Each state owns a
+// next-state row indexed by byte class, flattened into one contiguous
+// slice, so a letter transition costs two array loads (byte→class, then
+// class→state) instead of EVA.Step's linear scan over class edges. Beside
+// the rows sit the per-state finality, capture transitions and
+// acceleration records (see accel.go), and the scan anchor.
 //
-// Bytes that no letter edge distinguishes share a column: the 256 byte
-// values collapse into equivalence classes (a single shared 256→class
-// map), and each state stores one row per class rather than one per byte.
-// The classes come from byteClasses over the automaton's own edges; for
-// the output of Determinize they are the source eVA's classes, merged
-// wherever no det edge separates them. Patterns over ASCII-ish alphabets
-// typically need a few dozen classes, keeping the table cache-resident. The row stride is the class count rounded up to a power
-// of two so the hot-path index stays a shift and an or.
+// The subset construction (subsets) fills the table: Lazy fills an entry
+// the first time evaluation asks for it; Compile fills every reachable one
+// and then freezes the table, which is immutable from then on and
+// therefore safe for concurrent evaluation — the strict path of the
+// compile-once/evaluate-many facade.
 //
-// Compiled also carries the per-state acceleration records (see accel.go):
-// states whose self-loop covers most bytes answer AccelSkip with a
-// memchr-class search for the next byte that can change the live
-// configuration, and the initial state may carry a required literal for
-// bytes.Index jumps.
+// Bytes that no letter edge distinguishes share a column behind one
+// shared 256→class map. A filling table is indexed by the classes of the
+// source eVA; freezing merges the columns no row separates, which leaves
+// exactly the classes of the deterministic automaton's own edges —
+// typically a few dozen, keeping the table cache-resident. The row stride
+// is the class count rounded up to a power of two so the hot-path index
+// stays a shift and an or.
 type Compiled struct {
 	reg       *model.Registry
 	initial   int
 	accepting []bool
-	// cls maps each byte to its equivalence class; bytes in the same class
-	// are indistinguishable to every letter edge of the automaton.
-	cls classes
-	// shift is log2 of the row stride; next[q<<shift|class] is δ(q, class),
-	// or -1 when undefined.
-	shift    uint
-	next     []int32
+	cls       classes // byte → column
+	// shift is log2 of the row stride; next[q<<shift|class] is δ(q, class):
+	// a state id, -1 when undefined, unknown while not computed.
+	shift uint
+	next  []int32
+	// captures[q] is nil until computed; a computed empty list is non-nil.
 	captures [][]model.Capture
-
-	// accels holds the per-state acceleration records when the automaton
-	// is small enough for eager analysis; otherwise sparse holds records
-	// for the initial and scan-anchor states only (those dominate
-	// sparse-corpus scans). scanState is the findScanState anchor, -1 when
-	// none exists.
-	accels    []accel
-	sparse    map[int]*accel
+	// accels[q] is the acceleration record of q: &noAccel when q was
+	// analyzed and is not accelerated, nil when q was not analyzed. A
+	// frozen table analyzes every state when it has at most maxAccelStates
+	// of them, and otherwise only the initial state and the scan anchor
+	// (those dominate sparse-corpus scans).
+	accels []*accel
+	// accelerated counts the records freeze found; 0 before freezing.
+	accelerated int
+	// scanState is the findScanState anchor: -1 when none exists, unknown
+	// while not computed.
 	scanState int
 	accelOff  bool
+	// sub computes the missing entries of a filling table; nil once frozen.
+	sub *subsets
 }
 
-// CompileDense builds the dense form of a. It fails unless a validates and
-// is deterministic — with overlapping class edges the table could only keep
-// one target, silently changing the semantics.
+// newTable returns the table that sub fills, holding sub's states so far.
+func newTable(sub *subsets) *Compiled {
+	c := &Compiled{
+		reg:       sub.src.reg,
+		initial:   min(sub.src.initial, 0), // {q0} is subset 0
+		cls:       *sub.cls,
+		shift:     strideShift(len(sub.cls.rep)),
+		scanState: unknown,
+		sub:       sub,
+	}
+	c.grow()
+	return c
+}
+
+// strideShift returns log2 of the row stride for k classes: k rounded up
+// to a power of two.
+func strideShift(k int) uint { return uint(bits.Len(uint(k - 1))) }
+
+// grow gives every state the subset construction minted since the last
+// call its finality, a row of unknown entries, and empty capture and
+// record slots.
+func (c *Compiled) grow() {
+	for q := len(c.accepting); q < len(c.sub.members); q++ {
+		c.accepting = append(c.accepting, c.sub.final[q])
+		c.captures = append(c.captures, nil)
+		c.accels = append(c.accels, nil)
+		for range 1 << c.shift {
+			c.next = append(c.next, unknown)
+		}
+	}
+}
+
+// step is Step on a table that may still fill: an unknown entry is
+// computed from the subset construction first.
+func (c *Compiled) step(q int, b byte) (int, bool) {
+	i := q<<c.shift | int(c.cls.of[b])
+	if t := c.next[i]; t != unknown {
+		return int(t), t >= 0
+	}
+	return c.fill(i)
+}
+
+// fill computes the table entry i = q<<shift|class and returns it as step
+// does.
+func (c *Compiled) fill(i int) (int, bool) {
+	t := c.sub.letter(i>>c.shift, i&(1<<c.shift-1))
+	c.grow()
+	c.next[i] = int32(t)
+	return t, t >= 0
+}
+
+// caps returns the capture transitions of q, computing them first on a
+// filling table.
+func (c *Compiled) caps(q int) []model.Capture {
+	if cs := c.captures[q]; cs != nil || c.sub == nil {
+		return cs
+	}
+	cs := c.sub.captures(q)
+	c.grow()
+	c.captures[q] = cs
+	return cs
+}
+
+// fillAll computes every entry reachable from the initial state. It
+// expands the states in the order they are minted, each one's capture
+// transitions (in marker-set order) before its letter transitions (in
+// class order); that order is Determinize's state numbering. It stops
+// early when the construction reaches its state limit.
+func (c *Compiled) fillAll() {
+	for q := 0; q < len(c.accepting) && !c.sub.over; q++ {
+		c.caps(q)
+		for i := q << c.shift; i < q<<c.shift+len(c.cls.rep); i++ {
+			c.fill(i)
+		}
+	}
+}
+
+// Compile determinizes a into a frozen dense table without building the
+// deterministic eVA: it fills the table of a's subset construction to a
+// fixpoint, numbering the states as Determinize does, and freezes it. It
+// fails when a has no initial state, and as soon as the construction
+// would mint a state past the dense-table limit.
+func (a *EVA) Compile() (*Compiled, error) { return compile(newSubsets(a)) }
+
+func compile(sub *subsets) (*Compiled, error) {
+	if len(sub.members) == 0 {
+		return nil, errors.New("eva: Compile: the automaton has no initial state")
+	}
+	sub.limit = maxDenseStates
+	c := newTable(sub)
+	c.fillAll()
+	if sub.over {
+		return nil, fmt.Errorf("eva: Compile: more than %d states exceed the dense-table limit", sub.limit)
+	}
+	c.freeze()
+	return c, nil
+}
+
+// CompileDense builds the dense table of a, keeping a's state ids. It fails
+// unless a validates and is deterministic — with overlapping class edges
+// the table could only keep one target, silently changing the semantics.
 func (a *EVA) CompileDense() (*Compiled, error) {
 	if err := a.Validate(); err != nil {
 		return nil, err
@@ -65,62 +175,97 @@ func (a *EVA) CompileDense() (*Compiled, error) {
 		return nil, errors.New("eva: CompileDense requires a deterministic automaton")
 	}
 	n := a.NumStates()
-	if n > 1<<23 {
+	if n > maxDenseStates {
 		return nil, fmt.Errorf("eva: CompileDense: %d states exceed the dense-table limit", n)
 	}
 	c := &Compiled{
 		reg:       a.reg,
 		initial:   a.initial,
-		accepting: append([]bool(nil), a.final...),
+		accepting: slices.Clone(a.final),
+		cls:       *byteClasses(a),
 		captures:  make([][]model.Capture, n),
 	}
-	c.cls = *byteClasses(a)
-	stride := 1
-	for stride < len(c.cls.rep) {
-		stride <<= 1
-	}
-	c.shift = uint(bits.TrailingZeros(uint(stride)))
-	c.next = make([]int32, n*stride)
-	for i := range c.next {
-		c.next[i] = -1
-	}
-	for q := 0; q < n; q++ {
-		row := c.next[q<<c.shift : q<<c.shift+stride]
-		for _, e := range a.letters[q] {
-			for k, b := range c.cls.rep {
-				if e.Class.Has(b) {
-					row[k] = int32(e.To)
-				}
+	c.shift = strideShift(len(c.cls.rep))
+	c.next = make([]int32, n<<c.shift)
+	for q := range n {
+		for k, b := range c.cls.rep {
+			t := int32(-1)
+			if to, ok := a.Step(q, b); ok {
+				t = int32(to)
 			}
+			c.next[q<<c.shift|k] = t
 		}
-		c.captures[q] = append([]model.Capture(nil), a.captures[q]...)
+		c.captures[q] = slices.Clone(a.captures[q])
 	}
-	c.scanState = findScanState(compiledStepper{c}, c.initial)
-	if n <= maxAccelStates {
-		c.accels = make([]accel, n)
-		for q := 0; q < n; q++ {
-			c.accels[q] = analyzeAccel(compiledStepper{c}, q, q == c.scanState)
-		}
-	} else {
-		c.sparse = make(map[int]*accel)
-		if a := analyzeAccel(compiledStepper{c}, c.initial, c.initial == c.scanState); a.mode != accelNone {
-			c.sparse[c.initial] = &a
-		}
-		if c.scanState >= 0 && c.scanState != c.initial {
-			if a := analyzeAccel(compiledStepper{c}, c.scanState, true); a.mode != accelNone {
-				c.sparse[c.scanState] = &a
-			}
-		}
-	}
+	c.freeze()
 	return c, nil
 }
 
-// compiledStepper adapts Compiled to the acceleration analysis.
-type compiledStepper struct{ c *Compiled }
+// freeze finishes a filled table for sharing: it drops the subset
+// construction, merges the columns no row separates, and runs the
+// acceleration analysis eagerly.
+func (c *Compiled) freeze() {
+	c.sub = nil
+	c.mergeColumns()
+	c.scanState = c.findScanState(c.initial)
+	n := c.NumStates()
+	c.accels = make([]*accel, n)
+	for q := range n {
+		if n <= maxAccelStates || q == c.initial || q == c.scanState {
+			c.accels[q] = c.analyzeAccel(q, q == c.scanState)
+			if c.accels[q].mode != accelNone {
+				c.accelerated++
+			}
+		}
+	}
+}
 
-func (s compiledStepper) step(q int, b byte) (int, bool) { return s.c.Step(q, b) }
-func (s compiledStepper) caps(q int) []model.Capture     { return s.c.Captures(q) }
-func (s compiledStepper) classes() *classes              { return &s.c.cls }
+// mergeColumns merges the columns that no row separates and rebuilds the
+// table at the merged stride. Two classes share a column of the result iff
+// every state steps both to the same target, which is exactly when no
+// letter edge of the deterministic automaton separates them: the result's
+// classes are byteClasses of that automaton, numbered in order of their
+// smallest byte.
+func (c *Compiled) mergeColumns() {
+	n := c.NumStates()
+	var (
+		reps []int // reps[m] is the first old column of merged column m
+		cls  classes
+		to   [256]uint8 // old column → merged column
+		col  []byte
+	)
+	seen := make(map[string]int) // column entries → merged column
+	for j := range c.cls.rep {
+		col = col[:0]
+		for q := range n {
+			col = binary.LittleEndian.AppendUint32(col, uint32(c.next[q<<c.shift|j]))
+		}
+		m, ok := seen[string(col)]
+		if !ok {
+			m = len(reps)
+			seen[string(col)] = m
+			reps = append(reps, j)
+			cls.rep = append(cls.rep, c.cls.rep[j])
+			cls.set = append(cls.set, model.ByteSet{})
+		}
+		cls.set[m] = cls.set[m].Union(c.cls.set[j])
+		to[j] = uint8(m)
+	}
+	for b := range 256 {
+		cls.of[b] = to[c.cls.of[b]]
+	}
+	shift := strideShift(len(reps))
+	next := make([]int32, n<<shift)
+	for i := range next {
+		next[i] = -1
+	}
+	for q := range n {
+		for m, j := range reps {
+			next[q<<shift|m] = c.next[q<<c.shift|j]
+		}
+	}
+	c.cls, c.shift, c.next = cls, shift, next
+}
 
 // Initial returns the initial state.
 func (c *Compiled) Initial() int { return c.initial }
@@ -157,18 +302,32 @@ func (c *Compiled) NumClasses() int { return len(c.cls.rep) }
 func (c *Compiled) TableBytes() int { return len(c.next)*4 + len(c.cls.of) }
 
 // accelFor returns the acceleration record of q, or nil when q is not
-// accelerated (or acceleration is disabled on this instance).
+// accelerated (or acceleration is disabled on this instance). It only
+// reads; record fills.
 func (c *Compiled) accelFor(q int) *accel {
-	if c.accelOff {
-		return nil
+	if a := c.accels[q]; !c.accelOff && a != nil && a.mode != accelNone {
+		return a
 	}
-	if c.accels != nil {
-		if a := &c.accels[q]; a.mode != accelNone {
-			return a
-		}
-		return nil
+	return nil
+}
+
+// record is accelFor on a table that may still fill: a filling table
+// analyzes q first, minting the states the analysis steps into. The
+// literal analysis runs only at the scan anchor, where sparse scans spend
+// their time.
+func (c *Compiled) record(q int) *accel {
+	if c.accels[q] == nil && c.sub != nil && !c.accelOff {
+		c.accels[q] = c.analyzeAccel(q, q == c.anchor())
 	}
-	return c.sparse[q]
+	return c.accelFor(q)
+}
+
+// anchor returns the scan anchor, finding it first on a filling table.
+func (c *Compiled) anchor() int {
+	if c.scanState == unknown {
+		c.scanState = c.findScanState(c.initial)
+	}
+	return c.scanState
 }
 
 // AccelSkip returns how many leading bytes of chunk are provably inert
@@ -197,25 +356,30 @@ func (c *Compiled) AccelSink(q int) bool {
 	return a != nil && a.sink
 }
 
-// AccelEnabled reports whether any state of this instance answers
-// AccelSkip with a non-trivial search.
-func (c *Compiled) AccelEnabled() bool { return c.AcceleratedStates() > 0 }
+// AccelEnabled reports whether AccelSkip may answer non-zero: on a frozen
+// table, whether any state is accelerated; on a table that still fills,
+// whether acceleration is on, since its states are not known up front.
+func (c *Compiled) AccelEnabled() bool { return !c.accelOff && (c.sub != nil || c.accelerated > 0) }
 
-// AcceleratedStates returns how many states carry an acceleration record.
+// AcceleratedStates returns how many states carry an acceleration record:
+// those the freeze-time analysis accelerated, 0 on a table that still
+// fills (it analyzes states on demand) or with acceleration off.
 func (c *Compiled) AcceleratedStates() int {
 	if c.accelOff {
 		return 0
 	}
-	if c.accels == nil {
-		return len(c.sparse)
+	return c.accelerated
+}
+
+// scanAccel returns the acceleration record of the scan anchor, nil when
+// there is no anchor, it is not accelerated, or acceleration is off. On a
+// filling table the analysis mints and memoizes the states it touches,
+// which evaluation would otherwise mint at its first AccelSkip.
+func (c *Compiled) scanAccel() *accel {
+	if c.accelOff || c.anchor() < 0 {
+		return nil
 	}
-	n := 0
-	for i := range c.accels {
-		if c.accels[i].mode != accelNone {
-			n++
-		}
-	}
-	return n
+	return c.record(c.scanState)
 }
 
 // ScanLeaveBytes returns the set of bytes that can leave the scan-anchor
@@ -223,10 +387,8 @@ func (c *Compiled) AcceleratedStates() int {
 // dead-prefix lead-in), when that anchor exists (the second return reports
 // it). Every byte outside the set is inert while no match is in progress.
 func (c *Compiled) ScanLeaveBytes() (model.ByteSet, bool) {
-	if c.scanState >= 0 {
-		if a := c.accelFor(c.scanState); a != nil {
-			return a.skip.Negate(), true
-		}
+	if a := c.scanAccel(); a != nil {
+		return a.skip.Negate(), true
 	}
 	return model.ByteSet{}, false
 }
@@ -234,20 +396,14 @@ func (c *Compiled) ScanLeaveBytes() (model.ByteSet, bool) {
 // ScanLiteral returns the required literal anchored at the scan-anchor
 // configuration, or "" when the forced-departure analysis found none.
 func (c *Compiled) ScanLiteral() string {
-	if c.scanState >= 0 {
-		if a := c.accelFor(c.scanState); a != nil && a.mode == accelLiteral {
-			return string(a.lit)
-		}
+	if a := c.scanAccel(); a != nil && a.mode == accelLiteral {
+		return string(a.lit)
 	}
 	return ""
 }
 
-// WithoutAccel returns a view of the automaton with acceleration disabled:
-// AccelSkip always answers 0 and AccelEnabled false. The view shares the
-// immutable tables with the receiver. It exists for the facade's
-// WithoutPrefilter option and for differential testing of the scan path.
-func (c *Compiled) WithoutAccel() *Compiled {
-	d := *c
-	d.accelOff = true
-	return &d
-}
+// DisableAccel turns acceleration off on this instance: AccelSkip always
+// answers 0 and AccelEnabled false. Call it before the table is shared; it
+// serves the facade's WithoutPrefilter option and differential tests of
+// the scan path.
+func (c *Compiled) DisableAccel() { c.accelOff = true }

@@ -2,11 +2,14 @@ package eva_test
 
 import (
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
 	"spanners/internal/eva"
 	"spanners/internal/gen"
 	"spanners/internal/model"
+	"spanners/internal/rgx"
 )
 
 func TestCompileDenseRejectsNondeterministic(t *testing.T) {
@@ -82,4 +85,100 @@ func TestCompileDenseRandomEquivalence(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestCompileStopsAtDenseStateLimit checks that Compile enforces the
+// dense-table limit where subsets are minted: (a|b)*a(a|b)^8 needs 2^9
+// subset states, and with the limit lowered below that the compile fails
+// without minting a state past the limit.
+func TestCompileStopsAtDenseStateLimit(t *testing.T) {
+	n, err := rgx.Parse(`(a|b)*a(a|b)(a|b)(a|b)(a|b)(a|b)(a|b)(a|b)(a|b)`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, err := rgx.Compile(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := v.ToExtended().Trim()
+	full, err := e.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if full.NumStates() < 512 {
+		t.Fatalf("%d states, want at least 2^9", full.NumStates())
+	}
+	const limit = 100
+	restore := eva.SetMaxDenseStates(limit)
+	defer restore()
+	minted, err := eva.CompileMinted(e)
+	if err == nil || !strings.Contains(err.Error(), "exceed the dense-table limit") {
+		t.Fatalf("Compile with the limit at %d: err = %v", limit, err)
+	}
+	if minted > limit {
+		t.Fatalf("minted %d states, limit %d", minted, limit)
+	}
+	if _, err := e.Determinize().CompileDense(); err == nil {
+		t.Fatal("CompileDense must reject a deterministic eVA over the limit")
+	}
+}
+
+// FuzzFrozenTableMatchesCompileDense checks that the table Compile fills
+// straight from the subset construction and freezes is the table
+// CompileDense builds from Determinize's output: the same states, ids and
+// finality, the same steps on all 256 bytes and captures in order, the
+// same merged byte classes and table size, and the same acceleration
+// records and prefilter facts.
+func FuzzFrozenTableMatchesCompileDense(f *testing.F) {
+	for i := range 40 {
+		f.Add(uint8(0), int64(42), uint8(i))
+	}
+	for shape := uint8(1); shape < 7; shape++ {
+		f.Add(shape, int64(0), uint8(0))
+		f.Add(shape, int64(7), uint8(0))
+	}
+	f.Fuzz(func(t *testing.T, shape uint8, seed int64, index uint8) {
+		e := fuzzEVA(t, shape, seed, index)
+		got, gerr := e.Compile()
+		want, werr := e.Determinize().CompileDense()
+		if (gerr == nil) != (werr == nil) {
+			t.Fatalf("Compile error %v, CompileDense error %v", gerr, werr)
+		}
+		if werr != nil {
+			return
+		}
+		if got.NumStates() != want.NumStates() || got.Initial() != want.Initial() {
+			t.Fatalf("%d states from %d, want %d from %d", got.NumStates(), got.Initial(), want.NumStates(), want.Initial())
+		}
+		for q := range want.NumStates() {
+			if got.Accepting(q) != want.Accepting(q) {
+				t.Fatalf("state %d: accepting %v, want %v", q, got.Accepting(q), want.Accepting(q))
+			}
+			for c := range 256 {
+				gt, gok := got.Step(q, byte(c))
+				wt, wok := want.Step(q, byte(c))
+				if gt != wt || gok != wok {
+					t.Fatalf("Step(%d, %q) = %d %v, want %d %v", q, byte(c), gt, gok, wt, wok)
+				}
+			}
+			if !slices.Equal(got.Captures(q), want.Captures(q)) {
+				t.Fatalf("state %d: captures %v, want %v", q, got.Captures(q), want.Captures(q))
+			}
+			if got.AccelSink(q) != want.AccelSink(q) {
+				t.Fatalf("state %d: AccelSink %v, want %v", q, got.AccelSink(q), want.AccelSink(q))
+			}
+		}
+		if got.NumClasses() != want.NumClasses() || got.TableBytes() != want.TableBytes() ||
+			got.AcceleratedStates() != want.AcceleratedStates() {
+			t.Fatalf("classes %d, table %d B, accelerated %d; want %d, %d B, %d",
+				got.NumClasses(), got.TableBytes(), got.AcceleratedStates(),
+				want.NumClasses(), want.TableBytes(), want.AcceleratedStates())
+		}
+		gl, gok := got.ScanLeaveBytes()
+		wl, wok := want.ScanLeaveBytes()
+		if gl != wl || gok != wok || got.ScanLiteral() != want.ScanLiteral() {
+			t.Fatalf("scan anchor: leave %v %v literal %q, want %v %v %q",
+				gl, gok, got.ScanLiteral(), wl, wok, want.ScanLiteral())
+		}
+	})
 }

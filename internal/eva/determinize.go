@@ -3,6 +3,7 @@ package eva
 import (
 	"encoding/binary"
 	"slices"
+	"sync/atomic"
 
 	"spanners/internal/model"
 )
@@ -19,67 +20,50 @@ import (
 // automaton actually requires it. Determinization preserves sequentiality
 // and functionality, because it preserves the set of accepting label
 // sequences and validity is a property of the label sequence alone.
+//
+// It fills the table Compile fills, without a state limit, and exports each
+// row as letter edges in class order; the evaluators run on Compile's
+// frozen table instead.
 func (a *EVA) Determinize() *EVA {
 	out := New(a.reg)
 	if a.initial < 0 {
 		return out
 	}
-	s := newSubsets(a)
+	c := newTable(newSubsets(a))
+	c.fillAll()
+	n := c.NumStates()
 	// at[t] is 1 + the index of the letter edge into t while a state is
-	// expanded, 0 otherwise.
-	var at []int32
-	for id := 0; id < len(s.members); id++ {
-		// Capture edges in marker-set order; To holds the group index
-		// until the target subset is interned.
-		sets, targets := s.capGroups(id)
-		var caps []model.Capture
-		for i, set := range sets {
-			caps = append(caps, model.Capture{S: set, To: i})
-		}
-		slices.SortFunc(caps, func(x, y model.Capture) int {
-			switch {
-			case x.S.Less(y.S):
-				return -1
-			case y.S.Less(x.S):
-				return 1
-			}
-			return 0
-		})
-		for i := range caps {
-			caps[i].To = s.intern(normalize(targets[caps[i].To]))
-		}
+	// exported, 0 otherwise.
+	at := make([]int32, n)
+	for q := range n {
 		var letters []model.Letter
-		for k := range s.cls.rep {
-			t := s.letter(id, k)
+		for k, t := range c.next[q<<c.shift:][:len(c.cls.rep)] {
 			if t < 0 {
 				continue
 			}
-			for len(at) < len(s.members) {
-				at = append(at, 0)
-			}
 			if at[t] == 0 {
-				letters = append(letters, model.Letter{To: t})
+				letters = append(letters, model.Letter{To: int(t)})
 				at[t] = int32(len(letters))
 			}
 			e := &letters[at[t]-1]
-			e.Class = e.Class.Union(s.cls.set[k])
+			e.Class = e.Class.Union(c.cls.set[k])
 		}
 		for _, e := range letters {
 			at[e.To] = 0
 		}
 		out.letters = append(out.letters, letters)
-		out.captures = append(out.captures, caps)
+		out.captures = append(out.captures, c.captures[q])
 	}
-	out.final = s.final
+	out.final = c.accepting
 	out.initial = 0
 	return out
 }
 
-// subsets is the subset construction both determinization strategies
-// share: the index of the subsets of source states minted so far, and
-// their successor subsets, computed once per byte class of the source from
-// the class's representative byte. Determinize drives it to a fixpoint;
-// Lazy drives it on demand.
+// subsets is the subset construction both determinization modes share:
+// the index of the subsets of source states minted so far, and their
+// successor subsets, computed once per byte class of the source from the
+// class's representative byte. It fills a Compiled table, to a fixpoint
+// for Compile and Determinize, on demand for Lazy.
 type subsets struct {
 	src *EVA
 	cls *classes
@@ -87,6 +71,14 @@ type subsets struct {
 	index   map[string]int
 	members [][]int
 	final   []bool
+	// limit caps the number of subsets, 0 for no cap; over records that a
+	// mint was refused.
+	limit int
+	over  bool
+	// minted mirrors len(members) behind an atomic, so that
+	// Lazy.StatesDiscovered never touches the tables evaluations mutate.
+	// spanlint:atomic
+	minted atomic.Int64
 	// to and key are scratch buffers, so that only minting allocates.
 	to  []int
 	key []byte
@@ -102,7 +94,8 @@ func newSubsets(src *EVA) *subsets {
 }
 
 // intern returns the id of a normalized subset, minting it if new. set may
-// alias scratch storage; a minted subset keeps a copy.
+// alias scratch storage; a minted subset keeps a copy. A new subset past
+// the limit is refused: intern sets over and returns −1.
 func (s *subsets) intern(set []int) int {
 	s.key = s.key[:0]
 	for _, q := range set {
@@ -112,6 +105,10 @@ func (s *subsets) intern(set []int) int {
 		return id
 	}
 	id := len(s.members)
+	if s.limit > 0 && id == s.limit {
+		s.over = true
+		return -1
+	}
 	s.index[string(s.key)] = id
 	s.members = append(s.members, slices.Clone(set))
 	final := false
@@ -122,6 +119,7 @@ func (s *subsets) intern(set []int) int {
 		}
 	}
 	s.final = append(s.final, final)
+	s.minted.Store(int64(len(s.members)))
 	return id
 }
 
@@ -144,22 +142,39 @@ func (s *subsets) letter(id, k int) int {
 	return s.intern(normalize(to))
 }
 
-// capGroups returns the capture transitions of subset id grouped by exact
-// marker set, in order of first occurrence among the members' edges:
-// sets[i] leads to the (unnormalized) targets[i]. Nothing is minted.
-func (s *subsets) capGroups(id int) (sets []model.Set, targets [][]int) {
+// captures returns the capture transitions of subset id, one per exact
+// marker set in marker-set order, minting their target subsets in that
+// order. The result is never nil.
+func (s *subsets) captures(id int) []model.Capture {
+	type group struct {
+		set model.Set
+		to  []int
+	}
+	var groups []group
 	for _, q := range s.members[id] {
 		for _, e := range s.src.captures[q] {
-			i := slices.Index(sets, e.S)
+			i := slices.IndexFunc(groups, func(g group) bool { return g.set == e.S })
 			if i < 0 {
-				i = len(sets)
-				sets = append(sets, e.S)
-				targets = append(targets, nil)
+				i = len(groups)
+				groups = append(groups, group{set: e.S})
 			}
-			targets[i] = append(targets[i], e.To)
+			groups[i].to = append(groups[i].to, e.To)
 		}
 	}
-	return sets, targets
+	slices.SortFunc(groups, func(x, y group) int {
+		switch {
+		case x.set.Less(y.set):
+			return -1
+		case y.set.Less(x.set):
+			return 1
+		}
+		return 0
+	})
+	caps := make([]model.Capture, 0, len(groups))
+	for _, g := range groups {
+		caps = append(caps, model.Capture{S: g.set, To: s.intern(normalize(g.to))})
+	}
+	return caps
 }
 
 // normalize sorts and deduplicates a subset in place.

@@ -165,3 +165,69 @@ func appendInt(b []byte, n int) []byte {
 	}
 	return append(b, byte('0'+n%10))
 }
+
+// TestStrictLazySameEnumerationOrder checks that strict and lazy mode
+// enumerate the same mappings in the same order, not only the same set
+// (FuzzStrictLazyEquivalence compares sorted keys). Both modes order each
+// state's capture transitions by marker set and the evaluator keeps one
+// live-list discipline, so their enumeration DAGs are isomorphic. The
+// output is capped per document.
+func TestStrictLazySameEnumerationOrder(t *testing.T) {
+	const limit = 5000
+	type workload struct {
+		pattern string
+		docs    [][]byte
+	}
+	cases := []workload{
+		{gen.Figure1Pattern(), [][]byte{gen.Figure1Doc(), gen.Contacts(20, 3)}},
+		{gen.NestedPattern(2), [][]byte{[]byte("abcd"), gen.DenseMarkers(256, 1)}},
+		{gen.SparsePattern, [][]byte{gen.SparseMatches(4096, 0.005, 2)}},
+	}
+	rng := rand.New(rand.NewSource(321))
+	for range 300 {
+		var docs [][]byte
+		for range 5 {
+			docs = append(docs, gen.RandomDoc(rng.Intn(10), "abc", rng.Int63()))
+		}
+		node := gen.RandomRGX(rng, 3, []string{"x", "y", "z", "w"}, "abc")
+		cases = append(cases, workload{node.String(), docs})
+	}
+	keys := func(s *spanner.Spanner, doc []byte) []string {
+		var out []string
+		s.Enumerate(doc, func(m *spanner.Match) bool {
+			out = append(out, m.Key())
+			return len(out) < limit
+		})
+		return out
+	}
+	for _, c := range cases {
+		strict, err := spanner.Compile(c.pattern, spanner.WithStrict())
+		if err != nil {
+			t.Fatalf("strict compile %q: %v", c.pattern, err)
+		}
+		lazy, err := spanner.Compile(c.pattern, spanner.WithLazy())
+		if err != nil {
+			t.Fatalf("lazy compile %q: %v", c.pattern, err)
+		}
+		for _, doc := range c.docs {
+			want, got := keys(strict, doc), keys(lazy, doc)
+			if i := firstDiff(want, got); i >= 0 {
+				t.Fatalf("pattern %q doc %.40q: output %d differs (strict %d outputs, lazy %d)\nstrict %v\nlazy   %v",
+					c.pattern, doc, i, len(want), len(got), want[i:min(i+3, len(want))], got[i:min(i+3, len(got))])
+			}
+		}
+	}
+}
+
+// firstDiff returns the first index where a and b differ, -1 when equal.
+func firstDiff(a, b []string) int {
+	for i := range min(len(a), len(b)) {
+		if a[i] != b[i] {
+			return i
+		}
+	}
+	if len(a) != len(b) {
+		return min(len(a), len(b))
+	}
+	return -1
+}

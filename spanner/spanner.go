@@ -18,13 +18,14 @@
 //	    ...
 //	}
 //
-// Two determinization strategies are available. The default strict mode
-// (WithStrict) materializes the full deterministic automaton and compiles
-// it to a dense 256-entry-per-state dispatch table, making the per-byte
-// scan cost a single array load. Lazy mode (WithLazy) determinizes on the
-// fly, minting subset states only as documents demand them — the closing
-// remark of Section 4 — which avoids the 2^n worst case for automata whose
-// reachable subset space is large but rarely touched.
+// Two determinization strategies are available, filling one transition
+// table. The default strict mode (WithStrict) fills every reachable row of
+// the deterministic automaton at Compile time and freezes the table,
+// making the per-byte scan cost a class lookup and a table load. Lazy mode
+// (WithLazy) determinizes on the fly, filling rows only as documents
+// demand them — the closing remark of Section 4 — which avoids the 2^n
+// worst case for automata whose reachable subset space is large but
+// rarely touched.
 package spanner
 
 import (
@@ -138,9 +139,9 @@ type Stats struct {
 	// shared 256→class map); zero in lazy mode.
 	DenseTableBytes int
 	// ByteClasses is the number of byte equivalence classes the transition
-	// rows are indexed by: the dense table's in strict mode, the sequential
-	// eVA's in lazy mode (each discovered state owns one memo row of
-	// ByteClasses entries).
+	// rows are indexed by: the frozen table's in strict mode, the sequential
+	// eVA's in lazy mode (each discovered state owns one row of
+	// ByteClasses entries, padded to a power of two).
 	ByteClasses int
 	// AcceleratedStates is how many deterministic states carry an
 	// acceleration record (self-loop skip sets or a required literal) in
@@ -276,44 +277,38 @@ func compileEVA(pattern string, e *eva.EVA, start time.Time, opts []Option) (*Sp
 			EVATransitions: seq.NumTransitions(),
 		},
 	}
-	// The prefilter facts: both modes read them off the automaton they
-	// evaluate, before the WithoutPrefilter option turns acceleration off.
-	var (
-		leave    model.ByteSet
-		anchored bool
-		literal  string
-	)
-	switch cfg.mode {
-	case ModeLazy:
+	// Both modes evaluate an eva table; the prefilter facts are read off it
+	// before the WithoutPrefilter option turns acceleration off.
+	var table interface {
+		ScanLeaveBytes() (model.ByteSet, bool)
+		ScanLiteral() string
+		DisableAccel()
+		NumClasses() int
+		AcceleratedStates() int
+	}
+	if cfg.mode == ModeLazy {
 		s.lazy = eva.NewLazy(seq)
-		leave, anchored = s.lazy.ScanLeaveBytes()
-		literal = s.lazy.ScanLiteral()
-		if cfg.noPrefilter {
-			s.lazy.DisableAccel()
-		}
-		s.stats.ByteClasses = s.lazy.NumClasses()
-	default:
-		det := seq.Determinize()
-		dense, err := det.CompileDense()
+		table = s.lazy
+	} else {
+		dense, err := seq.Compile()
 		if err != nil {
 			return nil, err
 		}
-		leave, anchored = dense.ScanLeaveBytes()
-		literal = dense.ScanLiteral()
-		if cfg.noPrefilter {
-			dense = dense.WithoutAccel()
-		}
 		s.dense = dense
-		s.stats.DetStates = det.NumStates()
+		table = dense
+		s.stats.DetStates = dense.NumStates()
 		s.stats.DenseTableBytes = dense.TableBytes()
-		s.stats.ByteClasses = dense.NumClasses()
-		s.stats.AcceleratedStates = dense.AcceleratedStates()
 	}
-	if anchored {
+	if leave, anchored := table.ScanLeaveBytes(); anchored {
 		s.stats.PrefilterEnabled = !cfg.noPrefilter
-		s.stats.PrefilterLiteral = literal
+		s.stats.PrefilterLiteral = table.ScanLiteral()
 		s.stats.PrefilterLeaveBytes = leave.String()
 	}
+	if cfg.noPrefilter {
+		table.DisableAccel()
+	}
+	s.stats.ByteClasses = table.NumClasses()
+	s.stats.AcceleratedStates = table.AcceleratedStates()
 	s.stats.CompileTime = time.Since(start)
 	return s, nil
 }
