@@ -5,11 +5,13 @@ package core
 // many leading bytes of chunk are inert while the live configuration is
 // exactly the singleton {q}: one Capturing+Reading round over an inert
 // byte provably leaves the configuration (states and their lists or
-// counts) untouched, so the evaluator may advance its position counter
-// past them wholesale instead of running the two procedures per byte. The
-// eva package's compiled and lazy automata implement it via self-loop
-// analysis and required-literal extraction; the contract is exactness —
-// a skip must never change the eventual Result or count.
+// counts) untouched, and its slot order too — each live state reads back
+// into its own slot and the slots Capturing opened die — so the evaluator
+// may advance its position counter past them wholesale instead of running
+// the two procedures per byte. The eva package's compiled and lazy
+// automata implement it via self-loop analysis and required-literal
+// extraction; the contract is exactness — a skip must never change the
+// eventual Result or count.
 //
 // The evaluator only consults AccelSkip when its live set reduces to a
 // single governing state — alone, or alongside sink states (AccelSink)
@@ -103,19 +105,26 @@ func (g *accelGate) scanState(live []int) (int, bool) {
 	return q, true
 }
 
-// trySkip attempts a bulk skip at singleton live state q over chunk,
-// returning the number of inert leading bytes (0 when none, or when the
-// gate has fallen back). slow is the number of bytes the caller processed
-// through the per-byte path since the previous attempt; feeding it into
-// the window alongside the skipped bytes makes the window measure true
-// candidate density — on corpora where partial matches keep the live set
-// large, the slow stretches dominate and push the gate to fall back even
-// though each individual attempt looks harmless.
-func (g *accelGate) trySkip(q int, chunk []byte, slow int) int {
-	n := g.acc.AccelSkip(q, chunk)
+// skip is the one skip attempt of the scan loops: when the live states
+// reduce to one governing state (see scanState) it asks the Accelerator
+// how many bytes of chunk[i:] are inert and returns that count, 0 when the
+// attempt skips nothing or is not made. *last is where the previous
+// attempt in chunk ended; the bytes between it and i went through the
+// per-byte path, and feeding them into the window alongside the skipped
+// bytes makes the window measure true candidate density — on corpora
+// where partial matches keep the live set large, the slow stretches
+// dominate and push the gate to fall back even though each individual
+// attempt looks harmless.
+func (g *accelGate) skip(live []int, chunk []byte, i int, last *int) int {
+	q, ok := g.scanState(live)
+	if !ok {
+		return 0
+	}
+	n := g.acc.AccelSkip(q, chunk[i:])
 	g.skipped += int64(n)
 	g.winSkipped += n
-	g.winBytes += n + slow
+	g.winBytes += n + i - *last
+	*last = i + n
 	if g.winBytes >= accelWindow {
 		if g.winSkipped*100 < g.winBytes*accelMinSkipPercent {
 			g.on = false

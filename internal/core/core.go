@@ -24,6 +24,13 @@
 // Count (Algorithm 3, appendix C) reuses the same two-procedure loop but
 // keeps only the number of partial runs per state, computing |⟦A⟧d| in
 // O(|A| × |d|).
+//
+// Both passes run on one slot-ordered live configuration (liveSet): the
+// live states in first-arrival order, one slot each. The evaluation holds
+// its node lists, and the counting pass its uint64 or big counts, in
+// slices indexed by slot beside it, so membership is one test and a
+// counting pass that overflows uint64 keeps its live set and converts
+// only the counts.
 package core
 
 import (

@@ -416,3 +416,44 @@ func TestEvaluateWithVAAtInterface(t *testing.T) {
 		t.Fatalf("round-tripped automaton disagrees:\n%v", want.Diff(got, 10))
 	}
 }
+
+// FuzzLiveSetMatchesPerState checks the slot-ordered evaluation against
+// the per-state reference pass: for random formulas over "abc" and random
+// documents (with 'd' to kill runs), both must build the same DAG cell for
+// cell and the same final lists, on the strict frozen table and on the
+// lazy one.
+func FuzzLiveSetMatchesPerState(f *testing.F) {
+	f.Add(uint64(1), uint8(2), []byte("abcab"))
+	f.Add(uint64(7), uint8(3), []byte("aabbccabc"))
+	f.Add(uint64(42), uint8(1), []byte(""))
+	f.Add(uint64(1234), uint8(3), []byte("abcdabca"))
+	f.Fuzz(func(t *testing.T, seed uint64, depth uint8, raw []byte) {
+		node := gen.RandomRGX(rand.New(rand.NewSource(int64(seed))), int(depth%4)+1, []string{"x", "y", "z", "w"}, "abc")
+		v, err := rgx.Compile(node)
+		if err != nil {
+			t.Skip()
+		}
+		seq := v.ToExtended().Trim()
+		if !seq.IsSequential() {
+			seq = seq.Sequentialize().Trim()
+		}
+		strict, err := seq.Compile()
+		if err != nil {
+			t.Skip() // e.g. dense compilation limits
+		}
+		if len(raw) > 64 {
+			raw = raw[:64]
+		}
+		doc := make([]byte, len(raw))
+		for i, b := range raw {
+			doc[i] = "abcd"[b%4]
+		}
+		for _, a := range []core.Automaton{strict, eva.NewLazy(seq)} {
+			got, want := core.Evaluate(a, doc), core.EvaluatePerState(a, doc)
+			if !core.SameDAG(got, want) || core.DumpDAG(got) != core.DumpDAG(want) {
+				t.Fatalf("%s on %q (%T): slot-ordered pass built\n%s\nper-state reference built\n%s",
+					node, doc, a, core.DumpDAG(got), core.DumpDAG(want))
+			}
+		}
+	})
+}

@@ -4,60 +4,35 @@ import (
 	"math/big"
 )
 
-// total sums the counts of the accepting live states; exact is false when
-// any step of the computation overflowed uint64 (the sum is then the low
-// 64 bits of the true total).
-func (c *counter) total() (count uint64, exact bool) {
-	var total uint64
-	for _, q := range c.live {
-		if c.a.Accepting(q) {
-			var carry bool
-			total, carry = addOverflow(total, c.counts[q])
-			c.overflow = c.overflow || carry
-		}
-	}
-	return total, !c.overflow
-}
-
-// counter is the uint64 Algorithm 3 state. live holds each live state —
-// one reached by some partial run — exactly once; inLive is the matching
-// membership bitmap. Membership must be tracked explicitly rather than as
-// counts[q] != 0: once arithmetic has wrapped, a live state can carry a
-// count of exactly zero, and using the count as the sentinel would append
-// it to live twice, double-counting it in total() and breaking the
-// low-64-bits contract.
+// counter is the uint64 Algorithm 3 state: counts[k] is the number of
+// partial runs reaching the state in slot k of live. Membership is the
+// slot, not counts[k] != 0: once arithmetic has wrapped, a live state can
+// carry a count of exactly zero.
 type counter struct {
 	a        Automaton
+	live     liveSet
 	counts   []uint64
-	live     []int
-	inLive   []bool
-	pre      []uint64 // Capturing's snapshot: the counts of live[:len(pre)] at round start
+	pre      []uint64 // Capturing's snapshot: the counts of the round's starting slots
 	olds     []uint64 // Reading's snapshot
-	nextLive []int
 	overflow bool
 }
 
 // reset starts a pass of a at its initial state, keeping the buffers.
 func (c *counter) reset(a Automaton) {
 	c.a, c.overflow = a, false
-	c.counts, c.inLive, c.live = c.counts[:0], c.inLive[:0], c.live[:0]
-	q0 := a.Initial()
-	c.ensure(q0)
-	c.counts[q0] = 1
-	c.inLive[q0] = true
-	c.live = append(c.live, q0)
+	c.counts = c.counts[:0]
+	c.live.reset(a.Initial())
+	c.add(0, 1)
 }
 
-func (c *counter) ensure(q int) {
-	for len(c.counts) <= q {
-		c.counts = append(c.counts, 0)
-		c.inLive = append(c.inLive, false)
+// add adds n runs to slot k, which live.add may have just opened.
+func (c *counter) add(k int, n uint64) {
+	if k == len(c.counts) {
+		c.counts = append(c.counts, n)
+		return
 	}
-}
-
-func (c *counter) add(q int, n uint64) {
-	sum, carry := addOverflow(c.counts[q], n)
-	c.counts[q] = sum
+	sum, carry := addOverflow(c.counts[k], n)
+	c.counts[k] = sum
 	c.overflow = c.overflow || carry
 }
 
@@ -68,137 +43,92 @@ func addOverflow(a, b uint64) (uint64, bool) {
 
 // capturing mirrors Capturing(i): N[p] += N′[q] for every capture
 // transition (q, S, p), where N′ (pre) is the snapshot before the
-// procedure. It only appends to live, so live[:len(pre)] and pre still
-// describe the round's starting configuration after it.
+// procedure. It only opens slots after the round's starting ones, so pre
+// still describes the round's starting configuration after it.
 func (c *counter) capturing() {
-	c.pre = c.pre[:0]
-	for _, q := range c.live {
-		c.pre = append(c.pre, c.counts[q])
-	}
-	n := len(c.live)
-	for k := 0; k < n; k++ {
-		q := c.live[k]
-		for _, t := range c.a.Captures(q) {
-			c.ensure(t.To)
-			if !c.inLive[t.To] {
-				c.inLive[t.To] = true
-				c.live = append(c.live, t.To)
-			}
-			c.add(t.To, c.pre[k])
+	c.pre = append(c.pre[:0], c.counts...)
+	for k, n := range c.pre {
+		for _, t := range c.a.Captures(c.live.states[k]) {
+			c.add(c.live.add(t.To), n)
 		}
 	}
 }
 
 // reading mirrors Reading(i): counts move along letter transitions.
 func (c *counter) reading(ch byte) {
-	c.olds = c.olds[:0]
-	for _, q := range c.live {
-		c.olds = append(c.olds, c.counts[q])
-		c.counts[q] = 0
-		c.inLive[q] = false
-	}
-	c.nextLive = c.nextLive[:0]
-	for k, q := range c.live {
-		t, ok := c.a.Step(q, ch)
-		if !ok {
-			continue
+	from := c.live.turn()
+	c.olds, c.counts = c.counts, c.olds[:0]
+	for k, q := range from {
+		if t, ok := c.a.Step(q, ch); ok {
+			c.add(c.live.add(t), c.olds[k])
 		}
-		c.ensure(t)
-		if !c.inLive[t] {
-			c.inLive[t] = true
-			c.nextLive = append(c.nextLive, t)
-		}
-		c.add(t, c.olds[k])
 	}
-	c.live, c.nextLive = c.nextLive, c.live
 }
 
-// total sums the counts of the accepting live states.
-func (c *bigCounter) total() *big.Int {
-	total := new(big.Int)
-	for _, q := range c.live {
-		if c.a.Accepting(q) && c.counts[q] != nil {
-			total.Add(total, c.counts[q])
+// total sums the counts of the accepting live states; exact is false when
+// any step of the computation overflowed uint64 (the sum is then the low
+// 64 bits of the true total).
+func (c *counter) total() (count uint64, exact bool) {
+	var total uint64
+	for k, q := range c.live.states {
+		if c.a.Accepting(q) {
+			var carry bool
+			total, carry = addOverflow(total, c.counts[k])
+			c.overflow = c.overflow || carry
 		}
 	}
-	return total
+	return total, !c.overflow
 }
 
-// bigCounter is the arbitrary-precision Algorithm 3 state. A nil count is
-// the liveness sentinel: counts[q] is non-nil exactly when q ∈ live (a
-// materialized zero still means live — runs whose wrapped uint64 count was
-// zero at migration). Keying liveness on nil rather than on a zero value
-// keeps each state in live exactly once, so total() never double-counts.
+// bigCounter is the arbitrary-precision Algorithm 3 state. It shares the
+// counter's live set: counts[k] is the number of runs reaching the state
+// in slot k.
 type bigCounter struct {
-	a        Automaton
-	counts   []*big.Int
-	live     []int
-	olds     []*big.Int
-	nextLive []int
+	a      Automaton
+	live   *liveSet
+	counts []*big.Int
+	olds   []*big.Int
 }
 
-func (c *bigCounter) ensure(q int) {
-	for len(c.counts) <= q {
-		c.counts = append(c.counts, nil)
+// add adds n runs to slot k, which live.add may have just opened.
+func (c *bigCounter) add(k int, n *big.Int) {
+	if k == len(c.counts) {
+		c.counts = append(c.counts, new(big.Int))
 	}
-}
-
-func (c *bigCounter) add(q int, n *big.Int) {
-	if c.counts[q] == nil {
-		c.counts[q] = new(big.Int)
-	}
-	c.counts[q].Add(c.counts[q], n)
+	c.counts[k].Add(c.counts[k], n)
 }
 
 func (c *bigCounter) capturing() {
 	c.olds = c.olds[:0]
-	for _, q := range c.live {
-		// A live state normally carries a materialized count, but the
-		// invariant is load-bearing across CountStream.migrate, which
-		// rebuilds the live set from a rewound round: tolerate a nil (zero)
-		// count rather than panic on it.
-		old := new(big.Int)
-		if c.counts[q] != nil {
-			old.Set(c.counts[q])
-		}
-		c.olds = append(c.olds, old)
+	for _, n := range c.counts {
+		c.olds = append(c.olds, new(big.Int).Set(n))
 	}
-	n := len(c.live)
-	for k := 0; k < n; k++ {
-		q := c.live[k]
-		for _, t := range c.a.Captures(q) {
-			c.ensure(t.To)
-			if c.counts[t.To] == nil {
-				c.live = append(c.live, t.To)
-			}
-			c.add(t.To, c.olds[k])
+	for k, n := range c.olds {
+		for _, t := range c.a.Captures(c.live.states[k]) {
+			c.add(c.live.add(t.To), n)
 		}
 	}
 }
 
 func (c *bigCounter) reading(ch byte) {
-	c.olds = c.olds[:0]
-	for _, q := range c.live {
-		old := c.counts[q]
-		if old == nil {
-			old = new(big.Int)
+	from := c.live.turn()
+	c.olds, c.counts = c.counts, c.olds[:0]
+	for k, q := range from {
+		if t, ok := c.a.Step(q, ch); ok {
+			c.add(c.live.add(t), c.olds[k])
 		}
-		c.olds = append(c.olds, old)
-		c.counts[q] = nil
 	}
-	c.nextLive = c.nextLive[:0]
-	for k, q := range c.live {
-		t, ok := c.a.Step(q, ch)
-		if !ok {
-			continue
+}
+
+// total sums the counts of the accepting live states.
+func (c *bigCounter) total() *big.Int {
+	total := new(big.Int)
+	for k, q := range c.live.states {
+		if c.a.Accepting(q) {
+			total.Add(total, c.counts[k])
 		}
-		c.ensure(t)
-		if c.counts[t] == nil {
-			c.nextLive = append(c.nextLive, t)
-		}
-		c.add(t, c.olds[k])
 	}
-	c.live, c.nextLive = c.nextLive, c.live
+	return total
 }
 
 // CountStream is Algorithm 3 (appendix C): it computes |⟦A⟧d| for a
@@ -248,88 +178,57 @@ func (s *CountStream) Reset(a Automaton) {
 // the remaining input costs nothing beyond delivery.
 //
 // spanlint:hotpath — the uint64 counting loop allocates nothing; hotalloc
-// (cmd/spanlint) enforces it. The arbitrary-precision fallback (feedBig)
-// allocates by design and is waived at its call site.
+// (cmd/spanlint) enforces it. The arbitrary-precision rounds (bigRound)
+// allocate by design and are waived at their call site.
 func (s *CountStream) Feed(chunk []byte) {
 	if s.closed {
 		panic("core: CountStream.Feed after Close")
 	}
 	i, last := 0, 0
-	for s.bc == nil && i < len(chunk) && len(s.c.live) > 0 {
+	for i < len(chunk) && len(s.c.live.states) > 0 {
 		if s.gate.on {
-			if q, ok := s.gate.scanState(s.c.live); ok {
-				n := s.gate.trySkip(q, chunk[i:], i-last)
-				last = i + n
-				if n > 0 {
-					i += n
-					continue
-				}
+			if n := s.gate.skip(s.c.live.states, chunk, i, &last); n > 0 {
+				i += n
+				continue
 			}
 		}
-		s.c.capturing()
-		s.c.reading(chunk[i])
+		if !s.c.overflow {
+			s.c.capturing()
+			s.c.reading(chunk[i])
+		}
 		if s.c.overflow {
-			// Reading moved the round's starting live list to nextLive.
-			// feedBig replays the round at i; the skip attempt it repeats
-			// there sees the same configuration and skips nothing.
-			//spanlint:ignore hotalloc one-time switch to big.Int counts, entered only on the first uint64 overflow
-			s.migrate(s.c.nextLive[:len(s.c.pre)], s.c.pre)
-			break
+			//spanlint:ignore hotalloc big.Int arithmetic allocates by design; entered only once a uint64 count overflowed, never on the fast path
+			s.bigRound(chunk[i])
 		}
 		i++
-	}
-	if s.bc != nil {
-		//spanlint:ignore hotalloc big.Int arithmetic allocates by design; entered only after a uint64 overflow, never on the fast path
-		s.feedBig(chunk, i, last)
 	}
 }
 
 // Dead reports whether the live state set has drained: no partial run
 // survives and no later byte can revive one, so the count is 0 whatever
 // follows and callers may stop feeding.
-func (s *CountStream) Dead() bool {
-	if s.bc != nil {
-		return len(s.bc.live) == 0
+func (s *CountStream) Dead() bool { return len(s.c.live.states) == 0 }
+
+// bigRound runs the round over ch in big arithmetic. Right after the
+// uint64 round over ch overflowed, it first migrates and replays that
+// round.
+func (s *CountStream) bigRound(ch byte) {
+	if s.bc == nil {
+		s.migrate()
 	}
-	return len(s.c.live) == 0
+	s.bc.capturing()
+	s.bc.reading(ch)
 }
 
-// feedBig advances the arbitrary-precision counting pass over chunk from
-// position i, with last the position after the previous skip attempt. It
-// is the post-overflow continuation of Feed and allocates freely (big.Int
-// arithmetic), which is why it lives outside the spanlint:hotpath contract.
-func (s *CountStream) feedBig(chunk []byte, i, last int) {
-	for i < len(chunk) && len(s.bc.live) > 0 {
-		if s.gate.on {
-			if q, ok := s.gate.scanState(s.bc.live); ok {
-				n := s.gate.trySkip(q, chunk[i:], i-last)
-				last = i + n
-				if n > 0 {
-					i += n
-					continue
-				}
-			}
-		}
-		s.bc.capturing()
-		s.bc.reading(chunk[i])
-		i++
-	}
-}
-
-// migrate switches to big arithmetic from the configuration where each
-// live[k] carries counts[k] runs: the start of the round that overflowed,
-// which the caller then replays. Every live state gets a materialized
-// count — including zero-valued ones — establishing the bigCounter
-// invariant "live ⟺ non-nil count", and a duplicate entry is dropped
-// (total() sums per live entry, so a duplicate would double-count).
-func (s *CountStream) migrate(live []int, counts []uint64) {
-	bc := &bigCounter{a: s.c.a}
-	for k, q := range live {
-		bc.ensure(q)
-		if bc.counts[q] == nil {
-			bc.counts[q] = new(big.Int).SetUint64(counts[k])
-			bc.live = append(bc.live, q)
-		}
+// migrate switches to big arithmetic at the start of the round that
+// overflowed, which the caller then replays: the shared live set rewinds
+// to the round's starting slots, and the counts Capturing set aside for
+// them convert.
+func (s *CountStream) migrate() {
+	s.c.live.rewind(len(s.c.pre))
+	bc := &bigCounter{a: s.c.a, live: &s.c.live}
+	for _, n := range s.c.pre {
+		bc.counts = append(bc.counts, new(big.Int).SetUint64(n))
 	}
 	s.bc = bc
 }
@@ -341,12 +240,16 @@ func (s *CountStream) Close() {
 		return
 	}
 	s.closed = true
-	if s.bc == nil {
+	if !s.c.overflow {
 		s.c.capturing()
 		if !s.c.overflow {
 			return
 		}
-		s.migrate(s.c.live[:len(s.c.pre)], s.c.pre)
+		// This Capturing overflowed and no Reading follows: turn, so that
+		// migrate finds the configuration Capturing extended where a
+		// Feed round leaves it.
+		s.c.live.turn()
+		s.migrate()
 	}
 	s.bc.capturing()
 }
@@ -393,9 +296,9 @@ func (s *CountStream) CountBig() *big.Int {
 	// fit; re-sum the final counts in big arithmetic.
 	total := new(big.Int)
 	var t big.Int
-	for _, q := range s.c.live {
+	for k, q := range s.c.live.states {
 		if s.c.a.Accepting(q) {
-			total.Add(total, t.SetUint64(s.c.counts[q]))
+			total.Add(total, t.SetUint64(s.c.counts[k]))
 		}
 	}
 	return total

@@ -2,8 +2,8 @@ package core
 
 // White-box regression tests for the counting layer: the inexact-count
 // contract (both CountStream paths return the low 64 bits of the true
-// total), the migrate → capturing nil-count invariant, and the early exit
-// once the live state set drains. They drive the counters through a small
+// total), migration from wrapped-to-zero counts, and the early exit once
+// the live state set drains. They drive the counters through a small
 // hand-built Automaton so the scenarios — counts that wrap exactly to
 // zero, totals that overflow only in the final summation — are reachable
 // deterministically.
@@ -122,23 +122,39 @@ func TestInexactCountIsLow64Bits(t *testing.T) {
 	})
 }
 
+// migrateFrom switches s to big arithmetic as if the uint64 round that
+// started with states live, carrying counts, had just overflowed.
+func migrateFrom(s *CountStream, states []int, counts []uint64) {
+	s.c.live.reset(states[0])
+	for _, q := range states[1:] {
+		s.c.live.add(q)
+	}
+	s.c.pre = append(s.c.pre[:0], counts...)
+	s.c.live.turn()
+	s.c.overflow = true
+	s.migrate()
+}
+
 // TestMigrateMaterializesZeroLiveCounts is the migrate → capturing
 // regression: a rewound round can in principle carry a live state whose
 // uint64 count is zero (a sum that wrapped to exactly 2^64). migrate must
-// not leave such a state with a nil big count — bigCounter.capturing
-// snapshots every live state's count and used to panic on nil.
+// give such a state a big count of zero, and the big rounds must go on
+// from it exactly.
 func TestMigrateMaterializesZeroLiveCounts(t *testing.T) {
 	a := doublerAutomaton()
 	s := NewCountStream(a)
 	// Migrate from a hostile configuration directly: state 0 live with a
 	// wrapped-to-zero count, state 3 live with a real count.
-	s.migrate([]int{0, 3}, []uint64{0, 7})
-	for _, q := range s.bc.live {
-		if s.bc.counts[q] == nil {
+	migrateFrom(s, []int{0, 3}, []uint64{0, 7})
+	if len(s.bc.counts) != len(s.c.live.states) {
+		t.Fatalf("migrate gave %d counts to %d live states", len(s.bc.counts), len(s.c.live.states))
+	}
+	for k, q := range s.c.live.states {
+		if s.bc.counts[k] == nil {
 			t.Fatalf("migrate left live state %d with a nil count", q)
 		}
 	}
-	s.bc.capturing() // panicked before the hardening
+	s.bc.capturing()
 	s.bc.reading('a')
 	if got := s.bc.total(); !got.IsUint64() {
 		t.Fatalf("total = %v, want a small exact value", got)
@@ -147,28 +163,27 @@ func TestMigrateMaterializesZeroLiveCounts(t *testing.T) {
 
 // TestNoDuplicateLiveOnZeroCounts pins liveness bookkeeping against
 // wrapped-to-zero counts: a capture into a state that is already live with
-// a (materialized) zero count must not append it to the live list a second
-// time — a duplicate would make reading() panic on a nil olds entry in big
-// mode and make total() double-count in both modes.
+// a zero count must not give it a second slot — a duplicate would make
+// total() double-count in both modes.
 func TestNoDuplicateLiveOnZeroCounts(t *testing.T) {
 	a := doublerAutomaton()
 
 	t.Run("big", func(t *testing.T) {
 		s := NewCountStream(a)
-		// Hostile configuration: state 1 live with a wrapped-to-zero count
-		// and a duplicate entry; state 0 live with a real count, whose
-		// capture edges target 1 again during capturing.
-		s.migrate([]int{0, 1, 1}, []uint64{3, 0, 0})
-		if len(s.bc.live) != 2 {
-			t.Fatalf("migrate kept %d live entries, want 2 (deduplicated)", len(s.bc.live))
+		// Hostile configuration: state 1 live with a wrapped-to-zero count;
+		// state 0 live with a real count, whose capture edges target 1
+		// again during capturing.
+		migrateFrom(s, []int{0, 1}, []uint64{3, 0})
+		if len(s.c.live.states) != 2 {
+			t.Fatalf("migrate kept %d live entries, want 2", len(s.c.live.states))
 		}
 		s.bc.capturing() // capture 0→1 must not re-append the live state 1
-		assertNoDuplicates(t, s.bc.live)
+		assertNoDuplicates(t, s.c.live.states)
 		// All four (final) states carry 3 runs; a duplicate would sum 15.
 		if got := s.bc.total(); !got.IsUint64() || got.Uint64() != 12 {
 			t.Fatalf("total after capturing = %v, want 12 (duplicates double-count)", got)
 		}
-		s.bc.reading('a') // panicked on the duplicate's nil olds entry
+		s.bc.reading('a')
 		// 6 runs step to state 0 (via 1 and 2), 3 stay on the 3→3 loop.
 		if got := s.bc.total(); !got.IsUint64() || got.Uint64() != 9 {
 			t.Fatalf("total after reading = %v, want 9", got)
@@ -176,13 +191,12 @@ func TestNoDuplicateLiveOnZeroCounts(t *testing.T) {
 	})
 
 	t.Run("uint64", func(t *testing.T) {
-		c := &counter{a: a}
-		c.ensure(3)
+		c := &counter{}
+		c.reset(a)
 		c.counts[0] = 3
-		c.live = append(c.live, 0, 1)
-		c.inLive[0], c.inLive[1] = true, true // state 1 live, count wrapped to 0
+		c.add(c.live.add(1), 0) // state 1 live, count wrapped to 0
 		c.capturing()
-		assertNoDuplicates(t, c.live)
+		assertNoDuplicates(t, c.live.states)
 		if got, exact := c.total(); !exact || got != 12 {
 			t.Fatalf("total after capturing = (%d, %v), want (12, true)", got, exact)
 		}
@@ -226,18 +240,6 @@ func assertNoDuplicates(t *testing.T, live []int) {
 			t.Fatalf("state %d appears twice in the live list %v", q, live)
 		}
 		seen[q] = true
-	}
-}
-
-// TestBigCapturingToleratesNilCount hardens the consumer side of the same
-// invariant: even if a live state reaches capturing with a nil count, it is
-// treated as zero instead of panicking.
-func TestBigCapturingToleratesNilCount(t *testing.T) {
-	a := doublerAutomaton()
-	bc := &bigCounter{a: a, counts: []*big.Int{nil, nil, nil, nil}, live: []int{0}}
-	bc.capturing() // must treat the nil count as zero, not panic
-	if got := bc.total(); got.Sign() != 0 {
-		t.Fatalf("total = %v, want 0 (nil counts are zero)", got)
 	}
 }
 
@@ -289,7 +291,7 @@ func TestCountEarlyExitOnDeadPrefix(t *testing.T) {
 	a = deadEndAutomaton()
 	s = NewCountStream(a)
 	s.Feed(repeatA(3))
-	s.migrate(s.c.live, []uint64{s.c.counts[0]})
+	migrateFrom(s, []int{0}, []uint64{s.c.counts[0]})
 	if s.Dead() {
 		t.Fatal("migrated stream Dead with a live run")
 	}

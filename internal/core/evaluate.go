@@ -58,23 +58,21 @@ func EvaluateScratch(a Automaton, doc []byte, sc *Scratch) *Result {
 // embedded in Scratch so that its tables — and the arena holding the DAG —
 // can be recycled across documents.
 type evaluation struct {
-	a  Automaton
-	ar arena
-	// lists[q] is list_q from Algorithm 1; live holds exactly the states
-	// with non-empty lists (the states reachable by some run over the
-	// prefix processed so far).
+	a    Automaton
+	ar   arena
+	live liveSet
+	// lists[k] is list_q from Algorithm 1 for the state q in slot k: the
+	// live states are exactly those with non-empty lists (the states
+	// reachable by some run over the prefix processed so far).
 	lists []list
-	live  []int
 	// base[q] is the set-table index of Captures(q)[0], or -1 until
 	// Capturing first fires q's captures in this pass; a cell created by
 	// Captures(q)[j] stores base[q]+j. Captures(q) is stable by contract,
 	// so the indices hold for the whole pass, also for lazy automata.
 	base []int
-	// olds is scratch storage, parallel to live, holding the lazy copies
-	// taken at the start of each procedure; nextLive is the live set under
-	// construction during reading.
-	olds     []list
-	nextLive []int
+	// olds is scratch storage, parallel to the slots a procedure starts
+	// from, holding the lazy copies of their lists.
+	olds []list
 }
 
 // init prepares the evaluation for a fresh document, recycling the arena
@@ -82,25 +80,17 @@ type evaluation struct {
 func (e *evaluation) init(a Automaton) {
 	e.a = a
 	e.ar.reset()
-	e.lists = e.lists[:0]
-	e.base = e.base[:0]
-	e.live = e.live[:0]
-	e.olds = e.olds[:0]
-	e.nextLive = e.nextLive[:0]
-
-	q0 := a.Initial()
-	e.ensure(q0)
-	e.lists[q0].add(&e.ar, 0, 0, list{}) // ⊥
-	e.live = append(e.live, q0)
+	e.base, e.lists = e.base[:0], e.lists[:0]
+	e.live.reset(a.Initial())
+	e.at(0).add(&e.ar, 0, 0, list{}) // ⊥
 }
 
-// ensure grows the per-state tables to cover state id q; states can be
-// minted during evaluation by on-the-fly automata.
-func (e *evaluation) ensure(q int) {
-	for len(e.lists) <= q {
+// at returns the list of slot k, which add may have just opened.
+func (e *evaluation) at(k int) *list {
+	if k == len(e.lists) {
 		e.lists = append(e.lists, list{})
-		e.base = append(e.base, -1)
 	}
+	return &e.lists[k]
 }
 
 // capturing simulates the extended variable transitions taken immediately
@@ -111,59 +101,46 @@ func (e *evaluation) ensure(q int) {
 // whose runs take no variable transition here are left untouched — that is
 // the S = ∅ case of the run shape.
 func (e *evaluation) capturing(i int) {
-	e.olds = e.olds[:0]
-	for _, q := range e.live {
-		e.olds = append(e.olds, e.lists[q]) // lazycopy: value copy of (head, tail)
-	}
-	// Iterate only over the states that were live before this procedure;
-	// newly awakened target states must not fire transitions in the same
-	// round (runs alternate capture and letter transitions).
-	n := len(e.live)
-	for k := 0; k < n; k++ {
-		q := e.live[k]
+	// lazycopy: value copies of (head, tail). Iterate only over the slots
+	// live before this procedure; newly awakened target states must not
+	// fire transitions in the same round (runs alternate capture and
+	// letter transitions).
+	e.olds = append(e.olds[:0], e.lists...)
+	for k, old := range e.olds {
+		q := e.live.states[k]
 		caps := e.a.Captures(q)
 		if len(caps) == 0 {
 			continue
+		}
+		for len(e.base) <= q {
+			e.base = append(e.base, -1)
 		}
 		if e.base[q] < 0 {
 			e.base[q] = int(e.ar.addSets(caps))
 		}
 		base := uint32(e.base[q])
 		for j, t := range caps {
-			e.ensure(t.To)
-			if e.lists[t.To].empty() {
-				e.live = append(e.live, t.To)
-			}
-			e.lists[t.To].add(&e.ar, i, base+uint32(j), e.olds[k])
+			e.at(e.live.add(t.To)).add(&e.ar, i, base+uint32(j), old)
 		}
 	}
 }
 
-// reading simulates reading letter c at position i (Reading(i) in
-// Algorithm 1): every live list is moved aside and re-attached to the
-// letter successor of its state, appending when two letter transitions
-// enter the same state. Each old list is appended to exactly one target —
-// the automaton is deterministic — which is what licenses the O(1) splice
-// in list.appendList.
-func (e *evaluation) reading(_ int, c byte) {
-	e.olds = e.olds[:0]
-	for _, q := range e.live {
-		e.olds = append(e.olds, e.lists[q])
-		e.lists[q] = list{}
-	}
-	e.nextLive = e.nextLive[:0]
-	for k, q := range e.live {
+// reading simulates reading letter c (Reading(i) in Algorithm 1): every
+// live list is moved aside and re-attached to the letter successor of its
+// state, appending when two letter transitions enter the same state. Each
+// old list is appended to exactly one target — the automaton is
+// deterministic — which is what licenses the O(1) splice in
+// list.appendList.
+func (e *evaluation) reading(c byte) {
+	from := e.live.turn()
+	e.olds, e.lists = e.lists, e.olds[:0]
+	for k, q := range from {
 		t, ok := e.a.Step(q, c)
 		if !ok {
 			continue // the runs ending in q die at this letter
 		}
-		e.ensure(t)
-		if e.lists[t].empty() {
-			e.nextLive = append(e.nextLive, t)
-		}
-		e.lists[t].appendList(e.olds[k], e.ar.cells)
+		e.at(e.live.add(t)).appendList(e.olds[k], e.ar.cells)
 	}
-	e.live, e.nextLive = e.nextLive, e.live
 }
 
 // Registry returns the variable registry of the evaluated automaton.

@@ -62,6 +62,10 @@ func SameDAG(a, b *Result) bool {
 	return slices.Equal(a.ar.cells, b.ar.cells) && slices.Equal(a.ar.sets, b.ar.sets)
 }
 
+// EvaluatePerState is Evaluate on the test-only per-state reference pass
+// (perstate_test.go).
+var EvaluatePerState = evaluatePerState
+
 // FinalListSizes returns the lengths of the accepting states' node lists in
 // sorted order.
 func FinalListSizes(r *Result) []int {

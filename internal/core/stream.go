@@ -117,7 +117,7 @@ func (s *Stream) CloseWith(doc []byte) *Result {
 func (s *Stream) process(chunk []byte) {
 	i, last := 0, 0
 	for i < len(chunk) {
-		if len(s.e.live) == 0 {
+		if len(s.e.live.states) == 0 {
 			// No state is live, and liveness can only shrink: the result is
 			// already known to be empty, so the rest of the document only
 			// advances the position.
@@ -132,19 +132,15 @@ func (s *Stream) process(chunk []byte) {
 		// could change the configuration, and whatever is live at the
 		// boundary simply stays live into the next Feed.
 		if s.gate.on {
-			if q, ok := s.gate.scanState(s.e.live); ok {
-				n := s.gate.trySkip(q, chunk[i:], i-last)
-				last = i + n
-				if n > 0 {
-					i += n
-					s.pos += n
-					continue
-				}
+			if n := s.gate.skip(s.e.live.states, chunk, i, &last); n > 0 {
+				i += n
+				s.pos += n
+				continue
 			}
 		}
 		s.pos++
 		s.e.capturing(s.pos)
-		s.e.reading(s.pos, chunk[i])
+		s.e.reading(chunk[i])
 		i++
 	}
 }
@@ -163,7 +159,7 @@ func (s *Stream) AccelFellBack() bool { return s.gate.fellBack }
 // Dead reports whether no automaton state is live: every run has died, so
 // the eventual Result is guaranteed empty regardless of further input.
 // Callers may use this to stop feeding early.
-func (s *Stream) Dead() bool { return len(s.e.live) == 0 }
+func (s *Stream) Dead() bool { return len(s.e.live.states) == 0 }
 
 // Close runs the final Capturing(n+1) and returns the preprocessing
 // Result. Close is idempotent: subsequent calls return the same Result.
@@ -181,9 +177,9 @@ func (s *Stream) Close() *Result {
 	e := s.e
 	e.capturing(s.pos + 1)
 	s.finals = s.finals[:0]
-	for _, q := range e.live {
+	for k, q := range e.live.states {
 		if e.a.Accepting(q) {
-			s.finals = append(s.finals, e.lists[q])
+			s.finals = append(s.finals, e.lists[k])
 		}
 	}
 	s.resVal = Result{reg: e.a.Registry(), ar: e.ar, doc: s.buf, finals: s.finals}

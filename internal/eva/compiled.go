@@ -84,6 +84,10 @@ func newTable(sub *subsets) *Compiled {
 // to a power of two.
 func strideShift(k int) uint { return uint(bits.Len(uint(k - 1))) }
 
+// RowStride returns the number of entries a table row takes for k byte
+// classes.
+func RowStride(k int) int { return 1 << strideShift(k) }
+
 // grow gives every state the subset construction minted since the last
 // call its finality, a row of unknown entries, and empty capture and
 // record slots.

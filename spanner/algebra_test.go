@@ -253,7 +253,7 @@ func TestAlgebraStreamingAndReaders(t *testing.T) {
 
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 5; trial++ {
-		got := chunkedKeys(t, j, doc, rng)
+		got := chunkedKeys(t, j, doc, chunkSizes(rng, len(doc)))
 		for i := range got {
 			got[i] = shiftKeyTo1Based(t, got[i])
 		}

@@ -25,6 +25,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"spanners/internal/eva"
 	"spanners/spanner"
 )
 
@@ -262,9 +263,9 @@ func estimateCost(key string, s *spanner.Spanner) int64 {
 	cost += int64(st.DenseTableBytes)
 	cost += int64(st.EVAStates)*64 + int64(st.EVATransitions)*32
 	if st.Mode == spanner.ModeLazy {
-		// Each discovered subset state will own a memo row of one 4-byte
-		// entry per byte class.
-		cost += int64(st.EVAStates) * int64(st.ByteClasses) * 4
+		// Each discovered subset state will own a memo row of 4-byte
+		// entries, one per byte class padded to the table's row stride.
+		cost += int64(st.EVAStates) * int64(eva.RowStride(st.ByteClasses)) * 4
 	}
 	return cost
 }

@@ -389,10 +389,12 @@ func TestPurge(t *testing.T) {
 }
 
 // TestLazyCostFollowsByteClasses pins the lazy entry estimate to its memo
-// rows: each source state is charged one 4-byte entry per byte class, not
+// rows: each source state is charged one 4-byte entry per slot of the
+// table's row stride (the byte classes rounded up to a power of two), not
 // a 256-entry row. The two queries differ only in one byte, so their
 // automata have the same sizes and their keys the same length, but /!x{a+}b/
-// has one byte class more than /!x{a+}a/.
+// has one byte class more than /!x{a+}a/: 3 classes instead of 2, so a
+// 4-entry stride instead of 2.
 func TestLazyCostFollowsByteClasses(t *testing.T) {
 	ctx := context.Background()
 	cost := func(src string) (int64, spanner.Stats) {
@@ -409,8 +411,8 @@ func TestLazyCostFollowsByteClasses(t *testing.T) {
 		st2.EVATransitions != st3.EVATransitions {
 		t.Fatalf("queries must differ only in their byte classes: %+v vs %+v", st2, st3)
 	}
-	if got, want := three-two, int64(st3.EVAStates)*4; got != want {
-		t.Fatalf("one more byte class costs %d bytes, want %d (4 per source state)", got, want)
+	if got, want := three-two, int64(st3.EVAStates)*8; got != want {
+		t.Fatalf("one more byte class costs %d bytes, want %d (8 per source state: the stride grows from 2 to 4)", got, want)
 	}
 	fig, st := cost(`/` + gen.Figure1Pattern() + `/`)
 	if old := int64(st.EVAStates) * 1024; fig >= old {

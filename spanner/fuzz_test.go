@@ -11,7 +11,9 @@ package spanner_test
 //     number states differently), and identical counts when enumeration
 //     would be too large.
 //   - FuzzStreamChunking: EnumerateReader over any chunking of a document
-//     is byte-identical to Enumerate over the concatenation.
+//     is byte-identical to Enumerate over the concatenation, and
+//     CountReader and CountBigReader over the same chunking count the
+//     enumerated matches.
 //   - FuzzQueryPlanEquivalence: for random query trees, the optimized and
 //     unoptimized plans produce identical mapping sets and counts, in both
 //     determinization modes.
@@ -20,6 +22,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -42,25 +45,35 @@ var fuzzPatterns = []struct {
 	{spanner.MustCompile(gen.NestedPattern(2)), spanner.MustCompile(gen.NestedPattern(2), spanner.WithLazy()), 20},
 }
 
-// chunkedKeys streams doc through EnumerateReader in pseudo-random chunks
-// and returns the ordered match keys.
-func chunkedKeys(t *testing.T, s *spanner.Spanner, doc []byte, rng *rand.Rand) []string {
+// chunkedKeys streams doc through EnumerateReader in the chunks sizes
+// lists and returns the ordered match keys.
+func chunkedKeys(t *testing.T, s *spanner.Spanner, doc []byte, sizes []int) []string {
 	t.Helper()
-	var sizes []int
-	for rem := len(doc); rem > 0; {
-		n := 1 + rng.Intn(rem)
-		sizes = append(sizes, n)
-		rem -= n
-	}
-	r := &randChunkReader{data: doc, sizes: sizes}
 	var got []string
-	if err := s.EnumerateReader(r, func(m *spanner.Match) bool {
+	if err := s.EnumerateReader(scheduled(doc, sizes), func(m *spanner.Match) bool {
 		got = append(got, m.Key())
 		return true
 	}); err != nil {
 		t.Fatal(err)
 	}
 	return got
+}
+
+// checkChunkedCounts checks that CountReader and CountBigReader, reading
+// doc in the chunks sizes lists, both count want matches.
+func checkChunkedCounts(t *testing.T, s *spanner.Spanner, doc []byte, sizes []int, want int) {
+	t.Helper()
+	if n, exact, err := s.CountReader(scheduled(doc, sizes)); err != nil || !exact || n != uint64(want) {
+		t.Fatalf("CountReader in chunks %v of %q = (%d, %v, %v), want %d", sizes, doc, n, exact, err, want)
+	}
+	if n, err := s.CountBigReader(scheduled(doc, sizes)); err != nil || !n.IsUint64() || n.Uint64() != uint64(want) {
+		t.Fatalf("CountBigReader in chunks %v of %q = (%v, %v), want %d", sizes, doc, n, err, want)
+	}
+}
+
+// scheduled delivers doc in the chunks sizes lists, leaving sizes as it is.
+func scheduled(doc []byte, sizes []int) *randChunkReader {
+	return &randChunkReader{data: doc, sizes: slices.Clone(sizes)}
 }
 
 // randChunkReader delivers data according to a precomputed size schedule.
@@ -106,16 +119,20 @@ func FuzzStreamChunking(f *testing.F) {
 		})
 		rng := rand.New(rand.NewSource(int64(chunkSeed)))
 		for trial := 0; trial < 3; trial++ {
-			got := chunkedKeys(t, p.s, doc, rng)
+			sizes := chunkSizes(rng, len(doc))
+			got := chunkedKeys(t, p.s, doc, sizes)
 			if fmt.Sprint(got) != fmt.Sprint(want) {
 				t.Fatalf("chunked streaming diverged from whole-document evaluation\ndoc %q\ngot  %v\nwant %v",
 					doc, got, want)
 			}
+			checkChunkedCounts(t, p.s, doc, sizes, len(want))
 		}
-		// The lazy backend must agree on the same chunking too.
-		if got := chunkedKeys(t, p.lazy, doc, rng); fmt.Sprint(got) != fmt.Sprint(want) {
+		// The lazy backend must agree on a chunking too.
+		sizes := chunkSizes(rng, len(doc))
+		if got := chunkedKeys(t, p.lazy, doc, sizes); fmt.Sprint(got) != fmt.Sprint(want) {
 			t.Fatalf("lazy streaming diverged\ndoc %q\ngot  %v\nwant %v", doc, got, want)
 		}
+		checkChunkedCounts(t, p.lazy, doc, sizes, len(want))
 	})
 }
 
@@ -176,7 +193,7 @@ func FuzzStrictLazyEquivalence(f *testing.F) {
 		// And the streaming path over the strict backend, with a chunking
 		// derived from the same entropy.
 		rng := rand.New(rand.NewSource(int64(patSeed) ^ int64(len(raw))))
-		if chunked := chunkedKeys(t, strict, doc, rng); fmt.Sprint(chunked) != fmt.Sprint(want) {
+		if chunked := chunkedKeys(t, strict, doc, chunkSizes(rng, len(doc))); fmt.Sprint(chunked) != fmt.Sprint(want) {
 			t.Fatalf("stream chunking diverges\npattern %s doc %q", node, doc)
 		}
 	})

@@ -74,7 +74,7 @@ func assertPrefilterAgree(t *testing.T, vs []pfVariant, doc []byte, rng *rand.Ra
 		if rng == nil {
 			continue
 		}
-		got := chunkedKeys(t, v.s, doc, rng)
+		got := chunkedKeys(t, v.s, doc, chunkSizes(rng, len(doc)))
 		sort.Strings(got)
 		if fmt.Sprint(got) != fmt.Sprint(want) {
 			t.Fatalf("%s: chunked streaming diverges from whole-document set", v.name)
@@ -257,7 +257,7 @@ func FuzzPrefilterEquivalence(f *testing.F) {
 			if got := sortedKeys(v.s, doc); fmt.Sprint(got) != fmt.Sprint(want) {
 				t.Fatalf("%s: mapping set diverges\ndoc %q\ngot  %v\nwant %v", v.name, doc, got, want)
 			}
-			got := chunkedKeys(t, v.s, doc, rng)
+			got := chunkedKeys(t, v.s, doc, chunkSizes(rng, len(doc)))
 			sort.Strings(got)
 			if fmt.Sprint(got) != fmt.Sprint(want) {
 				t.Fatalf("%s: chunked streaming diverges\ndoc %q", v.name, doc)
