@@ -28,7 +28,6 @@ import (
 	"fmt"
 	"go/types"
 	"reflect"
-	"sort"
 	"strings"
 )
 
@@ -120,32 +119,6 @@ func (s *FactStore) importFact(analyzer, pkg, obj string, fact Fact) bool {
 	return json.Unmarshal(data, fact) == nil
 }
 
-// An ObjectFact is one stored fact in its exported form, as surfaced by
-// Pass.AllObjectFacts.
-type ObjectFact struct {
-	Pkg    string
-	Object string
-	Data   json.RawMessage
-}
-
-// allFacts returns every fact of one analyzer across all packages in the
-// store, sorted for determinism.
-func (s *FactStore) allFacts(analyzer string) []ObjectFact {
-	var out []ObjectFact
-	for k, v := range s.m {
-		if k.analyzer == analyzer {
-			out = append(out, ObjectFact{Pkg: k.pkg, Object: k.obj, Data: v})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Pkg != out[j].Pkg {
-			return out[i].Pkg < out[j].Pkg
-		}
-		return out[i].Object < out[j].Object
-	})
-	return out
-}
-
 // EncodeFacts serializes every fact owned by pkgPath — the payload a vet
 // run writes to its VetxOutput file. The format is a JSON object
 // {analyzer: {objectKey: fact}}, deterministic and greppable.
@@ -213,24 +186,6 @@ func (p *Pass) ImportObjectFact(obj types.Object, fact Fact) bool {
 		return false
 	}
 	return p.facts.importFact(p.Analyzer.Name, obj.Pkg().Path(), ObjectKey(obj), fact)
-}
-
-// AllObjectFacts returns every fact this analyzer has exported so far
-// across all packages of the run — the query an analyzer uses when the
-// relevant objects cannot be reached through the current package's import
-// graph (e.g. "which interface methods anywhere carry this annotation").
-// decode unmarshals one entry; a false return means the payload did not
-// fit the expected type.
-func (p *Pass) AllObjectFacts() []ObjectFact {
-	if p.facts == nil {
-		return nil
-	}
-	return p.facts.allFacts(p.Analyzer.Name)
-}
-
-// DecodeFact unmarshals one AllObjectFacts entry into fact.
-func (f ObjectFact) DecodeFact(fact Fact) bool {
-	return json.Unmarshal(f.Data, fact) == nil
 }
 
 // UsesFacts reports whether a produces or consumes facts — the analyzers

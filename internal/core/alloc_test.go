@@ -72,9 +72,9 @@ func TestStreamZeroAlloc(t *testing.T) {
 			sc := &core.Scratch{}
 			run := func() {
 				s := core.NewStream(comp, sc)
-				s.FeedBorrowed(doc[:len(doc)/2])
-				s.FeedBorrowed(doc[len(doc)/2:])
-				if s.CloseWith(doc) == nil {
+				s.Feed(doc[:len(doc)/2])
+				s.Feed(doc[len(doc)/2:])
+				if s.Close(doc) == nil {
 					t.Fatal("nil result")
 				}
 			}
@@ -82,7 +82,7 @@ func TestStreamZeroAlloc(t *testing.T) {
 				run()
 			}
 			if allocs := testing.AllocsPerRun(50, run); allocs != 0 {
-				t.Errorf("NewStream/FeedBorrowed/CloseWith with a warm scratch: %v allocs/run, want 0", allocs)
+				t.Errorf("NewStream/Feed/Close with a warm scratch: %v allocs/run, want 0", allocs)
 			}
 		})
 	}

@@ -8,10 +8,14 @@
 // document, alternating the Capturing and Reading procedures, building the
 // "reverse dual" DAG whose nodes are annotated marker sets (S, i) and whose
 // paths to the sink ⊥ are exactly the accepting runs of the automaton.
-// Preprocessing takes O(|A| × |d|) time. Enumeration (Algorithm 2) then
-// walks this DAG depth-first, either push-based (Result.Enumerate) or
-// pull-based (Result.Iterator); the delay between consecutive outputs is
-// O(ℓ) in the number of variables — constant in the document.
+// Preprocessing takes O(|A| × |d|) time. Stream is the same pass fed in
+// chunks: Feed neither copies nor keeps a chunk, and Close takes the whole
+// document, which the Result borrows; Evaluate is one Feed and Close.
+// Enumeration (Algorithm 2) then walks the DAG depth-first, either
+// push-based (Result.Enumerate) or pull-based (Result.Iterator), writing
+// each output's spans straight into the iterator's output mapping; the
+// delay between consecutive outputs is O(ℓ) in the number of variables —
+// constant in the document.
 //
 // The paper's data structures (Section 3.2.2) live in one index-addressed
 // arena per pass. Since Capturing adds every node it creates to exactly

@@ -208,9 +208,9 @@ func TestNoDuplicateLiveOnZeroCounts(t *testing.T) {
 }
 
 // TestInitialStateCaptureSelfLoop pins the live-set seeding: the initial
-// state must be marked in the inLive bitmap, or a capture edge looping
-// back into it re-appends it during the very first capturing() and
-// total() counts it twice.
+// state must hold its slot in the live set (liveSet.slot) from the start,
+// or a capture edge looping back into it opens a second slot for it during
+// the very first capturing() and total() counts it twice.
 func TestInitialStateCaptureSelfLoop(t *testing.T) {
 	reg := model.NewRegistryOf("x")
 	x, _ := reg.Lookup("x")

@@ -21,13 +21,13 @@ type Iterator struct {
 	r        *Result
 	finalIdx int
 	stack    []frame
-	// starts/ends record the marker positions applied along the current
-	// DFS path; vars is the bitmap of variables closed on the path. Each
-	// frame saves the previous bitmap for O(1) undo.
-	starts  []int
-	ends    []int
-	vars    uint64
-	scratch *model.Mapping
+	// out is the output mapping and spans its span table, into which apply
+	// writes the marker positions of the current DFS path; vars is the
+	// bitmap of variables closed on the path. Each frame saves the previous
+	// bitmap for O(1) undo.
+	out   *model.Mapping
+	spans []model.Span
+	vars  uint64
 	// steps counts stack operations; tests use the per-output delta to
 	// verify the constant-delay bound structurally rather than by timing.
 	steps uint64
@@ -46,13 +46,8 @@ type frame struct {
 // Result may be iterated multiple times concurrently; each Iterator is
 // independent but individually not goroutine-safe.
 func (r *Result) Iterator() *Iterator {
-	n := r.reg.Len()
-	return &Iterator{
-		r:       r,
-		starts:  make([]int, n),
-		ends:    make([]int, n),
-		scratch: model.NewMapping(r.reg),
-	}
+	out := model.NewMapping(r.reg)
+	return &Iterator{r: r, out: out, spans: out.Spans()}
 }
 
 // Next returns the next output mapping, or ok = false when the enumeration
@@ -97,30 +92,31 @@ func (it *Iterator) Next() (m *model.Mapping, ok bool) {
 	}
 }
 
-// apply records the marker positions of node (S, i) on the current path.
-// The traversal runs backwards through the document, so closes are seen
-// before their opens; validity of runs guarantees each variable is touched
-// at most once per path.
+// apply writes the marker positions of node (S, i) into the output
+// mapping. The traversal runs backwards through the document, so closes
+// are seen before their opens; validity of runs guarantees each variable
+// is touched at most once per path.
 func (it *Iterator) apply(c *cell) {
 	set := it.r.ar.sets[c.set]
 	for b := set.Opens(); b != 0; b &= b - 1 {
-		it.starts[bits.TrailingZeros64(b)] = c.pos
+		it.spans[bits.TrailingZeros64(b)].Start = c.pos
 	}
 	for b := set.Closes(); b != 0; b &= b - 1 {
-		it.ends[bits.TrailingZeros64(b)] = c.pos
+		it.spans[bits.TrailingZeros64(b)].End = c.pos
 	}
 	it.vars |= set.Closes()
 }
 
-// emit assembles the scratch mapping from the marker positions of the
-// current path in O(ℓ).
+// emit completes the output mapping in O(ℓ): every variable the current
+// path closes holds the span apply wrote, and any other may still hold an
+// earlier path's positions, so it is cleared.
 func (it *Iterator) emit() *model.Mapping {
-	it.scratch.Reset()
-	for b := it.vars; b != 0; b &= b - 1 {
-		v := bits.TrailingZeros64(b)
-		it.scratch.Assign(model.Var(v), model.Span{Start: it.starts[v], End: it.ends[v]})
+	for v := range it.spans {
+		if it.vars&(1<<v) == 0 {
+			it.spans[v] = model.Span{}
+		}
 	}
-	return it.scratch
+	return it.out
 }
 
 // Steps returns the cumulative number of elementary traversal operations
@@ -152,16 +148,6 @@ func (r *Result) Collect() *model.MappingSet {
 	out := model.NewMappingSet()
 	r.Enumerate(func(m *model.Mapping) bool {
 		out.Add(m.Clone())
-		return true
-	})
-	return out
-}
-
-// CollectSlice materializes all outputs into a slice, cloning each.
-func (r *Result) CollectSlice() []*model.Mapping {
-	var out []*model.Mapping
-	r.Enumerate(func(m *model.Mapping) bool {
-		out = append(out, m.Clone())
 		return true
 	})
 	return out

@@ -50,8 +50,8 @@ func Evaluate(a Automaton, doc []byte) *Result {
 // (cmd/spanlint) proves it statically.
 func EvaluateScratch(a Automaton, doc []byte, sc *Scratch) *Result {
 	s := NewStream(a, sc)
-	s.FeedBorrowed(doc)
-	return s.CloseWith(doc) // the Result borrows the caller's document
+	s.Feed(doc)
+	return s.Close(doc)
 }
 
 // evaluation is the mutable state of one preprocessing pass. It is

@@ -9,23 +9,24 @@ package core
 //
 //	s := core.NewStream(a, nil)
 //	for each chunk { s.Feed(chunk) }
-//	res := s.Close()
+//	res := s.Close(doc) // doc: every chunk fed, concatenated
 //
-// The document bytes are retained internally (the output mappings' spans
-// refer to them), so streaming bounds neither the DAG nor the document
-// memory — it bounds latency: evaluation work is done by the time the last
-// chunk arrives. A Stream is not goroutine-safe.
+// Feed neither copies nor keeps a chunk: the output mappings' spans refer
+// to the whole document, which the caller hands to Close and the Result
+// borrows. Whoever streams a document therefore owns its buffer (the
+// spanner facade appends each chunk to a fresh one), and streaming bounds
+// neither the DAG nor the document memory — it bounds latency: evaluation
+// work is done by the time the last chunk arrives. A Stream is not
+// goroutine-safe.
 type Stream struct {
 	e      *evaluation
 	gate   accelGate
-	buf    []byte
 	pos    int
 	closed bool
-	res    *Result
-	// resVal and finals are the Close outputs, stored inline so a
+	// res and finals are the Close outputs, stored inline so a
 	// scratch-backed pass closes without allocating: the Result and its
 	// finals table are recycled with the rest of the scratch state.
-	resVal Result
+	res    Result
 	finals []list
 }
 
@@ -67,49 +68,21 @@ func NewStream(a Automaton, sc *Scratch) *Stream {
 	return s
 }
 
-// Feed advances the pass over the next chunk of the document. The chunk is
-// copied into the stream's internal document buffer, so the caller may
-// reuse it immediately. Feed panics if the stream is already closed.
+// Feed advances the pass over the next chunk of the document. The chunk
+// is neither copied nor kept, so the caller may reuse it immediately; the
+// Result's document is the one passed to Close. Feed panics if the stream
+// is already closed.
+//
+// spanlint:hotpath — a chunk costs no allocation once the scratch is
+// warm; hotalloc (cmd/spanlint) proves it transitively.
 func (s *Stream) Feed(chunk []byte) {
 	if s.closed {
 		panic("core: Stream.Feed after Close")
 	}
-	s.buf = append(s.buf, chunk...)
 	s.process(chunk)
 }
 
-// FeedBorrowed advances the pass over the next chunk without copying it
-// into the stream's internal document buffer. It exists for callers that
-// already own the whole document and want to drive the pass in bounded
-// steps (e.g. to check a context between them): they must hand the full
-// document to CloseWith instead of relying on the accumulated buffer.
-// Mixing Feed and FeedBorrowed on one stream corrupts the document buffer.
-func (s *Stream) FeedBorrowed(chunk []byte) {
-	if s.closed {
-		panic("core: Stream.FeedBorrowed after Close")
-	}
-	s.process(chunk)
-}
-
-// CloseWith is Close with doc as the Result's document buffer; it is the
-// closing half of the FeedBorrowed protocol. doc must be the concatenation
-// of every chunk fed so far. CloseWith panics if the stream was fed through
-// the copying Feed (the internal buffer already holds the document) or is
-// already closed.
-func (s *Stream) CloseWith(doc []byte) *Result {
-	if s.closed {
-		panic("core: Stream.CloseWith after Close")
-	}
-	if s.buf != nil {
-		panic("core: Stream.CloseWith after copying Feed")
-	}
-	s.buf = doc
-	return s.Close()
-}
-
-// process runs Capturing/Reading over chunk without touching the document
-// buffer; Evaluate uses it directly to borrow the caller's slice instead of
-// copying.
+// process runs Capturing/Reading over chunk.
 //
 // spanlint:hotpath — the per-byte scan loop; hotalloc (cmd/spanlint)
 // proves it transitively allocation-free (arena growth rides the
@@ -162,16 +135,17 @@ func (s *Stream) AccelFellBack() bool { return s.gate.fellBack }
 func (s *Stream) Dead() bool { return len(s.e.live.states) == 0 }
 
 // Close runs the final Capturing(n+1) and returns the preprocessing
-// Result. Close is idempotent: subsequent calls return the same Result.
-// The Result lives inside the Stream (and thus inside the Scratch when
-// one backs the pass): scratch-backed Results are valid only until the
-// scratch's next use, exactly as before, and closing allocates nothing.
+// Result, which borrows doc as its document: doc must be the concatenation
+// of every chunk fed. Close is idempotent: subsequent calls return the same
+// Result. The Result lives inside the Stream (and thus inside the Scratch
+// when one backs the pass): scratch-backed Results are valid only until
+// the scratch's next use, and closing allocates nothing.
 //
 // spanlint:hotpath — closes the Evaluate/EvaluateScratch chain without
 // allocating; hotalloc (cmd/spanlint) enforces it.
-func (s *Stream) Close() *Result {
+func (s *Stream) Close(doc []byte) *Result {
 	if s.closed {
-		return s.res
+		return &s.res
 	}
 	s.closed = true
 	e := s.e
@@ -182,7 +156,6 @@ func (s *Stream) Close() *Result {
 			s.finals = append(s.finals, e.lists[k])
 		}
 	}
-	s.resVal = Result{reg: e.a.Registry(), ar: e.ar, doc: s.buf, finals: s.finals}
-	s.res = &s.resVal
-	return s.res
+	s.res = Result{reg: e.a.Registry(), ar: e.ar, doc: doc, finals: s.finals}
+	return &s.res
 }

@@ -26,6 +26,11 @@ func NewMapping(reg *Registry) *Mapping {
 // Registry returns the registry the mapping is bound to.
 func (m *Mapping) Registry() *Registry { return m.reg }
 
+// Spans returns µ's span table, indexed by variable, with the zero Span
+// for an unassigned variable. The slice is µ's own storage: writing an
+// entry assigns it, and it reflects every later change to µ.
+func (m *Mapping) Spans() []Span { return m.spans }
+
 // Assign sets µ(v) = s.
 func (m *Mapping) Assign(v Var, s Span) { m.spans[v] = s }
 
@@ -77,13 +82,6 @@ func (m *Mapping) Clone() *Mapping {
 	c := &Mapping{reg: m.reg, spans: make([]Span, len(m.spans))}
 	copy(c.spans, m.spans)
 	return c
-}
-
-// Reset clears every assignment, reusing the backing storage.
-func (m *Mapping) Reset() {
-	for i := range m.spans {
-		m.spans[i] = Span{}
-	}
 }
 
 // Compatible reports µ1 ~ µ2: the two mappings agree on every variable

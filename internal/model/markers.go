@@ -58,12 +58,6 @@ func SetOf(ms ...Marker) Set {
 	return s
 }
 
-// OpenSet returns the set {x$ : x ∈ vars} for a bitmap of variables.
-func OpenSet(vars uint64) Set { return Set{open: vars} }
-
-// CloseSet returns the set {%x : x ∈ vars} for a bitmap of variables.
-func CloseSet(vars uint64) Set { return Set{close: vars} }
-
 // IsEmpty reports whether s contains no markers.
 func (s Set) IsEmpty() bool { return s.open == 0 && s.close == 0 }
 

@@ -125,10 +125,6 @@ func TestMapping(t *testing.T) {
 	if m.Equal(c) {
 		t.Fatal("mappings with different domains are unequal")
 	}
-	m.Reset()
-	if !m.IsEmpty() {
-		t.Fatal("Reset must clear")
-	}
 }
 
 func TestMappingCompatibilityAndUnion(t *testing.T) {

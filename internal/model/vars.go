@@ -11,10 +11,7 @@
 // examples of the paper can be transcribed verbatim into tests.
 package model
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // MaxVars is the maximum number of capture variables a single automaton or
 // expression may use. Marker sets are represented as a pair of 64-bit
@@ -134,12 +131,4 @@ func Merge(a, b *Registry) (merged *Registry, fromA, fromB []Var, err error) {
 		fromB[i] = v
 	}
 	return merged, fromA, fromB, nil
-}
-
-// SortedNames returns the registered names in lexicographic order; used for
-// deterministic printing of mappings.
-func (r *Registry) SortedNames() []string {
-	out := r.Names()
-	sort.Strings(out)
-	return out
 }

@@ -43,7 +43,7 @@ func streamed(a core.Automaton, doc []byte, rng *rand.Rand) *model.MappingSet {
 		s.Feed(doc[i : i+n])
 		i += n
 	}
-	return s.Close().Collect()
+	return s.Close(doc).Collect()
 }
 
 // checkAll asserts that every evaluation path over a agrees exactly with

@@ -49,15 +49,6 @@ func (a *VA) AddState() int {
 	return len(a.final) - 1
 }
 
-// AddStates adds n fresh states and returns the index of the first.
-func (a *VA) AddStates(n int) int {
-	first := len(a.final)
-	for i := 0; i < n; i++ {
-		a.AddState()
-	}
-	return first
-}
-
 // SetInitial marks q as the initial state.
 func (a *VA) SetInitial(q int) { a.initial = q }
 

@@ -83,12 +83,12 @@ func (s *Spanner) feedChunks(ctx context.Context, doc []byte, feed func(chunk []
 // next use, so only the bounded-lifetime entry points pass one.
 func (s *Spanner) evaluateContext(ctx context.Context, doc []byte, sc *core.Scratch) (*core.Result, error) {
 	st := s.newStream(sc)
-	if err := s.feedChunks(ctx, doc, st.FeedBorrowed, st.Dead); err != nil {
+	if err := s.feedChunks(ctx, doc, st.Feed, st.Dead); err != nil {
 		return nil, err
 	}
 	l := s.lockLazy()
 	defer l.Unlock()
-	res := st.CloseWith(doc)
+	res := st.Close(doc)
 	s.noteAccel(st.AccelSkippedBytes(), st.AccelFellBack())
 	return res, nil
 }

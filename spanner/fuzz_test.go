@@ -49,9 +49,15 @@ var fuzzPatterns = []struct {
 // lists and returns the ordered match keys.
 func chunkedKeys(t *testing.T, s *spanner.Spanner, doc []byte, sizes []int) []string {
 	t.Helper()
+	return chunked(t, s, doc, sizes, (*spanner.Match).Key)
+}
+
+// chunked is chunkedKeys with each match rendered by render.
+func chunked(t *testing.T, s *spanner.Spanner, doc []byte, sizes []int, render func(*spanner.Match) string) []string {
+	t.Helper()
 	var got []string
 	if err := s.EnumerateReader(scheduled(doc, sizes), func(m *spanner.Match) bool {
-		got = append(got, m.Key())
+		got = append(got, render(m))
 		return true
 	}); err != nil {
 		t.Fatal(err)
@@ -112,15 +118,17 @@ func FuzzStreamChunking(f *testing.F) {
 		if len(doc) > p.docCap {
 			doc = doc[:p.docCap]
 		}
+		// String renders each span's text too, read from the document
+		// buffer the facade assembles from the chunks.
 		var want []string
 		p.s.Enumerate(doc, func(m *spanner.Match) bool {
-			want = append(want, m.Key())
+			want = append(want, m.String())
 			return true
 		})
 		rng := rand.New(rand.NewSource(int64(chunkSeed)))
 		for trial := 0; trial < 3; trial++ {
 			sizes := chunkSizes(rng, len(doc))
-			got := chunkedKeys(t, p.s, doc, sizes)
+			got := chunked(t, p.s, doc, sizes, (*spanner.Match).String)
 			if fmt.Sprint(got) != fmt.Sprint(want) {
 				t.Fatalf("chunked streaming diverged from whole-document evaluation\ndoc %q\ngot  %v\nwant %v",
 					doc, got, want)
@@ -129,7 +137,7 @@ func FuzzStreamChunking(f *testing.F) {
 		}
 		// The lazy backend must agree on a chunking too.
 		sizes := chunkSizes(rng, len(doc))
-		if got := chunkedKeys(t, p.lazy, doc, sizes); fmt.Sprint(got) != fmt.Sprint(want) {
+		if got := chunked(t, p.lazy, doc, sizes, (*spanner.Match).String); fmt.Sprint(got) != fmt.Sprint(want) {
 			t.Fatalf("lazy streaming diverged\ndoc %q\ngot  %v\nwant %v", doc, got, want)
 		}
 		checkChunkedCounts(t, p.lazy, doc, sizes, len(want))

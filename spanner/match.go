@@ -30,16 +30,13 @@ type Binding struct {
 
 // Match is one output mapping: a partial assignment of the pattern's
 // capture variables to spans of the document. Matches handed out by
-// Iterator.Next and Enumerate are reused scratch buffers; Clone to retain.
+// Iterator.Next and Enumerate are reused scratch buffers, whose span table
+// is the enumeration's own output buffer; Clone to retain.
 type Match struct {
 	doc   []byte
 	names []string
 	reg   *model.Registry
 	spans []model.Span // 1-based; zero Span = variable unassigned
-}
-
-func newMatch(doc []byte, names []string, reg *model.Registry) *Match {
-	return &Match{doc: doc, names: names, reg: reg, spans: make([]model.Span, len(names))}
 }
 
 // Vars returns the names of all pattern variables (assigned or not) in
@@ -204,12 +201,6 @@ func (it *Iterator) Next() (m *Match, ok bool) {
 	if !ok {
 		return nil, false
 	}
-	for v := range it.m.spans {
-		sp, assigned := mm.Get(model.Var(v))
-		if !assigned {
-			sp = model.Span{}
-		}
-		it.m.spans[v] = sp
-	}
+	it.m.spans = mm.Spans() // the enumeration's own span table: nothing is copied
 	return it.m, true
 }

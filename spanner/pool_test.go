@@ -142,3 +142,26 @@ func TestWarmCountAllocatesNothing(t *testing.T) {
 		}
 	}
 }
+
+// TestWarmEnumerateAllocations pins the fixed cost of a warm strict
+// Enumerate: the pass runs on the pooled scratch, and what remains per
+// call is the iterator and its output buffers. The Match aliases the
+// enumeration's own span table, so it carries none of its own.
+func TestWarmEnumerateAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts at random under the race detector")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	const want = 8
+	doc := gen.Contacts(100, 1)
+	s := spanner.MustCompile(gen.Figure1Pattern(), spanner.WithStrict())
+	matches := 0
+	enumerate := func() { s.Enumerate(doc, func(*spanner.Match) bool { matches++; return true }) }
+	enumerate()
+	if matches == 0 {
+		t.Fatal("expected matches")
+	}
+	if n := testing.AllocsPerRun(20, enumerate); n > want {
+		t.Errorf("warm strict Enumerate made %v allocations, want at most %d", n, want)
+	}
+}

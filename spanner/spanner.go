@@ -411,7 +411,7 @@ func (s *Spanner) evaluate(doc []byte) *core.Result {
 func (s *Spanner) iterate(res *core.Result) *Iterator {
 	return &Iterator{
 		it: res.Iterator(),
-		m:  newMatch(res.Document(), s.vars, res.Registry()),
+		m:  &Match{doc: res.Document(), names: s.vars, reg: res.Registry()},
 	}
 }
 

@@ -101,18 +101,23 @@ func (s *Spanner) pump(ctx context.Context, r io.Reader, sc *evalScratch, feed f
 }
 
 // streamResultContext pumps r through an incremental preprocessing pass,
-// checking ctx before every Read, and returns the closed Result. The
-// document buffer the Result borrows is freshly allocated per call — never
-// pooled — so Matches cloned by the caller keep valid span text after the
-// scratch is reused.
+// checking ctx before every Read, and returns the closed Result. Each chunk
+// is appended to a document buffer freshly allocated per call — never
+// pooled — which the Result borrows, so Matches cloned by the caller keep
+// valid span text after the scratch is reused.
 func (s *Spanner) streamResultContext(ctx context.Context, r io.Reader, sc *evalScratch) (*core.Result, error) {
 	st := s.newStream(&sc.eval)
-	if err := s.pump(ctx, r, sc, st.Feed); err != nil {
+	var doc []byte
+	feed := func(chunk []byte) {
+		doc = append(doc, chunk...)
+		st.Feed(chunk)
+	}
+	if err := s.pump(ctx, r, sc, feed); err != nil {
 		return nil, err
 	}
 	l := s.lockLazy()
 	defer l.Unlock()
-	res := st.Close()
+	res := st.Close(doc)
 	s.noteAccel(st.AccelSkippedBytes(), st.AccelFellBack())
 	return res, nil
 }
