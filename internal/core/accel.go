@@ -105,21 +105,17 @@ func (g *accelGate) scanState(live []int) (int, bool) {
 	return q, true
 }
 
-// skip is the one skip attempt of the scan loops: when the live states
-// reduce to one governing state (see scanState) it asks the Accelerator
-// how many bytes of chunk[i:] are inert and returns that count, 0 when the
-// attempt skips nothing or is not made. *last is where the previous
-// attempt in chunk ended; the bytes between it and i went through the
-// per-byte path, and feeding them into the window alongside the skipped
-// bytes makes the window measure true candidate density — on corpora
-// where partial matches keep the live set large, the slow stretches
-// dominate and push the gate to fall back even though each individual
-// attempt looks harmless.
-func (g *accelGate) skip(live []int, chunk []byte, i int, last *int) int {
-	q, ok := g.scanState(live)
-	if !ok {
-		return 0
-	}
+// skip is the one skip attempt of the scan loops: given the governing
+// state q of the live states (see scanState) it asks the Accelerator how
+// many bytes of chunk[i:] are inert and returns that count, 0 when the
+// attempt skips nothing. *last is where the previous attempt in chunk
+// ended; the bytes between it and i went through the per-byte path, and
+// feeding them into the window alongside the skipped bytes makes the
+// window measure true candidate density — on corpora where partial
+// matches keep the live set large, the slow stretches dominate and push
+// the gate to fall back even though each individual attempt looks
+// harmless.
+func (g *accelGate) skip(q int, chunk []byte, i int, last *int) int {
 	n := g.acc.AccelSkip(q, chunk[i:])
 	g.skipped += int64(n)
 	g.winSkipped += n

@@ -25,16 +25,19 @@
 // a new cell; appendList is the one write to an existing cell's next. A
 // cell names its marker set by index into a small per-pass set table.
 //
-// Count (Algorithm 3, appendix C) reuses the same two-procedure loop but
-// keeps only the number of partial runs per state, computing |⟦A⟧d| in
-// O(|A| × |d|).
+// Count (Algorithm 3, appendix C) runs the same rounds but keeps only the
+// number of partial runs per state, computing |⟦A⟧d| in O(|A| × |d|).
 //
-// Both passes run on one slot-ordered live configuration (liveSet): the
-// live states in first-arrival order, one slot each. The evaluation holds
-// its node lists, and the counting pass its uint64 or big counts, in
-// slices indexed by slot beside it, so membership is one test and a
-// counting pass that overflows uint64 keeps its live set and converts
-// only the counts.
+// Both passes run on memoized round programs (memo.go). The live
+// configuration is the ordered tuple of live states, interned once, and a
+// pass keeps its node lists or counts per slot — per position in the tuple
+// — beside it. The program of (configuration, byte class) replays one
+// Capturing+Reading round without an interface call: the useful capture
+// ops, the Reading moves and the next configuration. A capture is useful
+// when its target reads the next byte (at the end, when it is accepting);
+// the nodes of the others would die in the same round, so they are never
+// built. A byte whose program fires no op and moves every slot onto itself
+// costs one table load, as a DFA step does.
 package core
 
 import (

@@ -1,6 +1,8 @@
 package core_test
 
 import (
+	"fmt"
+	"math/big"
 	"math/rand"
 	"testing"
 
@@ -103,10 +105,11 @@ n7: ⊥
 		t.Fatalf("DAG mismatch:\n got:\n%s\nwant:\n%s", got, want)
 	}
 	// Figure 5 additionally creates the node ({%x,%y},2) for list¹_q9,
-	// which dies at Reading(2); it exists in the arena but is not
-	// reachable from the final lists.
-	if n := core.NodeCount(res); n != 8 {
-		t.Fatalf("allocated nodes = %d, want 8 (7 reachable + 1 dead)", n)
+	// which dies at Reading(2). q9 cannot read the 'b' at position 2, so
+	// the lookahead never builds it: the arena holds exactly the 7
+	// reachable nodes.
+	if n := core.NodeCount(res); n != 7 {
+		t.Fatalf("allocated nodes = %d, want 7 (the reachable ones)", n)
 	}
 	if sizes := core.FinalListSizes(res); len(sizes) != 1 || sizes[0] != 2 {
 		t.Fatalf("final list sizes = %v, want [2]", sizes)
@@ -417,11 +420,16 @@ func TestEvaluateWithVAAtInterface(t *testing.T) {
 	}
 }
 
-// FuzzLiveSetMatchesPerState checks the slot-ordered evaluation against
-// the per-state reference pass: for random formulas over "abc" and random
-// documents (with 'd' to kill runs), both must build the same DAG cell for
-// cell and the same final lists, on the strict frozen table and on the
-// lazy one.
+// FuzzLiveSetMatchesPerState checks the program replay against the
+// per-state reference passes: for random formulas over "abc" and random
+// documents (with 'd' to kill runs), on the strict frozen table and on the
+// lazy one, and under the default memo budget and one that flushes on
+// every round,
+//   - the replay builds the same DAG cell for cell and the same final
+//     lists as the per-state pass with the same lookahead;
+//   - its ordered enumeration equals the unpruned per-state pass's, so the
+//     pruning drops no output and reorders none;
+//   - the counting pass agrees with the per-state counter.
 func FuzzLiveSetMatchesPerState(f *testing.F) {
 	f.Add(uint64(1), uint8(2), []byte("abcab"))
 	f.Add(uint64(7), uint8(3), []byte("aabbccabc"))
@@ -448,12 +456,46 @@ func FuzzLiveSetMatchesPerState(f *testing.F) {
 		for i, b := range raw {
 			doc[i] = "abcd"[b%4]
 		}
-		for _, a := range []core.Automaton{strict, eva.NewLazy(seq)} {
-			got, want := core.Evaluate(a, doc), core.EvaluatePerState(a, doc)
-			if !core.SameDAG(got, want) || core.DumpDAG(got) != core.DumpDAG(want) {
-				t.Fatalf("%s on %q (%T): slot-ordered pass built\n%s\nper-state reference built\n%s",
-					node, doc, a, core.DumpDAG(got), core.DumpDAG(want))
+		check := func(a core.Automaton, want *big.Int, flush bool) {
+			if flush {
+				defer core.SetMemoBudget(0)()
+			}
+			got, ref := core.Evaluate(a, doc), core.EvaluatePerState(a, doc)
+			if !core.SameDAG(got, ref) || core.DumpDAG(got) != core.DumpDAG(ref) {
+				t.Fatalf("%s on %q (%T, flush %v): replay built\n%s\nper-state reference built\n%s",
+					node, doc, a, flush, core.DumpDAG(got), core.DumpDAG(ref))
+			}
+			if k, diff := firstDifference(got, core.EvaluateUnpruned(a, doc), 5000); diff != "" {
+				t.Fatalf("%s on %q (%T, flush %v): output %d differs from the unpruned pass: %s", node, doc, a, flush, k, diff)
+			}
+			if n := core.CountDocBig(a, doc); n.Cmp(want) != 0 {
+				t.Fatalf("%s on %q (%T, flush %v): count %v, per-state counter %v", node, doc, a, flush, n, want)
 			}
 		}
+		for _, a := range []core.Automaton{strict, eva.NewLazy(seq)} {
+			want := core.CountPerState(a, doc)
+			check(a, want, false)
+			check(a, want, true)
+		}
 	})
+}
+
+// firstDifference compares the first limit outputs of two enumerations in
+// order, and that both end together when either ends within the limit. It
+// returns the index and a description of the first difference, or "".
+func firstDifference(a, b *core.Result, limit int) (int, string) {
+	ia, ib := a.Iterator(), b.Iterator()
+	for k := 0; k < limit; k++ {
+		ma, oka := ia.Next()
+		mb, okb := ib.Next()
+		switch {
+		case oka != okb:
+			return k, fmt.Sprintf("one enumeration ended (%v, %v)", oka, okb)
+		case !oka:
+			return 0, ""
+		case !ma.Equal(mb):
+			return k, fmt.Sprintf("%v vs %v", ma, mb)
+		}
+	}
+	return 0, ""
 }

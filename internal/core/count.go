@@ -4,133 +4,6 @@ import (
 	"math/big"
 )
 
-// counter is the uint64 Algorithm 3 state: counts[k] is the number of
-// partial runs reaching the state in slot k of live. Membership is the
-// slot, not counts[k] != 0: once arithmetic has wrapped, a live state can
-// carry a count of exactly zero.
-type counter struct {
-	a        Automaton
-	live     liveSet
-	counts   []uint64
-	pre      []uint64 // Capturing's snapshot: the counts of the round's starting slots
-	olds     []uint64 // Reading's snapshot
-	overflow bool
-}
-
-// reset starts a pass of a at its initial state, keeping the buffers.
-func (c *counter) reset(a Automaton) {
-	c.a, c.overflow = a, false
-	c.counts = c.counts[:0]
-	c.live.reset(a.Initial())
-	c.add(0, 1)
-}
-
-// add adds n runs to slot k, which live.add may have just opened.
-func (c *counter) add(k int, n uint64) {
-	if k == len(c.counts) {
-		c.counts = append(c.counts, n)
-		return
-	}
-	sum, carry := addOverflow(c.counts[k], n)
-	c.counts[k] = sum
-	c.overflow = c.overflow || carry
-}
-
-func addOverflow(a, b uint64) (uint64, bool) {
-	s := a + b
-	return s, s < a
-}
-
-// capturing mirrors Capturing(i): N[p] += N′[q] for every capture
-// transition (q, S, p), where N′ (pre) is the snapshot before the
-// procedure. It only opens slots after the round's starting ones, so pre
-// still describes the round's starting configuration after it.
-func (c *counter) capturing() {
-	c.pre = append(c.pre[:0], c.counts...)
-	for k, n := range c.pre {
-		for _, t := range c.a.Captures(c.live.states[k]) {
-			c.add(c.live.add(t.To), n)
-		}
-	}
-}
-
-// reading mirrors Reading(i): counts move along letter transitions.
-func (c *counter) reading(ch byte) {
-	from := c.live.turn()
-	c.olds, c.counts = c.counts, c.olds[:0]
-	for k, q := range from {
-		if t, ok := c.a.Step(q, ch); ok {
-			c.add(c.live.add(t), c.olds[k])
-		}
-	}
-}
-
-// total sums the counts of the accepting live states; exact is false when
-// any step of the computation overflowed uint64 (the sum is then the low
-// 64 bits of the true total).
-func (c *counter) total() (count uint64, exact bool) {
-	var total uint64
-	for k, q := range c.live.states {
-		if c.a.Accepting(q) {
-			var carry bool
-			total, carry = addOverflow(total, c.counts[k])
-			c.overflow = c.overflow || carry
-		}
-	}
-	return total, !c.overflow
-}
-
-// bigCounter is the arbitrary-precision Algorithm 3 state. It shares the
-// counter's live set: counts[k] is the number of runs reaching the state
-// in slot k.
-type bigCounter struct {
-	a      Automaton
-	live   *liveSet
-	counts []*big.Int
-	olds   []*big.Int
-}
-
-// add adds n runs to slot k, which live.add may have just opened.
-func (c *bigCounter) add(k int, n *big.Int) {
-	if k == len(c.counts) {
-		c.counts = append(c.counts, new(big.Int))
-	}
-	c.counts[k].Add(c.counts[k], n)
-}
-
-func (c *bigCounter) capturing() {
-	c.olds = c.olds[:0]
-	for _, n := range c.counts {
-		c.olds = append(c.olds, new(big.Int).Set(n))
-	}
-	for k, n := range c.olds {
-		for _, t := range c.a.Captures(c.live.states[k]) {
-			c.add(c.live.add(t.To), n)
-		}
-	}
-}
-
-func (c *bigCounter) reading(ch byte) {
-	from := c.live.turn()
-	c.olds, c.counts = c.counts, c.olds[:0]
-	for k, q := range from {
-		if t, ok := c.a.Step(q, ch); ok {
-			c.add(c.live.add(t), c.olds[k])
-		}
-	}
-}
-
-// total sums the counts of the accepting live states.
-func (c *bigCounter) total() *big.Int {
-	total := new(big.Int)
-	for k, q := range c.live.states {
-		if c.a.Accepting(q) {
-			total.Add(total, c.counts[k])
-		}
-	}
-	return total
-}
-
 // CountStream is Algorithm 3 (appendix C): it computes |⟦A⟧d| for a
 // deterministic sequential eVA in time O(|A| × |d|) by replacing each node
 // list of Algorithm 1 with the number of partial runs reaching the state.
@@ -138,19 +11,40 @@ func (c *bigCounter) total() *big.Int {
 // partial mapping) and deterministic (each partial run encodes a distinct
 // partial mapping), the run count per state equals the partial-mapping
 // count, and summing over the final states yields |⟦A⟧d|. Feed advances
-// the per-state counts chunk by chunk and Close runs the final Capturing,
+// the per-slot counts chunk by chunk and Close runs the final Capturing,
 // so the document is never materialized (counting, unlike enumeration,
 // needs no document bytes).
 //
+// The pass replays the round programs of Algorithm 1 (see memo) on counts:
+// an op adds its source slot's starting count to its middle slot, and a
+// move adds a middle slot's count to its next slot. A capture whose target
+// dies in the same round adds runs that never reach the end, so the
+// pruning leaves every count of a live state unchanged.
+//
 // Counts run in uint64 — the paper's uniform-cost RAM model — until the
 // first overflow. The round (Capturing and Reading over one byte) that
-// overflows is rewound from the counts Capturing set aside, replayed with
-// arbitrary-precision arithmetic, and the stream stays in big mode from
-// then on. A CountStream is not goroutine-safe.
+// overflows is replayed in arbitrary-precision arithmetic from its
+// starting counts, which a uint64 round leaves untouched until it
+// completes, and the stream stays in big mode from then on. A CountStream
+// is not goroutine-safe.
 type CountStream struct {
-	c      counter
-	gate   accelGate
-	bc     *bigCounter // non-nil once migrated to big arithmetic
+	m    memo
+	gate accelGate
+	// cur is the live configuration and counts[k] the number of partial
+	// runs reaching the state in its slot k. Membership is the slot, not
+	// counts[k] != 0: once arithmetic has wrapped, a live state can carry a
+	// count of exactly zero.
+	cur    int32
+	counts []uint64
+	// mid and next are the middle and next configurations' counts while a
+	// round runs.
+	mid, next []uint64
+	// big replaces counts once a round overflowed: nil until then.
+	big []*big.Int
+	// After Close, fin holds the middle configuration's counts (big holds
+	// them in big mode) and finals lists its accepting slots.
+	fin    []uint64
+	finals []move
 	closed bool
 }
 
@@ -163,11 +57,14 @@ func NewCountStream(a Automaton) *CountStream {
 }
 
 // Reset restarts s as a fresh counting pass of a. It keeps the buffers of
-// the previous pass, so a reused CountStream counts without allocating
-// once they have grown to the automaton's size.
+// the previous pass, and its memo when a is the automaton the memo was
+// built for, so a reused CountStream counts without allocating once they
+// have grown to the automaton's size.
 func (s *CountStream) Reset(a Automaton) {
-	s.bc, s.closed = nil, false
-	s.c.reset(a)
+	s.big, s.fin, s.finals, s.closed = nil, nil, nil, false
+	s.m.use(a)
+	s.cur = s.m.start()
+	s.counts = append(s.counts[:0], 1)
 	s.gate.init(a)
 }
 
@@ -184,53 +81,126 @@ func (s *CountStream) Feed(chunk []byte) {
 	if s.closed {
 		panic("core: CountStream.Feed after Close")
 	}
+	m := &s.m
 	i, last := 0, 0
-	for i < len(chunk) && len(s.c.live.states) > 0 {
+	for i < len(chunk) && s.cur != deadConfig {
 		if s.gate.on {
-			if n := s.gate.skip(s.c.live.states, chunk, i, &last); n > 0 {
-				i += n
-				continue
+			if q, ok := m.governor(s.cur, &s.gate); ok {
+				if n := s.gate.skip(q, chunk, i, &last); n > 0 {
+					i += n
+					continue
+				}
 			}
 		}
-		if !s.c.overflow {
-			s.c.capturing()
-			s.c.reading(chunk[i])
+		x := m.trans[int(s.cur)*m.stride+int(m.of[chunk[i]])]
+		if x == 0 {
+			x = m.build(s.cur, int(m.of[chunk[i]]), chunk[i])
 		}
-		if s.c.overflow {
+		if x&relabel != 0 {
+			s.cur = int32(x &^ relabel)
+		} else if p := &m.progs[x-1]; s.big == nil && s.round64(p) {
+			s.cur = p.next
+		} else {
 			//spanlint:ignore hotalloc big.Int arithmetic allocates by design; entered only once a uint64 count overflowed, never on the fast path
-			s.bigRound(chunk[i])
+			s.bigRound(p)
+			s.cur = p.next
 		}
 		i++
 	}
 }
 
+// round64 runs p in uint64 arithmetic. It reports false, leaving counts
+// as they were, when an addition overflows.
+func (s *CountStream) round64(p *program) bool {
+	from, ok := s.capture64(p)
+	if !ok {
+		return false
+	}
+	s.next = s.next[:0]
+	for _, mv := range s.m.moves[p.mvLo:p.mvHi] {
+		if int(mv.to) == len(s.next) {
+			s.next = append(s.next, from[mv.from]) // the slot opens
+			continue
+		}
+		n, carry := addOverflow(s.next[mv.to], from[mv.from])
+		if carry {
+			return false
+		}
+		s.next[mv.to] = n
+	}
+	s.counts, s.next = s.next, s.counts
+	return true
+}
+
+// capture64 runs the ops of p in uint64 arithmetic and returns the middle
+// counts: counts itself when p has no op. It reports false on overflow.
+func (s *CountStream) capture64(p *program) ([]uint64, bool) {
+	if p.opLo == p.opHi {
+		return s.counts, true
+	}
+	mid := widen(s.mid, s.counts, int(p.nMid))
+	s.mid = mid
+	for _, o := range s.m.ops[p.opLo:p.opHi] {
+		n, carry := addOverflow(mid[o.mid], s.counts[o.src])
+		if carry {
+			return nil, false
+		}
+		mid[o.mid] = n
+	}
+	return mid, true
+}
+
+func addOverflow(a, b uint64) (uint64, bool) {
+	s := a + b
+	return s, s < a
+}
+
 // Dead reports whether the live state set has drained: no partial run
 // survives and no later byte can revive one, so the count is 0 whatever
 // follows and callers may stop feeding.
-func (s *CountStream) Dead() bool { return len(s.c.live.states) == 0 }
+func (s *CountStream) Dead() bool { return s.cur == deadConfig }
 
-// bigRound runs the round over ch in big arithmetic. Right after the
-// uint64 round over ch overflowed, it first migrates and replays that
-// round.
-func (s *CountStream) bigRound(ch byte) {
-	if s.bc == nil {
-		s.migrate()
+// bigRound runs p in big arithmetic, first converting the round's
+// starting counts when the stream is still in uint64 mode.
+func (s *CountStream) bigRound(p *program) {
+	from := s.bigCapture(p)
+	next := make([]*big.Int, p.nNext)
+	for k := range next {
+		next[k] = new(big.Int)
 	}
-	s.bc.capturing()
-	s.bc.reading(ch)
+	for _, mv := range s.m.moves[p.mvLo:p.mvHi] {
+		next[mv.to].Add(next[mv.to], from[mv.from])
+	}
+	s.big = next
 }
 
-// migrate switches to big arithmetic at the start of the round that
-// overflowed, which the caller then replays: the shared live set rewinds
-// to the round's starting slots, and the counts Capturing set aside for
-// them convert.
-func (s *CountStream) migrate() {
-	s.c.live.rewind(len(s.c.pre))
-	bc := &bigCounter{a: s.c.a, live: &s.c.live}
-	for _, n := range s.c.pre {
-		bc.counts = append(bc.counts, new(big.Int).SetUint64(n))
+// bigCapture is capture64 in big arithmetic.
+func (s *CountStream) bigCapture(p *program) []*big.Int {
+	if s.big == nil {
+		s.migrate()
 	}
-	s.bc = bc
+	if p.opLo == p.opHi {
+		return s.big
+	}
+	mid := make([]*big.Int, p.nMid)
+	for k := range mid {
+		mid[k] = new(big.Int)
+		if k < len(s.big) {
+			mid[k].Set(s.big[k])
+		}
+	}
+	for _, o := range s.m.ops[p.opLo:p.opHi] {
+		mid[o.mid].Add(mid[o.mid], s.big[o.src])
+	}
+	return mid
+}
+
+// migrate switches to big arithmetic: the current counts convert.
+func (s *CountStream) migrate() {
+	s.big = make([]*big.Int, len(s.counts))
+	for k, n := range s.counts {
+		s.big[k] = new(big.Int).SetUint64(n)
+	}
 }
 
 // Close runs the final Capturing. It is idempotent; Count and CountBig call
@@ -240,18 +210,36 @@ func (s *CountStream) Close() {
 		return
 	}
 	s.closed = true
-	if !s.c.overflow {
-		s.c.capturing()
-		if !s.c.overflow {
+	p := s.m.closing(s.cur)
+	s.finals = s.m.moves[p.mvLo:p.mvHi]
+	if s.big == nil {
+		if fin, ok := s.capture64(p); ok {
+			s.fin = fin
 			return
 		}
-		// This Capturing overflowed and no Reading follows: turn, so that
-		// migrate finds the configuration Capturing extended where a
-		// Feed round leaves it.
-		s.c.live.turn()
-		s.migrate()
 	}
-	s.bc.capturing()
+	s.big = s.bigCapture(p)
+}
+
+// total sums the final counts of the accepting slots; exact is false when
+// the sum overflows uint64 (it is then the low 64 bits of the true total).
+func (s *CountStream) total() (count uint64, exact bool) {
+	exact = true
+	for _, f := range s.finals {
+		var carry bool
+		count, carry = addOverflow(count, s.fin[f.from])
+		exact = exact && !carry
+	}
+	return count, exact
+}
+
+// bigTotal sums the final big counts of the accepting slots.
+func (s *CountStream) bigTotal() *big.Int {
+	total := new(big.Int)
+	for _, f := range s.finals {
+		total.Add(total, s.big[f.from])
+	}
+	return total
 }
 
 // Count returns |⟦A⟧d| for the document fed so far. exact is false only
@@ -259,14 +247,14 @@ func (s *CountStream) Close() {
 // CountBig has the full value.
 func (s *CountStream) Count() (count uint64, exact bool) {
 	s.Close()
-	if s.bc != nil {
-		t := s.bc.total()
+	if s.big != nil {
+		t := s.bigTotal()
 		if t.IsUint64() {
 			return t.Uint64(), true
 		}
 		return low64(t), false
 	}
-	return s.c.total()
+	return s.total()
 }
 
 // AccelSkippedBytes returns how many document bytes the acceleration layer
@@ -286,20 +274,18 @@ func low64(t *big.Int) uint64 {
 // CountBig returns the exact |⟦A⟧d| with arbitrary-precision arithmetic.
 func (s *CountStream) CountBig() *big.Int {
 	s.Close()
-	if s.bc != nil {
-		return s.bc.total()
+	if s.big != nil {
+		return s.bigTotal()
 	}
-	if n, exact := s.c.total(); exact {
+	if n, exact := s.total(); exact {
 		return new(big.Int).SetUint64(n)
 	}
 	// The totals sum itself overflowed even though every per-state count
 	// fit; re-sum the final counts in big arithmetic.
 	total := new(big.Int)
 	var t big.Int
-	for k, q := range s.c.live.states {
-		if s.c.a.Accepting(q) {
-			total.Add(total, t.SetUint64(s.c.counts[k]))
-		}
+	for _, f := range s.finals {
+		total.Add(total, t.SetUint64(s.fin[f.from]))
 	}
 	return total
 }

@@ -90,7 +90,7 @@ func TestInexactCountIsLow64Bits(t *testing.T) {
 		total := doublerTotal(63) // > 2^64, every per-state count fits
 		s := NewCountStream(doublerAutomaton())
 		s.Feed(repeatA(63))
-		if s.bc != nil {
+		if s.big != nil {
 			t.Fatal("stream migrated: per-state counts were meant to fit uint64")
 		}
 		if got, exact := s.Count(); exact || got != low64(total) {
@@ -110,7 +110,7 @@ func TestInexactCountIsLow64Bits(t *testing.T) {
 		s := NewCountStream(doublerAutomaton())
 		s.Feed(doc[:40])
 		s.Feed(doc[40:])
-		if s.bc == nil {
+		if s.big == nil {
 			t.Fatal("stream did not migrate: the construction no longer overflows")
 		}
 		if got, exact := s.Count(); exact || got != low64(total) {
@@ -122,21 +122,39 @@ func TestInexactCountIsLow64Bits(t *testing.T) {
 	})
 }
 
+// seed makes states, in slot order, the live configuration of s, carrying
+// counts: the state a round leaves behind.
+func seed(s *CountStream, states []int, counts []uint64) {
+	s.cur = s.m.intern(states)
+	s.counts = append(s.counts[:0], counts...)
+}
+
 // migrateFrom switches s to big arithmetic as if the uint64 round that
 // started with states live, carrying counts, had just overflowed.
 func migrateFrom(s *CountStream, states []int, counts []uint64) {
-	s.c.live.reset(states[0])
-	for _, q := range states[1:] {
-		s.c.live.add(q)
-	}
-	s.c.pre = append(s.c.pre[:0], counts...)
-	s.c.live.turn()
-	s.c.overflow = true
+	seed(s, states, counts)
 	s.migrate()
 }
 
-// TestMigrateMaterializesZeroLiveCounts is the migrate → capturing
-// regression: a rewound round can in principle carry a live state whose
+// liveTotal sums the counts of the accepting live states, without the
+// final Capturing.
+func liveTotal(s *CountStream) *big.Int {
+	total := new(big.Int)
+	for k, q := range s.m.tuple(s.cur) {
+		if !s.m.a.Accepting(q) {
+			continue
+		}
+		if s.big != nil {
+			total.Add(total, s.big[k])
+		} else {
+			total.Add(total, new(big.Int).SetUint64(s.counts[k]))
+		}
+	}
+	return total
+}
+
+// TestMigrateMaterializesZeroLiveCounts is the migrate → replay
+// regression: a round can in principle start from a live state whose
 // uint64 count is zero (a sum that wrapped to exactly 2^64). migrate must
 // give such a state a big count of zero, and the big rounds must go on
 // from it exactly.
@@ -146,17 +164,16 @@ func TestMigrateMaterializesZeroLiveCounts(t *testing.T) {
 	// Migrate from a hostile configuration directly: state 0 live with a
 	// wrapped-to-zero count, state 3 live with a real count.
 	migrateFrom(s, []int{0, 3}, []uint64{0, 7})
-	if len(s.bc.counts) != len(s.c.live.states) {
-		t.Fatalf("migrate gave %d counts to %d live states", len(s.bc.counts), len(s.c.live.states))
+	if live := s.m.tuple(s.cur); len(s.big) != len(live) {
+		t.Fatalf("migrate gave %d counts to %d live states", len(s.big), len(live))
 	}
-	for k, q := range s.c.live.states {
-		if s.bc.counts[k] == nil {
+	for k, q := range s.m.tuple(s.cur) {
+		if s.big[k] == nil {
 			t.Fatalf("migrate left live state %d with a nil count", q)
 		}
 	}
-	s.bc.capturing()
-	s.bc.reading('a')
-	if got := s.bc.total(); !got.IsUint64() {
+	s.Feed([]byte{'a'})
+	if got := liveTotal(s); !got.IsUint64() {
 		t.Fatalf("total = %v, want a small exact value", got)
 	}
 }
@@ -164,53 +181,54 @@ func TestMigrateMaterializesZeroLiveCounts(t *testing.T) {
 // TestNoDuplicateLiveOnZeroCounts pins liveness bookkeeping against
 // wrapped-to-zero counts: a capture into a state that is already live with
 // a zero count must not give it a second slot — a duplicate would make
-// total() double-count in both modes.
+// the total double-count in both modes.
 func TestNoDuplicateLiveOnZeroCounts(t *testing.T) {
 	a := doublerAutomaton()
+	// Hostile configuration: state 1 live with a wrapped-to-zero count;
+	// state 0 live with a real count, whose capture edges target 1 again.
+	states, counts := []int{0, 1}, []uint64{3, 0}
 
-	t.Run("big", func(t *testing.T) {
-		s := NewCountStream(a)
-		// Hostile configuration: state 1 live with a wrapped-to-zero count;
-		// state 0 live with a real count, whose capture edges target 1
-		// again during capturing.
-		migrateFrom(s, []int{0, 1}, []uint64{3, 0})
-		if len(s.c.live.states) != 2 {
-			t.Fatalf("migrate kept %d live entries, want 2", len(s.c.live.states))
-		}
-		s.bc.capturing() // capture 0→1 must not re-append the live state 1
-		assertNoDuplicates(t, s.c.live.states)
-		// All four (final) states carry 3 runs; a duplicate would sum 15.
-		if got := s.bc.total(); !got.IsUint64() || got.Uint64() != 12 {
-			t.Fatalf("total after capturing = %v, want 12 (duplicates double-count)", got)
-		}
-		s.bc.reading('a')
-		// 6 runs step to state 0 (via 1 and 2), 3 stay on the 3→3 loop.
-		if got := s.bc.total(); !got.IsUint64() || got.Uint64() != 9 {
-			t.Fatalf("total after reading = %v, want 9", got)
-		}
-	})
-
-	t.Run("uint64", func(t *testing.T) {
-		c := &counter{}
-		c.reset(a)
-		c.counts[0] = 3
-		c.add(c.live.add(1), 0) // state 1 live, count wrapped to 0
-		c.capturing()
-		assertNoDuplicates(t, c.live.states)
-		if got, exact := c.total(); !exact || got != 12 {
-			t.Fatalf("total after capturing = (%d, %v), want (12, true)", got, exact)
-		}
-		c.reading('a')
-		if got, exact := c.total(); !exact || got != 9 {
-			t.Fatalf("total after reading = (%d, %v), want (9, true)", got, exact)
-		}
-	})
+	for _, inBig := range []bool{true, false} {
+		name := map[bool]string{true: "big", false: "uint64"}[inBig]
+		t.Run(name, func(t *testing.T) {
+			start := func() *CountStream {
+				s := NewCountStream(a)
+				if inBig {
+					migrateFrom(s, states, counts)
+				} else {
+					seed(s, states, counts)
+				}
+				if n := len(s.m.tuple(s.cur)); n != 2 {
+					t.Fatalf("seeded %d live entries, want 2", n)
+				}
+				return s
+			}
+			// The final Capturing: capture 0→1 must not give state 1 a
+			// second slot. All four (final) states carry 3 runs; a
+			// duplicate would sum 15.
+			s := start()
+			if got := s.CountBig(); !got.IsUint64() || got.Uint64() != 12 {
+				t.Fatalf("total after capturing = %v, want 12 (duplicates double-count)", got)
+			}
+			// A round over 'a': 6 runs step to state 0 (via 1 and 2), 3
+			// stay on the 3→3 loop.
+			s = start()
+			s.Feed([]byte{'a'})
+			assertNoDuplicates(t, s.m.tuple(s.cur))
+			if got := liveTotal(s); !got.IsUint64() || got.Uint64() != 9 {
+				t.Fatalf("total after reading = %v, want 9", got)
+			}
+			if (s.big != nil) != inBig {
+				t.Fatalf("big mode = %v after the round, want %v", s.big != nil, inBig)
+			}
+		})
+	}
 }
 
-// TestInitialStateCaptureSelfLoop pins the live-set seeding: the initial
-// state must hold its slot in the live set (liveSet.slot) from the start,
-// or a capture edge looping back into it opens a second slot for it during
-// the very first capturing() and total() counts it twice.
+// TestInitialStateCaptureSelfLoop pins the configuration seeding: the
+// initial state must hold its slot from the start, or a capture edge
+// looping back into it opens a second slot for it during the very first
+// Capturing and the total counts it twice.
 func TestInitialStateCaptureSelfLoop(t *testing.T) {
 	reg := model.NewRegistryOf("x")
 	x, _ := reg.Lookup("x")
@@ -291,7 +309,7 @@ func TestCountEarlyExitOnDeadPrefix(t *testing.T) {
 	a = deadEndAutomaton()
 	s = NewCountStream(a)
 	s.Feed(repeatA(3))
-	migrateFrom(s, []int{0}, []uint64{s.c.counts[0]})
+	migrateFrom(s, []int{0}, []uint64{s.counts[0]})
 	if s.Dead() {
 		t.Fatal("migrated stream Dead with a live run")
 	}

@@ -44,10 +44,13 @@ type frame struct {
 
 // Iterator returns a fresh constant-delay iterator over the result. The
 // Result may be iterated multiple times concurrently; each Iterator is
-// independent but individually not goroutine-safe.
+// independent but individually not goroutine-safe. The stack is allocated
+// once, beyond its bound, so it never regrows: a path holds the final
+// list's frame and one frame per node, at most 2ℓ nodes since each
+// consumes at least one of the 2ℓ markers.
 func (r *Result) Iterator() *Iterator {
 	out := model.NewMapping(r.reg)
-	return &Iterator{r: r, out: out, spans: out.Spans()}
+	return &Iterator{r: r, out: out, spans: out.Spans(), stack: make([]frame, 0, 2*r.reg.Len()+2)}
 }
 
 // Next returns the next output mapping, or ok = false when the enumeration

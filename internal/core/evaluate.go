@@ -24,9 +24,10 @@ type Result struct {
 // Capturing(i) and Reading(i) over the document positions, maintaining for
 // every live state q the list of reverse-dual DAG nodes that represent the
 // last variable transitions of runs ending in q, and finishes with
-// Capturing(n+1). Time is O(|a| × |doc|); both procedures touch each
-// transition of each live state once per position and manipulate list
-// pointers in O(1).
+// Capturing(n+1). Time is O(|a| × |doc|): a round replays its memoized
+// program, which touches each useful capture and each live state once and
+// manipulates list pointers in O(1), and building a program on a miss
+// costs one per-state round.
 //
 // Evaluate is the whole-document form of the incremental Stream: it feeds
 // doc in one piece and closes. The Result borrows doc (it is not copied).
@@ -55,92 +56,104 @@ func EvaluateScratch(a Automaton, doc []byte, sc *Scratch) *Result {
 }
 
 // evaluation is the mutable state of one preprocessing pass. It is
-// embedded in Scratch so that its tables — and the arena holding the DAG —
-// can be recycled across documents.
+// embedded in Scratch so that its tables — the memo of round programs and
+// the arena holding the DAG — can be recycled across documents.
 type evaluation struct {
-	a    Automaton
 	ar   arena
-	live liveSet
-	// lists[k] is list_q from Algorithm 1 for the state q in slot k: the
-	// live states are exactly those with non-empty lists (the states
-	// reachable by some run over the prefix processed so far).
+	memo memo
+	// cur is the live configuration; lists[k] is list_q from Algorithm 1
+	// for the state q in its slot k. The live states are exactly those
+	// with non-empty lists (the states reachable by some run over the
+	// prefix processed so far).
+	cur   int32
 	lists []list
-	// base[q] is the set-table index of Captures(q)[0], or -1 until
-	// Capturing first fires q's captures in this pass; a cell created by
+	// mid holds the middle configuration's lists while a program's ops
+	// run, and next the next configuration's while its moves run.
+	mid, next []list
+	// base[q] is the set-table index of Captures(q)[0], or -1 until this
+	// pass first makes a node for one of q's captures; a cell created by
 	// Captures(q)[j] stores base[q]+j. Captures(q) is stable by contract,
 	// so the indices hold for the whole pass, also for lazy automata.
-	base []int
-	// olds is scratch storage, parallel to the slots a procedure starts
-	// from, holding the lazy copies of their lists.
-	olds []list
+	base []int32
 }
 
-// init prepares the evaluation for a fresh document, recycling the arena
-// and table capacities left over from a previous pass.
+// init prepares the evaluation for a fresh document, recycling the arena,
+// the memo (when a is the automaton it was built for) and the table
+// capacities left over from a previous pass.
 func (e *evaluation) init(a Automaton) {
-	e.a = a
+	e.memo.use(a)
 	e.ar.reset()
-	e.base, e.lists = e.base[:0], e.lists[:0]
-	e.live.reset(a.Initial())
-	e.at(0).add(&e.ar, 0, 0, list{}) // ⊥
+	e.base = e.base[:0]
+	e.cur = e.memo.start()
+	e.lists = append(e.lists[:0], list{})
+	e.lists[0].add(&e.ar, 0, 0, list{}) // ⊥
 }
 
-// at returns the list of slot k, which add may have just opened.
-func (e *evaluation) at(k int) *list {
-	if k == len(e.lists) {
-		e.lists = append(e.lists, list{})
-	}
-	return &e.lists[k]
-}
-
-// capturing simulates the extended variable transitions taken immediately
-// before reading letter i (Capturing(i) in Algorithm 1). It first takes a
-// lazy copy of every live list, then, for each live state q and each
-// capture transition (q, S, p), creates a node (S, i) whose adjacency list
-// is the lazy copy of list_q, and prepends it to list_p. Lists of states
-// whose runs take no variable transition here are left untouched — that is
-// the S = ∅ case of the run shape.
-func (e *evaluation) capturing(i int) {
-	// lazycopy: value copies of (head, tail). Iterate only over the slots
-	// live before this procedure; newly awakened target states must not
-	// fire transitions in the same round (runs alternate capture and
-	// letter transitions).
-	e.olds = append(e.olds[:0], e.lists...)
-	for k, old := range e.olds {
-		q := e.live.states[k]
-		caps := e.a.Captures(q)
-		if len(caps) == 0 {
-			continue
-		}
-		for len(e.base) <= q {
-			e.base = append(e.base, -1)
-		}
-		if e.base[q] < 0 {
-			e.base[q] = int(e.ar.addSets(caps))
-		}
-		base := uint32(e.base[q])
-		for j, t := range caps {
-			e.at(e.live.add(t.To)).add(&e.ar, i, base+uint32(j), old)
-		}
-	}
-}
-
-// reading simulates reading letter c (Reading(i) in Algorithm 1): every
-// live list is moved aside and re-attached to the letter successor of its
-// state, appending when two letter transitions enter the same state. Each
-// old list is appended to exactly one target — the automaton is
+// round runs Capturing(pos) and Reading as program p prescribes.
+// Capturing makes one node (S, pos) per useful capture (q, S, p′) of a
+// live state, whose adjacency list is the lazy copy of list_q, and
+// prepends it to list_p′; lists of states whose runs take no variable
+// transition are left untouched — the S = ∅ case of the run shape.
+// Reading then appends each middle list to its state's letter successor's;
+// each list is appended to at most one target — the automaton is
 // deterministic — which is what licenses the O(1) splice in
 // list.appendList.
-func (e *evaluation) reading(c byte) {
-	from := e.live.turn()
-	e.olds, e.lists = e.lists, e.olds[:0]
-	for k, q := range from {
-		t, ok := e.a.Step(q, c)
-		if !ok {
-			continue // the runs ending in q die at this letter
+func (e *evaluation) round(p *program, pos int) {
+	from := e.capture(p, pos)
+	e.next = e.next[:0]
+	for _, mv := range e.memo.moves[p.mvLo:p.mvHi] {
+		if int(mv.to) == len(e.next) {
+			e.next = append(e.next, from[mv.from]) // the slot opens
+		} else {
+			e.next[mv.to].appendList(from[mv.from], e.ar.cells)
 		}
-		e.at(e.live.add(t)).appendList(e.olds[k], e.ar.cells)
 	}
+	e.lists, e.next = e.next, e.lists
+	e.cur = p.next
+}
+
+// capture runs the ops of p at position pos and returns the middle lists:
+// the live lists themselves when p has no op. The ops read the starting
+// lists (the lazy copies of Algorithm 1) and write a copy extended by the
+// slots Capturing opens; newly awakened states fire no transition in the
+// same round, since runs alternate capture and letter transitions.
+func (e *evaluation) capture(p *program, pos int) []list {
+	if p.opLo == p.opHi {
+		return e.lists
+	}
+	mid := widen(e.mid, e.lists, int(p.nMid))
+	ops := e.memo.ops[p.opLo:p.opHi]
+	for k := range ops {
+		o := &ops[k]
+		base := int32(-1)
+		if int(o.q) < len(e.base) {
+			base = e.base[o.q]
+		}
+		if base < 0 {
+			base = e.register(o.q)
+		}
+		// list.add by hand, since the call does not inline: the new node
+		// heads middle slot o.mid's list.
+		l := &mid[o.mid]
+		c := e.ar.newCell(pos, uint32(base+o.j), e.lists[o.src], l.head)
+		if l.head == 0 {
+			l.tail = c
+		}
+		l.head = c
+	}
+	e.mid = mid
+	return mid
+}
+
+// register adds the marker sets of state q to the set table, on the
+// first node this pass makes for one of q's captures, and returns the
+// index of the first.
+func (e *evaluation) register(q int32) int32 {
+	for len(e.base) <= int(q) {
+		e.base = append(e.base, -1)
+	}
+	e.base[q] = int32(e.ar.addSets(e.memo.caps[q]))
+	return e.base[q]
 }
 
 // Registry returns the variable registry of the evaluated automaton.

@@ -63,8 +63,26 @@ func SameDAG(a, b *Result) bool {
 }
 
 // EvaluatePerState is Evaluate on the test-only per-state reference pass
-// (perstate_test.go).
-var EvaluatePerState = evaluatePerState
+// (perstate_test.go) with the replay's lookahead: it builds the same DAG.
+func EvaluatePerState(a Automaton, doc []byte) *Result { return evaluatePerState(a, doc, true) }
+
+// EvaluateUnpruned is the per-state reference pass without the lookahead:
+// Algorithm 1 as the paper states it, dead-on-arrival nodes included.
+func EvaluateUnpruned(a Automaton, doc []byte) *Result { return evaluatePerState(a, doc, false) }
+
+// CountPerState is the per-state, unpruned, big-arithmetic counting
+// reference (perstate_test.go).
+var CountPerState = countPerState
+
+// SetMemoBudget sets the size past which a memo flushes on its next miss
+// and returns a function restoring the previous budget. A budget of 0
+// flushes on every miss, so every round a pass runs rebuilds its program
+// from a memo holding only the configuration in progress.
+func SetMemoBudget(n int) (restore func()) {
+	old := memoBudget
+	memoBudget = n
+	return func() { memoBudget = old }
+}
 
 // FinalListSizes returns the lengths of the accepting states' node lists in
 // sorted order.

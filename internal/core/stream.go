@@ -31,11 +31,13 @@ type Stream struct {
 }
 
 // Scratch holds the reusable per-document state of a preprocessing pass:
-// the Algorithm 1 tables, the arena backing the DAG, and the Stream/Result
-// shells themselves. Reusing a Scratch across documents recycles all of it,
-// so compile-once/evaluate-many workloads pay zero allocations per document
-// once warm (the hotalloc analyzer proves the code path, and the
-// AllocsPerRun tests in core pin the runtime behavior).
+// the Algorithm 1 tables, the memo of round programs, the arena backing
+// the DAG, and the Stream/Result shells themselves. Reusing a Scratch
+// across documents recycles all of it — the memo's programs too, while
+// the automaton stays the same — so compile-once/evaluate-many workloads
+// pay zero allocations per document once warm (the hotalloc analyzer
+// proves the code path, and the AllocsPerRun tests in core pin the
+// runtime behavior).
 //
 // Ownership rule: a Stream or Result obtained through a Scratch points into
 // the scratch and is invalidated by the scratch's next use (the next
@@ -82,15 +84,18 @@ func (s *Stream) Feed(chunk []byte) {
 	s.process(chunk)
 }
 
-// process runs Capturing/Reading over chunk.
+// process runs the rounds of chunk: one table load per byte whose
+// program is relabel-only, a program replay otherwise.
 //
 // spanlint:hotpath — the per-byte scan loop; hotalloc (cmd/spanlint)
-// proves it transitively allocation-free (arena growth rides the
-// cap-guarded cold path).
+// proves it transitively allocation-free (arena and memo growth ride
+// cap-guarded cold paths).
 func (s *Stream) process(chunk []byte) {
+	e := s.e
+	m := &e.memo
 	i, last := 0, 0
 	for i < len(chunk) {
-		if len(s.e.live.states) == 0 {
+		if e.cur == deadConfig {
 			// No state is live, and liveness can only shrink: the result is
 			// already known to be empty, so the rest of the document only
 			// advances the position.
@@ -105,15 +110,24 @@ func (s *Stream) process(chunk []byte) {
 		// could change the configuration, and whatever is live at the
 		// boundary simply stays live into the next Feed.
 		if s.gate.on {
-			if n := s.gate.skip(s.e.live.states, chunk, i, &last); n > 0 {
-				i += n
-				s.pos += n
-				continue
+			if q, ok := m.governor(e.cur, &s.gate); ok {
+				if n := s.gate.skip(q, chunk, i, &last); n > 0 {
+					i += n
+					s.pos += n
+					continue
+				}
 			}
 		}
 		s.pos++
-		s.e.capturing(s.pos)
-		s.e.reading(chunk[i])
+		x := m.trans[int(e.cur)*m.stride+int(m.of[chunk[i]])]
+		if x == 0 {
+			x = m.build(e.cur, int(m.of[chunk[i]]), chunk[i])
+		}
+		if x&relabel != 0 {
+			e.cur = int32(x &^ relabel)
+		} else {
+			e.round(&m.progs[x-1], s.pos)
+		}
 		i++
 	}
 }
@@ -132,7 +146,7 @@ func (s *Stream) AccelFellBack() bool { return s.gate.fellBack }
 // Dead reports whether no automaton state is live: every run has died, so
 // the eventual Result is guaranteed empty regardless of further input.
 // Callers may use this to stop feeding early.
-func (s *Stream) Dead() bool { return len(s.e.live.states) == 0 }
+func (s *Stream) Dead() bool { return s.e.cur == deadConfig }
 
 // Close runs the final Capturing(n+1) and returns the preprocessing
 // Result, which borrows doc as its document: doc must be the concatenation
@@ -149,13 +163,12 @@ func (s *Stream) Close(doc []byte) *Result {
 	}
 	s.closed = true
 	e := s.e
-	e.capturing(s.pos + 1)
+	p := e.memo.closing(e.cur)
+	lists := e.capture(p, s.pos+1)
 	s.finals = s.finals[:0]
-	for k, q := range e.live.states {
-		if e.a.Accepting(q) {
-			s.finals = append(s.finals, e.lists[k])
-		}
+	for _, mv := range e.memo.moves[p.mvLo:p.mvHi] {
+		s.finals = append(s.finals, lists[mv.from])
 	}
-	s.res = Result{reg: e.a.Registry(), ar: e.ar, doc: doc, finals: s.finals}
+	s.res = Result{reg: e.memo.a.Registry(), ar: e.ar, doc: doc, finals: s.finals}
 	return &s.res
 }

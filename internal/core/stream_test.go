@@ -282,7 +282,8 @@ func TestCountStreamOverflowMigration(t *testing.T) {
 // the DAG exactly as a fresh whole-document pass builds it. The full
 // output (~10^15 mappings) is out of reach, so the enumeration is checked
 // on a prefix, and Collect against the oracle on a small document served
-// by the grown scratch.
+// by the grown scratch. The last run repeats the chunk-7 one with a memo
+// that flushes on every round.
 func TestDAGSurvivesArenaGrowth(t *testing.T) {
 	const (
 		prefix  = 2000 // outputs compared in order
@@ -303,7 +304,16 @@ func TestDAGSurvivesArenaGrowth(t *testing.T) {
 		wantOut = append(wantOut, m.Clone())
 	}
 
-	for _, chunk := range []int{1, 7} {
+	for _, run := range []struct {
+		chunk int
+		flush bool
+	}{{1, false}, {7, false}, {7, true}} {
+		chunk := run.chunk
+		if run.flush {
+			// A memo that flushes on every round rebuilds each program from
+			// the configuration in progress.
+			defer core.SetMemoBudget(0)()
+		}
 		sc := &core.Scratch{}
 		core.EvaluateScratch(d, gen.DenseMarkers(8, 1), sc)
 		s := core.NewStream(d, sc)

@@ -301,6 +301,11 @@ func (c *Compiled) NumStates() int { return len(c.accepting) }
 // of two).
 func (c *Compiled) NumClasses() int { return len(c.cls.rep) }
 
+// ByteClasses returns the byte → class map the table is indexed by and
+// the number of classes: Step sees a byte only through its class, so the
+// core package memoizes its round programs per class (core.Classifier).
+func (c *Compiled) ByteClasses() (of *[256]uint8, n int) { return &c.cls.of, len(c.cls.rep) }
+
 // TableBytes returns the size of the dense transition table in bytes,
 // including the shared byte→class map.
 func (c *Compiled) TableBytes() int { return len(c.next)*4 + len(c.cls.of) }

@@ -152,7 +152,7 @@ func TestWarmEnumerateAllocations(t *testing.T) {
 		t.Skip("sync.Pool drops Puts at random under the race detector")
 	}
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	const want = 8
+	const want = 5
 	doc := gen.Contacts(100, 1)
 	s := spanner.MustCompile(gen.Figure1Pattern(), spanner.WithStrict())
 	matches := 0

@@ -21,8 +21,9 @@ import (
 const readChunk = 64 << 10
 
 // evalScratch bundles the pooled per-document state: the core evaluation
-// scratch (Algorithm 1 tables + DAG arena), the counting pass's per-state
-// tables, and the Read buffer of the Reader-based entry points.
+// scratch (Algorithm 1 tables, round-program memo and DAG arena), the
+// counting pass's tables and memo, and the Read buffer of the Reader-based
+// entry points.
 type evalScratch struct {
 	eval  core.Scratch
 	count core.CountStream
@@ -36,10 +37,12 @@ type evalScratch struct {
 // compile-once/evaluate-many workloads stop paying the per-document
 // allocation. It is one pool for every Spanner, not one per Spanner:
 // core.NewStream and CountStream.Reset re-initialize the tables, arena and
-// acceleration gate for whatever automaton they are given, so a scratch
-// carries no automaton state between uses, and a one-shot spanner (an
-// unseen query) reuses the arena of the last one instead of allocating
-// and stranding its own.
+// acceleration gate for whatever automaton they are given, and reset the
+// round-program memo, capacity kept, when the automaton differs from the
+// one it was built for. So a scratch carries no state of one automaton
+// into another's pass, and a one-shot spanner (an unseen query) reuses
+// the arena and memo capacity of the last one instead of allocating and
+// stranding its own.
 var scratchPool sync.Pool
 
 func getScratch() *evalScratch {
