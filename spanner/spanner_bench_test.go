@@ -156,14 +156,18 @@ func BenchmarkEnumerationDelay(b *testing.B) {
 
 // BenchmarkCompile measures the one-time cost the facade amortizes across
 // documents: strict pays determinization plus the dense table up front,
-// lazy defers subset construction to evaluation. The cold pair is one
-// query-churn request in-process: each op compiles a Figure-1 variant no
-// earlier op used (a fresh tag inside a character class, from bytes the
-// contacts document never holds) and enumerates it over a ~2 KB contacts
-// document, so lazy pays its subset construction inside the op too.
+// lazy defers subset construction to evaluation. The churn variant is
+// query-churn's cache miss in-process: each op parses, keys and compiles a
+// query-churn request no earlier op used (see churnQuery), alternating
+// strict and lazy. The cold pair is one query-churn request end to end:
+// each op compiles a Figure-1 variant no earlier op used (a fresh tag
+// inside a character class, from bytes the contacts document never holds)
+// and enumerates it over a ~2 KB contacts document, so lazy pays its
+// subset construction inside the op too.
 func BenchmarkCompile(b *testing.B) {
 	pattern := gen.Figure1Pattern()
 	b.Run("strict", func(b *testing.B) {
+		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if _, err := spanner.Compile(pattern, spanner.WithStrict()); err != nil {
 				b.Fatal(err)
@@ -171,26 +175,25 @@ func BenchmarkCompile(b *testing.B) {
 		}
 	})
 	b.Run("lazy", func(b *testing.B) {
+		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if _, err := spanner.Compile(pattern, spanner.WithLazy()); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
-	doc := gen.Contacts(100, 5)
-	const pool = "_#=~;:'%"
-	variant := func(id int) string {
-		var tag []byte
-		for ; id > 0; id /= len(pool) {
-			tag = append(tag, pool[id%len(pool)])
+	b.Run("churn", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			compileChurn(b, churnHot+1+i)
 		}
-		return `.*!name{[A-Z][a-z` + string(tag) + `]+} <(!email{[a-z0-9]+@[a-z0-9]+(\.[a-z0-9]+)+}|!phone{[0-9]+-[0-9]+})>.*`
-	}
+	})
+	doc := gen.Contacts(100, 5)
 	for _, mode := range []spanner.Mode{spanner.ModeStrict, spanner.ModeLazy} {
 		b.Run("cold/"+mode.String(), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				s, err := spanner.Compile(variant(i+1), spanner.WithMode(mode))
+				s, err := spanner.Compile(churnBases[0](churnTag(i+1)), spanner.WithMode(mode))
 				if err != nil {
 					b.Fatal(err)
 				}
