@@ -1,6 +1,10 @@
 package core
 
-import "spanners/internal/model"
+import (
+	"slices"
+
+	"spanners/internal/model"
+)
 
 // memoBudget is the size, in bytes, past which a memo flushes on its next
 // miss (see memo.build). It bounds the memo of an automaton whose
@@ -201,9 +205,9 @@ func (m *memo) closing(c int32) *program {
 // new. t is copied.
 func (m *memo) intern(t []int) int32 {
 	mask := len(m.index) - 1
-	i := int(hashTuple(t)) & mask
+	i := int(model.HashStates(t)) & mask
 	for ; m.index[i] != 0; i = (i + 1) & mask {
-		if c := m.index[i] - 1; sameTuple(m.tuple(c), t) {
+		if c := m.index[i] - 1; slices.Equal(m.tuple(c), t) {
 			return c
 		}
 	}
@@ -232,32 +236,12 @@ func (m *memo) growIndex() {
 		clear(m.index)
 	}
 	for c := int32(0); int(c) < len(m.off)-1; c++ {
-		i := int(hashTuple(m.tuple(c))) & (n - 1)
+		i := int(model.HashStates(m.tuple(c))) & (n - 1)
 		for m.index[i] != 0 {
 			i = (i + 1) & (n - 1)
 		}
 		m.index[i] = c + 1
 	}
-}
-
-func hashTuple(t []int) uint32 {
-	h := uint32(len(t))
-	for _, q := range t {
-		h = (h ^ uint32(q)) * 0x9e3779b1
-	}
-	return h ^ h>>15
-}
-
-func sameTuple(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k := range a {
-		if a[k] != b[k] {
-			return false
-		}
-	}
-	return true
 }
 
 // open returns q's slot in the tuple being built at tup[base:], appending

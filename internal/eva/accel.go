@@ -170,13 +170,12 @@ func (c *Compiled) analyzeAccel(q int, withLiteral bool) *accel {
 		return &noAccel
 	}
 	a := &accel{mode: accelScan, skip: skip, sink: skip == model.AnyByte()}
-	exits := skip.Negate().Bytes()
-	if len(exits) <= maxAccelExits {
+	if exits := skip.Negate(); exits.Len() <= maxAccelExits {
 		a.mode = accelMemchr
-		a.exits = exits
+		a.exits = exits.Bytes()
 	}
-	if withLiteral && len(exits) == 1 {
-		if lit := c.extractLiteral(q, exits[0]); len(lit) >= 2 {
+	if withLiteral && len(a.exits) == 1 {
+		if lit := c.extractLiteral(q, a.exits[0]); len(lit) >= 2 {
 			a.mode = accelLiteral
 			a.lit = lit
 		}

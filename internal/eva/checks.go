@@ -43,9 +43,10 @@ func (a *EVA) firstViolation(functional bool) (model.Var, bool) {
 	if a.initial < 0 {
 		return 0, true
 	}
+	var p statusProduct
 	for used := a.UsedVars(); used != 0; used &= used - 1 {
 		v := model.Var(bits.TrailingZeros64(used))
-		if !a.statusProductOK(v, functional) {
+		if !p.ok(a, v, functional) {
 			return v, false
 		}
 	}
@@ -79,22 +80,34 @@ func captureStatus(s int, set model.Set, v model.Var) int {
 	}
 }
 
-// statusProductOK explores the product of A with the status automaton for
-// v. Because runs of an eVA alternate extended variable transitions with
-// letter transitions, the product also tracks whether a capture was just
-// taken (phase 1): a path with two consecutive capture edges is not a run
-// and must not be counted as a violation witness.
-func (a *EVA) statusProductOK(v model.Var, functional bool) bool {
-	n := a.NumStates()
-	seen := make([]uint8, n) // bit (phase*4 + status) per state
-	type cfg struct{ q, s, phase int }
-	var stack []cfg
+// statusProduct explores the product of A with the status automaton of
+// one variable. Because runs of an eVA alternate extended variable
+// transitions with letter transitions, the product also tracks whether a
+// capture was just taken (phase 1): a path with two consecutive capture
+// edges is not a run and must not be counted as a violation witness. Its
+// buffers serve every variable of one check.
+type statusProduct struct {
+	seen  []uint8 // bit (phase*4 + status) per state
+	stack []statusCfg
+}
+
+type statusCfg struct{ q, s, phase int }
+
+// ok reports whether every accepting run of the product for v is valid
+// (and, when functional, assigns v).
+func (p *statusProduct) ok(a *EVA, v model.Var, functional bool) bool {
+	if p.seen == nil {
+		p.seen = make([]uint8, a.NumStates())
+	} else {
+		clear(p.seen)
+	}
+	p.stack = p.stack[:0]
 	push := func(q, s, phase int) bool {
 		bit := uint8(1) << (phase*4 + s)
-		if seen[q]&bit != 0 {
+		if p.seen[q]&bit != 0 {
 			return true
 		}
-		seen[q] |= bit
+		p.seen[q] |= bit
 		// A run may end at a final state in either phase (with or without
 		// a final extended variable transition).
 		if a.final[q] {
@@ -105,15 +118,15 @@ func (a *EVA) statusProductOK(v model.Var, functional bool) bool {
 				return false
 			}
 		}
-		stack = append(stack, cfg{q, s, phase})
+		p.stack = append(p.stack, statusCfg{q, s, phase})
 		return true
 	}
 	if !push(a.initial, stUnopened, 0) {
 		return false
 	}
-	for len(stack) > 0 {
-		c := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
+	for len(p.stack) > 0 {
+		c := p.stack[len(p.stack)-1]
+		p.stack = p.stack[:len(p.stack)-1]
 		for _, e := range a.letters[c.q] {
 			if !push(e.To, c.s, 0) {
 				return false

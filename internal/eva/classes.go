@@ -2,6 +2,7 @@ package eva
 
 import (
 	"math/bits"
+	"slices"
 
 	"spanners/internal/model"
 )
@@ -30,22 +31,30 @@ type classes struct {
 // its deterministic automaton by merging columns when it freezes.
 // CompileDense computes it once on its deterministic input.
 func byteClasses(a *EVA) *classes {
-	parts := []model.ByteSet{model.ByteSet{}.Negate()}
-	seen := make(map[model.ByteSet]bool)
+	// The distinct edge sets, sorted; refining by a set twice splits
+	// nothing, and the coarsest partition does not depend on the order.
+	n := 0
+	for q := range a.letters {
+		n += len(a.letters[q])
+	}
+	edges := make([]model.ByteSet, 0, n)
 	for q := range a.letters {
 		for _, e := range a.letters[q] {
-			if seen[e.Class] {
+			edges = append(edges, e.Class)
+		}
+	}
+	slices.SortFunc(edges, compareByteSets)
+	edges = slices.Compact(edges)
+	parts := make([]model.ByteSet, 1, len(edges)+1)
+	parts[0] = model.ByteSet{}.Negate()
+	for _, e := range edges {
+		for i, n := 0, len(parts); i < n; i++ {
+			in := parts[i].Inter(e)
+			if in.IsEmpty() || in == parts[i] {
 				continue
 			}
-			seen[e.Class] = true
-			for i, n := 0, len(parts); i < n; i++ {
-				in := parts[i].Inter(e.Class)
-				if in.IsEmpty() || in == parts[i] {
-					continue
-				}
-				parts[i] = parts[i].Minus(e.Class)
-				parts = append(parts, in)
-			}
+			parts[i] = parts[i].Minus(e)
+			parts = append(parts, in)
 		}
 	}
 	// Renumber the parts in order of their smallest byte.
@@ -58,7 +67,7 @@ func byteClasses(a *EVA) *classes {
 		}
 	}
 	out := &classes{rep: make([]byte, 0, len(parts)), set: make([]model.ByteSet, 0, len(parts))}
-	num := make([]int16, len(parts))
+	var num [256]int16
 	for b := range 256 {
 		i := part[b]
 		if num[i] == 0 {
@@ -69,4 +78,17 @@ func byteClasses(a *EVA) *classes {
 		out.of[b] = uint8(num[i] - 1)
 	}
 	return out
+}
+
+// compareByteSets orders byte sets by their words.
+func compareByteSets(x, y model.ByteSet) int {
+	for w := range x {
+		if x[w] != y[w] {
+			if x[w] < y[w] {
+				return -1
+			}
+			return 1
+		}
+	}
+	return 0
 }

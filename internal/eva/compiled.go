@@ -1,7 +1,6 @@
 package eva
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/bits"
@@ -66,8 +65,9 @@ type Compiled struct {
 	sub *subsets
 }
 
-// newTable returns the table that sub fills, holding sub's states so far.
-func newTable(sub *subsets) *Compiled {
+// newTable returns the table that sub fills, holding sub's states so far,
+// with room for rows states.
+func newTable(sub *subsets, rows int) *Compiled {
 	c := &Compiled{
 		reg:       sub.src.reg,
 		initial:   min(sub.src.initial, 0), // {q0} is subset 0
@@ -76,6 +76,10 @@ func newTable(sub *subsets) *Compiled {
 		scanState: unknown,
 		sub:       sub,
 	}
+	c.accepting = make([]bool, 0, rows)
+	c.captures = make([][]model.Capture, 0, rows)
+	c.accels = make([]*accel, 0, rows)
+	c.next = make([]int32, 0, rows<<c.shift)
 	c.grow()
 	return c
 }
@@ -92,13 +96,17 @@ func RowStride(k int) int { return 1 << strideShift(k) }
 // call its finality, a row of unknown entries, and empty capture and
 // record slots.
 func (c *Compiled) grow() {
-	for q := len(c.accepting); q < len(c.sub.members); q++ {
-		c.accepting = append(c.accepting, c.sub.final[q])
-		c.captures = append(c.captures, nil)
-		c.accels = append(c.accels, nil)
-		for range 1 << c.shift {
-			c.next = append(c.next, unknown)
-		}
+	have, n := len(c.accepting), c.sub.count()
+	if have == n {
+		return
+	}
+	c.accepting = append(c.accepting, c.sub.final[have:n]...)
+	c.captures = append(c.captures, make([][]model.Capture, n-have)...)
+	c.accels = append(c.accels, make([]*accel, n-have)...)
+	rows := len(c.next)
+	c.next = append(c.next, make([]int32, (n-have)<<c.shift)...)
+	for i := rows; i < len(c.next); i++ {
+		c.next[i] = unknown
 	}
 }
 
@@ -155,11 +163,13 @@ func (c *Compiled) fillAll() {
 func (a *EVA) Compile() (*Compiled, error) { return compile(newSubsets(a)) }
 
 func compile(sub *subsets) (*Compiled, error) {
-	if len(sub.members) == 0 {
+	if sub.count() == 0 {
 		return nil, errors.New("eva: Compile: the automaton has no initial state")
 	}
 	sub.limit = maxDenseStates
-	c := newTable(sub)
+	// A deterministic automaton typically has about as many states as its
+	// source, which sizes the rows.
+	c := newTable(sub, min(sub.src.NumStates(), maxDenseStates))
 	c.fillAll()
 	if sub.over {
 		return nil, fmt.Errorf("eva: Compile: more than %d states exceed the dense-table limit", sub.limit)
@@ -231,24 +241,31 @@ func (c *Compiled) freeze() {
 // classes are byteClasses of that automaton, numbered in order of their
 // smallest byte.
 func (c *Compiled) mergeColumns() {
-	n := c.NumStates()
+	n, k := c.NumStates(), len(c.cls.rep)
+	// Columns are compared through a hash of their entries first; hashes
+	// and reps are indexed by merged column.
 	var (
-		reps []int // reps[m] is the first old column of merged column m
-		cls  classes
-		to   [256]uint8 // old column → merged column
-		col  []byte
+		reps   = make([]int, 0, k) // reps[m] is the first old column of merged column m
+		hashes = make([]uint32, 0, k)
+		cls    = classes{rep: make([]byte, 0, k), set: make([]model.ByteSet, 0, k)}
+		to     [256]uint8 // old column → merged column
 	)
-	seen := make(map[string]int) // column entries → merged column
-	for j := range c.cls.rep {
-		col = col[:0]
+	for j := range k {
+		h := uint32(n)
 		for q := range n {
-			col = binary.LittleEndian.AppendUint32(col, uint32(c.next[q<<c.shift|j]))
+			h = (h ^ uint32(c.next[q<<c.shift|j])) * 0x9e3779b1
 		}
-		m, ok := seen[string(col)]
-		if !ok {
+		m := -1
+		for i, r := range reps {
+			if hashes[i] == h && c.sameColumn(r, j) {
+				m = i
+				break
+			}
+		}
+		if m < 0 {
 			m = len(reps)
-			seen[string(col)] = m
 			reps = append(reps, j)
+			hashes = append(hashes, h)
 			cls.rep = append(cls.rep, c.cls.rep[j])
 			cls.set = append(cls.set, model.ByteSet{})
 		}
@@ -269,6 +286,17 @@ func (c *Compiled) mergeColumns() {
 		}
 	}
 	c.cls, c.shift, c.next = cls, shift, next
+}
+
+// sameColumn reports whether every state steps the same on columns i
+// and j.
+func (c *Compiled) sameColumn(i, j int) bool {
+	for r := 0; r < len(c.next); r += 1 << c.shift {
+		if c.next[r|i] != c.next[r|j] {
+			return false
+		}
+	}
+	return true
 }
 
 // Initial returns the initial state.

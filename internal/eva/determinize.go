@@ -1,7 +1,7 @@
 package eva
 
 import (
-	"encoding/binary"
+	"math/bits"
 	"slices"
 	"sync/atomic"
 
@@ -29,7 +29,7 @@ func (a *EVA) Determinize() *EVA {
 	if a.initial < 0 {
 		return out
 	}
-	c := newTable(newSubsets(a))
+	c := newTable(newSubsets(a), a.NumStates())
 	c.fillAll()
 	n := c.NumStates()
 	// at[t] is 1 + the index of the letter edge into t while a state is
@@ -67,50 +67,76 @@ func (a *EVA) Determinize() *EVA {
 type subsets struct {
 	src *EVA
 	cls *classes
-	// index maps a subset's key (its members as uvarints) to its id.
-	index   map[string]int
-	members [][]int
-	final   []bool
+	// pool holds the members of the minted subsets back to back, each
+	// normalized: subset id is pool[off[id]:off[id+1]].
+	pool []int
+	off  []int32
+	// index is an open-addressing hash table of subset ids plus one, 0
+	// marking an empty entry; its length is a power of two.
+	index []int32
+	final []bool
 	// limit caps the number of subsets, 0 for no cap; over records that a
 	// mint was refused.
 	limit int
 	over  bool
-	// minted mirrors len(members) behind an atomic, so that
+	// minted mirrors count() behind an atomic, so that
 	// Lazy.StatesDiscovered never touches the tables evaluations mutate.
 	// spanlint:atomic
 	minted atomic.Int64
-	// to and key are scratch buffers, so that only minting allocates.
-	to  []int
-	key []byte
+	// caps backs the capture lists captures hands out, which are carved
+	// from it in turn.
+	caps []model.Capture
+	// to and group are scratch buffers, so that only minting allocates.
+	to    []int
+	group []model.Capture
 }
 
 // newSubsets returns the construction over src with {q0} minted as id 0.
+// Its buffers start with room for as many subsets as src has states.
 func newSubsets(src *EVA) *subsets {
-	s := &subsets{src: src, cls: byteClasses(src), index: make(map[string]int)}
+	n := src.NumStates()
+	s := &subsets{
+		src:   src,
+		cls:   byteClasses(src),
+		pool:  make([]int, 0, n),
+		off:   make([]int32, 1, n+1),
+		index: make([]int32, max(16, 2<<bits.Len(uint(n)))),
+		final: make([]bool, 0, n),
+	}
 	if src.initial >= 0 {
 		s.intern([]int{src.initial})
 	}
 	return s
 }
 
+// count returns the number of subsets minted so far.
+func (s *subsets) count() int { return len(s.off) - 1 }
+
+// members returns the source states of subset id, in increasing order.
+func (s *subsets) members(id int) []int { return s.pool[s.off[id]:s.off[id+1]] }
+
 // intern returns the id of a normalized subset, minting it if new. set may
 // alias scratch storage; a minted subset keeps a copy. A new subset past
 // the limit is refused: intern sets over and returns −1.
 func (s *subsets) intern(set []int) int {
-	s.key = s.key[:0]
-	for _, q := range set {
-		s.key = binary.AppendUvarint(s.key, uint64(q))
+	mask := len(s.index) - 1
+	i := int(model.HashStates(set)) & mask
+	for ; s.index[i] != 0; i = (i + 1) & mask {
+		if id := int(s.index[i] - 1); slices.Equal(s.members(id), set) {
+			return id
+		}
 	}
-	if id, ok := s.index[string(s.key)]; ok {
-		return id
-	}
-	id := len(s.members)
+	id := s.count()
 	if s.limit > 0 && id == s.limit {
 		s.over = true
 		return -1
 	}
-	s.index[string(s.key)] = id
-	s.members = append(s.members, slices.Clone(set))
+	s.pool = append(s.pool, set...)
+	s.off = append(s.off, int32(len(s.pool)))
+	s.index[i] = int32(id + 1)
+	if 2*len(s.off) > len(s.index) {
+		s.growIndex()
+	}
 	final := false
 	for _, q := range set {
 		if s.src.final[q] {
@@ -119,8 +145,21 @@ func (s *subsets) intern(set []int) int {
 		}
 	}
 	s.final = append(s.final, final)
-	s.minted.Store(int64(len(s.members)))
+	s.minted.Store(int64(s.count()))
 	return id
+}
+
+// growIndex doubles the hash table and re-inserts every subset.
+func (s *subsets) growIndex() {
+	n := 2 * len(s.index)
+	s.index = make([]int32, n)
+	for id := range s.count() {
+		i := int(model.HashStates(s.members(id))) & (n - 1)
+		for s.index[i] != 0 {
+			i = (i + 1) & (n - 1)
+		}
+		s.index[i] = int32(id + 1)
+	}
 }
 
 // letter returns the successor of subset id on the bytes of class k, or
@@ -128,7 +167,7 @@ func (s *subsets) intern(set []int) int {
 func (s *subsets) letter(id, k int) int {
 	b := s.cls.rep[k]
 	to := s.to[:0]
-	for _, q := range s.members[id] {
+	for _, q := range s.members(id) {
 		for _, e := range s.src.letters[q] {
 			if e.Class.Has(b) {
 				to = append(to, e.To)
@@ -142,39 +181,48 @@ func (s *subsets) letter(id, k int) int {
 	return s.intern(normalize(to))
 }
 
+// noCaptures is the capture list of a subset without captures: computed,
+// so not nil.
+var noCaptures = []model.Capture{}
+
 // captures returns the capture transitions of subset id, one per exact
 // marker set in marker-set order, minting their target subsets in that
 // order. The result is never nil.
 func (s *subsets) captures(id int) []model.Capture {
-	type group struct {
-		set model.Set
-		to  []int
+	group := s.group[:0]
+	for _, q := range s.members(id) {
+		group = append(group, s.src.captures[q]...)
 	}
-	var groups []group
-	for _, q := range s.members[id] {
-		for _, e := range s.src.captures[q] {
-			i := slices.IndexFunc(groups, func(g group) bool { return g.set == e.S })
-			if i < 0 {
-				i = len(groups)
-				groups = append(groups, group{set: e.S})
-			}
-			groups[i].to = append(groups[i].to, e.To)
-		}
+	s.group = group
+	if len(group) == 0 {
+		return noCaptures
 	}
-	slices.SortFunc(groups, func(x, y group) int {
+	// Sort the member captures by marker set; each run of one set is one
+	// capture transition of the subset.
+	slices.SortFunc(group, func(x, y model.Capture) int {
 		switch {
-		case x.set.Less(y.set):
+		case x.S.Less(y.S):
 			return -1
-		case y.set.Less(x.set):
+		case y.S.Less(x.S):
 			return 1
 		}
 		return 0
 	})
-	caps := make([]model.Capture, 0, len(groups))
-	for _, g := range groups {
-		caps = append(caps, model.Capture{S: g.set, To: s.intern(normalize(g.to))})
+	start := len(s.caps)
+	for i := 0; i < len(group); {
+		j := i + 1
+		for j < len(group) && group[j].S == group[i].S {
+			j++
+		}
+		to := s.to[:0]
+		for _, e := range group[i:j] {
+			to = append(to, e.To)
+		}
+		s.to = to
+		s.caps = append(s.caps, model.Capture{S: group[i].S, To: s.intern(normalize(to))})
+		i = j
 	}
-	return caps
+	return s.caps[start:len(s.caps):len(s.caps)]
 }
 
 // normalize sorts and deduplicates a subset in place.

@@ -44,7 +44,7 @@ func ReferenceStep(src *EVA, set []int, c byte) []int {
 }
 
 // LazyMembers returns the source states of the lazy subset state q.
-func LazyMembers(l *Lazy, q int) []int { return l.sub.members[q] }
+func LazyMembers(l *Lazy, q int) []int { return l.sub.members(q) }
 
 type refDeterminizer struct {
 	src     *EVA

@@ -38,6 +38,16 @@ func New(reg *model.Registry) *EVA {
 	return &EVA{reg: reg, initial: -1}
 }
 
+// Build returns the automaton over reg with initial state initial, whose
+// state q has finality final[q], letter transitions letters[q] and
+// extended variable transitions captures[q]. It takes the slices over:
+// constructions that know their edges up front carve the per-state lists
+// from one backing array (model.Carve) instead of adding edges one at a
+// time.
+func Build(reg *model.Registry, initial int, final []bool, letters [][]model.Letter, captures [][]model.Capture) *EVA {
+	return &EVA{reg: reg, initial: initial, final: final, letters: letters, captures: captures}
+}
+
 // AddState adds a fresh non-final state and returns its index.
 func (a *EVA) AddState() int {
 	a.final = append(a.final, false)

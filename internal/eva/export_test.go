@@ -13,5 +13,5 @@ func SetMaxDenseStates(n int) (restore func()) {
 func CompileMinted(a *EVA) (minted int, err error) {
 	sub := newSubsets(a)
 	_, err = compile(sub)
-	return len(sub.members), err
+	return sub.count(), err
 }

@@ -26,7 +26,7 @@ type Lazy struct{ Compiled }
 
 // NewLazy returns a lazy determinizer over src, which must be sequential
 // for downstream enumeration to be duplicate-free (as with Determinize).
-func NewLazy(src *EVA) *Lazy { return &Lazy{*newTable(newSubsets(src))} }
+func NewLazy(src *EVA) *Lazy { return &Lazy{*newTable(newSubsets(src), 1)} }
 
 // Step returns δ(q, c), computing it on first use. Step and Captures
 // repeat the lookups of step and caps, which are too large to inline, so

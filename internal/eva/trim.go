@@ -1,91 +1,46 @@
 package eva
 
+import "spanners/internal/model"
+
 // Trim returns an equivalent automaton with only the states that are
 // reachable from the initial state and co-reachable to a final state.
 // Reachability here is graph reachability, which over-approximates
 // reachability by (alternating) runs; the extra states are harmless and
 // never fire during evaluation.
+//
+// When every state is useful, Trim returns the receiver itself. That is
+// safe because an automaton is never mutated once built: the pipeline's
+// constructions (Sequentialize, the algebra, determinization) all return
+// new automata.
 func (a *EVA) Trim() *EVA {
 	n := a.NumStates()
 	if a.initial < 0 || n == 0 {
 		return New(a.reg)
 	}
-
-	reach := make([]bool, n)
-	stack := []int{a.initial}
-	reach[a.initial] = true
-	for len(stack) > 0 {
-		q := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
+	off := make([]int32, n+1)
+	for q := range n {
+		off[q+1] = off[q] + int32(len(a.letters[q])+len(a.captures[q]))
+	}
+	succ := make([]int32, 0, off[n])
+	for q := range n {
 		for _, e := range a.letters[q] {
-			if !reach[e.To] {
-				reach[e.To] = true
-				stack = append(stack, e.To)
-			}
+			succ = append(succ, int32(e.To))
 		}
 		for _, e := range a.captures[q] {
-			if !reach[e.To] {
-				reach[e.To] = true
-				stack = append(stack, e.To)
-			}
+			succ = append(succ, int32(e.To))
 		}
 	}
-
-	rev := make([][]int, n)
-	for q := 0; q < n; q++ {
-		for _, e := range a.letters[q] {
-			rev[e.To] = append(rev[e.To], q)
-		}
-		for _, e := range a.captures[q] {
-			rev[e.To] = append(rev[e.To], q)
+	keep, m := model.Useful(a.initial, a.final, off, succ)
+	if m == n {
+		return a
+	}
+	final := make([]bool, m)
+	for q, k := range keep {
+		if k >= 0 {
+			final[k] = a.final[q]
 		}
 	}
-	coreach := make([]bool, n)
-	for q := 0; q < n; q++ {
-		if a.final[q] && reach[q] {
-			coreach[q] = true
-			stack = append(stack, q)
-		}
-	}
-	for len(stack) > 0 {
-		q := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, p := range rev[q] {
-			if reach[p] && !coreach[p] {
-				coreach[p] = true
-				stack = append(stack, p)
-			}
-		}
-	}
-
-	keep := make([]int, n)
-	out := New(a.reg)
-	for q := 0; q < n; q++ {
-		if reach[q] && coreach[q] {
-			keep[q] = out.AddState()
-		} else {
-			keep[q] = -1
-		}
-	}
-	if keep[a.initial] == -1 {
-		keep[a.initial] = out.AddState()
-	}
-	out.SetInitial(keep[a.initial])
-	for q := 0; q < n; q++ {
-		if keep[q] == -1 {
-			continue
-		}
-		out.SetFinal(keep[q], a.final[q])
-		for _, e := range a.letters[q] {
-			if keep[e.To] != -1 {
-				out.AddLetter(keep[q], e.Class, keep[e.To])
-			}
-		}
-		for _, e := range a.captures[q] {
-			if keep[e.To] != -1 {
-				out.AddCapture(keep[q], e.S, keep[e.To])
-			}
-		}
-	}
-	return out
+	return Build(a.reg, int(keep[a.initial]), final,
+		model.TrimEdges(a.letters, keep, m, func(e *model.Letter) *int { return &e.To }),
+		model.TrimEdges(a.captures, keep, m, func(e *model.Capture) *int { return &e.To }))
 }

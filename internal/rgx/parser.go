@@ -60,6 +60,22 @@ type parser struct {
 	src   string
 	pos   int
 	depth int
+	// stack holds the operands of the concatenations and unions being
+	// parsed, innermost last; block backs the Subs lists of the AST.
+	stack []Node
+	block []Node
+}
+
+// subs returns a copy of ns for a Subs list. The copies are carved from
+// shared blocks, clipped to their length; an AST is never mutated once
+// built.
+func (p *parser) subs(ns ...Node) []Node {
+	if len(p.block)+len(ns) > cap(p.block) {
+		p.block = make([]Node, 0, max(len(ns), len(p.src)))
+	}
+	start := len(p.block)
+	p.block = append(p.block, ns...)
+	return p.block[start:len(p.block):len(p.block)]
 }
 
 // enter charges one nesting level, failing once the formula nests deeper
@@ -87,27 +103,28 @@ func (p *parser) parseAlt() (Node, error) {
 		return nil, err
 	}
 	defer p.leave()
-	first, err := p.parseConcat()
-	if err != nil {
-		return nil, err
-	}
-	subs := []Node{first}
-	for !p.eof() && p.peek() == '|' {
-		p.pos++
+	base := len(p.stack)
+	defer func() { p.stack = p.stack[:base] }()
+	for {
 		n, err := p.parseConcat()
 		if err != nil {
 			return nil, err
 		}
-		subs = append(subs, n)
+		p.stack = append(p.stack, n)
+		if p.eof() || p.peek() != '|' {
+			break
+		}
+		p.pos++
 	}
-	if len(subs) == 1 {
-		return subs[0], nil
+	if len(p.stack) == base+1 {
+		return p.stack[base], nil
 	}
-	return Alt{Subs: subs}, nil
+	return Alt{Subs: p.subs(p.stack[base:]...)}, nil
 }
 
 func (p *parser) parseConcat() (Node, error) {
-	var subs []Node
+	base := len(p.stack)
+	defer func() { p.stack = p.stack[:base] }()
 	for !p.eof() {
 		switch p.peek() {
 		case '|', ')':
@@ -120,16 +137,16 @@ func (p *parser) parseConcat() (Node, error) {
 		if err != nil {
 			return nil, err
 		}
-		subs = append(subs, n)
+		p.stack = append(p.stack, n)
 	}
 done:
-	switch len(subs) {
+	switch len(p.stack) - base {
 	case 0:
 		return Empty{}, nil
 	case 1:
-		return subs[0], nil
+		return p.stack[base], nil
 	}
-	return Concat{Subs: subs}, nil
+	return Concat{Subs: p.subs(p.stack[base:]...)}, nil
 }
 
 func (p *parser) parseRepeat() (Node, error) {
@@ -154,10 +171,10 @@ func (p *parser) parseRepeat() (Node, error) {
 			n = Star{Sub: n}
 		case '+':
 			p.pos++
-			n = Concat{Subs: []Node{n, Star{Sub: n}}}
+			n = Concat{Subs: p.subs(n, Star{Sub: n})}
 		case '?':
 			p.pos++
-			n = Alt{Subs: []Node{n, Empty{}}}
+			n = Alt{Subs: p.subs(n, Empty{})}
 		default:
 			return n, nil
 		}

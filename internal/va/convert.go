@@ -1,6 +1,8 @@
 package va
 
 import (
+	"slices"
+
 	"spanners/internal/eva"
 	"spanners/internal/model"
 )
@@ -18,33 +20,40 @@ import (
 // one extended transition per trimmed state pair, giving the m + n² bound
 // of Proposition 4.3.
 func (a *VA) ToExtended() *eva.EVA {
-	out := eva.New(a.reg)
 	n := a.NumStates()
-	for q := 0; q < n; q++ {
-		id := out.AddState()
-		out.SetFinal(id, a.final[q])
+	off := make([]int32, n+1)
+	markers := 0
+	for q := range n {
+		off[q+1] = off[q] + int32(len(a.letters[q]))
+		markers += len(a.markers[q])
 	}
-	if a.initial >= 0 {
-		out.SetInitial(a.initial)
-	}
-	for q := 0; q < n; q++ {
-		for _, e := range a.letters[q] {
-			out.AddLetter(q, e.Class, e.To)
-		}
+	letters := make([]model.Letter, 0, off[n])
+	for q := range n {
+		letters = append(letters, a.letters[q]...)
 	}
 
 	// For each source state, enumerate all (target, marker set) pairs
-	// reachable through variable-paths.
+	// reachable through variable-paths, in one flat list: the captures of
+	// p are caps[capOff[p]:capOff[p+1]]. It starts with room for one
+	// capture per marker transition.
 	type cfg struct {
 		q int
 		s model.Set
 	}
-	for p := 0; p < n; p++ {
+	var (
+		caps    = make([]model.Capture, 0, markers)
+		capOff  = make([]int32, n+1)
+		visited = make(map[cfg]bool)
+		stack   []cfg
+	)
+	for p := range n {
+		capOff[p] = int32(len(caps))
 		if len(a.markers[p]) == 0 {
 			continue
 		}
-		visited := map[cfg]bool{{p, model.Set{}}: true}
-		stack := []cfg{{p, model.Set{}}}
+		clear(visited)
+		visited[cfg{p, model.Set{}}] = true
+		stack = append(stack[:0], cfg{p, model.Set{}})
 		for len(stack) > 0 {
 			c := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
@@ -57,12 +66,13 @@ func (a *VA) ToExtended() *eva.EVA {
 					continue
 				}
 				visited[nc] = true
-				out.AddCapture(p, nc.s, nc.q)
+				caps = append(caps, model.Capture{S: nc.s, To: nc.q})
 				stack = append(stack, nc)
 			}
 		}
 	}
-	return out
+	capOff[n] = int32(len(caps))
+	return eva.Build(a.reg, a.initial, slices.Clone(a.final), model.Carve(letters, off), model.Carve(caps, capOff))
 }
 
 // FromExtended translates an extended VA back into an ordinary VA (the

@@ -1,95 +1,46 @@
 package va
 
+import "spanners/internal/model"
+
 // Trim returns an equivalent automaton containing only useful states: those
 // reachable from the initial state and co-reachable to some final state.
 // Trimming matters for the size bounds of Section 4 — Lemma B.1, for
 // example, only holds for states "that can produce valid runs" — and keeps
 // the determinization and variable-path constructions from exploring dead
 // parts of the state space.
+//
+// When every state is useful, Trim returns the receiver itself. That is
+// safe because an automaton is never mutated once built: the pipeline's
+// constructions all return new automata.
 func (a *VA) Trim() *VA {
 	n := a.NumStates()
 	if a.initial < 0 || n == 0 {
 		return New(a.reg)
 	}
-
-	reach := make([]bool, n)
-	var stack []int
-	reach[a.initial] = true
-	stack = append(stack, a.initial)
-	for len(stack) > 0 {
-		q := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
+	off := make([]int32, n+1)
+	for q := range n {
+		off[q+1] = off[q] + int32(len(a.letters[q])+len(a.markers[q]))
+	}
+	succ := make([]int32, 0, off[n])
+	for q := range n {
 		for _, e := range a.letters[q] {
-			if !reach[e.To] {
-				reach[e.To] = true
-				stack = append(stack, e.To)
-			}
+			succ = append(succ, int32(e.To))
 		}
 		for _, e := range a.markers[q] {
-			if !reach[e.To] {
-				reach[e.To] = true
-				stack = append(stack, e.To)
-			}
+			succ = append(succ, int32(e.To))
 		}
 	}
-
-	// Reverse adjacency for co-reachability.
-	rev := make([][]int, n)
-	for q := 0; q < n; q++ {
-		for _, e := range a.letters[q] {
-			rev[e.To] = append(rev[e.To], q)
-		}
-		for _, e := range a.markers[q] {
-			rev[e.To] = append(rev[e.To], q)
+	keep, m := model.Useful(a.initial, a.final, off, succ)
+	if m == n {
+		return a
+	}
+	final := make([]bool, m)
+	for q, k := range keep {
+		if k >= 0 {
+			final[k] = a.final[q]
 		}
 	}
-	coreach := make([]bool, n)
-	for q := 0; q < n; q++ {
-		if a.final[q] && reach[q] {
-			coreach[q] = true
-			stack = append(stack, q)
-		}
-	}
-	for len(stack) > 0 {
-		q := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, p := range rev[q] {
-			if reach[p] && !coreach[p] {
-				coreach[p] = true
-				stack = append(stack, p)
-			}
-		}
-	}
-
-	keep := make([]int, n)
-	out := New(a.reg)
-	for q := 0; q < n; q++ {
-		if reach[q] && coreach[q] {
-			keep[q] = out.AddState()
-		} else {
-			keep[q] = -1
-		}
-	}
-	// An automaton with an empty language still needs its initial state.
-	if keep[a.initial] == -1 {
-		keep[a.initial] = out.AddState()
-	}
-	out.SetInitial(keep[a.initial])
-	for q := 0; q < n; q++ {
-		if keep[q] == -1 {
-			continue
-		}
-		out.SetFinal(keep[q], a.final[q])
-		for _, e := range a.letters[q] {
-			if keep[e.To] != -1 {
-				out.AddLetter(keep[q], e.Class, keep[e.To])
-			}
-		}
-		for _, e := range a.markers[q] {
-			if keep[e.To] != -1 {
-				out.AddMarker(keep[q], e.M, keep[e.To])
-			}
-		}
-	}
-	return out
+	return Build(a.reg, int(keep[a.initial]), final,
+		model.TrimEdges(a.letters, keep, m, func(e *model.Letter) *int { return &e.To }),
+		model.TrimEdges(a.markers, keep, m, func(e *MarkerEdge) *int { return &e.To }))
 }

@@ -41,6 +41,15 @@ func New(reg *model.Registry) *VA {
 	return &VA{reg: reg, initial: -1}
 }
 
+// Build returns the automaton over reg with initial state initial, whose
+// state q has finality final[q], letter transitions letters[q] and
+// variable transitions markers[q]. It takes the slices over: constructions
+// that know their edges up front carve the per-state lists from one
+// backing array (model.Carve) instead of adding edges one at a time.
+func Build(reg *model.Registry, initial int, final []bool, letters [][]model.Letter, markers [][]MarkerEdge) *VA {
+	return &VA{reg: reg, initial: initial, final: final, letters: letters, markers: markers}
+}
+
 // AddState adds a fresh non-final state and returns its index.
 func (a *VA) AddState() int {
 	a.final = append(a.final, false)

@@ -416,7 +416,8 @@ func newLowerer() *lowerer { return &lowerer{memo: make(map[string]*eva.EVA)} }
 // lower builds the subtree's eVA. The result is not necessarily
 // sequential — joins defer shared-variable conflicts to the downstream
 // sequentialization product — so consumers that need sequentiality
-// (Project, and the final compilation pipeline) sequentialize themselves.
+// (Project, and the final compilation pipeline) sequentialize themselves,
+// unless the plan lowersSequential.
 func (l *lowerer) lower(p *plan) (*eva.EVA, error) {
 	key := p.key()
 	if e, ok := l.memo[key]; ok {
@@ -429,6 +430,11 @@ func (l *lowerer) lower(p *plan) (*eva.EVA, error) {
 	l.memo[key] = e
 	return e, nil
 }
+
+// lowersSequential reports whether lower returns an eVA that is already
+// trimmed and sequential, so that sequentialEVA would return it unchanged:
+// a pattern leaf lowers through sequentialEVA itself.
+func (p *plan) lowersSequential() bool { return p.op == opPattern }
 
 func (l *lowerer) lowerNew(p *plan) (*eva.EVA, error) {
 	switch p.op {
@@ -478,7 +484,7 @@ func (l *lowerer) lowerNew(p *plan) (*eva.EVA, error) {
 			if sub, err = l.lower(p.subs[0]); err != nil {
 				return nil, err
 			}
-			if !sub.IsSequential() {
+			if !p.subs[0].lowersSequential() && !sub.IsSequential() {
 				sub = sub.Sequentialize().Trim()
 			}
 			l.memo[seqKey] = sub

@@ -213,7 +213,11 @@ func (q *Query) Compile(opts ...Option) (*Spanner, error) {
 	if err != nil {
 		return nil, err
 	}
-	s, err := compileEVA(q.String(), e, start, opts)
+	sequentialized := false
+	if !p.lowersSequential() {
+		e, sequentialized = sequentialEVA(e)
+	}
+	s, err := compileEVA(q.String(), e, sequentialized, start, opts)
 	if err != nil {
 		return nil, err
 	}

@@ -245,7 +245,8 @@ func CompileNode(n rgx.Node, opts ...Option) (*Spanner, error) {
 	if err != nil {
 		return nil, err
 	}
-	s, err := compileEVA(n.String(), v.ToExtended(), start, opts)
+	seq, sequentialized := sequentialEVA(v.ToExtended())
+	s, err := compileEVA(n.String(), seq, sequentialized, start, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -254,16 +255,15 @@ func CompileNode(n rgx.Node, opts ...Option) (*Spanner, error) {
 	return s, nil
 }
 
-// compileEVA finishes the pipeline from an arbitrary (possibly
-// non-sequential, nondeterministic) eVA: trim → sequentialize if needed →
-// determinize per the chosen mode. It is shared by CompileNode and
+// compileEVA finishes the pipeline from the trimmed sequential eVA that
+// sequentialEVA returns (sequentialized is its second result): it
+// determinizes seq per the chosen mode. It is shared by CompileNode and
 // Query.Compile; start anchors CompileTime at the caller's entry.
-func compileEVA(pattern string, e *eva.EVA, start time.Time, opts []Option) (*Spanner, error) {
+func compileEVA(pattern string, seq *eva.EVA, sequentialized bool, start time.Time, opts []Option) (*Spanner, error) {
 	var cfg config
 	for _, o := range opts {
 		o(&cfg)
 	}
-	seq, sequentialized := sequentialEVA(e)
 	s := &Spanner{
 		pattern: pattern,
 		mode:    cfg.mode,
