@@ -42,17 +42,27 @@ func UnionAll(as ...*EVA) (*EVA, error) {
 	if err != nil {
 		return nil, fmt.Errorf("eva: union: %w", err)
 	}
-	out := New(merged)
-	init := out.AddState()
-	out.SetInitial(init)
+	var out builder
+	init := out.addState(false)
+	out.begin()
+	off := 1 // the state offset of the operand being embedded
 	for i, a := range as {
-		off := out.embed(a, vmaps[i])
-		out.copyOutgoing(init, a, a.initial, off, vmaps[i])
-		if a.initial >= 0 && a.final[a.initial] {
-			out.SetFinal(init, true)
+		if p := a.initial; p >= 0 {
+			out.final[init] = out.final[init] || a.final[p]
+			out.copyOutgoing(a, p, off, vmaps[i])
 		}
+		off += a.NumStates()
 	}
-	return out, nil
+	off = 1
+	for i, a := range as {
+		for q := range a.NumStates() {
+			out.addState(a.final[q])
+			out.begin()
+			out.copyOutgoing(a, q, off, vmaps[i])
+		}
+		off += a.NumStates()
+	}
+	return out.build(merged, init), nil
 }
 
 // mergeRegistries folds model.Merge over the operands' registries and
@@ -74,37 +84,14 @@ func mergeRegistries(as []*EVA) (*model.Registry, [][]model.Var, error) {
 	return merged, vmaps, nil
 }
 
-// embed appends every state and transition of src to a, with src's
-// variables remapped through vmap, and returns the state offset.
-func (a *EVA) embed(src *EVA, vmap []model.Var) int {
-	off := a.NumStates()
-	for q := 0; q < src.NumStates(); q++ {
-		id := a.AddState()
-		a.SetFinal(id, src.final[q])
-	}
-	for q := 0; q < src.NumStates(); q++ {
-		for _, e := range src.letters[q] {
-			a.AddLetter(off+q, e.Class, off+e.To)
-		}
-		for _, e := range src.captures[q] {
-			a.AddCapture(off+q, e.S.Remap(vmap), off+e.To)
-		}
-	}
-	return off
-}
-
-// copyOutgoing adds to state q of a every outgoing transition of src state
-// p, translated by the embedding offset and variable remap. It is a no-op
-// when p is unset (an automaton with no initial state accepts nothing).
-func (a *EVA) copyOutgoing(q int, src *EVA, p, off int, vmap []model.Var) {
-	if p < 0 {
-		return
-	}
+// copyOutgoing adds to the current state every outgoing transition of src
+// state p, translated by the embedding offset off and variable remap.
+func (b *builder) copyOutgoing(src *EVA, p, off int, vmap []model.Var) {
 	for _, e := range src.letters[p] {
-		a.AddLetter(q, e.Class, off+e.To)
+		b.letter(e.Class, off+e.To)
 	}
 	for _, e := range src.captures[p] {
-		a.AddCapture(q, e.S.Remap(vmap), off+e.To)
+		b.capture(e.S.Remap(vmap), off+e.To)
 	}
 }
 
@@ -158,49 +145,35 @@ func Project(a *EVA, keep ...string) (*EVA, error) {
 			}
 		}
 	}
+	var out builder
 	if !needsSplit {
-		out := New(reg)
-		for q := 0; q < a.NumStates(); q++ {
-			id := out.AddState()
-			out.SetFinal(id, a.final[q])
-		}
-		if a.initial >= 0 {
-			out.SetInitial(a.initial)
-		}
-		for q := 0; q < a.NumStates(); q++ {
+		for q := range a.NumStates() {
+			out.addState(a.final[q])
+			out.begin()
 			for _, e := range a.letters[q] {
-				out.AddLetter(q, e.Class, e.To)
+				out.letter(e.Class, e.To)
 			}
 			for _, e := range a.captures[q] {
-				out.AddCapture(q, e.S.RestrictVars(keepBits).Remap(vmap), e.To)
+				out.capture(e.S.RestrictVars(keepBits).Remap(vmap), e.To)
 			}
 		}
-		return out, nil
+		return out.build(reg, a.initial), nil
 	}
 
-	out := New(reg)
 	pre := func(q int) int { return 2 * q }
 	post := func(q int) int { return 2*q + 1 }
-	for q := 0; q < a.NumStates(); q++ {
-		p1 := out.AddState()
-		p2 := out.AddState()
-		out.SetFinal(p1, a.final[q])
-		out.SetFinal(p2, a.final[q])
-	}
-	if a.initial >= 0 {
-		out.SetInitial(pre(a.initial))
-	}
-	for q := 0; q < a.NumStates(); q++ {
+	for q := range a.NumStates() {
+		out.addState(a.final[q])
+		out.begin()
 		for _, e := range a.letters[q] {
 			// Reading a letter moves to the next position, where a capture
 			// is allowed again: letters always land in pre states.
-			out.AddLetter(pre(q), e.Class, pre(e.To))
-			out.AddLetter(post(q), e.Class, pre(e.To))
+			out.letter(e.Class, pre(e.To))
 		}
 		for _, e := range a.captures[q] {
 			s := e.S.RestrictVars(keepBits)
 			if !s.IsEmpty() {
-				out.AddCapture(pre(q), s.Remap(vmap), post(e.To))
+				out.capture(s.Remap(vmap), post(e.To))
 				continue
 			}
 			// The whole set was projected away: an original run may cross
@@ -208,14 +181,24 @@ func Project(a *EVA, keep ...string) (*EVA, error) {
 			// letter transitions, and its finality when the capture was the
 			// run's final move.
 			for _, l := range a.letters[e.To] {
-				out.AddLetter(pre(q), l.Class, pre(l.To))
+				out.letter(l.Class, pre(l.To))
 			}
 			if a.final[e.To] {
-				out.SetFinal(pre(q), true)
+				out.final[pre(q)] = true
 			}
 		}
+		// post(q) carries only q's letter transitions.
+		out.addState(a.final[q])
+		out.begin()
+		for _, e := range a.letters[q] {
+			out.letter(e.Class, pre(e.To))
+		}
 	}
-	return out, nil
+	initial := -1
+	if a.initial >= 0 {
+		initial = pre(a.initial)
+	}
+	return out.build(reg, initial), nil
 }
 
 // Join returns an eVA denoting the natural join ⟦a⟧d ⋈ ⟦b⟧d = {µ1 ∪ µ2 :
@@ -238,11 +221,11 @@ func Join(a, b *EVA) (*EVA, error) {
 	if err != nil {
 		return nil, fmt.Errorf("eva: join: %w", err)
 	}
-	out := New(merged)
+	var out builder
 	if a.initial < 0 || b.initial < 0 {
 		// One side accepts nothing, so the join is empty.
-		out.SetInitial(out.AddState())
-		return out, nil
+		initial := out.addState(false)
+		return out.build(merged, initial), nil
 	}
 	type pair struct{ qa, qb int }
 	index := make(map[pair]int)
@@ -251,38 +234,37 @@ func Join(a, b *EVA) (*EVA, error) {
 		if id, ok := index[p]; ok {
 			return id
 		}
-		id := out.AddState()
+		id := out.addState(a.final[p.qa] && b.final[p.qb])
 		index[p] = id
-		out.SetFinal(id, a.final[p.qa] && b.final[p.qb])
 		work = append(work, p)
 		return id
 	}
-	out.SetInitial(intern(pair{a.initial, b.initial}))
+	initial := intern(pair{a.initial, b.initial})
 	for i := 0; i < len(work); i++ {
 		p := work[i]
-		id := index[p]
+		out.begin()
 		for _, ea := range a.letters[p.qa] {
 			for _, eb := range b.letters[p.qb] {
 				cls := ea.Class.Inter(eb.Class)
 				if cls.IsEmpty() {
 					continue
 				}
-				out.AddLetter(id, cls, intern(pair{ea.To, eb.To}))
+				out.letter(cls, intern(pair{ea.To, eb.To}))
 			}
 		}
 		// Capture moves: a transition on either side, the other side
 		// optionally joining in. Both idling is the implicit "no capture
 		// transition" and needs no edge.
 		for _, ea := range a.captures[p.qa] {
-			out.AddCapture(id, ea.S.Remap(fromA), intern(pair{ea.To, p.qb}))
+			out.capture(ea.S.Remap(fromA), intern(pair{ea.To, p.qb}))
 			for _, eb := range b.captures[p.qb] {
 				s := ea.S.Remap(fromA).Union(eb.S.Remap(fromB))
-				out.AddCapture(id, s, intern(pair{ea.To, eb.To}))
+				out.capture(s, intern(pair{ea.To, eb.To}))
 			}
 		}
 		for _, eb := range b.captures[p.qb] {
-			out.AddCapture(id, eb.S.Remap(fromB), intern(pair{p.qa, eb.To}))
+			out.capture(eb.S.Remap(fromB), intern(pair{p.qa, eb.To}))
 		}
 	}
-	return out, nil
+	return out.build(merged, initial), nil
 }

@@ -2,7 +2,6 @@ package eva
 
 import (
 	"math/bits"
-	"slices"
 
 	"spanners/internal/model"
 )
@@ -31,30 +30,26 @@ type classes struct {
 // its deterministic automaton by merging columns when it freezes.
 // CompileDense computes it once on its deterministic input.
 func byteClasses(a *EVA) *classes {
-	// The distinct edge sets, sorted; refining by a set twice splits
-	// nothing, and the coarsest partition does not depend on the order.
 	n := 0
 	for q := range a.letters {
 		n += len(a.letters[q])
 	}
-	edges := make([]model.ByteSet, 0, n)
+	parts := []model.ByteSet{model.ByteSet{}.Negate()}
+	seen := make(map[model.ByteSet]bool, n)
 	for q := range a.letters {
 		for _, e := range a.letters[q] {
-			edges = append(edges, e.Class)
-		}
-	}
-	slices.SortFunc(edges, compareByteSets)
-	edges = slices.Compact(edges)
-	parts := make([]model.ByteSet, 1, len(edges)+1)
-	parts[0] = model.ByteSet{}.Negate()
-	for _, e := range edges {
-		for i, n := 0, len(parts); i < n; i++ {
-			in := parts[i].Inter(e)
-			if in.IsEmpty() || in == parts[i] {
+			if seen[e.Class] {
 				continue
 			}
-			parts[i] = parts[i].Minus(e)
-			parts = append(parts, in)
+			seen[e.Class] = true
+			for i, n := 0, len(parts); i < n; i++ {
+				in := parts[i].Inter(e.Class)
+				if in.IsEmpty() || in == parts[i] {
+					continue
+				}
+				parts[i] = parts[i].Minus(e.Class)
+				parts = append(parts, in)
+			}
 		}
 	}
 	// Renumber the parts in order of their smallest byte.
@@ -78,17 +73,4 @@ func byteClasses(a *EVA) *classes {
 		out.of[b] = uint8(num[i] - 1)
 	}
 	return out
-}
-
-// compareByteSets orders byte sets by their words.
-func compareByteSets(x, y model.ByteSet) int {
-	for w := range x {
-		if x[w] != y[w] {
-			if x[w] < y[w] {
-				return -1
-			}
-			return 1
-		}
-	}
-	return 0
 }

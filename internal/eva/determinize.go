@@ -25,38 +25,38 @@ import (
 // row as letter edges in class order; the evaluators run on Compile's
 // frozen table instead.
 func (a *EVA) Determinize() *EVA {
-	out := New(a.reg)
 	if a.initial < 0 {
-		return out
+		return New(a.reg)
 	}
 	c := newTable(newSubsets(a), a.NumStates())
 	c.fillAll()
 	n := c.NumStates()
-	// at[t] is 1 + the index of the letter edge into t while a state is
-	// exported, 0 otherwise.
+	out := builder{final: c.accepting}
+	// at[t] is 1 + the index of the letter edge into t among the exported
+	// state's edges while it is exported, 0 otherwise.
 	at := make([]int32, n)
 	for q := range n {
-		var letters []model.Letter
+		out.begin()
+		lo := len(out.letters)
 		for k, t := range c.next[q<<c.shift:][:len(c.cls.rep)] {
 			if t < 0 {
 				continue
 			}
 			if at[t] == 0 {
-				letters = append(letters, model.Letter{To: int(t)})
-				at[t] = int32(len(letters))
+				out.letter(model.ByteSet{}, int(t))
+				at[t] = int32(len(out.letters) - lo)
 			}
-			e := &letters[at[t]-1]
+			e := &out.letters[lo+int(at[t])-1]
 			e.Class = e.Class.Union(c.cls.set[k])
 		}
-		for _, e := range letters {
+		for _, e := range out.letters[lo:] {
 			at[e.To] = 0
 		}
-		out.letters = append(out.letters, letters)
-		out.captures = append(out.captures, c.captures[q])
 	}
-	out.final = c.accepting
-	out.initial = 0
-	return out
+	det := out.build(a.reg, 0)
+	// The capture lists are the table's own, computed for every state.
+	det.captures = c.captures
+	return det
 }
 
 // subsets is the subset construction both determinization modes share:

@@ -81,17 +81,16 @@ func (a *EVA) Sequentialize() *EVA {
 		q  int
 		st statusVec
 	}
-	out := New(a.reg)
-	index := make(map[key]int)
-	var work []key
+	var out builder
+	index := make(map[key]int, a.NumStates())
+	work := make([]key, 0, a.NumStates())
 
 	intern := func(k key) int {
 		if id, ok := index[k]; ok {
 			return id
 		}
-		id := out.AddState()
+		id := out.addState(a.final[k.q] && k.st.closedOrUnopened())
 		index[k] = id
-		out.SetFinal(id, a.final[k.q] && k.st.closedOrUnopened())
 		work = append(work, k)
 		return id
 	}
@@ -99,18 +98,17 @@ func (a *EVA) Sequentialize() *EVA {
 	intern(key{a.initial, statusVec{}})
 	for i := 0; i < len(work); i++ {
 		k := work[i]
-		id := index[k]
+		out.begin()
 		for _, e := range a.letters[k.q] {
-			out.AddLetter(id, e.Class, intern(key{e.To, k.st}))
+			out.letter(e.Class, intern(key{e.To, k.st}))
 		}
 		for _, e := range a.captures[k.q] {
 			st, ok := k.st.apply(e.S)
 			if !ok {
 				continue
 			}
-			out.AddCapture(id, e.S, intern(key{e.To, st}))
+			out.capture(e.S, intern(key{e.To, st}))
 		}
 	}
-	out.SetInitial(0)
-	return out
+	return out.build(a.reg, 0)
 }

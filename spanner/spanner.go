@@ -220,13 +220,7 @@ func Compile(pattern string, opts ...Option) (*Spanner, error) {
 	if err != nil {
 		return nil, err
 	}
-	s, err := CompileNode(n, opts...)
-	if err != nil {
-		return nil, err
-	}
-	s.pattern = pattern
-	s.stats.Pattern = pattern
-	return s, nil
+	return compileNode(pattern, n, opts)
 }
 
 // MustCompile is Compile but panics on error; for tests and fixed patterns.
@@ -240,13 +234,18 @@ func MustCompile(pattern string, opts ...Option) *Spanner {
 
 // CompileNode compiles an already-parsed regex formula.
 func CompileNode(n rgx.Node, opts ...Option) (*Spanner, error) {
+	return compileNode(n.String(), n, opts)
+}
+
+// compileNode compiles the formula n, whose source is pattern.
+func compileNode(pattern string, n rgx.Node, opts []Option) (*Spanner, error) {
 	start := time.Now()
 	v, err := rgx.Compile(n)
 	if err != nil {
 		return nil, err
 	}
 	seq, sequentialized := sequentialEVA(v.ToExtended())
-	s, err := compileEVA(n.String(), seq, sequentialized, start, opts)
+	s, err := compileEVA(pattern, seq, sequentialized, start, opts)
 	if err != nil {
 		return nil, err
 	}
