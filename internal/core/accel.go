@@ -61,6 +61,10 @@ type accelGate struct {
 	// attempt covers the bytes it skipped plus the byte that stopped it.
 	winBytes   int
 	winSkipped int
+	// base and end are the document offsets where the chunk being scanned
+	// starts and ends, and last is where the previous skip attempt ended,
+	// in this chunk or an earlier one.
+	base, end, last int
 }
 
 // init arms the gate for a new document over automaton a.
@@ -70,6 +74,7 @@ func (g *accelGate) init(a Automaton) {
 	g.skipped = 0
 	g.fellBack = false
 	g.winBytes, g.winSkipped = 0, 0
+	g.base, g.end, g.last = 0, 0, 0
 	if acc, ok := a.(Accelerator); ok && acc.AccelEnabled() {
 		g.acc = acc
 		g.on = true
@@ -105,22 +110,29 @@ func (g *accelGate) scanState(live []int) (int, bool) {
 	return q, true
 }
 
+// next moves the gate onto the document's next chunk, n bytes long.
+func (g *accelGate) next(n int) {
+	g.base = g.end
+	g.end += n
+}
+
 // skip is the one skip attempt of the scan loops: given the governing
 // state q of the live states (see scanState) it asks the Accelerator how
 // many bytes of chunk[i:] are inert and returns that count, 0 when the
-// attempt skips nothing. *last is where the previous attempt in chunk
-// ended; the bytes between it and i went through the per-byte path, and
-// feeding them into the window alongside the skipped bytes makes the
-// window measure true candidate density — on corpora where partial
-// matches keep the live set large, the slow stretches dominate and push
-// the gate to fall back even though each individual attempt looks
-// harmless.
-func (g *accelGate) skip(q int, chunk []byte, i int, last *int) int {
+// attempt skips nothing. The bytes between the end of the previous attempt
+// and this one went through the per-byte path, whether in this chunk or
+// across chunk boundaries; feeding them into the window alongside the
+// skipped bytes makes the window measure true candidate density — on
+// corpora where partial matches keep the live set large, the slow
+// stretches dominate and push the gate to fall back even though each
+// individual attempt looks harmless — however the document is chunked.
+func (g *accelGate) skip(q int, chunk []byte, i int) int {
 	n := g.acc.AccelSkip(q, chunk[i:])
+	pos := g.base + i
 	g.skipped += int64(n)
 	g.winSkipped += n
-	g.winBytes += n + i - *last
-	*last = i + n
+	g.winBytes += n + pos - g.last
+	g.last = pos + n
 	if g.winBytes >= accelWindow {
 		if g.winSkipped*100 < g.winBytes*accelMinSkipPercent {
 			g.on = false

@@ -82,11 +82,12 @@ func (s *CountStream) Feed(chunk []byte) {
 		panic("core: CountStream.Feed after Close")
 	}
 	m := &s.m
-	i, last := 0, 0
+	s.gate.next(len(chunk))
+	i := 0
 	for i < len(chunk) && s.cur != deadConfig {
 		if s.gate.on {
 			if q, ok := m.governor(s.cur, &s.gate); ok {
-				if n := s.gate.skip(q, chunk, i, &last); n > 0 {
+				if n := s.gate.skip(q, chunk, i); n > 0 {
 					i += n
 					continue
 				}

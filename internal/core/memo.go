@@ -1,10 +1,6 @@
 package core
 
-import (
-	"slices"
-
-	"spanners/internal/model"
-)
+import "spanners/internal/model"
 
 // memoBudget is the size, in bytes, past which a memo flushes on its next
 // miss (see memo.build). It bounds the memo of an automaton whose
@@ -207,7 +203,7 @@ func (m *memo) intern(t []int) int32 {
 	mask := len(m.index) - 1
 	i := int(model.HashStates(t)) & mask
 	for ; m.index[i] != 0; i = (i + 1) & mask {
-		if c := m.index[i] - 1; slices.Equal(m.tuple(c), t) {
+		if c := m.index[i] - 1; sameTuple(m.tuple(c), t) {
 			return c
 		}
 	}
@@ -242,6 +238,18 @@ func (m *memo) growIndex() {
 		}
 		m.index[i] = c + 1
 	}
+}
+
+func sameTuple(a, b []int) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for k := range a {
+		if a[k] != b[k] {
+			return false
+		}
+	}
+	return true
 }
 
 // open returns q's slot in the tuple being built at tup[base:], appending

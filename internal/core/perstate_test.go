@@ -111,11 +111,12 @@ func evaluatePerState(a Automaton, doc []byte, prune bool) *Result {
 	var g accelGate
 	e.init(a)
 	g.init(a)
-	i, last := 0, 0
+	g.next(len(doc))
+	i := 0
 	for i < len(doc) && len(e.live) > 0 {
 		if g.on {
 			if q, ok := g.scanState(e.live); ok {
-				if n := g.skip(q, doc, i, &last); n > 0 {
+				if n := g.skip(q, doc, i); n > 0 {
 					i += n
 					continue
 				}

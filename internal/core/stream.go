@@ -93,7 +93,8 @@ func (s *Stream) Feed(chunk []byte) {
 func (s *Stream) process(chunk []byte) {
 	e := s.e
 	m := &e.memo
-	i, last := 0, 0
+	s.gate.next(len(chunk))
+	i := 0
 	for i < len(chunk) {
 		if e.cur == deadConfig {
 			// No state is live, and liveness can only shrink: the result is
@@ -111,7 +112,7 @@ func (s *Stream) process(chunk []byte) {
 		// boundary simply stays live into the next Feed.
 		if s.gate.on {
 			if q, ok := m.governor(e.cur, &s.gate); ok {
-				if n := s.gate.skip(q, chunk, i, &last); n > 0 {
+				if n := s.gate.skip(q, chunk, i); n > 0 {
 					i += n
 					s.pos += n
 					continue

@@ -345,3 +345,29 @@ func TestDAGSurvivesArenaGrowth(t *testing.T) {
 		}
 	}
 }
+
+// TestAccelFallbackIgnoresChunking feeds one document to Stream and
+// CountStream in chunks of one byte, of 4 KiB and whole. The density
+// fallback measures the document, not its Feed boundaries: a ~41 KB
+// contacts document is too dense for the Figure-1 prefilter, so every
+// chunking must fall back, as the whole document does.
+func TestAccelFallbackIgnoresChunking(t *testing.T) {
+	a := compileDense(t, gen.Figure1Pattern())
+	doc := gen.Contacts(2000, 7)
+	feed := func(f func([]byte), size int) {
+		for i := 0; i < len(doc); i += size {
+			f(doc[i:min(i+size, len(doc))])
+		}
+	}
+	for _, size := range []int{1, 4096, len(doc)} {
+		s := core.NewStream(a, nil)
+		feed(s.Feed, size)
+		s.Close(doc)
+		cs := core.NewCountStream(a)
+		feed(cs.Feed, size)
+		if !s.AccelFellBack() || !cs.AccelFellBack() {
+			t.Errorf("%d-byte chunks of a %d-byte contacts document: Stream fell back %v after skipping %d bytes, CountStream %v after %d; want both to fall back",
+				size, len(doc), s.AccelFellBack(), s.AccelSkippedBytes(), cs.AccelFellBack(), cs.AccelSkippedBytes())
+		}
+	}
+}

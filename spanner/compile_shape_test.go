@@ -139,3 +139,25 @@ func TestCompileShapeGolden(t *testing.T) {
 		}
 	}
 }
+
+// TestChurnCompileAllocations caps the allocations of one query-churn
+// cache miss (parse, key, compile) in each mode: compilation allocates in
+// proportion to the automaton, not per edge or per state. The ceilings
+// leave about 20% headroom over the measured counts.
+func TestChurnCompileAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation moves allocations to the heap")
+	}
+	for _, c := range []struct {
+		id   int
+		want float64
+	}{
+		{churnHot + 1, 220}, // base 0, lazy: 185 measured
+		{churnHot + 2, 215}, // base 1, strict: 178 measured
+	} {
+		src, mode := churnQuery(c.id)
+		if got := testing.AllocsPerRun(20, func() { compileChurn(t, c.id) }); got > c.want {
+			t.Errorf("%s compile of %s: %v allocations, want at most %v", mode, src, got, c.want)
+		}
+	}
+}

@@ -17,6 +17,10 @@ package spanner_test
 //   - FuzzQueryPlanEquivalence: for random query trees, the optimized and
 //     unoptimized plans produce identical mapping sets and counts, in both
 //     determinization modes.
+//   - FuzzQueryMatchesFormulaSemantics: a random formula compiled the way
+//     spannerd compiles it (ParseQuery + Query.Compile, strict and lazy)
+//     produces exactly the mappings of the Table 1 semantics (rgx.Evaluate),
+//     which shares only the parser with the automaton pipeline.
 
 import (
 	"fmt"
@@ -24,10 +28,12 @@ import (
 	"math/rand"
 	"slices"
 	"sort"
+	"strings"
 	"testing"
 
 	"spanners/internal/gen"
 	"spanners/internal/model"
+	"spanners/internal/rgx"
 	"spanners/spanner"
 )
 
@@ -321,5 +327,57 @@ func FuzzAlgebraOracle(f *testing.F) {
 			t.Fatal(err)
 		}
 		assertSet(t, "fuzz project", proj, doc, wantP)
+	})
+}
+
+// FuzzQueryMatchesFormulaSemantics is the differential that shares no
+// construction with the code under test: a random formula goes through the
+// path spannerd takes — a /…/ query literal, ParseQuery, Query.Compile in
+// strict and in lazy mode — and the mappings and the count it produces on a
+// small document must be exactly those of the executable Table 1 semantics
+// (rgx.Evaluate), which shares only the formula parser with it.
+func FuzzQueryMatchesFormulaSemantics(f *testing.F) {
+	f.Add(uint64(1), uint8(2), []byte("ab"))
+	f.Add(uint64(7), uint8(3), []byte(""))
+	f.Add(uint64(42), uint8(3), []byte("abba"))
+	f.Add(uint64(321), uint8(1), []byte("bab"))
+	f.Fuzz(func(t *testing.T, seed uint64, depth uint8, raw []byte) {
+		node := gen.RandomRGX(rand.New(rand.NewSource(int64(seed))), int(depth%4)+1, []string{"x", "y"}, "ab")
+		src := "/" + strings.NewReplacer(`\`, `\\`, `/`, `\/`).Replace(node.String()) + "/"
+		q, err := spanner.ParseQuery(src)
+		if err != nil {
+			t.Fatalf("ParseQuery(%s): %v", src, err)
+		}
+		if len(raw) > 6 {
+			raw = raw[:6]
+		}
+		doc := make([]byte, len(raw))
+		for i, b := range raw {
+			doc[i] = 'a' + b%2
+		}
+		want, err := rgx.Evaluate(node, doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, mode := range []spanner.Mode{spanner.ModeStrict, spanner.ModeLazy} {
+			s, err := q.Compile(spanner.WithMode(mode))
+			if err != nil {
+				t.Skip() // e.g. dense compilation limits
+			}
+			if n, exact := s.Count(doc); !exact || n != uint64(want.Len()) {
+				t.Fatalf("%s (%s mode) on %q: Count = (%d, %v), the semantics has %d mappings",
+					src, mode, doc, n, exact, want.Len())
+			}
+			keys := sortedKeys(s, doc)
+			if len(keys) != want.Len() {
+				t.Fatalf("%s (%s mode) on %q: %d mappings, the semantics has %d",
+					src, mode, doc, len(keys), want.Len())
+			}
+			for _, k := range keys {
+				if !want.ContainsKey(shiftKeyTo1Based(t, k)) {
+					t.Fatalf("%s (%s mode) on %q: mapping %q is not in the semantics", src, mode, doc, k)
+				}
+			}
+		}
 	})
 }
