@@ -256,7 +256,7 @@ func compileNode(pattern string, n rgx.Node, opts []Option) (*Spanner, error) {
 
 // compileEVA finishes the pipeline from the trimmed sequential eVA that
 // sequentialEVA returns (sequentialized is its second result): it
-// determinizes seq per the chosen mode. It is shared by CompileNode and
+// determinizes seq per the chosen mode. It is shared by compileNode and
 // Query.Compile; start anchors CompileTime at the caller's entry.
 func compileEVA(pattern string, seq *eva.EVA, sequentialized bool, start time.Time, opts []Option) (*Spanner, error) {
 	var cfg config
