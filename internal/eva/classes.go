@@ -34,7 +34,8 @@ func byteClasses(a *EVA) *classes {
 	for q := range a.letters {
 		n += len(a.letters[q])
 	}
-	parts := []model.ByteSet{model.ByteSet{}.Negate()}
+	parts := make([]model.ByteSet, 1, min(n+1, 256))
+	parts[0] = model.ByteSet{}.Negate()
 	seen := make(map[model.ByteSet]bool, n)
 	for q := range a.letters {
 		for _, e := range a.letters[q] {
