@@ -57,3 +57,35 @@ func BenchmarkEnumerateNDJSON(b *testing.B) {
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rows), "ns/row")
 }
+
+// BenchmarkDecodeRequest decodes the end-to-end benchmark's request
+// bodies (see wireBodies) the way spannerd does, with the one-pass
+// decoder, and with decodeStrict alone over the same bytes — the decode
+// every body took before. SetBytes makes MB/s the body bytes per second.
+func BenchmarkDecodeRequest(b *testing.B) {
+	for _, wb := range wireBodies(b) {
+		for _, dec := range []struct {
+			name   string
+			decode func([]byte) error
+		}{
+			{"onepass", func(body []byte) error {
+				_, err := decodeBody[request](bytes.NewReader(body))
+				return err
+			}},
+			{"decodeStrict", func(body []byte) error {
+				var req request
+				return decodeStrict(bytes.NewReader(body), &req)
+			}},
+		} {
+			b.Run(wb.name+"/"+dec.name, func(b *testing.B) {
+				b.ReportAllocs()
+				b.SetBytes(int64(len(wb.body)))
+				for range b.N {
+					if err := dec.decode(wb.body); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}

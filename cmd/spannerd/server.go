@@ -117,32 +117,12 @@ type request struct {
 	Corpus string `json:"-"`
 }
 
-// decodeStrict decodes exactly one JSON value from r into v, rejecting
-// trailing garbage. A single dec.Decode stops at the end of the first
-// value, silently ignoring a second concatenated object or junk bytes —
-// for a hostile or confused client that is a request whose tail the
-// server would quietly drop, so it is a client error instead. The check
-// decodes a second value and demands io.EOF: concatenated JSON decodes
-// (not EOF) and junk errors (not EOF), while trailing whitespace is EOF.
-func decodeStrict(body io.Reader, v any) error {
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return fmt.Errorf("decoding request body: %w", err)
-	}
-	var trailing json.RawMessage
-	if err := dec.Decode(&trailing); err != io.EOF {
-		return errors.New("request body has trailing data after the JSON object")
-	}
-	return nil
-}
-
 // decodeRequest parses and validates an evaluation request — body plus the
 // ?corpus= parameter — against the server bounds. A non-nil error is a
 // client error; the caller maps it to a 4xx.
 func (s *server) decodeRequest(w http.ResponseWriter, r *http.Request) (*request, error) {
-	var req request
-	if err := decodeStrict(http.MaxBytesReader(w, r.Body, s.cfg.maxBody), &req); err != nil {
+	req, err := decodeBody[request](http.MaxBytesReader(w, r.Body, s.cfg.maxBody))
+	if err != nil {
 		return nil, err
 	}
 	req.Corpus = r.URL.Query().Get("corpus")
@@ -166,7 +146,7 @@ func (s *server) decodeRequest(w http.ResponseWriter, r *http.Request) (*request
 	default:
 		return nil, fmt.Errorf(`unknown "mode" %q (want "lazy" or "strict")`, req.Mode)
 	}
-	return &req, nil
+	return req, nil
 }
 
 func (s *server) mode(req *request) spanner.Mode {
@@ -226,13 +206,13 @@ func (b batch) len() int {
 	return len(b.docs)
 }
 
-// doc returns document i. A corpus document is shared with its snapshot;
-// a body document is copied out of its string.
+// doc returns document i, shared with its snapshot or with the request's
+// string; neither is copied.
 func (b batch) doc(i int) []byte {
 	if b.snap != nil {
 		return b.snap.Doc(i)
 	}
-	return []byte(b.docs[i])
+	return docBytes(b.docs[i])
 }
 
 // batch resolves req's documents. A ?corpus= name that is not registered
@@ -555,8 +535,8 @@ func snapInfo(snap *corpus.Snapshot) corpusInfo {
 // the old snapshot finish against it, never observing a mix.
 func (s *server) handleCorpusRegister(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
-	var req corpusRequest
-	if err := decodeStrict(http.MaxBytesReader(w, r.Body, s.corpusBodyLimit()), &req); err != nil {
+	req, err := decodeBody[corpusRequest](http.MaxBytesReader(w, r.Body, s.corpusBodyLimit()))
+	if err != nil {
 		writeRequestError(w, err)
 		return
 	}
@@ -570,7 +550,7 @@ func (s *server) handleCorpusRegister(w http.ResponseWriter, r *http.Request) {
 	}
 	docs := make([][]byte, len(req.Docs))
 	for i, d := range req.Docs {
-		docs[i] = []byte(d)
+		docs[i] = docBytes(d)
 	}
 	// One shard: the daemon evaluates a corpus on the engine pool, like
 	// body docs, so the partition has nothing to do here.

@@ -112,6 +112,7 @@ func TestCompileShapeGolden(t *testing.T) {
 		{"sparse", gen.SparsePattern, false, sparse, compileShape{VAStates: 11, VATransitions: 15, EVAStates: 11, EVATransitions: 15, Sequentialized: false, DetStates: 11, ByteClasses: 4, DenseTableBytes: 432, AcceleratedStates: 2, LazyDetStates: 11}},
 		{"churn0/query", `/` + churnBases[0]("_#") + `/`, true, contacts, compileShape{VAStates: 0, VATransitions: 0, EVAStates: 31, EVATransitions: 52, Sequentialized: false, DetStates: 31, ByteClasses: 11, DenseTableBytes: 2240, AcceleratedStates: 9, LazyDetStates: 29}},
 		{"starcapture", `(!x{a+}b)*`, false, ab, compileShape{VAStates: 6, VATransitions: 8, EVAStates: 6, EVATransitions: 7, Sequentialized: true, DetStates: 6, ByteClasses: 3, DenseTableBytes: 352, AcceleratedStates: 1, LazyDetStates: 6}},
+		{"starcapture/query", `/(!x{a+}b)*/`, true, ab, compileShape{VAStates: 0, VATransitions: 0, EVAStates: 6, EVATransitions: 7, Sequentialized: true, DetStates: 6, ByteClasses: 3, DenseTableBytes: 352, AcceleratedStates: 1, LazyDetStates: 6}},
 		{"join", join, true, contacts, compileShape{VAStates: 0, VATransitions: 0, EVAStates: 66, EVATransitions: 114, Sequentialized: false, DetStates: 59, ByteClasses: 10, DenseTableBytes: 4032, AcceleratedStates: 17, LazyDetStates: 48}},
 		{"join/shared", `join(/.*!x{a+}.*/, /(a|b)*!x{ab*}(a|b)*/)`, true, ab, compileShape{VAStates: 0, VATransitions: 0, EVAStates: 8, EVATransitions: 17, Sequentialized: true, DetStates: 8, ByteClasses: 3, DenseTableBytes: 384, AcceleratedStates: 3, LazyDetStates: 8}},
 		{"project", project, true, contacts, compileShape{VAStates: 0, VATransitions: 0, EVAStates: 35, EVATransitions: 61, Sequentialized: false, DetStates: 29, ByteClasses: 11, DenseTableBytes: 2112, AcceleratedStates: 10, LazyDetStates: 25}},

@@ -408,27 +408,36 @@ func collapse(p *plan) *plan {
 // once however often it appears in the plan (and the constructions never
 // mutate their inputs, so the memoized automata are safe to share).
 type lowerer struct {
-	memo map[string]*eva.EVA
+	memo map[string]lowered
 }
 
-func newLowerer() *lowerer { return &lowerer{memo: make(map[string]*eva.EVA)} }
+// lowered is one memoized subexpression: its eVA, and whether building it
+// took a Proposition 4.1 status product anywhere below.
+type lowered struct {
+	e              *eva.EVA
+	sequentialized bool
+}
+
+func newLowerer() *lowerer { return &lowerer{memo: make(map[string]lowered)} }
 
 // lower builds the subtree's eVA. The result is not necessarily
 // sequential — joins defer shared-variable conflicts to the downstream
 // sequentialization product — so consumers that need sequentiality
 // (Project, and the final compilation pipeline) sequentialize themselves,
-// unless the plan lowersSequential.
-func (l *lowerer) lower(p *plan) (*eva.EVA, error) {
+// unless the plan lowersSequential. Its sequentialized flag reports
+// whether a status product was taken inside the subtree: by a pattern
+// leaf or for a projection's input.
+func (l *lowerer) lower(p *plan) (lowered, error) {
 	key := p.key()
-	if e, ok := l.memo[key]; ok {
-		return e, nil
+	if r, ok := l.memo[key]; ok {
+		return r, nil
 	}
-	e, err := l.lowerNew(p)
+	r, err := l.lowerNew(p)
 	if err != nil {
-		return nil, err
+		return lowered{}, err
 	}
-	l.memo[key] = e
-	return e, nil
+	l.memo[key] = r
+	return r, nil
 }
 
 // lowersSequential reports whether lower returns an eVA that is already
@@ -436,41 +445,47 @@ func (l *lowerer) lower(p *plan) (*eva.EVA, error) {
 // a pattern leaf lowers through sequentialEVA itself.
 func (p *plan) lowersSequential() bool { return p.op == opPattern }
 
-func (l *lowerer) lowerNew(p *plan) (*eva.EVA, error) {
+func (l *lowerer) lowerNew(p *plan) (lowered, error) {
 	switch p.op {
 	case opPattern:
 		v, err := rgx.Compile(p.node)
 		if err != nil {
-			return nil, err
+			return lowered{}, err
 		}
-		seq, _ := sequentialEVA(v.ToExtended())
-		return seq, nil
+		seq, sequentialized := sequentialEVA(v.ToExtended())
+		return lowered{seq, sequentialized}, nil
 	case opUnion:
 		ops := make([]*eva.EVA, len(p.subs))
+		var r lowered
 		for i, s := range p.subs {
-			var err error
-			if ops[i], err = l.lower(s); err != nil {
-				return nil, err
+			sub, err := l.lower(s)
+			if err != nil {
+				return lowered{}, err
 			}
+			ops[i] = sub.e
+			r.sequentialized = r.sequentialized || sub.sequentialized
 		}
-		return eva.UnionAll(ops...)
+		var err error
+		r.e, err = eva.UnionAll(ops...)
+		return r, err
 	case opJoin:
 		// Fold in plan order: the optimizer has already put the smallest
 		// estimated operands first, so the intermediate products stay small.
-		acc, err := l.lower(p.subs[0])
+		r, err := l.lower(p.subs[0])
 		if err != nil {
-			return nil, err
+			return lowered{}, err
 		}
 		for _, s := range p.subs[1:] {
 			op, err := l.lower(s)
 			if err != nil {
-				return nil, err
+				return lowered{}, err
 			}
-			if acc, err = eva.Join(acc, op); err != nil {
-				return nil, err
+			if r.e, err = eva.Join(r.e, op.e); err != nil {
+				return lowered{}, err
 			}
+			r.sequentialized = r.sequentialized || op.sequentialized
 		}
-		return acc, nil
+		return r, nil
 	default: // opProject
 		// Project's soundness argument needs a sequential input: on a
 		// non-sequential automaton (a join below), restricting markers could
@@ -482,13 +497,14 @@ func (l *lowerer) lowerNew(p *plan) (*eva.EVA, error) {
 		if !ok {
 			var err error
 			if sub, err = l.lower(p.subs[0]); err != nil {
-				return nil, err
+				return lowered{}, err
 			}
-			if !p.subs[0].lowersSequential() && !sub.IsSequential() {
-				sub = sub.Sequentialize().Trim()
+			if !p.subs[0].lowersSequential() && !sub.e.IsSequential() {
+				sub.e, sub.sequentialized = sub.e.Sequentialize().Trim(), true
 			}
 			l.memo[seqKey] = sub
 		}
-		return eva.Project(sub, p.keep...)
+		e, err := eva.Project(sub.e, p.keep...)
+		return lowered{e, sub.sequentialized}, err
 	}
 }

@@ -209,13 +209,15 @@ func (q *Query) Compile(opts ...Option) (*Spanner, error) {
 		p = optimize(p)
 	}
 	ex.Optimized = p.render()
-	e, err := newLowerer().lower(p)
+	r, err := newLowerer().lower(p)
 	if err != nil {
 		return nil, err
 	}
-	sequentialized := false
+	e, sequentialized := r.e, r.sequentialized
 	if !p.lowersSequential() {
-		e, sequentialized = sequentialEVA(e)
+		var last bool
+		e, last = sequentialEVA(e)
+		sequentialized = sequentialized || last
 	}
 	s, err := compileEVA(q.String(), e, sequentialized, start, opts)
 	if err != nil {
