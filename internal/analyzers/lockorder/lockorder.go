@@ -1,5 +1,5 @@
 // Package lockorder enforces the mutex discipline across the repo's
-// locks (Spanner.mu, cache.Cache.mu, corpus.Registry.mu, and every
+// locks (eva.Lazy.mu, cache.Cache.mu, corpus.Registry.mu, and every
 // other sync.Mutex/RWMutex): within a function, every Lock/RLock must
 // reach its matching Unlock/RUnlock on all paths — deferred unlocks
 // cover panic paths, explicit ones do not — with no double-acquire and
@@ -22,8 +22,8 @@
 //
 // The same call-graph fixpoint enforces the lock-free Stats contract
 // documented on spanner.WithLazy, so that metrics scrapes can never
-// stall behind (or deadlock with) a long evaluation holding the spanner
-// mutex: a function whose doc comment carries "spanlint:nolock" must not
+// stall behind (or deadlock with) an evaluation filling the lazy table:
+// a function whose doc comment carries "spanlint:nolock" must not
 // take any mutex — function-local ones and sync.Locker included, inside
 // its function literals too — nor call a same-package function that
 // (transitively) does. Hiding the lock one helper deeper does not evade

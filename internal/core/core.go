@@ -54,7 +54,8 @@ import (
 // most one letter successor per byte and at most one capture successor per
 // exact marker set) and sequential (every accepting run is valid). The
 // evaluator does not re-verify these properties; the eva package provides
-// the checks and the constructions that establish them.
+// the checks and the constructions that establish them. An automaton
+// shared by concurrent passes must be safe for concurrent calls.
 type Automaton interface {
 	// Initial returns the initial state.
 	Initial() int

@@ -64,10 +64,9 @@ const (
 //
 // Each pass owns a memo in its reusable state (Scratch, CountStream): it
 // is kept across documents of the same automaton and reset, keeping its
-// capacity, for another one. Passes over a lazy automaton build programs
-// under the lock their caller already holds. Once the memo passes
-// memoBudget it flushes on the next miss and re-interns the configuration
-// in progress, as RE2's lazy DFA flushes its state cache.
+// capacity, for another one. Once the memo passes memoBudget it flushes
+// on the next miss and re-interns the configuration in progress, as RE2's
+// lazy DFA flushes its state cache.
 type memo struct {
 	a Automaton
 	// of maps a byte to its column; stride is the number of columns, the
@@ -92,9 +91,9 @@ type memo struct {
 	// accelGate.scanState): its governing state, -1 when it has none, and
 	// unknown until a pass first asks.
 	gov []int32
-	// caps[q] is Captures(q) for every state some program captures from,
-	// so a pass registers q's marker sets without an interface call. It
-	// survives flushes.
+	// caps[q] is Captures(q) for every state a build has started from, so
+	// builds and the pass registering q's marker sets make no interface
+	// call for it again. It survives flushes.
 	caps [][]model.Capture
 	// Build scratch: tup holds the middle tuple, then the next one;
 	// slot[q] is q's slot in the tuple being built, -1 when absent; tmp
@@ -295,10 +294,7 @@ func (m *memo) build(c int32, col int, b byte) uint32 {
 		m.open(0, q)
 	}
 	for k, q := range start {
-		caps := m.a.Captures(q)
-		if len(caps) > 0 {
-			m.keepCaps(q, caps)
-		}
+		caps := m.captures(q)
 		for j, t := range caps {
 			if !m.useful(t.To, closing, b) {
 				continue
@@ -366,12 +362,16 @@ func (m *memo) relabels(p *program, n int) bool {
 	return true
 }
 
-// keepCaps records Captures(q).
-func (m *memo) keepCaps(q int, caps []model.Capture) {
+// captures returns Captures(q), asking the automaton only while the memo
+// holds no list for q.
+func (m *memo) captures(q int) []model.Capture {
 	for len(m.caps) <= q {
 		m.caps = append(m.caps, nil)
 	}
-	m.caps[q] = caps
+	if m.caps[q] == nil {
+		m.caps[q] = m.a.Captures(q)
+	}
+	return m.caps[q]
 }
 
 // widen returns buf refilled with from followed by zero elements up to

@@ -45,34 +45,16 @@ func (s *Spanner) EnumerateContext(ctx context.Context, doc []byte, yield func(*
 	return s.drainContext(ctx, res, yield)
 }
 
-// newStream starts a preprocessing pass; see core.NewStream for the
-// scratch's ownership rule.
-func (s *Spanner) newStream(sc *core.Scratch) *core.Stream {
-	l := s.lockLazy()
-	defer l.Unlock()
-	return core.NewStream(s.automaton(), sc)
-}
-
-// newCountStream starts a counting pass in the scratch's CountStream.
-func (s *Spanner) newCountStream(sc *evalScratch) *core.CountStream {
-	l := s.lockLazy()
-	defer l.Unlock()
-	sc.count.Reset(s.automaton())
-	return &sc.count
-}
-
-// feedChunks hands doc to feed in ctxChunk steps, each under the lazy
-// lock, checking ctx before every step and once more at the end. It stops
-// early once dead reports that no run survives: the rest of the document
-// cannot change the outcome.
-func (s *Spanner) feedChunks(ctx context.Context, doc []byte, feed func(chunk []byte), dead func() bool) error {
+// feedChunks hands doc to feed in ctxChunk steps, checking ctx before
+// every step and once more at the end. It stops early once dead reports
+// that no run survives: the rest of the document cannot change the
+// outcome.
+func feedChunks(ctx context.Context, doc []byte, feed func(chunk []byte), dead func() bool) error {
 	for off := 0; off < len(doc) && !dead(); off += ctxChunk {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		l := s.lockLazy()
 		feed(doc[off:min(off+ctxChunk, len(doc))])
-		l.Unlock()
 	}
 	return ctx.Err()
 }
@@ -82,12 +64,10 @@ func (s *Spanner) feedChunks(ctx context.Context, doc []byte, feed func(chunk []
 // scratch's tables and arena; it is then valid only until the scratch's
 // next use, so only the bounded-lifetime entry points pass one.
 func (s *Spanner) evaluateContext(ctx context.Context, doc []byte, sc *core.Scratch) (*core.Result, error) {
-	st := s.newStream(sc)
-	if err := s.feedChunks(ctx, doc, st.Feed, st.Dead); err != nil {
+	st := core.NewStream(s.automaton(), sc)
+	if err := feedChunks(ctx, doc, st.Feed, st.Dead); err != nil {
 		return nil, err
 	}
-	l := s.lockLazy()
-	defer l.Unlock()
 	res := st.Close(doc)
 	s.noteAccel(st.AccelSkippedBytes(), st.AccelFellBack())
 	return res, nil
@@ -135,17 +115,15 @@ func (s *Spanner) PreprocessContext(ctx context.Context, doc []byte) (*Evaluatio
 }
 
 // countContext runs the chunked, cancellable counting pass over doc in a
-// pooled CountStream; total reads the closed stream under the lazy lock
-// (totaling reads the shared automaton's state table).
+// pooled CountStream; total reads the closed stream.
 func (s *Spanner) countContext(ctx context.Context, doc []byte, total func(*core.CountStream)) error {
 	sc := getScratch()
 	defer putScratch(sc)
-	cs := s.newCountStream(sc)
-	if err := s.feedChunks(ctx, doc, cs.Feed, cs.Dead); err != nil {
+	cs := &sc.count
+	cs.Reset(s.automaton())
+	if err := feedChunks(ctx, doc, cs.Feed, cs.Dead); err != nil {
 		return err
 	}
-	l := s.lockLazy()
-	defer l.Unlock()
 	total(cs)
 	s.noteAccel(cs.AccelSkippedBytes(), cs.AccelFellBack())
 	return nil

@@ -230,6 +230,29 @@ func BenchmarkFacadeEnumerate(b *testing.B) {
 	}
 }
 
+// BenchmarkParallelCount measures Count on one spanner shared by every
+// goroutine of b.RunParallel (GOMAXPROCS of them), as an engine batch
+// shares its spanner across workers: ns/op falls with -cpu while the
+// passes scale, and stays flat where they serialize.
+func BenchmarkParallelCount(b *testing.B) {
+	doc := gen.Contacts(1000, 7)
+	for _, mode := range []spanner.Mode{spanner.ModeStrict, spanner.ModeLazy} {
+		s := spanner.MustCompile(gen.Figure1Pattern(), spanner.WithMode(mode))
+		want, _ := s.Count(doc)
+		b.Run(mode.String(), func(b *testing.B) {
+			b.SetBytes(int64(len(doc)))
+			b.RunParallel(func(pb *testing.PB) {
+				for pb.Next() {
+					if n, _ := s.Count(doc); n != want {
+						b.Errorf("count %d, want %d", n, want)
+						return
+					}
+				}
+			})
+		})
+	}
+}
+
 // BenchmarkIsEmptyDeadPrefix measures the counting pass on a document the
 // automaton rejects immediately: an anchored pattern dies on the first
 // byte, so the early-exit in the counting loops makes IsEmpty proportional

@@ -54,33 +54,10 @@ func getScratch() *evalScratch {
 
 func putScratch(sc *evalScratch) { scratchPool.Put(sc) }
 
-// lockLazy serializes against other evaluations in lazy mode (the
-// on-the-fly determinizer's memo tables mutate during the pass, and even
-// read paths observe its growing state table). It returns the held lock
-// for the caller to Unlock: the spanner's mutex in lazy mode, a no-op in
-// strict mode; neither allocates. Locking per chunk rather than per
-// document keeps the lock from being held across Reads.
-func (s *Spanner) lockLazy() sync.Locker {
-	var l sync.Locker = noLock{}
-	if s.lazy != nil {
-		l = &s.mu
-	}
-	l.Lock()
-	return l
-}
-
-// noLock is the lock lockLazy hands out in strict mode: a strict spanner's
-// evaluations share no mutable state.
-type noLock struct{}
-
-func (noLock) Lock()   {}
-func (noLock) Unlock() {}
-
 // pump reads r in chunks through the scratch's read buffer and hands each
-// chunk to feed under the lazy lock. The chunk is only valid during the
-// feed call. ctx is checked before every Read; cancellation surfaces as
-// ctx.Err().
-func (s *Spanner) pump(ctx context.Context, r io.Reader, sc *evalScratch, feed func(chunk []byte)) error {
+// chunk to feed. The chunk is only valid during the feed call. ctx is
+// checked before every Read; cancellation surfaces as ctx.Err().
+func pump(ctx context.Context, r io.Reader, sc *evalScratch, feed func(chunk []byte)) error {
 	if sc.rbuf == nil {
 		sc.rbuf = make([]byte, readChunk)
 	}
@@ -90,9 +67,7 @@ func (s *Spanner) pump(ctx context.Context, r io.Reader, sc *evalScratch, feed f
 		}
 		n, err := r.Read(sc.rbuf)
 		if n > 0 {
-			l := s.lockLazy()
 			feed(sc.rbuf[:n])
-			l.Unlock()
 		}
 		if err == io.EOF {
 			return nil
@@ -109,17 +84,15 @@ func (s *Spanner) pump(ctx context.Context, r io.Reader, sc *evalScratch, feed f
 // pooled — which the Result borrows, so Matches cloned by the caller keep
 // valid span text after the scratch is reused.
 func (s *Spanner) streamResultContext(ctx context.Context, r io.Reader, sc *evalScratch) (*core.Result, error) {
-	st := s.newStream(&sc.eval)
+	st := core.NewStream(s.automaton(), &sc.eval)
 	var doc []byte
 	feed := func(chunk []byte) {
 		doc = append(doc, chunk...)
 		st.Feed(chunk)
 	}
-	if err := s.pump(ctx, r, sc, feed); err != nil {
+	if err := pump(ctx, r, sc, feed); err != nil {
 		return nil, err
 	}
-	l := s.lockLazy()
-	defer l.Unlock()
 	res := st.Close(doc)
 	s.noteAccel(st.AccelSkippedBytes(), st.AccelFellBack())
 	return res, nil
@@ -162,17 +135,15 @@ func (s *Spanner) AllReader(r io.Reader) iter.Seq2[*Match, error] {
 // countStreamContext pumps r through an incremental counting pass
 // (Theorem 5.1), checking ctx before every Read; unlike EnumerateReader it
 // retains no document bytes at all. It borrows a pooled scratch for the
-// read buffer and the counting tables. total runs under the lazy lock
-// (totaling reads the shared automaton's state table).
+// read buffer and the counting tables.
 func (s *Spanner) countStreamContext(ctx context.Context, r io.Reader, total func(*core.CountStream)) error {
 	sc := getScratch()
 	defer putScratch(sc)
-	cs := s.newCountStream(sc)
-	if err := s.pump(ctx, r, sc, cs.Feed); err != nil {
+	cs := &sc.count
+	cs.Reset(s.automaton())
+	if err := pump(ctx, r, sc, cs.Feed); err != nil {
 		return err
 	}
-	l := s.lockLazy()
-	defer l.Unlock()
 	total(cs)
 	s.noteAccel(cs.AccelSkippedBytes(), cs.AccelFellBack())
 	return nil
