@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"math/rand"
@@ -25,7 +26,11 @@ import (
 // semantics (rgx.Evaluate), with /v1/count agreeing on every document.
 // Under a limit (0, 1 or 2, drawn from the input) each document streams
 // min(limit, |mappings|) of its mappings, and the trailer says truncated
-// exactly when some document had more.
+// exactly when some document had more. The same request, cancelled once
+// the client has received k rows (1 to 8, drawn from the input), keeps the
+// trailer's accounting: it counts the rows received, its processed and
+// skipped documents cover the batch, and every row lies in the processed
+// prefix.
 // The formula and document alphabets hold '<' and '&', which the escaping
 // encoder writes as \u003c and \u0026, plus a newline and a two-byte
 // UTF-8 letter in the documents.
@@ -34,9 +39,11 @@ func FuzzSpannerdEnumerate(f *testing.F) {
 	f.Add(uint64(7), uint8(3), []byte(""))
 	f.Add(uint64(42), uint8(3), []byte("\x02abba<&"))
 	f.Add(uint64(321), uint8(1), []byte("\x01b\x00ab"))
+	f.Add(uint64(5), uint8(21), []byte("\x02a&a<aa"))
 	f.Fuzz(func(t *testing.T, seed uint64, depth uint8, raw []byte) {
 		node := gen.RandomRGX(rand.New(rand.NewSource(int64(seed))), int(depth%3)+1, []string{"x", "y"}, "a<&")
 		limit := int(depth/3) % 3
+		k := int(depth/9)%8 + 1
 		query := "/" + strings.NewReplacer(`\`, `\\`, `/`, `\/`).Replace(node.String()) + "/"
 		q, err := spanner.ParseQuery(query)
 		if err != nil {
@@ -69,6 +76,7 @@ func FuzzSpannerdEnumerate(f *testing.F) {
 					what := fmt.Sprintf("%s %s (%s, escapeHTML %v, limit %d) on %q", query, mode, src.suffix, esc, limit, docs)
 					checkWireRows(t, what, srv, "/v1/enumerate"+src.suffix, body, docs, want, limit)
 					checkWireCounts(t, what, srv, "/v1/count"+src.suffix, body, want)
+					checkCancelledRows(t, fmt.Sprintf("%s cancelled after %d rows", what, k), srv, "/v1/enumerate"+src.suffix, body, len(docs), k)
 				}
 			}
 		}
@@ -149,6 +157,36 @@ func checkWireRows(t *testing.T, what string, srv *server, path string, body []b
 				t.Fatalf("%s: doc %d rows %v are not distinct mappings of %v", what, i, got[i], want[i])
 			}
 		}
+	}
+}
+
+// checkCancelledRows runs an enumerate request whose context is cancelled
+// once the client has received k rows, and checks the trailer's
+// accounting of the cut.
+func checkCancelledRows(t *testing.T, what string, srv *server, path string, body []byte, docs, k int) {
+	t.Helper()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	r := httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)).WithContext(ctx)
+	w := &cancelWriter{ResponseRecorder: httptest.NewRecorder(), k: k, cancel: cancel}
+	srv.handleEnumerate(w, r)
+	if w.Code != http.StatusOK {
+		t.Fatalf("%s: enumerate status %d: %s", what, w.Code, w.Body)
+	}
+	rows, tr := ndjson(t, w.Body.String())
+	if tr.Matches != int64(len(rows)) || len(rows) != w.rows {
+		t.Fatalf("%s: trailer says %d matches; %d rows parsed, %d received", what, tr.Matches, len(rows), w.rows)
+	}
+	if tr.Docs != docs || tr.DocsProcessed+tr.DocsSkipped != tr.Docs {
+		t.Fatalf("%s: inconsistent accounting %+v for %d documents", what, tr, docs)
+	}
+	for _, row := range rows {
+		if row.Doc >= tr.DocsProcessed {
+			t.Fatalf("%s: row for doc %d beyond the processed prefix %d", what, row.Doc, tr.DocsProcessed)
+		}
+	}
+	if tr.Error != "" && tr.Error != context.Canceled.Error() {
+		t.Fatalf("%s: trailer error %q, want none or %q", what, tr.Error, context.Canceled)
 	}
 }
 

@@ -419,17 +419,12 @@ func printStats(w io.Writer, sp *spanner.Spanner) {
 	if st.Mode == spanner.ModeStrict {
 		fmt.Fprintf(w, "det eVA:        %d states, dense table %d bytes (%d byte classes)\n",
 			st.DetStates, st.DenseTableBytes, st.ByteClasses)
-		fmt.Fprintf(w, "accelerated:    %d states\n", st.AcceleratedStates)
 	}
+	prefilter := "off"
 	if st.PrefilterEnabled {
-		fmt.Fprintf(w, "prefilter:      leave bytes %s", st.PrefilterLeaveBytes)
-		if st.PrefilterLiteral != "" {
-			fmt.Fprintf(w, ", literal %q", st.PrefilterLiteral)
-		}
-		fmt.Fprintln(w)
-	} else {
-		fmt.Fprintf(w, "prefilter:      off\n")
+		prefilter = "on"
 	}
+	fmt.Fprintf(w, "prefilter:      %s\n", prefilter)
 	fmt.Fprintf(w, "compile time:   %s\n", st.CompileTime)
 }
 

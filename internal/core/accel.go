@@ -1,31 +1,23 @@
 package core
 
-// Accelerator is the optional interface an Automaton may implement to
-// accelerate the Algorithm 1/3 scan loops. AccelSkip(q, chunk) returns how
-// many leading bytes of chunk are inert while the live configuration is
-// exactly the singleton {q}: one Capturing+Reading round over an inert
-// byte provably leaves the configuration (states and their lists or
-// counts) untouched, and its slot order too — each live state reads back
-// into its own slot and the slots Capturing opened die — so the evaluator
-// may advance its position counter past them wholesale instead of running
-// the two procedures per byte. The eva package's compiled and lazy
-// automata implement it via self-loop analysis and required-literal
-// extraction; the contract is exactness — a skip must never change the
-// eventual Result or count.
-//
-// The evaluator only consults AccelSkip when its live set reduces to a
-// single governing state — alone, or alongside sink states (AccelSink)
-// whose lists provably ride along unchanged — so implementations reason
-// about single-state configurations only.
+import (
+	"bytes"
+
+	"spanners/internal/model"
+)
+
+// Accelerator is the optional interface of an Automaton whose scans may
+// skip inert bytes. A byte is inert in a configuration when its round
+// program relabels the configuration onto itself: Capturing fires no
+// useful capture and Reading moves every slot k back to slot k, so the
+// round leaves every list and count untouched and only the position
+// advances. The memo records that fact per configuration (see
+// memo.skip), so skipping needs nothing from the automaton beyond its
+// transitions; AccelEnabled only reports whether skips are wanted. An
+// automaton without it is scanned byte by byte.
 type Accelerator interface {
-	AccelSkip(q int, chunk []byte) int
-	// AccelSink reports whether every byte is inert for q: its list rides
-	// along unchanged through any skip. The accepting `.*` tail that stays
-	// live after a completed match is the canonical sink; without the
-	// sink carve-out, acceleration would end at a document's first match.
-	AccelSink(q int) bool
-	// AccelEnabled reports whether AccelSkip can ever answer non-zero;
-	// false lets the evaluator keep acceleration entirely off the hot loop.
+	// AccelEnabled reports whether the scan loops may skip inert bytes;
+	// false keeps skipping off the hot loop.
 	AccelEnabled() bool
 }
 
@@ -38,19 +30,28 @@ const (
 	// high for prefiltering to pay for itself and the gate disables it for
 	// the rest of the document.
 	accelMinSkipPercent = 25
-	// accelMaxRideAlong caps how many live states the sink test walks; a
-	// larger live set means real match activity, where skips cannot happen
-	// anyway.
-	accelMaxRideAlong = 4
+	// maxExits caps the exit bytes a skip record searches for with
+	// bytes.IndexByte; a record with more tests each byte against its
+	// inert set.
+	maxExits = 4
 )
 
-// accelGate owns the per-document acceleration decision: it routes skip
-// attempts to the automaton's Accelerator and turns acceleration off for
-// the remainder of the document when a sliding window shows the corpus is
-// too dense for the prefilter to win — the fallback that keeps adversarial
-// inputs within a constant factor of the unaccelerated scan.
+// skipRec is the skip record of a configuration: its inert bytes, the
+// union of the byte sets of its built columns whose program relabels it
+// onto itself. The other bytes are its exits; nExits counts them when
+// there are at most maxExits, listed in exits, and is -1 otherwise.
+type skipRec struct {
+	inert  model.ByteSet
+	exits  [maxExits]byte
+	nExits int8
+}
+
+// accelGate owns the per-document skip decision: it makes the skip
+// attempts of the scan loops and turns skipping off for the remainder of
+// the document when a sliding window shows the corpus is too dense for it
+// to win — the fallback that keeps adversarial inputs within a constant
+// factor of the byte-by-byte scan.
 type accelGate struct {
-	acc Accelerator
 	// on is true while skip attempts are worth making.
 	on bool
 	// skipped counts bytes bulk-skipped over the whole document.
@@ -65,69 +66,52 @@ type accelGate struct {
 	// starts and ends, and last is where the previous skip attempt ended,
 	// in this chunk or an earlier one.
 	base, end, last int
+	// epoch numbers the chunks the gate has scanned. When stamp[b] ==
+	// epoch, at[b] is the index in the current chunk of the first b at
+	// or after the last search for it, the chunk length when there is
+	// none: an exit byte is searched for once per occurrence, not once
+	// per attempt. searched counts the chunk bytes the searches examined.
+	epoch    uint32
+	stamp    [256]uint32
+	at       [256]int
+	searched int64
 }
 
 // init arms the gate for a new document over automaton a.
 func (g *accelGate) init(a Automaton) {
-	g.acc = nil
-	g.on = false
+	acc, ok := a.(Accelerator)
+	g.on = ok && acc.AccelEnabled()
 	g.skipped = 0
 	g.fellBack = false
 	g.winBytes, g.winSkipped = 0, 0
 	g.base, g.end, g.last = 0, 0, 0
-	if acc, ok := a.(Accelerator); ok && acc.AccelEnabled() {
-		g.acc = acc
-		g.on = true
-	}
-}
-
-// scanState reduces a live configuration to the single state whose record
-// governs a skip attempt: one non-sink state, with every other live state
-// a sink riding along unchanged. The second return is false when no such
-// reduction exists (several states are genuinely active). An all-sink
-// configuration reduces to any member — its record covers every byte, so
-// the attempt will skip the whole chunk.
-func (g *accelGate) scanState(live []int) (int, bool) {
-	if len(live) == 1 {
-		return live[0], true
-	}
-	if len(live) == 0 || len(live) > accelMaxRideAlong {
-		return 0, false
-	}
-	q, found := 0, false
-	for _, s := range live {
-		if g.acc.AccelSink(s) {
-			continue
-		}
-		if found {
-			return 0, false
-		}
-		q, found = s, true
-	}
-	if !found {
-		return live[0], true
-	}
-	return q, true
 }
 
 // next moves the gate onto the document's next chunk, n bytes long.
 func (g *accelGate) next(n int) {
 	g.base = g.end
 	g.end += n
+	if g.epoch++; g.epoch == 0 {
+		clear(g.stamp[:])
+		g.epoch = 1
+	}
 }
 
-// skip is the one skip attempt of the scan loops: given the governing
-// state q of the live states (see scanState) it asks the Accelerator how
-// many bytes of chunk[i:] are inert and returns that count, 0 when the
-// attempt skips nothing. The bytes between the end of the previous attempt
-// and this one went through the per-byte path, whether in this chunk or
-// across chunk boundaries; feeding them into the window alongside the
-// skipped bytes makes the window measure true candidate density — on
-// corpora where partial matches keep the live set large, the slow
-// stretches dominate and push the gate to fall back even though each
-// individual attempt looks harmless — however the document is chunked.
-func (g *accelGate) skip(q int, chunk []byte, i int) int {
-	n := g.acc.AccelSkip(q, chunk[i:])
+// skip is the one skip attempt of the scan loops, made at chunk[i] right
+// after a byte that relabeled configuration c onto itself: it returns how
+// many bytes from chunk[i] on are inert in c, 0 when chunk[i] is not.
+// The bytes between the end of the previous attempt and this one went
+// through the per-byte path, whether in this chunk or across chunk
+// boundaries; feeding them into the window alongside the skipped bytes
+// makes the window measure true candidate density — on corpora where
+// partial matches keep the live set large, the slow stretches dominate
+// and push the gate to fall back even though each individual attempt
+// looks harmless — however the document is chunked.
+func (g *accelGate) skip(m *memo, c int32, chunk []byte, i int) int {
+	n := 0
+	if r := m.skip(c); r != nil {
+		n = g.find(r, chunk, i) - i
+	}
 	pos := g.base + i
 	g.skipped += int64(n)
 	g.winSkipped += n
@@ -141,4 +125,42 @@ func (g *accelGate) skip(q int, chunk []byte, i int) int {
 		g.winBytes, g.winSkipped = 0, 0
 	}
 	return n
+}
+
+// find returns the index of the first byte of chunk at or after i that r
+// does not know inert, len(chunk) when there is none.
+func (g *accelGate) find(r *skipRec, chunk []byte, i int) int {
+	switch {
+	case r.nExits == 0:
+		return len(chunk)
+	case r.nExits < 0:
+		// The bit test by hand: ByteSet.Has takes its set by value, which
+		// copies the set on every byte.
+		set := &r.inert
+		j := i
+		for ; j < len(chunk); j++ {
+			if c := chunk[j]; set[c>>6]&(1<<(c&63)) == 0 {
+				break
+			}
+		}
+		g.searched += int64(min(j+1, len(chunk)) - i)
+		return j
+	}
+	k := len(chunk)
+	for _, b := range r.exits[:r.nExits] {
+		j := g.at[b]
+		if g.stamp[b] != g.epoch || j < i {
+			j = bytes.IndexByte(chunk[i:], b)
+			if j < 0 {
+				j = len(chunk)
+				g.searched += int64(j - i)
+			} else {
+				j += i
+				g.searched += int64(j + 1 - i)
+			}
+			g.at[b], g.stamp[b] = j, g.epoch
+		}
+		k = min(k, j)
+	}
+	return k
 }

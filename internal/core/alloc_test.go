@@ -16,8 +16,8 @@ import (
 // static model cannot see (escape-analysis changes, runtime behavior).
 
 // compileDense lowers a pattern through the canonical pipeline into the
-// dense-dispatch form — the representation whose Step and AccelSkip carry
-// the spanlint:hotpath annotation.
+// dense-dispatch form — the representation whose Step carries the
+// spanlint:hotpath annotation.
 func compileDense(t *testing.T, pattern string) *eva.Compiled {
 	t.Helper()
 	c, err := pipeline(t, pattern).CompileDense()
@@ -30,7 +30,7 @@ func compileDense(t *testing.T, pattern string) *eva.Compiled {
 // allocDocs are the two document shapes the hot path has to stay
 // allocation-free on: a dense document with matches throughout (the
 // per-byte Capturing/Reading loop does all the work) and a long sparse
-// document with no match at all (the AccelSkip prefilter does).
+// document with no match at all (the skips over inert bytes do).
 func allocDocs() map[string][]byte {
 	return map[string][]byte{
 		"dense": gen.Contacts(40, 7),

@@ -85,20 +85,19 @@ func (s *CountStream) Feed(chunk []byte) {
 	s.gate.next(len(chunk))
 	i := 0
 	for i < len(chunk) && s.cur != deadConfig {
-		if s.gate.on {
-			if q, ok := m.governor(s.cur, &s.gate); ok {
-				if n := s.gate.skip(q, chunk, i); n > 0 {
-					i += n
-					continue
-				}
-			}
-		}
-		x := m.trans[int(s.cur)*m.stride+int(m.of[chunk[i]])]
+		c := s.cur
+		x := m.trans[int(c)*m.stride+int(m.of[chunk[i]])]
 		if x == 0 {
-			x = m.build(s.cur, int(m.of[chunk[i]]), chunk[i])
+			x = m.build(c, int(m.of[chunk[i]]), chunk[i])
 		}
+		i++
 		if x&relabel != 0 {
 			s.cur = int32(x &^ relabel)
+			// The byte was inert: skip the inert bytes after it, as
+			// Stream.process does.
+			if s.cur == c && s.gate.on {
+				i += s.gate.skip(m, s.cur, chunk, i)
+			}
 		} else if p := &m.progs[x-1]; s.big == nil && s.round64(p) {
 			s.cur = p.next
 		} else {
@@ -106,7 +105,6 @@ func (s *CountStream) Feed(chunk []byte) {
 			s.bigRound(p)
 			s.cur = p.next
 		}
-		i++
 	}
 }
 
@@ -258,12 +256,12 @@ func (s *CountStream) Count() (count uint64, exact bool) {
 	return s.total()
 }
 
-// AccelSkippedBytes returns how many document bytes the acceleration layer
-// bulk-skipped so far (0 when the automaton carries no Accelerator).
+// AccelSkippedBytes returns how many document bytes the pass bulk-skipped
+// so far (0 when the automaton carries no Accelerator).
 func (s *CountStream) AccelSkippedBytes() int64 { return s.gate.skipped }
 
 // AccelFellBack reports whether the effectiveness fallback disabled
-// acceleration for the rest of the document.
+// skipping for the rest of the document.
 func (s *CountStream) AccelFellBack() bool { return s.gate.fellBack }
 
 // low64 returns the low 64 bits of a non-negative big integer.

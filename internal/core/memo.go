@@ -28,7 +28,7 @@ const (
 	// deadConfig is the id of the empty configuration, which every flush
 	// interns first: no run is live.
 	deadConfig = 0
-	// unknown marks a gov entry not yet computed.
+	// unknown marks a skips entry not yet computed.
 	unknown = -2
 	// relabel marks a transition entry whose program is relabel-only: no
 	// useful capture fires, and slot k reads into slot k of the next
@@ -54,7 +54,9 @@ const (
 //   - the next configuration.
 //
 // A relabel-only program (no op, identity moves) is stored in the
-// transition entry itself, so an inert byte costs one table load. The
+// transition entry itself, so such a byte costs one table load; when it
+// relabels the configuration onto itself the byte is inert, and the scan
+// loops skip the inert bytes that follow it (see skip). The
 // column past the last class holds the Close program: there a capture is
 // useful when p is accepting, and the moves list the accepting middle
 // slots. Pruning only drops nodes no run can reach the end through, so
@@ -70,9 +72,10 @@ const (
 type memo struct {
 	a Automaton
 	// of maps a byte to its column; stride is the number of columns, the
-	// Close column last.
+	// Close column last. cols[k] is the set of bytes of column k.
 	of     *[256]uint8
 	stride int
+	cols   []model.ByteSet
 	// states holds the interned tuples back to back: configuration c is
 	// states[off[c]:off[c+1]].
 	states []int
@@ -87,10 +90,13 @@ type memo struct {
 	progs []program
 	ops   []op
 	moves []move
-	// gov[c] caches the skip reduction of configuration c (see
-	// accelGate.scanState): its governing state, -1 when it has none, and
-	// unknown until a pass first asks.
-	gov []int32
+	// skips[c] is the index in recs of configuration c's skip record, -1
+	// when c has no inert byte, and unknown until a skip attempt in c
+	// computes it. A build that stores a relabel|c entry in c's row makes
+	// it unknown again, so the record grows with the columns the
+	// documents exercise; an unbuilt column is never inert.
+	skips []int32
+	recs  []skipRec
 	// caps[q] is Captures(q) for every state a build has started from, so
 	// builds and the pass registering q's marker sets make no interface
 	// call for it again. It survives flushes.
@@ -140,6 +146,10 @@ func (m *memo) use(a Automaton) {
 		m.of, m.stride = c.ByteClasses()
 		m.stride++
 	}
+	m.cols = widen(m.cols, nil, m.stride-1)
+	for b := range 256 {
+		m.cols[m.of[b]].Add(byte(b))
+	}
 	clear(m.caps)
 	m.caps, m.slot = m.caps[:0], m.slot[:0]
 	m.flush()
@@ -151,7 +161,7 @@ func (m *memo) flush() {
 	m.states, m.off = m.states[:0], m.off[:0]
 	m.off = append(m.off, 0)
 	m.trans, m.progs, m.ops, m.moves = m.trans[:0], m.progs[:0], m.ops[:0], m.moves[:0]
-	m.gov = m.gov[:0]
+	m.skips, m.recs = m.skips[:0], m.recs[:0]
 	m.index = m.index[:0]
 	m.growIndex()
 	m.intern(nil)
@@ -159,8 +169,8 @@ func (m *memo) flush() {
 
 // size returns the memo's footprint in bytes, as the budget charges it.
 func (m *memo) size() int {
-	return 4*(len(m.off)+len(m.gov)+len(m.index)+len(m.trans)) + 8*len(m.states) +
-		28*len(m.progs) + 16*len(m.ops) + 8*len(m.moves)
+	return 4*(len(m.off)+len(m.skips)+len(m.index)+len(m.trans)) + 8*len(m.states) +
+		28*len(m.progs) + 16*len(m.ops) + 8*len(m.moves) + 40*len(m.recs)
 }
 
 // start interns the initial configuration, the initial state alone.
@@ -172,19 +182,45 @@ func (m *memo) start() int32 {
 // tuple returns the states of configuration c in slot order.
 func (m *memo) tuple(c int32) []int { return m.states[m.off[c]:m.off[c+1]] }
 
-// governor returns the state whose acceleration record governs a skip
-// attempt in configuration c, reporting false when none does; g computes
-// it on the configuration's first attempt.
-func (m *memo) governor(c int32, g *accelGate) (int, bool) {
-	if q := m.gov[c]; q != unknown {
-		return int(q), q >= 0
+// skip returns the skip record of configuration c, nil when c has no
+// inert byte, computing it when a build has grown c's inert set since.
+func (m *memo) skip(c int32) *skipRec {
+	r := m.skips[c]
+	if r == unknown {
+		r = m.record(c)
+		m.skips[c] = r
 	}
-	q, ok := g.scanState(m.tuple(c))
-	if !ok {
-		q = -1
+	if r < 0 {
+		return nil
 	}
-	m.gov[c] = int32(q)
-	return q, ok
+	return &m.recs[r]
+}
+
+// record makes the skip record of configuration c from the columns of
+// its row built so far and returns its index, -1 when none is inert.
+func (m *memo) record(c int32) int32 {
+	var inert model.ByteSet
+	self := relabel | uint32(c)
+	for k, x := range m.trans[int(c)*m.stride:][:m.stride-1] {
+		if x == self {
+			inert = inert.Union(m.cols[k])
+		}
+	}
+	if inert.IsEmpty() {
+		return -1
+	}
+	r := skipRec{inert: inert, nExits: -1}
+	if inert.Len() >= 256-maxExits {
+		r.nExits = 0
+		for b := range 256 {
+			if !inert.Has(byte(b)) {
+				r.exits[r.nExits] = byte(b)
+				r.nExits++
+			}
+		}
+	}
+	m.recs = append(m.recs, r)
+	return int32(len(m.recs) - 1)
 }
 
 // closing returns the Close program of configuration c.
@@ -209,7 +245,7 @@ func (m *memo) intern(t []int) int32 {
 	c := int32(len(m.off) - 1)
 	m.states = append(m.states, t...)
 	m.off = append(m.off, int32(len(m.states)))
-	m.gov = append(m.gov, unknown)
+	m.skips = append(m.skips, unknown)
 	for range m.stride {
 		m.trans = append(m.trans, 0)
 	}
@@ -330,6 +366,9 @@ func (m *memo) build(c int32, col int, b byte) uint32 {
 	if !closing && m.relabels(&p, len(start)) {
 		m.moves = m.moves[:p.mvLo]
 		x = relabel | uint32(p.next)
+		if p.next == c {
+			m.skips[c] = unknown
+		}
 	} else {
 		m.progs = append(m.progs, p)
 		x = uint32(len(m.progs))

@@ -104,27 +104,14 @@ func (e *perState) reading(c byte) {
 	e.live, e.nextLive = e.nextLive, e.live
 }
 
-// evaluatePerState runs the per-state pass over doc with the skip attempts
-// of Stream.process and closes as Stream.Close does.
+// evaluatePerState runs the per-state pass over every byte of doc, no
+// byte skipped, and closes as Stream.Close does.
 func evaluatePerState(a Automaton, doc []byte, prune bool) *Result {
 	e := perState{prune: prune}
-	var g accelGate
 	e.init(a)
-	g.init(a)
-	g.next(len(doc))
-	i := 0
-	for i < len(doc) && len(e.live) > 0 {
-		if g.on {
-			if q, ok := g.scanState(e.live); ok {
-				if n := g.skip(q, doc, i); n > 0 {
-					i += n
-					continue
-				}
-			}
-		}
+	for i := 0; i < len(doc) && len(e.live) > 0; i++ {
 		e.capturing(i+1, doc[i], false)
 		e.reading(doc[i])
-		i++
 	}
 	e.capturing(len(doc)+1, 0, true)
 	var finals []list

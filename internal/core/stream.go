@@ -103,45 +103,41 @@ func (s *Stream) process(chunk []byte) {
 			s.pos += len(chunk) - i
 			return
 		}
-		// With exactly one live state, the automaton may know a run of
-		// inert bytes — bytes whose Capturing+Reading round leaves the
-		// configuration untouched — and the scan jumps over them, only
-		// advancing the position. Partial matches near a chunk boundary
-		// need no special casing: the skip stops before any byte that
-		// could change the configuration, and whatever is live at the
-		// boundary simply stays live into the next Feed.
-		if s.gate.on {
-			if q, ok := m.governor(e.cur, &s.gate); ok {
-				if n := s.gate.skip(q, chunk, i); n > 0 {
-					i += n
-					s.pos += n
-					continue
-				}
-			}
+		c := e.cur
+		x := m.trans[int(c)*m.stride+int(m.of[chunk[i]])]
+		if x == 0 {
+			x = m.build(c, int(m.of[chunk[i]]), chunk[i])
 		}
 		s.pos++
-		x := m.trans[int(e.cur)*m.stride+int(m.of[chunk[i]])]
-		if x == 0 {
-			x = m.build(e.cur, int(m.of[chunk[i]]), chunk[i])
-		}
-		if x&relabel != 0 {
-			e.cur = int32(x &^ relabel)
-		} else {
-			e.round(&m.progs[x-1], s.pos)
-		}
 		i++
+		if x&relabel == 0 {
+			e.round(&m.progs[x-1], s.pos)
+			continue
+		}
+		e.cur = int32(x &^ relabel)
+		// A byte that relabeled the configuration onto itself was inert,
+		// and so are the bytes after it that the memo knows inert in the
+		// configuration: the scan jumps over them, only advancing the
+		// position. The skip stops before any byte that could change the
+		// configuration, so whatever is live at a chunk boundary simply
+		// stays live into the next Feed.
+		if e.cur == c && s.gate.on {
+			n := s.gate.skip(m, e.cur, chunk, i)
+			i += n
+			s.pos += n
+		}
 	}
 }
 
 // Pos returns the number of document bytes consumed so far.
 func (s *Stream) Pos() int { return s.pos }
 
-// AccelSkippedBytes returns how many document bytes the acceleration layer
-// bulk-skipped so far (0 when the automaton carries no Accelerator).
+// AccelSkippedBytes returns how many document bytes the pass bulk-skipped
+// so far (0 when the automaton carries no Accelerator).
 func (s *Stream) AccelSkippedBytes() int64 { return s.gate.skipped }
 
 // AccelFellBack reports whether the effectiveness fallback disabled
-// acceleration for the rest of the document (candidate density too high).
+// skipping for the rest of the document (candidate density too high).
 func (s *Stream) AccelFellBack() bool { return s.gate.fellBack }
 
 // Dead reports whether no automaton state is live: every run has died, so

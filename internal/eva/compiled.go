@@ -13,8 +13,7 @@ import (
 // subsets there, and CompileDense rejects larger automata.
 var maxDenseStates = 1 << 23
 
-// unknown marks a table entry, or the scan anchor, that a filling table
-// has not computed yet.
+// unknown marks a table entry that a filling table has not computed yet.
 const unknown = -2
 
 // Compiled is the class-indexed transition table of a deterministic eVA,
@@ -22,8 +21,7 @@ const unknown = -2
 // next-state row indexed by byte class, flattened into one contiguous
 // slice, so a letter transition costs two array loads (byte→class, then
 // class→state) instead of EVA.Step's linear scan over class edges. Beside
-// the rows sit the per-state finality, capture transitions and
-// acceleration records (see accel.go), and the scan anchor.
+// the rows sit the per-state finality and capture transitions.
 //
 // The subset construction (subsets) fills the table: Lazy fills an entry
 // the first time evaluation asks for it; Compile fills every reachable one
@@ -49,18 +47,8 @@ type Compiled struct {
 	next  []int32
 	// captures[q] is nil until computed; a computed empty list is non-nil.
 	captures [][]model.Capture
-	// accels[q] is the acceleration record of q: &noAccel when q was
-	// analyzed and is not accelerated, nil when q was not analyzed. A
-	// frozen table analyzes every state when it has at most maxAccelStates
-	// of them, and otherwise only the initial state and the scan anchor
-	// (those dominate sparse-corpus scans).
-	accels []*accel
-	// accelerated counts the records freeze found; 0 before freezing.
-	accelerated int
-	// scanState is the findScanState anchor: -1 when none exists, unknown
-	// while not computed.
-	scanState int
-	accelOff  bool
+	// accelOff turns off the scan loops' skipping of inert bytes.
+	accelOff bool
 	// sub computes the missing entries of a filling table; nil once frozen.
 	sub *subsets
 }
@@ -69,16 +57,14 @@ type Compiled struct {
 // with room for rows states.
 func newTable(sub *subsets, rows int) *Compiled {
 	c := &Compiled{
-		reg:       sub.src.reg,
-		initial:   min(sub.src.initial, 0), // {q0} is subset 0
-		cls:       *sub.cls,
-		shift:     strideShift(len(sub.cls.rep)),
-		scanState: unknown,
-		sub:       sub,
+		reg:     sub.src.reg,
+		initial: min(sub.src.initial, 0), // {q0} is subset 0
+		cls:     *sub.cls,
+		shift:   strideShift(len(sub.cls.rep)),
+		sub:     sub,
 	}
 	c.accepting = make([]bool, 0, rows)
 	c.captures = make([][]model.Capture, 0, rows)
-	c.accels = make([]*accel, 0, rows)
 	c.next = make([]int32, 0, rows<<c.shift)
 	c.grow()
 	return c
@@ -93,8 +79,8 @@ func strideShift(k int) uint { return uint(bits.Len(uint(k - 1))) }
 func RowStride(k int) int { return 1 << strideShift(k) }
 
 // grow gives every state the subset construction minted since the last
-// call its finality, a row of unknown entries, and empty capture and
-// record slots.
+// call its finality, a row of unknown entries, and an empty capture
+// slot.
 func (c *Compiled) grow() {
 	have, n := len(c.accepting), c.sub.count()
 	if have == n {
@@ -102,7 +88,6 @@ func (c *Compiled) grow() {
 	}
 	c.accepting = append(c.accepting, c.sub.final[have:n]...)
 	c.captures = append(c.captures, make([][]model.Capture, n-have)...)
-	c.accels = append(c.accels, make([]*accel, n-have)...)
 	rows := len(c.next)
 	c.next = append(c.next, make([]int32, (n-have)<<c.shift)...)
 	for i := rows; i < len(c.next); i++ {
@@ -216,22 +201,10 @@ func (a *EVA) CompileDense() (*Compiled, error) {
 }
 
 // freeze finishes a filled table for sharing: it drops the subset
-// construction, merges the columns no row separates, and runs the
-// acceleration analysis eagerly.
+// construction and merges the columns no row separates.
 func (c *Compiled) freeze() {
 	c.sub = nil
 	c.mergeColumns()
-	c.scanState = c.findScanState(c.initial)
-	n := c.NumStates()
-	c.accels = make([]*accel, n)
-	for q := range n {
-		if n <= maxAccelStates || q == c.initial || q == c.scanState {
-			c.accels[q] = c.analyzeAccel(q, q == c.scanState)
-			if c.accels[q].mode != accelNone {
-				c.accelerated++
-			}
-		}
-	}
 }
 
 // mergeColumns merges the columns that no row separates and rebuilds the
@@ -338,109 +311,13 @@ func (c *Compiled) ByteClasses() (of *[256]uint8, n int) { return &c.cls.of, len
 // including the shared byte→class map.
 func (c *Compiled) TableBytes() int { return len(c.next)*4 + len(c.cls.of) }
 
-// accelFor returns the acceleration record of q, or nil when q is not
-// accelerated (or acceleration is disabled on this instance). It only
-// reads; record fills.
-func (c *Compiled) accelFor(q int) *accel {
-	if a := c.accels[q]; !c.accelOff && a != nil && a.mode != accelNone {
-		return a
-	}
-	return nil
-}
+// AccelEnabled reports whether the scan loops may skip the bytes a
+// configuration's round programs prove inert (core.Accelerator): true
+// unless DisableAccel was called.
+func (c *Compiled) AccelEnabled() bool { return !c.accelOff }
 
-// record is accelFor on a table that may still fill: a filling table
-// analyzes q first, minting the states the analysis steps into. The
-// literal analysis runs only at the scan anchor, where sparse scans spend
-// their time.
-func (c *Compiled) record(q int) *accel {
-	if c.accels[q] == nil && c.sub != nil && !c.accelOff {
-		c.accels[q] = c.analyzeAccel(q, q == c.anchor())
-	}
-	return c.accelFor(q)
-}
-
-// anchor returns the scan anchor, finding it first on a filling table.
-func (c *Compiled) anchor() int {
-	if c.scanState == unknown {
-		c.scanState = c.findScanState(c.initial)
-	}
-	return c.scanState
-}
-
-// AccelSkip returns how many leading bytes of chunk are provably inert
-// while the live configuration is exactly the singleton {q}: processing
-// them would leave the configuration untouched, so the caller may advance
-// its position counter past them wholesale. 0 means no skip.
-//
-// spanlint:hotpath — the prefilter gate sits inside the scan loop;
-// hotalloc (cmd/spanlint) keeps it allocation-free (the record search
-// runs on allowlisted bytes primitives).
-func (c *Compiled) AccelSkip(q int, chunk []byte) int {
-	if a := c.accelFor(q); a != nil {
-		return a.find(chunk)
-	}
-	return 0
-}
-
-// AccelSink reports whether every byte is inert for q: the state self-loops
-// on all 256 bytes and none of its capture spawns can survive any byte. A
-// sink's list rides along unchanged through any skip, so the evaluator may
-// treat live configurations of the form {q'} ∪ sinks as the singleton {q'}
-// — the shape `.*pat.*` scans settle into once a match has completed and
-// the accepting tail stays live forever.
-func (c *Compiled) AccelSink(q int) bool {
-	a := c.accelFor(q)
-	return a != nil && a.sink
-}
-
-// AccelEnabled reports whether AccelSkip may answer non-zero: on a frozen
-// table, whether any state is accelerated; on a table that still fills,
-// whether acceleration is on, since its states are not known up front.
-func (c *Compiled) AccelEnabled() bool { return !c.accelOff && (c.sub != nil || c.accelerated > 0) }
-
-// AcceleratedStates returns how many states carry an acceleration record:
-// those the freeze-time analysis accelerated, 0 on a table that still
-// fills (it analyzes states on demand) or with acceleration off.
-func (c *Compiled) AcceleratedStates() int {
-	if c.accelOff {
-		return 0
-	}
-	return c.accelerated
-}
-
-// scanAccel returns the acceleration record of the scan anchor, nil when
-// there is no anchor, it is not accelerated, or acceleration is off. On a
-// filling table the analysis mints and memoizes the states it touches,
-// which evaluation would otherwise mint at its first AccelSkip.
-func (c *Compiled) scanAccel() *accel {
-	if c.accelOff || c.anchor() < 0 {
-		return nil
-	}
-	return c.record(c.scanState)
-}
-
-// ScanLeaveBytes returns the set of bytes that can leave the scan-anchor
-// configuration (the initial configuration followed through its
-// dead-prefix lead-in), when that anchor exists (the second return reports
-// it). Every byte outside the set is inert while no match is in progress.
-func (c *Compiled) ScanLeaveBytes() (model.ByteSet, bool) {
-	if a := c.scanAccel(); a != nil {
-		return a.skip.Negate(), true
-	}
-	return model.ByteSet{}, false
-}
-
-// ScanLiteral returns the required literal anchored at the scan-anchor
-// configuration, or "" when the forced-departure analysis found none.
-func (c *Compiled) ScanLiteral() string {
-	if a := c.scanAccel(); a != nil && a.mode == accelLiteral {
-		return string(a.lit)
-	}
-	return ""
-}
-
-// DisableAccel turns acceleration off on this instance: AccelSkip always
-// answers 0 and AccelEnabled false. Call it before the table is shared; it
-// serves the facade's WithoutPrefilter option and differential tests of
-// the scan path.
+// DisableAccel turns skipping off on this instance: AccelEnabled answers
+// false, and the scan loops step every byte. Call it before the table is
+// shared; it serves the facade's WithoutPrefilter option and differential
+// tests of the scan path.
 func (c *Compiled) DisableAccel() { c.accelOff = true }

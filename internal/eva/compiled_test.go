@@ -26,6 +26,24 @@ func TestCompileDenseRejectsNondeterministic(t *testing.T) {
 	}
 }
 
+// TestDisableAccelDisables checks that DisableAccel turns skipping off
+// on both table kinds (core.Accelerator), and that it is on otherwise.
+func TestDisableAccelDisables(t *testing.T) {
+	c, err := gen.Figure3EVA().Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := eva.NewLazy(gen.Figure3EVA())
+	if !c.AccelEnabled() || !l.AccelEnabled() {
+		t.Fatal("skipping must be on until DisableAccel")
+	}
+	c.DisableAccel()
+	l.DisableAccel()
+	if c.AccelEnabled() || l.AccelEnabled() {
+		t.Fatal("DisableAccel must turn skipping off")
+	}
+}
+
 func TestCompileDenseStepMatchesScan(t *testing.T) {
 	a := gen.Figure3EVA()
 	c, err := a.CompileDense()
@@ -127,8 +145,7 @@ func TestCompileStopsAtDenseStateLimit(t *testing.T) {
 // straight from the subset construction and freezes is the table
 // CompileDense builds from Determinize's output: the same states, ids and
 // finality, the same steps on all 256 bytes and captures in order, the
-// same merged byte classes and table size, and the same acceleration
-// records and prefilter facts.
+// same merged byte classes and table size.
 func FuzzFrozenTableMatchesCompileDense(f *testing.F) {
 	for i := range 40 {
 		f.Add(uint8(0), int64(42), uint8(i))
@@ -164,21 +181,10 @@ func FuzzFrozenTableMatchesCompileDense(f *testing.F) {
 			if !slices.Equal(got.Captures(q), want.Captures(q)) {
 				t.Fatalf("state %d: captures %v, want %v", q, got.Captures(q), want.Captures(q))
 			}
-			if got.AccelSink(q) != want.AccelSink(q) {
-				t.Fatalf("state %d: AccelSink %v, want %v", q, got.AccelSink(q), want.AccelSink(q))
-			}
 		}
-		if got.NumClasses() != want.NumClasses() || got.TableBytes() != want.TableBytes() ||
-			got.AcceleratedStates() != want.AcceleratedStates() {
-			t.Fatalf("classes %d, table %d B, accelerated %d; want %d, %d B, %d",
-				got.NumClasses(), got.TableBytes(), got.AcceleratedStates(),
-				want.NumClasses(), want.TableBytes(), want.AcceleratedStates())
-		}
-		gl, gok := got.ScanLeaveBytes()
-		wl, wok := want.ScanLeaveBytes()
-		if gl != wl || gok != wok || got.ScanLiteral() != want.ScanLiteral() {
-			t.Fatalf("scan anchor: leave %v %v literal %q, want %v %v %q",
-				gl, gok, got.ScanLiteral(), wl, wok, want.ScanLiteral())
+		if got.NumClasses() != want.NumClasses() || got.TableBytes() != want.TableBytes() {
+			t.Fatalf("classes %d, table %d B; want %d, %d B",
+				got.NumClasses(), got.TableBytes(), want.NumClasses(), want.TableBytes())
 		}
 	})
 }

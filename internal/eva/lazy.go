@@ -16,17 +16,16 @@ import (
 // worst case.
 //
 // Lazy embeds the table of Compiled, indexed by the byte classes of src,
-// and never freezes it: a table entry, a capture list or an acceleration
-// record is computed from the subset construction on its first use and
-// read from the table afterwards. Lazy shadows the table methods that read
-// such entries, or state a fill grows, with ones that fill under its
-// mutex, so a Lazy is safe for concurrent use: passes that share it
-// contend only on their calls into it, which a warm pass makes only on a
-// round-program memo miss or a skip attempt. A computed capture list or
-// acceleration record never changes, so AccelSkip searches its chunk
-// outside the lock. StatesDiscovered reads an atomic counter and never
-// locks. The fill paths (fill, caps, record, analyzeAccel) are Compiled
-// methods and must never call a Lazy one: the mutex is not reentrant.
+// and never freezes it: a table entry or a capture list is computed from
+// the subset construction on its first use and read from the table
+// afterwards. Lazy shadows the table methods that read such entries, or
+// state a fill grows, with ones that fill under its mutex, so a Lazy is
+// safe for concurrent use: passes that share it contend only on their
+// calls into it, which a warm pass makes only on a round-program memo
+// miss — skips are decided by the pass's memo, without a call.
+// StatesDiscovered reads an atomic counter and never locks. The fill
+// paths (fill, caps) are Compiled methods and must never call a Lazy one:
+// the mutex is not reentrant.
 type Lazy struct {
 	mu sync.Mutex
 	Compiled
@@ -72,43 +71,6 @@ func (l *Lazy) TableBytes() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.Compiled.TableBytes()
-}
-
-// AccelSkip is Compiled.AccelSkip, computing q's record on first use. It
-// carries no spanlint:hotpath annotation: minting allocates by design, so
-// the zero-alloc contract holds only for the strict (Compiled) path.
-func (l *Lazy) AccelSkip(q int, chunk []byte) int {
-	l.mu.Lock()
-	a := l.record(q)
-	l.mu.Unlock()
-	if a != nil {
-		return a.find(chunk)
-	}
-	return 0
-}
-
-// AccelSink is Compiled.AccelSink, computing q's record on first use.
-func (l *Lazy) AccelSink(q int) bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	a := l.record(q)
-	return a != nil && a.sink
-}
-
-// ScanLeaveBytes is Compiled.ScanLeaveBytes, analyzing the scan anchor
-// on first use.
-func (l *Lazy) ScanLeaveBytes() (model.ByteSet, bool) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.Compiled.ScanLeaveBytes()
-}
-
-// ScanLiteral is Compiled.ScanLiteral, analyzing the scan anchor on first
-// use.
-func (l *Lazy) ScanLiteral() string {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.Compiled.ScanLiteral()
 }
 
 // StatesDiscovered returns how many subset states have been minted so far —

@@ -77,9 +77,9 @@ type EntryInfo struct {
 	// strict entries, the states discovered so far for lazy ones (it grows
 	// as the shared spanner evaluates documents).
 	DetStates int
-	// PrefilterEnabled reports whether the entry's scan path is literal-
-	// prefiltered; SkippedBytes and Fallbacks are its lifetime acceleration
-	// counters (bytes bulk-skipped, density-fallback activations).
+	// PrefilterEnabled reports whether the entry's scans skip inert bytes
+	// (Stats.PrefilterEnabled); SkippedBytes and Fallbacks are its lifetime
+	// skip counters (bytes bulk-skipped, density-fallback activations).
 	PrefilterEnabled      bool
 	PrefilterSkippedBytes int64
 	PrefilterFallbacks    int64

@@ -76,7 +76,6 @@ type compileShape struct {
 	DetStates                 int
 	ByteClasses               int
 	DenseTableBytes           int
-	AcceleratedStates         int
 	LazyDetStates             int // lazy DetStates after one evaluation of doc
 }
 
@@ -99,23 +98,23 @@ func TestCompileShapeGolden(t *testing.T) {
 		doc   []byte
 		want  compileShape
 	}{
-		{"figure1", gen.Figure1Pattern(), false, contacts, compileShape{VAStates: 31, VATransitions: 52, EVAStates: 31, EVATransitions: 52, Sequentialized: false, DetStates: 31, ByteClasses: 10, DenseTableBytes: 2240, AcceleratedStates: 9, LazyDetStates: 29}},
-		{"churn0", churnBases[0](""), false, contacts, compileShape{VAStates: 31, VATransitions: 52, EVAStates: 31, EVATransitions: 52, Sequentialized: false, DetStates: 31, ByteClasses: 10, DenseTableBytes: 2240, AcceleratedStates: 9, LazyDetStates: 29}},
-		{"churn0/tag", churnBases[0]("_#"), false, contacts, compileShape{VAStates: 31, VATransitions: 52, EVAStates: 31, EVATransitions: 52, Sequentialized: false, DetStates: 31, ByteClasses: 11, DenseTableBytes: 2240, AcceleratedStates: 9, LazyDetStates: 29}},
-		{"churn1", churnBases[1](""), false, contacts, compileShape{VAStates: 24, VATransitions: 40, EVAStates: 24, EVATransitions: 40, Sequentialized: false, DetStates: 24, ByteClasses: 9, DenseTableBytes: 1792, AcceleratedStates: 7, LazyDetStates: 22}},
-		{"churn1/tag", churnBases[1]("=~"), false, contacts, compileShape{VAStates: 24, VATransitions: 40, EVAStates: 24, EVATransitions: 40, Sequentialized: false, DetStates: 24, ByteClasses: 10, DenseTableBytes: 1792, AcceleratedStates: 7, LazyDetStates: 22}},
-		{"churn2", churnBases[2](""), false, contacts, compileShape{VAStates: 18, VATransitions: 26, EVAStates: 18, EVATransitions: 26, Sequentialized: false, DetStates: 18, ByteClasses: 8, DenseTableBytes: 832, AcceleratedStates: 5, LazyDetStates: 18}},
-		{"churn2/tag", churnBases[2](";"), false, contacts, compileShape{VAStates: 18, VATransitions: 26, EVAStates: 18, EVATransitions: 26, Sequentialized: false, DetStates: 18, ByteClasses: 8, DenseTableBytes: 832, AcceleratedStates: 5, LazyDetStates: 18}},
-		{"churn3", churnBases[3](""), false, contacts, compileShape{VAStates: 25, VATransitions: 44, EVAStates: 25, EVATransitions: 44, Sequentialized: false, DetStates: 25, ByteClasses: 8, DenseTableBytes: 1056, AcceleratedStates: 9, LazyDetStates: 23}},
-		{"churn3/tag", churnBases[3](":'%"), false, contacts, compileShape{VAStates: 25, VATransitions: 44, EVAStates: 25, EVATransitions: 44, Sequentialized: false, DetStates: 25, ByteClasses: 9, DenseTableBytes: 1856, AcceleratedStates: 9, LazyDetStates: 23}},
-		{"nested2", gen.NestedPattern(2), false, nested, compileShape{VAStates: 10, VATransitions: 18, EVAStates: 10, EVATransitions: 30, Sequentialized: false, DetStates: 10, ByteClasses: 1, DenseTableBytes: 296, AcceleratedStates: 1, LazyDetStates: 10}},
-		{"sparse", gen.SparsePattern, false, sparse, compileShape{VAStates: 11, VATransitions: 15, EVAStates: 11, EVATransitions: 15, Sequentialized: false, DetStates: 11, ByteClasses: 4, DenseTableBytes: 432, AcceleratedStates: 2, LazyDetStates: 11}},
-		{"churn0/query", `/` + churnBases[0]("_#") + `/`, true, contacts, compileShape{VAStates: 0, VATransitions: 0, EVAStates: 31, EVATransitions: 52, Sequentialized: false, DetStates: 31, ByteClasses: 11, DenseTableBytes: 2240, AcceleratedStates: 9, LazyDetStates: 29}},
-		{"starcapture", `(!x{a+}b)*`, false, ab, compileShape{VAStates: 6, VATransitions: 8, EVAStates: 6, EVATransitions: 7, Sequentialized: true, DetStates: 6, ByteClasses: 3, DenseTableBytes: 352, AcceleratedStates: 1, LazyDetStates: 6}},
-		{"starcapture/query", `/(!x{a+}b)*/`, true, ab, compileShape{VAStates: 0, VATransitions: 0, EVAStates: 6, EVATransitions: 7, Sequentialized: true, DetStates: 6, ByteClasses: 3, DenseTableBytes: 352, AcceleratedStates: 1, LazyDetStates: 6}},
-		{"join", join, true, contacts, compileShape{VAStates: 0, VATransitions: 0, EVAStates: 66, EVATransitions: 114, Sequentialized: false, DetStates: 59, ByteClasses: 10, DenseTableBytes: 4032, AcceleratedStates: 17, LazyDetStates: 48}},
-		{"join/shared", `join(/.*!x{a+}.*/, /(a|b)*!x{ab*}(a|b)*/)`, true, ab, compileShape{VAStates: 0, VATransitions: 0, EVAStates: 8, EVATransitions: 17, Sequentialized: true, DetStates: 8, ByteClasses: 3, DenseTableBytes: 384, AcceleratedStates: 3, LazyDetStates: 8}},
-		{"project", project, true, contacts, compileShape{VAStates: 0, VATransitions: 0, EVAStates: 35, EVATransitions: 61, Sequentialized: false, DetStates: 29, ByteClasses: 11, DenseTableBytes: 2112, AcceleratedStates: 10, LazyDetStates: 25}},
+		{"figure1", gen.Figure1Pattern(), false, contacts, compileShape{VAStates: 31, VATransitions: 52, EVAStates: 31, EVATransitions: 52, Sequentialized: false, DetStates: 31, ByteClasses: 10, DenseTableBytes: 2240, LazyDetStates: 28}},
+		{"churn0", churnBases[0](""), false, contacts, compileShape{VAStates: 31, VATransitions: 52, EVAStates: 31, EVATransitions: 52, Sequentialized: false, DetStates: 31, ByteClasses: 10, DenseTableBytes: 2240, LazyDetStates: 28}},
+		{"churn0/tag", churnBases[0]("_#"), false, contacts, compileShape{VAStates: 31, VATransitions: 52, EVAStates: 31, EVATransitions: 52, Sequentialized: false, DetStates: 31, ByteClasses: 11, DenseTableBytes: 2240, LazyDetStates: 28}},
+		{"churn1", churnBases[1](""), false, contacts, compileShape{VAStates: 24, VATransitions: 40, EVAStates: 24, EVATransitions: 40, Sequentialized: false, DetStates: 24, ByteClasses: 9, DenseTableBytes: 1792, LazyDetStates: 21}},
+		{"churn1/tag", churnBases[1]("=~"), false, contacts, compileShape{VAStates: 24, VATransitions: 40, EVAStates: 24, EVATransitions: 40, Sequentialized: false, DetStates: 24, ByteClasses: 10, DenseTableBytes: 1792, LazyDetStates: 21}},
+		{"churn2", churnBases[2](""), false, contacts, compileShape{VAStates: 18, VATransitions: 26, EVAStates: 18, EVATransitions: 26, Sequentialized: false, DetStates: 18, ByteClasses: 8, DenseTableBytes: 832, LazyDetStates: 18}},
+		{"churn2/tag", churnBases[2](";"), false, contacts, compileShape{VAStates: 18, VATransitions: 26, EVAStates: 18, EVATransitions: 26, Sequentialized: false, DetStates: 18, ByteClasses: 8, DenseTableBytes: 832, LazyDetStates: 18}},
+		{"churn3", churnBases[3](""), false, contacts, compileShape{VAStates: 25, VATransitions: 44, EVAStates: 25, EVATransitions: 44, Sequentialized: false, DetStates: 25, ByteClasses: 8, DenseTableBytes: 1056, LazyDetStates: 22}},
+		{"churn3/tag", churnBases[3](":'%"), false, contacts, compileShape{VAStates: 25, VATransitions: 44, EVAStates: 25, EVATransitions: 44, Sequentialized: false, DetStates: 25, ByteClasses: 9, DenseTableBytes: 1856, LazyDetStates: 22}},
+		{"nested2", gen.NestedPattern(2), false, nested, compileShape{VAStates: 10, VATransitions: 18, EVAStates: 10, EVATransitions: 30, Sequentialized: false, DetStates: 10, ByteClasses: 1, DenseTableBytes: 296, LazyDetStates: 10}},
+		{"sparse", gen.SparsePattern, false, sparse, compileShape{VAStates: 11, VATransitions: 15, EVAStates: 11, EVATransitions: 15, Sequentialized: false, DetStates: 11, ByteClasses: 4, DenseTableBytes: 432, LazyDetStates: 11}},
+		{"churn0/query", `/` + churnBases[0]("_#") + `/`, true, contacts, compileShape{VAStates: 0, VATransitions: 0, EVAStates: 31, EVATransitions: 52, Sequentialized: false, DetStates: 31, ByteClasses: 11, DenseTableBytes: 2240, LazyDetStates: 28}},
+		{"starcapture", `(!x{a+}b)*`, false, ab, compileShape{VAStates: 6, VATransitions: 8, EVAStates: 6, EVATransitions: 7, Sequentialized: true, DetStates: 6, ByteClasses: 3, DenseTableBytes: 352, LazyDetStates: 6}},
+		{"starcapture/query", `/(!x{a+}b)*/`, true, ab, compileShape{VAStates: 0, VATransitions: 0, EVAStates: 6, EVATransitions: 7, Sequentialized: true, DetStates: 6, ByteClasses: 3, DenseTableBytes: 352, LazyDetStates: 6}},
+		{"join", join, true, contacts, compileShape{VAStates: 0, VATransitions: 0, EVAStates: 66, EVATransitions: 114, Sequentialized: false, DetStates: 59, ByteClasses: 10, DenseTableBytes: 4032, LazyDetStates: 47}},
+		{"join/shared", `join(/.*!x{a+}.*/, /(a|b)*!x{ab*}(a|b)*/)`, true, ab, compileShape{VAStates: 0, VATransitions: 0, EVAStates: 8, EVATransitions: 17, Sequentialized: true, DetStates: 8, ByteClasses: 3, DenseTableBytes: 384, LazyDetStates: 8}},
+		{"project", project, true, contacts, compileShape{VAStates: 0, VATransitions: 0, EVAStates: 35, EVATransitions: 61, Sequentialized: false, DetStates: 29, ByteClasses: 11, DenseTableBytes: 2112, LazyDetStates: 24}},
 	}
 	compile := func(src string, query bool, mode spanner.Mode) *spanner.Spanner {
 		if query {
@@ -132,8 +131,7 @@ func TestCompileShapeGolden(t *testing.T) {
 			EVAStates: st.EVAStates, EVATransitions: st.EVATransitions,
 			Sequentialized: st.Sequentialized, DetStates: st.DetStates,
 			ByteClasses: st.ByteClasses, DenseTableBytes: st.DenseTableBytes,
-			AcceleratedStates: st.AcceleratedStates,
-			LazyDetStates:     lazy.Stats().DetStates,
+			LazyDetStates: lazy.Stats().DetStates,
 		}
 		if got != c.want {
 			t.Errorf("%s: compiled shape\n got %+v\nwant %+v", c.name, got, c.want)

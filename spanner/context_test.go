@@ -101,9 +101,9 @@ func TestContextVariantsMatchPlain(t *testing.T) {
 
 // TestPlainEntryPointsMultiChunk pins the plain entry points on a document
 // spanning several 64 KiB scan chunks, in both modes: each runs the
-// chunked Context path with context.Background() (taking the lazy lock per
-// chunk), so every one must yield exactly EnumerateContext's matches, and
-// as many of them as Count reports.
+// chunked Context path with context.Background(), so every one must yield
+// exactly EnumerateContext's matches, and as many of them as Count
+// reports.
 func TestPlainEntryPointsMultiChunk(t *testing.T) {
 	doc := gen.Contacts(8000, 11)
 	if len(doc) <= 2*(64<<10) {

@@ -1,6 +1,6 @@
 package spanner_test
 
-// Differential suite for the literal-prefiltering scan path: every corpus
+// Differential suite for the skipping scan path: every corpus
 // is evaluated with the prefilter on and off (WithoutPrefilter), in both
 // determinization modes, and the four results must agree byte-for-byte on
 // counts and on the mapping set — with the brute-force oracle as ground
@@ -8,8 +8,8 @@ package spanner_test
 // three regimes the accelerator distinguishes: sparse (long inert runs,
 // the payoff case), dense (every position matches, acceleration moot), and
 // adversarial (candidate-dense, the effectiveness fallback must engage
-// without changing results). Chunked streaming runs throughout so literal
-// occurrences straddling chunk boundaries are exercised.
+// without changing results). Chunked streaming runs throughout so
+// occurrences of "www." straddling chunk boundaries are exercised.
 
 import (
 	"bytes"
@@ -106,8 +106,8 @@ func TestPrefilterDifferentialSparse(t *testing.T) {
 	// The accelerated variant must actually have taken the fast path: on
 	// the sparse corpora nearly every byte is provably inert.
 	st := vs[1].s.Stats()
-	if !st.PrefilterEnabled || st.PrefilterLiteral != "www." {
-		t.Fatalf("strict/on stats = %+v: prefilter must be on with the extracted literal", st)
+	if !st.PrefilterEnabled {
+		t.Fatalf("strict/on stats = %+v: prefilter must be on", st)
 	}
 	if st.PrefilterSkippedBytes == 0 {
 		t.Fatal("prefilter skipped no bytes on a sparse corpus")
@@ -127,21 +127,24 @@ func TestPrefilterDifferentialDense(t *testing.T) {
 
 func TestPrefilterDifferentialAdversarial(t *testing.T) {
 	// Candidate-dense corpus: almost every position starts a literal
-	// fragment, so skips are short and the effectiveness fallback must
-	// disable the prefilter mid-document — without changing any result.
+	// fragment, so no byte is inert long — without changing any result.
 	vs := prefilterVariants(t, gen.SparsePattern)
 	small := gen.DenseCandidates(1<<10, 3)
 	assertPrefilterAgree(t, vs, small, rand.New(rand.NewSource(3)))
 
-	big := gen.DenseCandidates(1<<15, 3)
-	wantN, wantExact := vs[0].s.Count(big)
-	for _, v := range vs[1:] {
-		if n, exact := v.s.Count(big); n != wantN || exact != wantExact {
-			t.Fatalf("%s: Count = (%d, %v), reference (%d, %v)", v.name, n, exact, wantN, wantExact)
-		}
-		// Both count paths harvest the gate counters into Stats.
-		if n, exact, err := v.s.CountReader(bytes.NewReader(big)); err != nil || n != wantN || exact != wantExact {
-			t.Fatalf("%s: CountReader = (%d, %v, %v), reference (%d, %v)", v.name, n, exact, err, wantN, wantExact)
+	// On repeated "wwwxx" the second x of every period is inert and the
+	// next w is not, so every skip attempt is short and the effectiveness
+	// fallback must disable the prefilter mid-document.
+	for _, big := range [][]byte{gen.DenseCandidates(1<<15, 3), bytes.Repeat([]byte("wwwxx"), 1<<13)} {
+		wantN, wantExact := vs[0].s.Count(big)
+		for _, v := range vs[1:] {
+			if n, exact := v.s.Count(big); n != wantN || exact != wantExact {
+				t.Fatalf("%s: Count = (%d, %v), reference (%d, %v)", v.name, n, exact, wantN, wantExact)
+			}
+			// Both count paths harvest the gate counters into Stats.
+			if n, exact, err := v.s.CountReader(bytes.NewReader(big)); err != nil || n != wantN || exact != wantExact {
+				t.Fatalf("%s: CountReader = (%d, %v, %v), reference (%d, %v)", v.name, n, exact, err, wantN, wantExact)
+			}
 		}
 	}
 	if st := vs[1].s.Stats(); st.PrefilterFallbacks == 0 {
@@ -224,7 +227,7 @@ var fuzzPrefilterVariants = []struct {
 
 // FuzzPrefilterEquivalence is the prefilter half of the differential
 // harness: for arbitrary documents and chunkings, evaluation with the
-// literal prefilter must be indistinguishable from evaluation without it,
+// prefilter must be indistinguishable from evaluation without it,
 // in both determinization modes, for Count, Enumerate, and chunked
 // streaming. Seeds cover the planted-sparse, adversarial, and
 // boundary-straddling corpora.
@@ -266,12 +269,11 @@ func FuzzPrefilterEquivalence(f *testing.F) {
 	})
 }
 
-// TestPrefilterStatsModeParity checks that strict mode, which reads the
-// prefilter facts off its compiled automaton, reports exactly what lazy
-// mode's standalone analysis does — with the prefilter on and off. The
-// patterns are the differential suites' workloads, the structural Figure-1
-// variants of the query-churn benchmark (Figure 1 itself is the first),
-// and an anchored pattern. NestedPattern(2) has no scan anchor.
+// TestPrefilterStatsModeParity checks that both modes report the
+// prefilter as on exactly when WithoutPrefilter was not given. The
+// patterns are the differential suites' workloads, the structural
+// Figure-1 variants of the query-churn benchmark (Figure 1 itself is the
+// first), and an anchored pattern.
 func TestPrefilterStatsModeParity(t *testing.T) {
 	patterns := []string{
 		gen.Figure1Pattern(),
@@ -282,32 +284,11 @@ func TestPrefilterStatsModeParity(t *testing.T) {
 		`.*<(!email{[a-z0-9]+@[a-z0-9]+(\.[a-z0-9]+)+}|!phone{[0-9]+-[0-9]+})>.*`,
 		`abc(a|b|c)*`,
 	}
-	type facts struct {
-		enabled        bool
-		literal, leave string
-	}
-	anchored, unanchored := 0, 0
 	for _, p := range patterns {
-		vs := prefilterVariants(t, p) // strict/off, strict/on, lazy/off, lazy/on
-		var fs []facts
-		for _, v := range vs {
-			st := v.s.Stats()
-			fs = append(fs, facts{st.PrefilterEnabled, st.PrefilterLiteral, st.PrefilterLeaveBytes})
-		}
-		for i := range fs {
-			want := fs[i%2] // the strict variant with the same option
-			want.enabled = i%2 == 1 && want.leave != ""
-			if fs[i] != want {
-				t.Fatalf("%q %s: prefilter stats %+v, want %+v", p, vs[i].name, fs[i], want)
+		for i, v := range prefilterVariants(t, p) { // strict/off, strict/on, lazy/off, lazy/on
+			if got, want := v.s.Stats().PrefilterEnabled, i%2 == 1; got != want {
+				t.Fatalf("%q %s: PrefilterEnabled %v, want %v", p, v.name, got, want)
 			}
 		}
-		if fs[1].leave != "" {
-			anchored++
-		} else {
-			unanchored++
-		}
-	}
-	if anchored == 0 || unanchored == 0 {
-		t.Fatalf("%d patterns with a scan anchor, %d without: the table must cover both", anchored, unanchored)
 	}
 }

@@ -37,7 +37,6 @@ import (
 
 	"spanners/internal/core"
 	"spanners/internal/eva"
-	"spanners/internal/model"
 	"spanners/internal/rgx"
 )
 
@@ -69,8 +68,7 @@ type config struct {
 	// noOptimize disables the logical plan optimizer in Query.Compile;
 	// pattern compilation ignores it.
 	noOptimize bool
-	// noPrefilter disables the scan-acceleration layer (literal prefilter
-	// and self-loop skipping).
+	// noPrefilter disables the scan loops' skipping of inert bytes.
 	noPrefilter bool
 }
 
@@ -82,10 +80,10 @@ func WithStrict() Option { return func(c *config) { c.mode = ModeStrict } }
 // Concurrency contract: a lazy Spanner is safe for concurrent use, and its
 // scans (preprocessing, counting) run in parallel like a strict one's. The
 // shared on-the-fly determinizer guards its own table: a pass calls into
-// it only when its round-program memo misses or it attempts a skip, and
-// each call holds the table's lock just long enough to read or fill one
-// entry. Stats never locks: the discovered-state counter is atomic, so it
-// may be polled during evaluations.
+// it only when its round-program memo misses, and each call holds the
+// table's lock just long enough to read or fill one entry. Stats never
+// locks: the discovered-state counter is atomic, so it may be polled
+// during evaluations.
 //
 // The lock-free half of this contract is machine-checked by cmd/spanlint:
 // the atomicfield analyzer keeps the discovered-state counter on
@@ -96,13 +94,14 @@ func WithLazy() Option { return func(c *config) { c.mode = ModeLazy } }
 // WithMode selects the determinization mode explicitly.
 func WithMode(m Mode) Option { return func(c *config) { c.mode = m } }
 
-// WithoutPrefilter disables scan acceleration: the evaluator steps the
-// automaton on every byte instead of bulk-skipping provably inert regions
-// with memchr-class search. Outputs are identical either way — the
-// prefilter is exactness-preserving by construction — so this option
-// exists for the differential tests that prove it, and as an escape hatch
-// if a workload ever measures slower with acceleration than without
-// (the built-in density fallback should make that unnecessary).
+// WithoutPrefilter disables scan acceleration: the evaluator runs the
+// round of every byte instead of bulk-skipping the bytes a configuration's
+// round programs prove inert (those that relabel it onto itself), found
+// with memchr-class search. Outputs are identical either way — a skipped
+// round is the identity — so this option exists for the differential
+// tests that prove it, and as an escape hatch if a workload ever measures
+// slower with acceleration than without (the built-in density fallback
+// should make that unnecessary).
 func WithoutPrefilter() Option { return func(c *config) { c.noPrefilter = true } }
 
 // WithoutOptimization disables the logical plan optimizer in Query.Compile:
@@ -140,23 +139,10 @@ type Stats struct {
 	// eVA's in lazy mode (each discovered state owns one row of
 	// ByteClasses entries, padded to a power of two).
 	ByteClasses int
-	// AcceleratedStates is how many deterministic states carry an
-	// acceleration record (self-loop skip sets or a required literal) in
-	// strict mode; zero in lazy mode, where acceleration records are minted
-	// on demand during evaluation.
-	AcceleratedStates int
-	// PrefilterEnabled reports whether scan acceleration is active on this
-	// spanner: the initial configuration is accelerable and the
-	// WithoutPrefilter option was not given.
+	// PrefilterEnabled reports whether the scans of this spanner skip
+	// inert bytes: the WithoutPrefilter option was not given. Which bytes
+	// are inert is learnt per configuration during evaluation.
 	PrefilterEnabled bool
-	// PrefilterLiteral is the required literal anchored at the initial
-	// configuration — every match must read it in full when departing from
-	// document-scan position — or "" when the analysis found none.
-	PrefilterLiteral string
-	// PrefilterLeaveBytes renders the set of bytes that can leave the
-	// initial configuration (every other byte cannot start a match); ""
-	// when the initial configuration is not accelerable.
-	PrefilterLeaveBytes string
 	// PrefilterSkippedBytes is the total number of document bytes the
 	// acceleration layer bulk-skipped across this spanner's lifetime, over
 	// every evaluation and counting pass. PrefilterFallbacks counts the
@@ -267,14 +253,10 @@ func compileEVA(pattern string, seq *eva.EVA, sequentialized bool, start time.Ti
 			EVATransitions: seq.NumTransitions(),
 		},
 	}
-	// Both modes evaluate an eva table; the prefilter facts are read off it
-	// before the WithoutPrefilter option turns acceleration off.
+	// Both modes evaluate an eva table.
 	var table interface {
-		ScanLeaveBytes() (model.ByteSet, bool)
-		ScanLiteral() string
 		DisableAccel()
 		NumClasses() int
-		AcceleratedStates() int
 	}
 	if cfg.mode == ModeLazy {
 		s.lazy = eva.NewLazy(seq)
@@ -289,16 +271,11 @@ func compileEVA(pattern string, seq *eva.EVA, sequentialized bool, start time.Ti
 		s.stats.DetStates = dense.NumStates()
 		s.stats.DenseTableBytes = dense.TableBytes()
 	}
-	if leave, anchored := table.ScanLeaveBytes(); anchored {
-		s.stats.PrefilterEnabled = !cfg.noPrefilter
-		s.stats.PrefilterLiteral = table.ScanLiteral()
-		s.stats.PrefilterLeaveBytes = leave.String()
-	}
+	s.stats.PrefilterEnabled = !cfg.noPrefilter
 	if cfg.noPrefilter {
 		table.DisableAccel()
 	}
 	s.stats.ByteClasses = table.NumClasses()
-	s.stats.AcceleratedStates = table.AcceleratedStates()
 	s.stats.CompileTime = time.Since(start)
 	return s, nil
 }

@@ -12,6 +12,7 @@ package spanner_test
 // BENCH_spanner.json.
 
 import (
+	"bytes"
 	"io"
 	"testing"
 
@@ -334,6 +335,36 @@ func BenchmarkSparseScanThroughput(b *testing.B) {
 		}
 		b.Run(d.name+"/prefilter", func(b *testing.B) { run(b, on) })
 		b.Run(d.name+"/off", func(b *testing.B) { run(b, off) })
+	}
+}
+
+// BenchmarkScanShapes measures the two skip-search shapes the sparse
+// corpora leave out, over 1 MB each. rareexit is `.*!x{[.w]z}.*` over
+// "aaaaaaaaaw"…: a skip is attempted every ten bytes and one of the two
+// exit bytes never occurs, so a search that rescanned the chunk for it on
+// every attempt would go quadratic. manyexits is `.*!x{[A-Z][a-z]+}.*`
+// over lowercase text with one capitalized word: 26 exit bytes, so the
+// skip tests each byte against the inert set instead of running memchr.
+func BenchmarkScanShapes(b *testing.B) {
+	lower := gen.RandomDoc(1<<20, "abcdefghijklmnopqrstuvwxyz ", 3)
+	lower[len(lower)/2], lower[len(lower)/2+1] = 'Q', 'u'
+	for _, shape := range []struct {
+		name, pattern string
+		doc           []byte
+	}{
+		{"rareexit", `.*!x{[.w]z}.*`, bytes.Repeat([]byte("aaaaaaaaaw"), 1<<20/10)},
+		{"manyexits", `.*!x{[A-Z][a-z]+}.*`, lower},
+	} {
+		on := spanner.MustCompile(shape.pattern)
+		off := spanner.MustCompile(shape.pattern, spanner.WithoutPrefilter())
+		run := func(b *testing.B, s *spanner.Spanner) {
+			b.SetBytes(int64(len(shape.doc)))
+			for i := 0; i < b.N; i++ {
+				s.Count(shape.doc)
+			}
+		}
+		b.Run(shape.name+"/prefilter", func(b *testing.B) { run(b, on) })
+		b.Run(shape.name+"/off", func(b *testing.B) { run(b, off) })
 	}
 }
 

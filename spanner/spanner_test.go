@@ -207,7 +207,7 @@ func TestStatsShape(t *testing.T) {
 	if st.ByteClasses < 2 || st.ByteClasses > 256 {
 		t.Fatalf("ByteClasses = %d out of range", st.ByteClasses)
 	}
-	if st.AcceleratedStates <= 0 || !st.PrefilterEnabled || st.PrefilterLeaveBytes == "" {
+	if !st.PrefilterEnabled {
 		t.Fatalf("Figure 1 pattern must accelerate: %+v", st)
 	}
 	if st.VAStates <= 0 || st.EVAStates <= 0 {
@@ -235,9 +235,9 @@ func TestStatsShape(t *testing.T) {
 }
 
 // TestLazyCompileStats pins what a lazy spanner reports right after
-// compile. Its prefilter facts are read off its own Lazy, so the analysis
-// has already minted the scan anchor {q0} and the states the anchor's
-// self-loop and exits reach: 4 of the 29 that contacts documents need. The
+// compile: compiling mints only the initial subset state {q0}, of the 28
+// that contacts documents need, and skip decisions mint none, so the
+// count after a document is the same with the prefilter on and off. The
 // class count is that of the sequential eVA the memo rows are indexed by
 // (and the cache's cost estimate charges); for Figure 1 it equals the
 // strict det-level count.
@@ -246,15 +246,13 @@ func TestLazyCompileStats(t *testing.T) {
 		opt   spanner.Option
 		after int // DetStates after one contacts document
 	}{
-		{spanner.WithLazy(), 29},
-		// Without the prefilter no acceleration analysis runs during the
-		// scan, so the one state only that analysis steps into stays unminted.
+		{spanner.WithLazy(), 28},
 		{spanner.WithoutPrefilter(), 28},
 	} {
 		l := spanner.MustCompile(gen.Figure1Pattern(), spanner.WithLazy(), c.opt)
 		st := l.Stats()
-		if st.DetStates != 4 || st.ByteClasses != 10 {
-			t.Fatalf("after compile: DetStates = %d, ByteClasses = %d, want 4 and 10", st.DetStates, st.ByteClasses)
+		if st.DetStates != 1 || st.ByteClasses != 10 {
+			t.Fatalf("after compile: DetStates = %d, ByteClasses = %d, want 1 and 10", st.DetStates, st.ByteClasses)
 		}
 		l.Enumerate(gen.Contacts(100, 5), func(*spanner.Match) bool { return true })
 		if got := l.Stats().DetStates; got != c.after {
