@@ -116,9 +116,8 @@ type handoff struct {
 // across the shards. Exactly like the engine: the Evaluation is valid only
 // during the emit call, emit returning false stops the run (nil error),
 // and a context cancellation stops every shard promptly and is returned.
-// The returned Gather is exact on every path. The shard workers' no-leak
-// discipline (WaitGroup.Done on all paths, Waited by this launcher) is
-// machine-checked by the goroleak analyzer in cmd/spanlint.
+// The returned Gather is exact on every path, and every shard worker
+// has returned when it does.
 func (c *Coordinator) ProcessContext(ctx context.Context, emit func(doc int, ev *spanner.Evaluation, err error) bool) (Gather, error) {
 	snap := c.snap
 	n, k := snap.Len(), snap.Shards()

@@ -1,13 +1,11 @@
 // Command spanlint is the repo's static-analysis gate: a multichecker
-// bundling the analyzers that mechanically enforce the concurrency and
-// resource contracts the documentation only promises — Release pairing
-// for preprocessed evaluations, goroutine termination guarantees, mutex
-// pairing and cross-function lock order, atomics-only counter fields,
-// cancelable loops in ...Context methods, spannerd's strict JSON
-// decoding, and (inside lockorder) the lock-free Stats path. The
-// path-sensitive analyzers (releasepair, goroleak, lockorder, taintflow)
-// share one control-flow graph per function, built by the ctrlflow pass
-// in internal/analysis.
+// bundling the analyzers that mechanically enforce the contracts the
+// tests cannot see — mutex pairing, mode and re-entrancy, and (inside
+// lockorder) the lock-free Stats path; cancelable loops in ...Context
+// methods; allocation-free hot paths; and request values kept out of
+// allocation and overflow sinks. The path-sensitive analyzers (lockorder,
+// taintflow) share one control-flow graph per function, built by the
+// ctrlflow pass in internal/analysis.
 //
 // Two analyzers are interprocedural: hotalloc proves the functions
 // annotated `spanlint:hotpath` transitively allocation-free, and
@@ -35,24 +33,16 @@ package main
 
 import (
 	"spanners/internal/analysis"
-	"spanners/internal/analyzers/atomicfield"
 	"spanners/internal/analyzers/ctxloop"
-	"spanners/internal/analyzers/goroleak"
 	"spanners/internal/analyzers/hotalloc"
 	"spanners/internal/analyzers/lockorder"
-	"spanners/internal/analyzers/releasepair"
-	"spanners/internal/analyzers/strictdecode"
 	"spanners/internal/analyzers/taintflow"
 )
 
 func main() {
 	analysis.Main(
-		releasepair.Analyzer,
-		goroleak.Analyzer,
 		lockorder.Analyzer,
-		atomicfield.Analyzer,
 		ctxloop.Analyzer,
-		strictdecode.Analyzer,
 		hotalloc.Analyzer,
 		taintflow.Analyzer,
 	)

@@ -49,8 +49,8 @@ type server struct {
 	corpora *corpus.Registry
 	mux     *http.ServeMux
 
-	inflight atomic.Int64 // requests currently being served; spanlint:atomic
-	served   atomic.Int64 // requests completed since start; spanlint:atomic
+	inflight atomic.Int64 // requests currently being served
+	served   atomic.Int64 // requests completed since start
 	started  time.Time
 }
 

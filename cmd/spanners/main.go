@@ -101,11 +101,11 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	}
 
 	var sp *spanner.Spanner
+	var q *spanner.Query
 	var files []string
 	var err error
 	switch {
 	case *queryStr != "":
-		var q *spanner.Query
 		if q, err = spanner.ParseQuery(*queryStr); err == nil {
 			sp, err = q.Compile(opts...)
 		}
@@ -122,7 +122,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		return exitError
 	}
 	if *stats {
-		printStats(stderr, sp)
+		printStats(stderr, sp, q, *noOpt)
 	}
 
 	ctx := context.Background()
@@ -401,15 +401,23 @@ func countValue(ctx context.Context, sp *spanner.Spanner, doc []byte) (val strin
 	return n.String(), n.Sign() > 0, nil
 }
 
-func printStats(w io.Writer, sp *spanner.Spanner) {
+// printStats prints sp's statistics and, for a query compile (q non-nil),
+// its plan trees; under -no-optimize (noOpt) the plan compiled is the
+// logical one.
+func printStats(w io.Writer, sp *spanner.Spanner, q *spanner.Query, noOpt bool) {
 	st := sp.Stats()
 	fmt.Fprintf(w, "pattern:        %s\n", st.Pattern)
 	fmt.Fprintf(w, "variables:      %s\n", strings.Join(st.Vars, ", "))
 	fmt.Fprintf(w, "mode:           %s\n", st.Mode)
 	fmt.Fprintf(w, "sequentialized: %v\n", st.Sequentialized)
-	if st.Plan != nil {
-		fmt.Fprintf(w, "plan (logical):\n%s\n", indent(st.Plan.Logical, "  "))
-		fmt.Fprintf(w, "plan (optimized):\n%s\n", indent(st.Plan.Optimized, "  "))
+	if q != nil {
+		if ex, err := q.Explain(); err == nil {
+			if noOpt {
+				ex.Optimized = ex.Logical
+			}
+			fmt.Fprintf(w, "plan (logical):\n%s\n", indent(ex.Logical, "  "))
+			fmt.Fprintf(w, "plan (optimized):\n%s\n", indent(ex.Optimized, "  "))
+		}
 	}
 	if st.VAStates > 0 {
 		// Query-composed spanners start from eVAs, skipping the VA stage.

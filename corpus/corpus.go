@@ -82,7 +82,7 @@ type Snapshot struct {
 	bytes      int64
 	owner      []int        // document ordinal -> shard
 	shards     [][]int      // shard -> ascending document ordinals
-	served     atomic.Int64 // matches served, this generation; spanlint:atomic
+	served     atomic.Int64 // matches served, this generation
 }
 
 // NewSnapshot partitions docs into shards and returns a free-standing
@@ -158,9 +158,8 @@ func (s *Snapshot) Served() int64 { return s.served.Load() }
 type Registry struct {
 	limits Limits
 
-	// mu's pairing, read/write mode discipline, and cross-function
-	// acquisition order are machine-checked by the lockorder analyzer
-	// in cmd/spanlint.
+	// mu's pairing and read/write mode discipline are machine-checked
+	// by the lockorder analyzer in cmd/spanlint.
 	mu      sync.RWMutex
 	corpora map[string]*Snapshot
 	// gens outlives deletion so re-registering a deleted name keeps the
@@ -265,11 +264,4 @@ func (r *Registry) List() []*Snapshot {
 	r.mu.RUnlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].name < out[j].name })
 	return out
-}
-
-// Len returns the number of registered corpora.
-func (r *Registry) Len() int {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return len(r.corpora)
 }

@@ -140,10 +140,7 @@ func (e *Engine) Process(n int, load func(DocID) ([]byte, error), emit func(DocI
 // never called after the cancellation is observed. ProcessContext returns
 // ctx.Err() when the batch was cut short by the context, nil when every
 // document was emitted or emit stopped the batch itself. No goroutines are
-// leaked either way. (That promise is machine-checked: the goroleak
-// analyzer in cmd/spanlint requires every goroutine launched in a library
-// package — the pool's workers included — to carry a termination
-// guarantee on all paths.)
+// leaked either way.
 //
 // emitted is the exact number of emit calls that ran: because the consumer
 // delivers strictly in input order, the documents emitted are precisely

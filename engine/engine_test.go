@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"runtime/debug"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -552,6 +553,49 @@ func TestProcessContextCancellationLeakFree(t *testing.T) {
 				t.Fatalf("%d of %d documents were loaded after a cancellation at emit %d", l, tc.n, tc.cancelAt)
 			}
 		})
+	}
+}
+
+// TestStoppedBatchReleasesEvaluations pins Process's release contract:
+// every evaluation goes back to the spanner's pool, whether it was emitted
+// or drained after emit stopped the batch. A warm batch then allocates
+// only its own bookkeeping: less than one evaluation that is never
+// released, and no more when emit stops after the first document than
+// when it runs to the end.
+func TestStoppedBatchReleasesEvaluations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts at random under the race detector")
+	}
+	// A collection would move the pool to its victim cache and a second
+	// one would empty it; keep the measurement about reuse alone.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+
+	const n = 8
+	s := spanner.MustCompile(gen.Figure1Pattern(), spanner.WithStrict())
+	docs := make([][]byte, n)
+	for i := range docs {
+		docs[i] = gen.Contacts(40, int64(i))
+	}
+	eng := engine.New(s, engine.Workers(1))
+	batch := func(stopAfter int) func() {
+		return func() {
+			eng.Process(n,
+				func(i engine.DocID) ([]byte, error) { return docs[i], nil },
+				func(i engine.DocID, _ *spanner.Evaluation, _ error) bool { return int(i)+1 < stopAfter })
+		}
+	}
+	// Two collections empty the pool of what earlier tests left in it,
+	// so that every unreleased evaluation starts on fresh scratch.
+	runtime.GC()
+	runtime.GC()
+	leaked := testing.AllocsPerRun(20, func() { s.Preprocess(docs[0]) })
+	full := testing.AllocsPerRun(20, batch(n))
+	stopped := testing.AllocsPerRun(20, batch(1))
+	if full >= leaked {
+		t.Errorf("a warm batch of %d documents made %v allocations per run, not fewer than one unreleased evaluation (%v)", n, full, leaked)
+	}
+	if stopped > full {
+		t.Errorf("a batch stopped after its first document made %v allocations per run, more than the full batch's %v", stopped, full)
 	}
 }
 

@@ -96,57 +96,6 @@ func CondEdge(from, to *Block) (cond ast.Expr, taken bool, ok bool) {
 	return cond, to == from.Succs[0], true
 }
 
-// Reachable computes which blocks are reachable from the entry block.
-// Analyzers must skip unreachable blocks: their dataflow facts are
-// undefined.
-func (c *CFG) Reachable() []bool {
-	seen := make([]bool, len(c.Blocks))
-	var stack []*Block
-	if len(c.Blocks) > 0 {
-		seen[0] = true
-		stack = append(stack, c.Blocks[0])
-	}
-	for len(stack) > 0 {
-		b := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, s := range b.Succs {
-			if !seen[s.Index] {
-				seen[s.Index] = true
-				stack = append(stack, s)
-			}
-		}
-	}
-	return seen
-}
-
-// HasCycle reports whether any reachable block can reach itself — i.e.
-// the function contains a loop (for, range, or a backward goto).
-func (c *CFG) HasCycle() bool {
-	const (
-		white = 0
-		grey  = 1
-		black = 2
-	)
-	color := make([]uint8, len(c.Blocks))
-	var visit func(b *Block) bool
-	visit = func(b *Block) bool {
-		color[b.Index] = grey
-		for _, s := range b.Succs {
-			switch color[s.Index] {
-			case grey:
-				return true
-			case white:
-				if visit(s) {
-					return true
-				}
-			}
-		}
-		color[b.Index] = black
-		return false
-	}
-	return len(c.Blocks) > 0 && visit(c.Blocks[0])
-}
-
 // TerminalCall reports whether e is a call that never returns: the
 // panic builtin, or a selector call named like the conventional
 // process/test terminators (os.Exit, log.Fatal*, runtime.Goexit,

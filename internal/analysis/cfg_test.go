@@ -22,6 +22,55 @@ func buildCFG(t *testing.T, body string) (*CFG, *token.FileSet) {
 	return NewCFG(fn.Body, nil), fset
 }
 
+// reachable computes which blocks are reachable from the entry block.
+func reachable(c *CFG) []bool {
+	seen := make([]bool, len(c.Blocks))
+	var stack []*Block
+	if len(c.Blocks) > 0 {
+		seen[0] = true
+		stack = append(stack, c.Blocks[0])
+	}
+	for len(stack) > 0 {
+		b := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, s := range b.Succs {
+			if !seen[s.Index] {
+				seen[s.Index] = true
+				stack = append(stack, s)
+			}
+		}
+	}
+	return seen
+}
+
+// hasCycle reports whether any reachable block can reach itself — i.e.
+// the function contains a loop (for, range, or a backward goto).
+func hasCycle(c *CFG) bool {
+	const (
+		white = 0
+		grey  = 1
+		black = 2
+	)
+	color := make([]uint8, len(c.Blocks))
+	var visit func(b *Block) bool
+	visit = func(b *Block) bool {
+		color[b.Index] = grey
+		for _, s := range b.Succs {
+			switch color[s.Index] {
+			case grey:
+				return true
+			case white:
+				if visit(s) {
+					return true
+				}
+			}
+		}
+		color[b.Index] = black
+		return false
+	}
+	return len(c.Blocks) > 0 && visit(c.Blocks[0])
+}
+
 func TestCFGShapes(t *testing.T) {
 	tests := []struct {
 		name string
@@ -47,7 +96,7 @@ x = 3`,
 				if preds(c, label) != 2 {
 					t.Errorf("label.out has %d predecessors, want 2\n%s", preds(c, label), c.Format(fset))
 				}
-				if c.HasCycle() {
+				if hasCycle(c) {
 					t.Errorf("forward goto reported as cycle\n%s", c.Format(fset))
 				}
 			},
@@ -61,7 +110,7 @@ if x > 0 {
 	goto retry
 }`,
 			want: func(t *testing.T, c *CFG, fset *token.FileSet) {
-				if !c.HasCycle() {
+				if !hasCycle(c) {
 					t.Errorf("backward goto not detected as cycle\n%s", c.Format(fset))
 				}
 			},
@@ -153,7 +202,7 @@ if mu == 0 {
 mu = 2`,
 			want: func(t *testing.T, c *CFG, fset *token.FileSet) {
 				var panics, falls int
-				reach := c.Reachable()
+				reach := reachable(c)
 				for _, b := range c.Blocks {
 					if !reach[b.Index] {
 						continue
@@ -193,7 +242,7 @@ _ = y`,
 				if head.Succs[0].Kind != "range.body" || head.Succs[1].Kind != "range.done" {
 					t.Errorf("range head succs = %s, %s\n%s", head.Succs[0].Kind, head.Succs[1].Kind, c.Format(fset))
 				}
-				if !c.HasCycle() {
+				if !hasCycle(c) {
 					t.Errorf("range loop not a cycle\n%s", c.Format(fset))
 				}
 			},
@@ -299,7 +348,7 @@ if x > 0 {
 x = 2`,
 			want: func(t *testing.T, c *CFG, fset *token.FileSet) {
 				var returns int
-				reach := c.Reachable()
+				reach := reachable(c)
 				for _, b := range c.Blocks {
 					if reach[b.Index] && b.Exit == ExitReturn {
 						returns++
@@ -330,7 +379,7 @@ func findBlock(t *testing.T, c *CFG, kind string) *Block {
 }
 
 func findBlocks(c *CFG, kind string) []*Block {
-	reach := c.Reachable()
+	reach := reachable(c)
 	var out []*Block
 	for _, b := range c.Blocks {
 		if reach[b.Index] && b.Kind == kind {
@@ -348,7 +397,7 @@ func entryOf(t *testing.T, c *CFG, kind string) *Block {
 	if len(target) == 0 {
 		t.Fatalf("no %q block", kind)
 	}
-	reach := c.Reachable()
+	reach := reachable(c)
 	for _, b := range c.Blocks {
 		if !reach[b.Index] {
 			continue
@@ -364,7 +413,7 @@ func entryOf(t *testing.T, c *CFG, kind string) *Block {
 }
 
 func preds(c *CFG, target *Block) int {
-	reach := c.Reachable()
+	reach := reachable(c)
 	n := 0
 	for _, b := range c.Blocks {
 		if !reach[b.Index] {

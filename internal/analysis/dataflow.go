@@ -80,10 +80,3 @@ func (f *Flow[L]) Solve() (in []L, reached []bool) {
 	}
 	return in, reached
 }
-
-// BlockExit recomputes the state at the end of block b from its entry
-// state — a convenience for reporting passes that need per-node states
-// and therefore re-run Transfer themselves anyway.
-func (f *Flow[L]) BlockExit(b *Block, entry L) L {
-	return f.Transfer(b, f.Clone(entry))
-}

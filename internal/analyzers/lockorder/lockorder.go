@@ -3,11 +3,10 @@
 // other sync.Mutex/RWMutex): within a function, every Lock/RLock must
 // reach its matching Unlock/RUnlock on all paths — deferred unlocks
 // cover panic paths, explicit ones do not — with no double-acquire and
-// no mode mismatch (Unlock after RLock or vice versa); and across
-// functions, the order in which the package's shared mutexes are
-// acquired must be consistent, computed over a package-local call graph
-// to a fixpoint (two functions taking A→B and B→A can deadlock under
-// contention — the class PR 5 measured).
+// no mode mismatch (Unlock after RLock or vice versa, deferred or not);
+// and no call, while a shared mutex is held, to a same-package function
+// that (transitively, over a package-local call graph computed to a
+// fixpoint) locks it again.
 //
 // The intra-procedural pass is a forward dataflow over the shared
 // control-flow graphs: the state tracks, per mutex reference (rooted at
@@ -43,12 +42,12 @@ import (
 
 var Analyzer = &analysis.Analyzer{
 	Name: "lockorder",
-	Doc: "check mutex pairing, reentrancy, and cross-function lock order\n\n" +
+	Doc: "check mutex pairing, mode, and reentrancy\n\n" +
 		"Every sync.Mutex/RWMutex Lock or RLock must be released on all\n" +
 		"paths (deferred to cover panics), never re-acquired while held,\n" +
-		"released in the matching mode, and acquired in a consistent order\n" +
-		"across the package's call graph. Functions marked spanlint:nolock\n" +
-		"(the lock-free Stats contract) must not acquire a mutex at all.",
+		"directly or through a same-package call, and released in the\n" +
+		"matching mode. Functions marked spanlint:nolock (the lock-free\n" +
+		"Stats contract) must not acquire a mutex at all.",
 	Requires: []*analysis.Analyzer{analysis.CFGAnalyzer},
 	Run:      run,
 }
@@ -99,8 +98,8 @@ type lockInfo struct {
 	mode byte
 	pos  token.Pos
 	// class is the package-visible identity of the mutex (a struct
-	// field or package-level variable), nil for locals; order edges are
-	// recorded between classes.
+	// field or package-level variable), nil for locals; a call is
+	// checked for re-entrancy against the held classes.
 	class types.Object
 	// deferred: the matching unlock is deferred from here on (covers
 	// panic paths too).
@@ -159,12 +158,6 @@ func equal(a, b state) bool {
 	return true
 }
 
-// orderEdge records "to was acquired while from was held" at pos.
-type orderEdge struct {
-	from, to types.Object
-	pos      token.Pos
-}
-
 func run(pass *analysis.Pass) (any, error) {
 	cfgs := pass.ResultOf[analysis.CFGAnalyzer].(*analysis.CFGs)
 	pc := &pkgChecker{
@@ -188,7 +181,6 @@ func run(pass *analysis.Pass) (any, error) {
 			return true
 		})
 	}
-	pc.checkOrder()
 	return nil, nil
 }
 
@@ -210,7 +202,6 @@ type pkgChecker struct {
 	pass      *analysis.Pass
 	cfgs      *analysis.CFGs
 	summaries map[*types.Func]*summary
-	edges     []orderEdge
 	// reported dedups per-acquisition diagnostics across the exits of a
 	// function.
 	reported map[token.Pos]bool
@@ -381,10 +372,10 @@ func (pc *pkgChecker) line(p token.Pos) int { return pc.pass.Fset.Position(p).Li
 // node applies one CFG node to the state. Nested function literals are
 // skipped except inside defer, where an unlocking closure counts as a
 // deferred release. With report set, double-acquire, mode-mismatch, and
-// cross-function diagnostics fire and order edges are recorded.
+// re-entrancy diagnostics fire.
 func (pc *pkgChecker) node(n ast.Node, st state, report bool) {
 	if d, ok := n.(*ast.DeferStmt); ok {
-		pc.deferNode(d, st)
+		pc.deferNode(d, st, report)
 		return
 	}
 	// Selectors in call position are events; bare lock-method selectors
@@ -443,24 +434,11 @@ func (pc *pkgChecker) apply(ev event, key refKey, sel *ast.SelectorExpr, call *a
 				}
 			}
 		}
-		cls := pc.classOf(sel.X)
-		if report && cls != nil {
-			for _, held := range sortedKeys(st) {
-				if hc := st[held].class; hc != nil && hc != cls {
-					pc.edges = append(pc.edges, orderEdge{from: hc, to: cls, pos: call.Pos()})
-				}
-			}
-		}
-		st[key] = lockInfo{mode: ev.mode, pos: call.Pos(), class: cls, definite: true}
+		st[key] = lockInfo{mode: ev.mode, pos: call.Pos(), class: pc.classOf(sel.X), definite: true}
 	case release:
 		if held, ok := st[key]; ok {
-			if held.definite && held.mode != ev.mode && report && !pc.reported[call.Pos()] {
-				pc.reported[call.Pos()] = true
-				if held.mode == 'R' {
-					pc.pass.Reportf(call.Pos(), "%s is read-locked (line %d) but released with Unlock; use RUnlock", describeKey(key), pc.line(held.pos))
-				} else {
-					pc.pass.Reportf(call.Pos(), "%s is write-locked (line %d) but released with RUnlock; use Unlock", describeKey(key), pc.line(held.pos))
-				}
+			if report {
+				pc.checkMode(key, held, ev, call)
 			}
 			delete(st, key)
 		}
@@ -469,9 +447,22 @@ func (pc *pkgChecker) apply(ev event, key refKey, sel *ast.SelectorExpr, call *a
 	}
 }
 
+// checkMode reports a release, immediate or deferred, whose mode does not
+// match the definitely held lock's.
+func (pc *pkgChecker) checkMode(key refKey, held lockInfo, ev event, call *ast.CallExpr) {
+	if !held.definite || held.mode == ev.mode || pc.reported[call.Pos()] {
+		return
+	}
+	pc.reported[call.Pos()] = true
+	if held.mode == 'R' {
+		pc.pass.Reportf(call.Pos(), "%s is read-locked (line %d) but released with Unlock; use RUnlock", describeKey(key), pc.line(held.pos))
+	} else {
+		pc.pass.Reportf(call.Pos(), "%s is write-locked (line %d) but released with RUnlock; use Unlock", describeKey(key), pc.line(held.pos))
+	}
+}
+
 // callSite checks a call to a same-package function against the held
-// locks: re-acquiring a held class deadlocks; acquiring a new class
-// records an order edge.
+// locks: re-acquiring a held class deadlocks.
 func (pc *pkgChecker) callSite(call *ast.CallExpr, st state) {
 	callee := pc.pass.Callee(call)
 	if callee == nil {
@@ -486,27 +477,25 @@ func (pc *pkgChecker) callSite(call *ast.CallExpr, st state) {
 		if info.class == nil || !info.definite {
 			continue
 		}
-		if sum.locks[info.class] {
-			if !pc.reported[call.Pos()] {
-				pc.reported[call.Pos()] = true
-				pc.pass.Reportf(call.Pos(), "calling %s while holding %s (line %d): %s (transitively) locks it again — self-deadlock",
-					sum.name, describeKey(k), pc.line(info.pos), sum.name)
-			}
-			continue
-		}
-		for _, cls := range sortedClasses(sum.locks) {
-			pc.edges = append(pc.edges, orderEdge{from: info.class, to: cls, pos: call.Pos()})
+		if sum.locks[info.class] && !pc.reported[call.Pos()] {
+			pc.reported[call.Pos()] = true
+			pc.pass.Reportf(call.Pos(), "calling %s while holding %s (line %d): %s (transitively) locks it again — self-deadlock",
+				sum.name, describeKey(k), pc.line(info.pos), sum.name)
 		}
 	}
 }
 
 // deferNode marks deferred releases: `defer mu.Unlock()` directly, or a
-// deferred closure whose body unlocks.
-func (pc *pkgChecker) deferNode(d *ast.DeferStmt, st state) {
+// deferred closure whose body unlocks. With report set, a deferred
+// release in the wrong mode is reported.
+func (pc *pkgChecker) deferNode(d *ast.DeferStmt, st state, report bool) {
 	mark := func(call *ast.CallExpr) {
 		if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
 			if ev, key, ok := pc.lockMethodOn(sel); ok && ev.kind == release {
 				if info, held := st[key]; held {
+					if report {
+						pc.checkMode(key, info, ev, call)
+					}
 					info.deferred = true
 					st[key] = info
 				}
@@ -521,53 +510,6 @@ func (pc *pkgChecker) deferNode(d *ast.DeferStmt, st state) {
 			}
 			return true
 		})
-	}
-}
-
-// checkOrder reports every recorded acquisition-order edge that sits on
-// a cycle: A-while-holding-B somewhere and B-while-holding-A elsewhere
-// can deadlock under contention.
-func (pc *pkgChecker) checkOrder() {
-	adj := make(map[types.Object]map[types.Object]bool)
-	for _, e := range pc.edges {
-		if adj[e.from] == nil {
-			adj[e.from] = make(map[types.Object]bool)
-		}
-		adj[e.from][e.to] = true
-	}
-	reaches := func(from, to types.Object) bool {
-		seen := map[types.Object]bool{from: true}
-		stack := []types.Object{from}
-		for len(stack) > 0 {
-			n := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			for next := range adj[n] {
-				if next == to {
-					return true
-				}
-				if !seen[next] {
-					seen[next] = true
-					stack = append(stack, next)
-				}
-			}
-		}
-		return false
-	}
-	var bad []orderEdge
-	seen := make(map[orderEdge]bool)
-	for _, e := range pc.edges {
-		if seen[e] {
-			continue
-		}
-		seen[e] = true
-		if reaches(e.to, e.from) {
-			bad = append(bad, e)
-		}
-	}
-	sort.Slice(bad, func(i, j int) bool { return bad[i].pos < bad[j].pos })
-	for _, e := range bad {
-		pc.pass.Reportf(e.pos, "inconsistent lock order: %s is acquired while %s is held, but elsewhere they are acquired in the opposite order — deadlock under contention",
-			e.to.Name(), e.from.Name())
 	}
 }
 
@@ -653,13 +595,4 @@ func sortedKeys(st state) []refKey {
 		return strings.Compare(keys[i].path, keys[j].path) < 0
 	})
 	return keys
-}
-
-func sortedClasses(set map[types.Object]bool) []types.Object {
-	out := make([]types.Object, 0, len(set))
-	for cls := range set {
-		out = append(out, cls)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Pos() < out[j].Pos() })
-	return out
 }

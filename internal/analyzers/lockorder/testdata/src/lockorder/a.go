@@ -2,8 +2,8 @@
 // must stay clean (defer-unlock, explicit branch unlocks, the
 // method-value unlock handoff, conditional lock+defer), and
 // the discipline violations the contract forbids (leaked locks, locks
-// held across panics, double-acquire, mode mismatches, self-deadlock
-// through a helper, and inconsistent cross-function order).
+// held across panics, double-acquire, mode mismatches, and self-deadlock
+// through a helper).
 package lockorder
 
 import "sync"
@@ -119,6 +119,18 @@ func badWrongModeRUnlock(mu *sync.RWMutex) {
 	mu.RUnlock() // want `mu is write-locked .* use Unlock`
 }
 
+func badDeferredWrongModeUnlock(mu *sync.RWMutex) {
+	mu.RLock()
+	defer mu.Unlock() // want `mu is read-locked .* use RUnlock`
+	work()
+}
+
+func badDeferredWrongModeRUnlock(mu *sync.RWMutex) {
+	mu.Lock()
+	defer mu.RUnlock() // want `mu is write-locked .* use Unlock`
+	work()
+}
+
 var pmu sync.Mutex
 
 func helperLocks() {
@@ -131,23 +143,4 @@ func badSelfDeadlock() {
 	pmu.Lock()
 	helperLocks() // want `calling helperLocks while holding pmu .* self-deadlock`
 	pmu.Unlock()
-}
-
-var (
-	muA sync.Mutex
-	muB sync.Mutex
-)
-
-func lockAB() {
-	muA.Lock()
-	muB.Lock() // want `inconsistent lock order: muB is acquired while muA is held`
-	muB.Unlock()
-	muA.Unlock()
-}
-
-func lockBA() {
-	muB.Lock()
-	muA.Lock() // want `inconsistent lock order: muA is acquired while muB is held`
-	muA.Unlock()
-	muB.Unlock()
 }

@@ -81,7 +81,6 @@ type subsets struct {
 	over  bool
 	// minted mirrors count() behind an atomic, so that
 	// Lazy.StatesDiscovered never touches the tables evaluations mutate.
-	// spanlint:atomic
 	minted atomic.Int64
 	// caps backs the capture lists captures hands out, which are carved
 	// from it in turn.

@@ -164,8 +164,8 @@ func (q *Query) Vars() ([]string, error) {
 }
 
 // Explain describes a query's logical plan before and after the optimizer
-// rewrites, each rendered as an indented tree (one node per line). It is
-// attached to Stats.Plan by Query.Compile and printed by the CLI's -stats.
+// rewrites, each rendered as an indented tree (one node per line). The
+// CLI's -stats prints it.
 type Explain struct {
 	Logical   string
 	Optimized string
@@ -192,8 +192,7 @@ func (q *Query) Explain() (Explain, error) {
 // as a directly compiled pattern.
 //
 // The spanner's Pattern() is the query's canonical syntax (see String), so
-// it re-parses via ParseQuery; Stats().Plan records the logical and
-// optimized plan trees.
+// it re-parses via ParseQuery; Explain renders the plan trees.
 func (q *Query) Compile(opts ...Option) (*Spanner, error) {
 	start := time.Now()
 	var cfg config
@@ -204,11 +203,9 @@ func (q *Query) Compile(opts ...Option) (*Spanner, error) {
 	if err != nil {
 		return nil, err
 	}
-	ex := &Explain{Logical: p.render()}
 	if !cfg.noOptimize {
 		p = optimize(p)
 	}
-	ex.Optimized = p.render()
 	r, err := newLowerer().lower(p)
 	if err != nil {
 		return nil, err
@@ -223,7 +220,6 @@ func (q *Query) Compile(opts ...Option) (*Spanner, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.stats.Plan = ex
 	return s, nil
 }
 

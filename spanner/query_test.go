@@ -308,27 +308,23 @@ func TestJoinOrderingByEstimate(t *testing.T) {
 	}
 }
 
-// TestQueryStatsPlan checks the Stats wiring: query compiles carry the
-// plan, plain pattern compiles do not, and WithoutOptimization records the
-// unrewritten plan.
+// TestQueryStatsPlan checks the plan a query compile lowers: Explain
+// flattens the nested union into one n-ary union, and the compiled
+// spanner's Stats report the query's canonical syntax.
 func TestQueryStatsPlan(t *testing.T) {
-	if st := spanner.MustCompile(`a*`).Stats(); st.Plan != nil {
-		t.Fatalf("plain Compile should not carry a plan, got:\n%s", st.Plan.Logical)
-	}
 	q := spanner.Pattern(`a`).Union(spanner.Pattern(`b`).Union(spanner.Pattern(`c`)))
-	st := compileQ(t, q).Stats()
-	if st.Plan == nil {
-		t.Fatal("query compile should carry a plan")
+	ex, err := q.Explain()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if strings.Count(st.Plan.Optimized, "union") != 1 {
-		t.Fatalf("optimized plan should be one n-ary union:\n%s", st.Plan.Optimized)
+	if strings.Count(ex.Logical, "union") != 2 {
+		t.Fatalf("logical plan should keep both unions:\n%s", ex.Logical)
 	}
-	if st.Pattern != q.String() {
+	if strings.Count(ex.Optimized, "union") != 1 {
+		t.Fatalf("optimized plan should be one n-ary union:\n%s", ex.Optimized)
+	}
+	if st := compileQ(t, q).Stats(); st.Pattern != q.String() {
 		t.Fatalf("Stats.Pattern = %q, want %q", st.Pattern, q.String())
-	}
-	un := compileQ(t, q, spanner.WithoutOptimization()).Stats()
-	if un.Plan == nil || un.Plan.Optimized != un.Plan.Logical {
-		t.Fatal("WithoutOptimization should record the plan exactly as written")
 	}
 }
 
@@ -368,7 +364,11 @@ func TestQueryUnionFlattensAndDedups(t *testing.T) {
 	if back := spanner.MustParseQuery(want).String(); back != want {
 		t.Fatalf("Pattern does not round-trip: %q", back)
 	}
-	if st := u2.Stats(); strings.Count(st.Plan.Optimized, "/") != 2*2 {
-		t.Fatalf("optimized plan should hold 2 deduplicated leaves:\n%s", st.Plan.Optimized)
+	ex, err := q2.Explain()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Count(ex.Optimized, "/") != 2*2 {
+		t.Fatalf("optimized plan should hold 2 deduplicated leaves:\n%s", ex.Optimized)
 	}
 }

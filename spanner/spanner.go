@@ -86,9 +86,8 @@ func WithStrict() Option { return func(c *config) { c.mode = ModeStrict } }
 // during evaluations.
 //
 // The lock-free half of this contract is machine-checked by cmd/spanlint:
-// the atomicfield analyzer keeps the discovered-state counter on
-// sync/atomic operations, and the lockorder analyzer's spanlint:nolock
-// check proves the Stats path never reaches a mutex acquisition.
+// the lockorder analyzer's spanlint:nolock check proves that Stats takes
+// no mutex and calls no same-package function that does.
 func WithLazy() Option { return func(c *config) { c.mode = ModeLazy } }
 
 // WithMode selects the determinization mode explicitly.
@@ -151,10 +150,6 @@ type Stats struct {
 	PrefilterSkippedBytes int64
 	PrefilterFallbacks    int64
 	CompileTime           time.Duration
-	// Plan holds the logical and optimized plan trees when the spanner was
-	// compiled from a Query; nil for plain pattern compiles. The pointer is
-	// shared across Stats calls; treat it as read-only.
-	Plan *Explain
 }
 
 // Spanner is a compiled document spanner. It is immutable from the caller's
@@ -174,9 +169,7 @@ type Spanner struct {
 	// accSkipped/accFallbacks aggregate the scan-acceleration counters
 	// across evaluations; Stats surfaces them as PrefilterSkippedBytes and
 	// PrefilterFallbacks.
-	// spanlint:atomic
-	accSkipped atomic.Int64
-	// spanlint:atomic
+	accSkipped   atomic.Int64
 	accFallbacks atomic.Int64
 }
 

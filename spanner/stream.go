@@ -172,9 +172,7 @@ type Evaluation struct {
 // Preprocess runs the preprocessing pass over doc using pooled scratch and
 // returns the deferred evaluation. Call Enumerate (any number of times)
 // and then Release; a dropped Evaluation is safe but forgoes scratch
-// reuse. The pairing is machine-checked: cmd/spanlint's releasepair
-// analyzer verifies that every Preprocess/PreprocessContext result
-// reaches Release (or is handed off) on all paths, error paths included.
+// reuse.
 func (s *Spanner) Preprocess(doc []byte) *Evaluation {
 	ev, _ := s.PreprocessContext(context.Background(), doc) // cannot fail
 	return ev
