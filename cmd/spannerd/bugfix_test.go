@@ -84,42 +84,45 @@ func TestTrailingGarbageRejected(t *testing.T) {
 	}
 }
 
-// flushCountingWriter counts Write and Flush calls and the rows written
-// since the last flush, recording the largest unflushed run.
+// flushCountingWriter counts Write calls and records where each Flush
+// lands in the body.
 type flushCountingWriter struct {
 	*httptest.ResponseRecorder
-	writes          int
-	flushes         int
-	rowsSinceFlush  int
-	maxRunUnflushed int
+	writes  int
+	flushAt []int // the body's length at each Flush
+	bare    int   // Flush calls that did not follow exactly one Write
+	pending int   // Write calls since the last Flush
 }
 
 func (w *flushCountingWriter) Write(p []byte) (int, error) {
 	w.writes++
-	w.rowsSinceFlush += strings.Count(string(p), "\n")
-	if w.rowsSinceFlush > w.maxRunUnflushed {
-		w.maxRunUnflushed = w.rowsSinceFlush
-	}
+	w.pending++
 	return w.ResponseRecorder.Write(p)
 }
 
 func (w *flushCountingWriter) Flush() {
-	w.flushes++
-	w.rowsSinceFlush = 0
+	if w.pending != 1 {
+		w.bare++
+	}
+	w.pending = 0
+	w.flushAt = append(w.flushAt, w.Body.Len())
 	w.ResponseRecorder.Flush()
 }
 
 // TestFlushCadenceWithinDocument pins the streaming fix: one huge document
 // used to buffer its entire match stream (the handler only flushed between
 // documents), so a client watching a long extraction saw nothing until the
-// document finished. The handler now flushes every 256 rows inside a
-// document, on every path (single doc, batch, corpus). Between flushes it
-// coalesces rows into few writes: one per flush, plus one per 32 KiB of
-// buffered rows, plus the trailer.
+// document finished. The handler now pushes its rows, one Write and one
+// Flush, whenever a batch has filled, on every path (single doc, batch,
+// corpus): the first push within firstBatch bytes plus one row, and no
+// later run of unflushed bytes longer than writeBatch plus one row, so a
+// document with more rows than that shows several pushes inside it. Only
+// the last document's rows and the trailer are written unflushed.
 func TestFlushCadenceWithinDocument(t *testing.T) {
 	srv := newServer(serverConfig{defaultMode: 0})
-	// ~3000 matches from a single document: "ab" repeated.
-	doc := strings.Repeat("ab", 3000)
+	// ~10000 matches, ~580 KB of rows, from a single document: "ab"
+	// repeated.
+	doc := strings.Repeat("ab", 10000)
 	const query = `/.*!x{ab}.*/`
 
 	serve := func(t *testing.T, method, target, body string) *flushCountingWriter {
@@ -136,43 +139,93 @@ func TestFlushCadenceWithinDocument(t *testing.T) {
 
 	for _, tc := range []struct {
 		name, target, body string
+		docs               int
 	}{
-		{"single doc", "/v1/enumerate", fmt.Sprintf(`{"query":%q,"docs":[%q]}`, query, doc)},
-		{"batch", "/v1/enumerate", fmt.Sprintf(`{"query":%q,"docs":[%q,%q]}`, query, doc, doc)},
-		{"corpus", "/v1/enumerate?corpus=cadence", fmt.Sprintf(`{"query":%q}`, query)},
+		{"single doc", "/v1/enumerate", fmt.Sprintf(`{"query":%q,"docs":[%q]}`, query, doc), 1},
+		{"batch", "/v1/enumerate", fmt.Sprintf(`{"query":%q,"docs":[%q,%q]}`, query, doc, doc), 2},
+		{"corpus", "/v1/enumerate?corpus=cadence", fmt.Sprintf(`{"query":%q}`, query), 2},
 	} {
 		w := serve(t, http.MethodPost, tc.target, tc.body)
-		rows, tr := ndjson(t, w.Body.String())
-		if len(rows) < 1000 {
-			t.Fatalf("%s: test document produced only %d rows", tc.name, len(rows))
+		body := w.Body.String()
+		rows, tr := ndjson(t, body)
+		if len(rows) < 5000*tc.docs {
+			t.Fatalf("%s: test documents produced only %d rows", tc.name, len(rows))
 		}
 		if tr.Error != "" {
 			t.Fatalf("%s: trailer = %+v", tc.name, tr)
 		}
-		if w.flushes < 4 {
-			t.Fatalf("%s: %d flushes, want the 256-row cadence (≥4)", tc.name, w.flushes)
+		if w.bare != 0 || w.pending > 2 {
+			t.Fatalf("%s: %d flushes without exactly one write before them, %d writes after the last; want every write flushed but the last rows and the trailer",
+				tc.name, w.bare, w.pending)
 		}
-		if w.maxRunUnflushed > 300 {
-			t.Fatalf("%s: longest unflushed run is %d rows; the 256-row cadence must bound it", tc.name, w.maxRunUnflushed)
+		line := longestLine(body)
+		if len(w.flushAt) == 0 || w.flushAt[0] > firstBatch+line {
+			t.Fatalf("%s: first flush at %v bytes, want one within %d+%d", tc.name, w.flushAt, firstBatch, line)
 		}
-		if limit := w.flushes + (w.Body.Len()+writeBatch-1)/writeBatch + 1; w.writes > limit {
-			t.Fatalf("%s: %d writes for %d flushes and %d bytes, want at most %d: rows must be coalesced",
-				tc.name, w.writes, w.flushes, w.Body.Len(), limit)
+		prev := 0
+		for _, at := range append(w.flushAt, len(body)) {
+			if at-prev > writeBatch+line {
+				t.Fatalf("%s: %d bytes between flushes at %d and %d; want at most one batch, %d+%d",
+					tc.name, at-prev, prev, at, writeBatch, line)
+			}
+			prev = at
+		}
+		// A push inside a document lands between two of its rows.
+		inside := make([]int, tc.docs)
+		for _, at := range w.flushAt {
+			before := body[strings.LastIndexByte(body[:at-1], '\n')+1 : at]
+			after := body[at : at+strings.IndexByte(body[at:], '\n')+1]
+			if d := rowDoc(t, before); d == rowDoc(t, after) {
+				inside[d]++
+			}
+		}
+		for d, n := range inside {
+			if n < 2 {
+				t.Fatalf("%s: document %d shows %d pushes inside it, want at least 2 (flushes at %v)", tc.name, d, n, w.flushAt)
+			}
 		}
 	}
 }
 
+// longestLine returns the length of body's longest line, newline
+// included: one row, or the trailer, at its longest.
+func longestLine(body string) int {
+	n := 0
+	for _, l := range strings.SplitAfter(body, "\n") {
+		n = max(n, len(l))
+	}
+	return n
+}
+
+// rowDoc returns the document of an NDJSON row, or -1 for the trailer.
+func rowDoc(t *testing.T, line string) int {
+	t.Helper()
+	var row struct {
+		Doc     *int `json:"doc"`
+		Trailer bool `json:"trailer"`
+	}
+	if err := json.Unmarshal([]byte(line), &row); err != nil || row.Doc == nil && !row.Trailer {
+		t.Fatalf("line %q is neither a row nor the trailer (%v)", line, err)
+	}
+	if row.Trailer {
+		return -1
+	}
+	return *row.Doc
+}
+
 // TestEnumerateLastDocumentSharesTrailerFlush pins the end of the stream:
-// every document but the last is flushed when its rows end, and the last
-// document's rows go out with the trailer in one flush. A one-document
-// request is therefore one rows write, one trailer write and one flush.
+// every document but the last is pushed when its rows end, and the last
+// document's rows and the trailer are written with no explicit flush,
+// since net/http sends them with the terminating chunk when the handler
+// returns. A one-document request is therefore one rows write, one
+// trailer write and no flush.
 func TestEnumerateLastDocumentSharesTrailerFlush(t *testing.T) {
 	srv := newServer(serverConfig{defaultMode: 0})
 	for _, tc := range []struct {
 		docs, wantFlushes int
 	}{
-		{1, 1},
-		{3, 3},
+		{1, 0},
+		{3, 2},
 	} {
 		docs := make([]string, tc.docs)
 		for i := range docs {
@@ -186,8 +239,8 @@ func TestEnumerateLastDocumentSharesTrailerFlush(t *testing.T) {
 		if w.Code != http.StatusOK || len(rows) != 2*tc.docs || tr.DocsProcessed != tc.docs {
 			t.Fatalf("%d docs: status %d, %d rows, trailer %+v", tc.docs, w.Code, len(rows), tr)
 		}
-		if w.flushes != tc.wantFlushes {
-			t.Fatalf("%d docs: %d flushes, want %d", tc.docs, w.flushes, tc.wantFlushes)
+		if len(w.flushAt) != tc.wantFlushes {
+			t.Fatalf("%d docs: %d flushes, want %d", tc.docs, len(w.flushAt), tc.wantFlushes)
 		}
 		if tc.docs == 1 && w.writes != 2 {
 			t.Fatalf("one document: %d writes, want the rows and the trailer", w.writes)
@@ -200,11 +253,11 @@ func TestEnumerateLastDocumentSharesTrailerFlush(t *testing.T) {
 // call from the failing one on.
 type deadClientWriter struct {
 	*httptest.ResponseRecorder
-	limit          int
-	failedWrites   int // the failing Write and any after it
-	rowsAfterLimit int // rows carried by those writes
-	callsAfterFail int // Write or Flush calls after the failing one
-	offered        strings.Builder
+	limit           int
+	failedWrites    int // the failing Write and any after it
+	bytesAfterLimit int // bytes carried by those writes
+	callsAfterFail  int // Write or Flush calls after the failing one
+	offered         strings.Builder
 }
 
 func (w *deadClientWriter) Write(p []byte) (int, error) {
@@ -214,7 +267,7 @@ func (w *deadClientWriter) Write(p []byte) (int, error) {
 	}
 	if w.failedWrites > 0 || w.Body.Len()+len(p) > w.limit {
 		w.failedWrites++
-		w.rowsAfterLimit += strings.Count(string(p), "\n")
+		w.bytesAfterLimit += len(p)
 		return 0, errors.New("client disconnected")
 	}
 	return w.ResponseRecorder.Write(p)
@@ -228,11 +281,12 @@ func (w *deadClientWriter) Flush() {
 }
 
 // TestDeadClientStopsEnumeration pins the dead-client path: a write that
-// fails mid-stream stops the enumeration within one batch (at most 256
-// rows are rendered past the last accepted byte), no trailer is written,
-// and the handler returns promptly even though the full stream — cubic in
-// the document — would take far longer to produce. On the batch path the
-// engine's workers must unwind as well, leaving nothing behind.
+// fails mid-stream stops the enumeration within one batch (at most
+// writeBatch bytes plus one row are offered past the last accepted byte),
+// no trailer is written, and the handler returns promptly even though the
+// full stream — cubic in the document — would take far longer to
+// produce. On the batch path the engine's workers must unwind as well,
+// leaving nothing behind.
 func TestDeadClientStopsEnumeration(t *testing.T) {
 	srv := newServer(serverConfig{defaultMode: 0})
 	// ~10⁹ matches per document: x and y split any infix of it.
@@ -266,8 +320,10 @@ func TestDeadClientStopsEnumeration(t *testing.T) {
 			t.Fatalf("%s: %d failed writes and %d calls after the failure; want the handler to stop at the first",
 				tc.name, w.failedWrites, w.callsAfterFail)
 		}
-		if w.rowsAfterLimit > 256 {
-			t.Fatalf("%s: %d rows rendered past the dead client; want at most one batch (256)", tc.name, w.rowsAfterLimit)
+		line := longestLine(w.offered.String())
+		if w.bytesAfterLimit > writeBatch+line {
+			t.Fatalf("%s: %d bytes offered past the dead client; want at most one batch, %d+%d",
+				tc.name, w.bytesAfterLimit, writeBatch, line)
 		}
 		if strings.Contains(w.offered.String(), `"trailer"`) {
 			t.Fatalf("%s: a trailer was written to a dead client", tc.name)

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http/httptest"
+	"sync"
 	"testing"
 
 	"spanners/internal/gen"
@@ -27,6 +28,109 @@ func (w *cancelWriter) Write(p []byte) (int, error) {
 		w.cancel()
 	}
 	return w.ResponseRecorder.Write(p)
+}
+
+// deadlineCtx is a request context whose deadline the test trips by
+// hand: after expire, Done is closed and Err reports
+// context.DeadlineExceeded. Its AfterFunc method lets context.WithTimeout
+// register the handler's derived context with it directly, so expire
+// cancels that context before it returns rather than from a goroutine
+// watching Done: the handler's next check sees the deadline at a fixed
+// point of the response.
+type deadlineCtx struct {
+	context.Context // Deadline and Value: none
+	done            chan struct{}
+
+	mu    sync.Mutex
+	err   error
+	after map[*func()]bool // registered and neither run nor stopped
+}
+
+func newDeadlineCtx() *deadlineCtx {
+	return &deadlineCtx{Context: context.Background(), done: make(chan struct{}), after: make(map[*func()]bool)}
+}
+
+func (c *deadlineCtx) Done() <-chan struct{} { return c.done }
+
+func (c *deadlineCtx) Err() error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.err
+}
+
+// AfterFunc runs f once the deadline is tripped (at once, if it was), as
+// context.AfterFunc does; stop keeps a pending f from running.
+func (c *deadlineCtx) AfterFunc(f func()) (stop func() bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.err != nil {
+		go f()
+		return func() bool { return false }
+	}
+	c.after[&f] = true
+	return func() bool {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		pending := c.after[&f]
+		delete(c.after, &f)
+		return pending
+	}
+}
+
+// expire trips the deadline and runs the registered functions.
+func (c *deadlineCtx) expire() {
+	c.mu.Lock()
+	if c.err != nil {
+		c.mu.Unlock()
+		return
+	}
+	c.err = context.DeadlineExceeded
+	close(c.done)
+	after := c.after
+	c.after = nil
+	c.mu.Unlock()
+	for f := range after {
+		(*f)()
+	}
+}
+
+// enumerateUntilDeadline serves an enumerate request for target and body
+// in process, under a request context whose deadline passes once the
+// response has carried k rows, and returns the response's rows and
+// trailer.
+func enumerateUntilDeadline(t *testing.T, s *server, target string, body any, k int) ([]matchRow, trailer) {
+	t.Helper()
+	b, err := json.Marshal(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := newDeadlineCtx()
+	r := httptest.NewRequest("POST", target, bytes.NewReader(b)).WithContext(ctx)
+	w := &cancelWriter{ResponseRecorder: httptest.NewRecorder(), k: k, cancel: ctx.expire}
+	s.ServeHTTP(w, r)
+	if w.Code != 200 {
+		t.Fatalf("status %d: %s", w.Code, w.Body)
+	}
+	if w.rows < k {
+		t.Fatalf("the response carried %d rows, never reaching k = %d", w.rows, k)
+	}
+	return ndjson(t, w.Body.String())
+}
+
+// countPastDeadline serves a count request in process under a request
+// context whose deadline has already passed, and returns its status.
+func countPastDeadline(t *testing.T, s *server, target string, body any) (int, string) {
+	t.Helper()
+	b, err := json.Marshal(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := newDeadlineCtx()
+	ctx.expire()
+	r := httptest.NewRequest("POST", target, bytes.NewReader(b)).WithContext(ctx)
+	w := httptest.NewRecorder()
+	s.ServeHTTP(w, r)
+	return w.Code, w.Body.String()
 }
 
 // TestCancelledEnumerateAccounting cancels /v1/enumerate requests after

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -13,6 +14,7 @@ import (
 
 	"spanners/corpus"
 	"spanners/internal/gen"
+	"spanners/spanner"
 )
 
 // postRaw posts and returns the full response, for tests that need headers.
@@ -227,31 +229,24 @@ func TestCorpusEdgeSizes(t *testing.T) {
 	}
 }
 
-// TestCorpusDeadlineAccounting registers a corpus big enough that a short
-// deadline lands mid-stream and pins the trailer: error set, exact
+// TestCorpusDeadlineAccounting registers a corpus and lets a deadline
+// land mid-stream, once the client has received the rows of about two and
+// a half documents, then pins the trailer: error set, exact
 // processed/skipped split, every row inside the processed prefix.
 func TestCorpusDeadlineAccounting(t *testing.T) {
-	ts := testServer(t, serverConfig{})
+	s := newServer(serverConfig{defaultMode: spanner.ModeLazy})
+	ts := httptest.NewServer(s)
+	defer ts.Close()
 	doc := string(gen.Contacts(4000, 9))
 	docs := make([]string, 64)
 	for i := range docs {
 		docs[i] = doc
 	}
 	registerCorpus(t, ts, "big", docs)
-	// Warm the cache so compilation doesn't eat the budget.
-	if code, body := post(t, ts, "/v1/count", map[string]any{
-		"query": testQuery, "docs": []string{"warm"}}); code != http.StatusOK {
-		t.Fatalf("warmup: %d %s", code, body)
-	}
-	code, body := post(t, ts, "/v1/enumerate?corpus=big", map[string]any{
-		"query": testQuery, "timeout_ms": 15,
-	})
-	if code != http.StatusOK {
-		t.Fatalf("status %d: %s", code, body)
-	}
-	rows, tr := ndjson(t, body)
-	if tr.Error == "" {
-		t.Skip("machine evaluated ~6 MB under 15ms; deadline never landed")
+	k := 5 * len(refMatches(t, doc)) / 2
+	rows, tr := enumerateUntilDeadline(t, s, "/v1/enumerate?corpus=big", map[string]any{"query": testQuery}, k)
+	if tr.Error != context.DeadlineExceeded.Error() {
+		t.Fatalf("trailer error %q, want %q", tr.Error, context.DeadlineExceeded)
 	}
 	if tr.Docs != len(docs) || tr.DocsProcessed+tr.DocsSkipped != tr.Docs {
 		t.Fatalf("inconsistent accounting: %+v", tr)
@@ -279,8 +274,7 @@ func TestCorpusDeadlineAccounting(t *testing.T) {
 	}
 
 	// count over the corpus is all-or-nothing: same deadline, 504.
-	code, body = post(t, ts, "/v1/count?corpus=big", map[string]any{
-		"query": testQuery, "timeout_ms": 15})
+	code, body := countPastDeadline(t, s, "/v1/count?corpus=big", map[string]any{"query": testQuery})
 	if code != http.StatusGatewayTimeout {
 		t.Fatalf("count under deadline = %d (%s), want 504", code, body)
 	}

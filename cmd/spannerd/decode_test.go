@@ -63,6 +63,18 @@ func wireBodies(t testing.TB) []namedBody {
 	}
 }
 
+// wireBodyNamed returns the wireBodies body called name.
+func wireBodyNamed(t testing.TB, name string) []byte {
+	t.Helper()
+	for _, wb := range wireBodies(t) {
+		if wb.name == name {
+			return wb.body
+		}
+	}
+	t.Fatalf("no wire body %q", name)
+	return nil
+}
+
 // TestDecodeFastPathTakesWireBodies checks that the one-pass decoder
 // itself — not its decodeStrict fallback — decodes the benchmark bodies
 // and a corpus registration body, to decodeStrict's result.

@@ -175,14 +175,14 @@ func FuzzNDJSONRow(f *testing.F) {
 }
 
 // TestRowBufPoolDropsOversize: a row buffer a long row grew past
-// 4*writeBatch never goes back to the pool, so pooled buffers stay small.
+// maxPooledRows never goes back to the pool, so pooled buffers stay small.
 func TestRowBufPoolDropsOversize(t *testing.T) {
-	big := make([]byte, 0, 4*writeBatch+1)
+	big := make([]byte, 0, maxPooledRows+1)
 	putRowBuf(&big)
 	for range 8 {
 		b := getRowBuf()
-		if cap(*b) > 4*writeBatch {
-			t.Fatalf("pool returned a %d-byte buffer, over the %d-byte bound", cap(*b), 4*writeBatch)
+		if cap(*b) > maxPooledRows {
+			t.Fatalf("pool returned a %d-byte buffer, over the %d-byte bound", cap(*b), maxPooledRows)
 		}
 		defer putRowBuf(b)
 	}

@@ -267,21 +267,27 @@ func (d *docRows) appendRow(dst []byte, doc int, spans *jsonrow.Spans, m *spanne
 }
 
 const (
-	// flushRows is the enumerate response's flush cadence: every this
-	// many rows the handler writes and flushes what it has buffered and
-	// checks the deadline.
+	// flushRows is the enumerate response's deadline cadence: every this
+	// many rows the handler checks the request context itself, since the
+	// enumeration phase replays matches without touching the scan loops
+	// that check it.
 	flushRows = 256
-	// writeBatch bounds the rows buffered between flush points: a
-	// buffer this large is written at once, so long texts cannot grow
-	// it without limit.
-	writeBatch = 32 << 10
+	// firstBatch and writeBatch are the buffered sizes at which the rows
+	// of an enumerate response are pushed: firstBatch for its first push,
+	// so the first rows reach the client early, writeBatch for every push
+	// after it. net/http's connection writer turns every push into about
+	// three syscalls whatever its size, so the later pushes are large.
+	firstBatch = 32 << 10
+	writeBatch = 256 << 10
+	// maxPooledRows bounds the row buffers rowBufs keeps. A buffer is
+	// pushed once it reaches writeBatch bytes, so its capacity stays below
+	// this unless one long row grew it; such a buffer is left to the
+	// collector instead.
+	maxPooledRows = 2 * writeBatch
 )
 
 // rowBufs pools the enumerate responses' row buffers across requests, so
-// a small response does not grow a fresh buffer from nothing each time.
-// Since a buffer is written out once it reaches writeBatch bytes, its
-// capacity stays near that; one a long row grew past 4*writeBatch is left
-// to the collector instead.
+// a response does not grow a fresh buffer from nothing each time.
 var rowBufs sync.Pool
 
 func getRowBuf() *[]byte {
@@ -292,7 +298,7 @@ func getRowBuf() *[]byte {
 }
 
 func putRowBuf(b *[]byte) {
-	if cap(*b) <= 4*writeBatch {
+	if cap(*b) <= maxPooledRows {
 		rowBufs.Put(b)
 	}
 }
@@ -340,35 +346,33 @@ func (s *server) handleEnumerate(w http.ResponseWriter, r *http.Request) {
 
 	b.stamp(w)
 	w.Header().Set("Content-Type", "application/x-ndjson")
-	flush := func() {
-		if f, ok := w.(http.Flusher); ok {
-			f.Flush()
-		}
-	}
 	tr := trailer{Docs: b.len()}
 	spans := jsonrow.NewSpans(sp.Vars())
-	// Rows accumulate in buf, pooled across responses, and reach w in
-	// batches: at every flush point, at every document's end, before the
-	// trailer, and whenever buf reaches writeBatch bytes. A failed write
-	// is latched in writeErr and stops the enumeration at the next batch.
+	// Rows accumulate in buf, pooled across responses, and are pushed to
+	// the client (one Write, then one Flush) whenever buf reaches the
+	// batch size and at every document's end but the last. The last
+	// document's rows and the trailer are only written: net/http sends
+	// them with the terminating chunk when the handler returns. A failed
+	// write is latched in writeErr and stops the enumeration.
 	bp := getRowBuf()
 	buf := (*bp)[:0]
 	defer func() { *bp = buf; putRowBuf(bp) }()
+	batch := firstBatch
 	var writeErr error
 	write := func() bool {
 		if len(buf) > 0 && writeErr == nil {
 			_, writeErr = w.Write(buf)
+			batch = writeBatch
 		}
 		buf = buf[:0]
 		return writeErr == nil
 	}
-	// push writes the buffered rows and flushes them to the client.
+	flusher, _ := w.(http.Flusher)
 	push := func() bool {
-		if !write() {
-			return false
+		if len(buf) > 0 && write() && flusher != nil {
+			flusher.Flush()
 		}
-		flush()
-		return true
+		return writeErr == nil
 	}
 	emitDoc := func(doc int, m *spanner.Match, d *docRows) bool {
 		if req.Limit > 0 && d.n >= req.Limit {
@@ -381,15 +385,13 @@ func (s *server) handleEnumerate(w http.ResponseWriter, r *http.Request) {
 		}
 		buf = d.appendRow(buf, doc, spans, m)
 		tr.Matches++
-		// The enumeration phase replays matches without touching the scan
-		// loops, so every few hundred yields it checks the deadline itself
-		// — and pushes the buffered rows to the client, so one document
-		// with millions of matches still streams visible progress instead
-		// of buffering until the document (or the response) completes.
-		if tr.Matches%flushRows == 0 {
-			return push() && ctx.Err() == nil
+		// Pushing inside a document lets one with millions of matches
+		// stream visible progress instead of buffering until it (or the
+		// response) completes.
+		if len(buf) >= batch && !push() {
+			return false
 		}
-		return len(buf) < writeBatch || write()
+		return tr.Matches%flushRows != 0 || ctx.Err() == nil
 	}
 
 	eng := engine.New(sp, engine.Workers(s.cfg.workers))
@@ -400,8 +402,6 @@ func (s *server) handleEnumerate(w http.ResponseWriter, r *http.Request) {
 			ev.Enumerate(func(m *spanner.Match) bool {
 				return emitDoc(int(i), m, &d)
 			})
-			// The last document's rows go out with the trailer: one
-			// write and one flush instead of two.
 			return int(i) == tr.Docs-1 || push()
 		})
 	// Processed means delivery began: a deadline can land after rows were
@@ -424,7 +424,6 @@ func (s *server) handleEnumerate(w http.ResponseWriter, r *http.Request) {
 	tr.Trailer = true
 	tr.DocsSkipped = tr.Docs - tr.DocsProcessed
 	_ = json.NewEncoder(w).Encode(tr)
-	flush()
 }
 
 // countResult is one document's count in a count response. Count is a

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -338,30 +339,19 @@ func TestHealthz(t *testing.T) {
 // TestDeadlinePartialResponse pins the partial-response accounting: a
 // deadline landing mid-batch yields a trailer whose error is set, whose
 // processed/skipped split is exact, and whose rows cover exactly the
-// processed document prefix.
+// processed document prefix. The deadline passes once the client has
+// received the rows of about two and a half documents.
 func TestDeadlinePartialResponse(t *testing.T) {
-	ts := testServer(t, serverConfig{})
+	s := newServer(serverConfig{defaultMode: spanner.ModeLazy})
 	doc := string(gen.Contacts(4000, 9)) // ~100 KiB per document
 	docs := make([]string, 48)
 	for i := range docs {
 		docs[i] = doc
 	}
-	// Warm the cache so compilation doesn't eat the budget.
-	if code, body := post(t, ts, "/v1/count", map[string]any{
-		"query": testQuery, "docs": []string{"warm"}}); code != http.StatusOK {
-		t.Fatalf("warmup: %d %s", code, body)
-	}
-	code, body := post(t, ts, "/v1/enumerate", map[string]any{
-		"query":      testQuery,
-		"docs":       docs,
-		"timeout_ms": 15,
-	})
-	if code != http.StatusOK {
-		t.Fatalf("status %d: %s", code, body)
-	}
-	rows, tr := ndjson(t, body)
-	if tr.Error == "" {
-		t.Skip("machine evaluated ~5 MB under 15ms; deadline never landed")
+	k := 5 * len(refMatches(t, doc)) / 2
+	rows, tr := enumerateUntilDeadline(t, s, "/v1/enumerate", map[string]any{"query": testQuery, "docs": docs}, k)
+	if tr.Error != context.DeadlineExceeded.Error() {
+		t.Fatalf("trailer error %q, want %q", tr.Error, context.DeadlineExceeded)
 	}
 	if tr.DocsProcessed+tr.DocsSkipped != tr.Docs || tr.Docs != len(docs) {
 		t.Fatalf("inconsistent accounting: %+v", tr)
@@ -379,8 +369,7 @@ func TestDeadlinePartialResponse(t *testing.T) {
 	}
 
 	// count is all-or-nothing: the same deadline is a 504.
-	code, body = post(t, ts, "/v1/count", map[string]any{
-		"query": testQuery, "docs": docs, "timeout_ms": 15})
+	code, body := countPastDeadline(t, s, "/v1/count", map[string]any{"query": testQuery, "docs": docs})
 	if code != http.StatusGatewayTimeout {
 		t.Fatalf("count under deadline = %d (%s), want 504", code, body)
 	}

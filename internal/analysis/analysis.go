@@ -79,9 +79,18 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 // Callee resolves a call expression to the function or method it
 // invokes, when that is statically known: a named function or a method
 // selected on a value or type, through any parentheses around the
-// callee. Calls of function values, builtins and conversions yield nil.
+// callee and any explicit instantiation of it (f[T](…) resolves to the
+// generic f). Calls of function values, builtins and conversions yield
+// nil.
 func (p *Pass) Callee(call *ast.CallExpr) *types.Func {
-	switch fun := ast.Unparen(call.Fun).(type) {
+	fun := ast.Unparen(call.Fun)
+	switch ix := fun.(type) {
+	case *ast.IndexExpr:
+		fun = ast.Unparen(ix.X)
+	case *ast.IndexListExpr:
+		fun = ast.Unparen(ix.X)
+	}
+	switch fun := fun.(type) {
 	case *ast.Ident:
 		fn, _ := p.TypesInfo.Uses[fun].(*types.Func)
 		return fn

@@ -24,10 +24,10 @@
 // design and return clean results.
 //
 // Sinks. make with a tainted size, time.Duration multiplication with a
-// tainted operand (the overflow shape), JSON-decoding or io.ReadAll of
-// a tainted reader that was never size-bounded, and compiling a tainted
-// pattern with std regexp (the repo's own parsers are depth-bounded;
-// std's is not ours to bound).
+// tainted operand (the overflow shape), JSON-decoding, io.ReadAll or
+// bytes.Buffer.ReadFrom of a tainted reader that was never size-bounded,
+// and compiling a tainted pattern with std regexp (the repo's own parsers
+// are depth-bounded; std's is not ours to bound).
 //
 // Interprocedurally, each function exports a TaintFact: which
 // parameters reach sinks unlaundered, whether (and how) the return
@@ -640,7 +640,7 @@ func (c *checker) checkCall(st state, call *ast.CallExpr) {
 			c.streamHit(call.Pos(), c.taintOf(st, recv),
 				"JSON-decoding an attacker-controlled stream with no size bound; wrap it with http.MaxBytesReader")
 		}
-	case "io.ReadAll":
+	case "io.ReadAll", "(*bytes.Buffer).ReadFrom":
 		if len(call.Args) == 1 {
 			c.streamHit(call.Pos(), c.taintOf(st, call.Args[0]),
 				"reading an attacker-controlled stream with no size bound; wrap it with http.MaxBytesReader")

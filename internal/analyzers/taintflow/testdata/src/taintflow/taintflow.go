@@ -2,6 +2,7 @@
 package taintflow
 
 import (
+	"bytes"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -46,6 +47,36 @@ func badDecode(r *http.Request) (*request, error) {
 // badRead slurps an unbounded request stream.
 func badRead(r *http.Request) ([]byte, error) {
 	return io.ReadAll(r.Body) // want `reading an attacker-controlled stream with no size bound`
+}
+
+// badBuffer reads an unbounded request stream into a buffer.
+func badBuffer(r *http.Request) ([]byte, error) {
+	var b bytes.Buffer
+	if _, err := b.ReadFrom(r.Body); err != nil { // want `reading an attacker-controlled stream with no size bound`
+		return nil, err
+	}
+	return b.Bytes(), nil
+}
+
+// readBody is the shape of a generic body reader: its parameter reaches
+// the ReadFrom sink, so its callers must bound the stream they pass.
+func readBody[T any](r io.Reader) (*T, error) {
+	var b bytes.Buffer
+	if _, err := b.ReadFrom(r); err != nil {
+		return nil, err
+	}
+	v := new(T)
+	return v, json.Unmarshal(b.Bytes(), v)
+}
+
+// goodGenericRead bounds the stream it hands the generic reader.
+func goodGenericRead(w http.ResponseWriter, r *http.Request) (*request, error) {
+	return readBody[request](http.MaxBytesReader(w, r.Body, 1<<20))
+}
+
+// badGenericRead hands it the raw body.
+func badGenericRead(r *http.Request) (*request, error) {
+	return readBody[request](r.Body) // want `passed to readBody, where it reaches a sink: reading an attacker-controlled stream with no size bound`
 }
 
 // badTimeout is the PR-7 overflow shape: a decoded millisecond count
