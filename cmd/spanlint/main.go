@@ -7,21 +7,22 @@
 // taintflow) share one control-flow graph per function, built by the
 // ctrlflow pass in internal/analysis.
 //
-// Two analyzers are interprocedural: hotalloc proves the functions
-// annotated `spanlint:hotpath` transitively allocation-free, and
-// taintflow tracks attacker-controlled request values into
-// allocation/overflow sinks. Both export per-function summaries as
-// facts, serialized per package (.vetx files under go vet, a shared
-// in-process store standalone) and merged across the import graph.
+// Three analyzers are interprocedural: hotalloc proves the functions
+// annotated `spanlint:hotpath` transitively allocation-free, taintflow
+// tracks attacker-controlled request values into allocation/overflow
+// sinks, and lockorder follows `spanlint:nolock` through calls into
+// other packages. They export per-function summaries as facts, kept in
+// one in-process store and merged across the import graph.
 //
-// It runs two ways:
+// Usage:
 //
-//	go vet -vettool=$(command -v spanlint) ./...   # as a vet tool (CI)
-//	spanlint ./...                                 # standalone
+//	spanlint [-json] [-ignores] packages...
 //
-// `spanlint -json pkgs...` emits diagnostics as NDJSON on stdout;
-// `spanlint -ignores pkgs...` prints the //spanlint:ignore audit
-// listing instead of checking.
+// It checks the named packages with their test files, the way go vet
+// does, and exits 2 on any finding or on any //spanlint:ignore that
+// suppresses nothing. -json emits the diagnostics as NDJSON on stdout;
+// -ignores also prints the audit listing of every //spanlint:ignore
+// site with its justification.
 //
 // A diagnosis can be suppressed at the site with a justification:
 //

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"os/exec"
 	"path/filepath"
-	"regexp"
 	"slices"
 	"strings"
 	"testing"
@@ -22,80 +21,88 @@ func buildSpanlint(t *testing.T) string {
 	return exe
 }
 
-// TestSmoke exercises the three faces of the binary: the cmd/go vet-tool
-// protocol handshakes (-V=full and -flags), and a standalone run over a
-// real package of this repo, which must come back clean.
+// diagnostic is one NDJSON line of `spanlint -json`.
+type diagnostic struct {
+	File     string `json:"file"`
+	Line     int    `json:"line"`
+	Column   int    `json:"column"`
+	Analyzer string `json:"analyzer"`
+	Message  string `json:"message"`
+}
+
+// runJSON runs spanlint -json over the packages, expecting exit status 2
+// (findings), and returns the decoded diagnostics.
+func runJSON(t *testing.T, exe string, pkgs ...string) []diagnostic {
+	t.Helper()
+	cmd := exec.Command(exe, append([]string{"-json"}, pkgs...)...)
+	var stdout, stderr bytes.Buffer
+	cmd.Stdout = &stdout
+	cmd.Stderr = &stderr
+	err := cmd.Run()
+	if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 2 {
+		t.Fatalf("expected exit status 2 on findings, got %v\nstderr: %s", err, stderr.String())
+	}
+	var diags []diagnostic
+	for _, line := range strings.Split(strings.TrimSpace(stdout.String()), "\n") {
+		var d diagnostic
+		if err := json.Unmarshal([]byte(line), &d); err != nil {
+			t.Fatalf("diagnostic line is not valid JSON: %v\n%s", err, line)
+		}
+		diags = append(diags, d)
+	}
+	return diags
+}
+
+// TestSmoke runs the binary end to end: the NDJSON stream over a fixture
+// with one finding per registered analyzer, findings in test files, the
+// ignore listing, and a clean run over a real package of this repo.
 func TestSmoke(t *testing.T) {
 	exe := buildSpanlint(t)
 
-	t.Run("version", func(t *testing.T) {
-		out, err := exec.Command(exe, "-V=full").Output()
-		if err != nil {
-			t.Fatalf("-V=full: %v", err)
-		}
-		// cmd/go parses `<name> version <fingerprint>` and caches on the
-		// fingerprint, so it must change when the binary does.
-		if !regexp.MustCompile(`^spanlint version [0-9a-f]+\n$`).Match(out) {
-			t.Fatalf("-V=full output %q does not match the vet protocol shape", out)
-		}
-	})
-
-	t.Run("flags", func(t *testing.T) {
-		out, err := exec.Command(exe, "-flags").Output()
-		if err != nil {
-			t.Fatalf("-flags: %v", err)
-		}
-		var flags []struct {
-			Name  string
-			Bool  bool
-			Usage string
-		}
-		if err := json.Unmarshal(out, &flags); err != nil {
-			t.Fatalf("-flags output is not the JSON cmd/go expects: %v\n%s", err, out)
-		}
-		// Exactly one enable flag per registered analyzer. Driver-side
-		// flags (-V, -flags, -json, -ignores) must stay out of the
-		// handshake so cmd/go never forwards them on vet runs.
+	t.Run("json", func(t *testing.T) {
+		diags := runJSON(t, exe, "./testdata/src/everyanalyzer")
+		// One finding per registered analyzer, so an analyzer dropped
+		// from cmd/spanlint, or one added without a fixture case, fails.
 		var names []string
-		for _, f := range flags {
-			names = append(names, f.Name)
+		for _, d := range diags {
+			names = append(names, d.Analyzer)
+			if !strings.HasSuffix(d.File, "everyanalyzer.go") || d.Line == 0 || d.Column == 0 {
+				t.Errorf("diagnostic position not populated: %+v", d)
+			}
+			if d.Analyzer == "lockorder" && !strings.Contains(d.Message, "not unlocked on this path") {
+				t.Errorf("unexpected lockorder diagnostic: %+v", d)
+			}
 		}
 		slices.Sort(names)
 		want := []string{"ctxloop", "hotalloc", "lockorder", "taintflow"}
 		if !slices.Equal(names, want) {
-			t.Errorf("-flags advertises %q, want exactly %q", names, want)
+			t.Errorf("analyzers reported %q, want exactly one finding from each of %q", names, want)
 		}
 	})
 
-	t.Run("json", func(t *testing.T) {
-		cmd := exec.Command(exe, "-json", "./testdata/src/jsondemo")
-		var stdout, stderr bytes.Buffer
-		cmd.Stdout = &stdout
-		cmd.Stderr = &stderr
-		err := cmd.Run()
-		ee, ok := err.(*exec.ExitError)
-		if !ok || ee.ExitCode() != 2 {
-			t.Fatalf("expected exit status 2 on findings, got %v\nstderr: %s", err, stderr.String())
+	t.Run("testfiles", func(t *testing.T) {
+		// One lock leaks in a plain file, which the package and its test
+		// variant both hold; one in an in-package _test.go file, which
+		// only the test variant holds; one in the external test package,
+		// which reaches the in-package test's type through the ImportMap.
+		diags := runJSON(t, exe, "./testdata/src/testfiles")
+		var files []string
+		for _, d := range diags {
+			if d.Analyzer != "lockorder" || !strings.Contains(d.Message, "not unlocked on this path") {
+				t.Errorf("unexpected diagnostic: %+v", d)
+			}
+			files = append(files, filepath.Base(d.File))
 		}
-		lines := strings.Split(strings.TrimSpace(stdout.String()), "\n")
-		if len(lines) != 1 {
-			t.Fatalf("expected exactly one NDJSON diagnostic, got %d:\n%s", len(lines), stdout.String())
+		slices.Sort(files)
+		if want := []string{"external_test.go", "internal_test.go", "testfiles.go"}; !slices.Equal(files, want) {
+			t.Errorf("findings in %q, want each of %q exactly once", files, want)
 		}
-		var d struct {
-			File     string `json:"file"`
-			Line     int    `json:"line"`
-			Column   int    `json:"column"`
-			Analyzer string `json:"analyzer"`
-			Message  string `json:"message"`
-		}
-		if err := json.Unmarshal([]byte(lines[0]), &d); err != nil {
-			t.Fatalf("diagnostic line is not valid JSON: %v\n%s", err, lines[0])
-		}
-		if d.Analyzer != "lockorder" || !strings.Contains(d.Message, "not unlocked on this path") {
-			t.Errorf("unexpected diagnostic: %+v", d)
-		}
-		if !strings.HasSuffix(d.File, "jsondemo.go") || d.Line == 0 || d.Column == 0 {
-			t.Errorf("diagnostic position not populated: %+v", d)
+	})
+
+	t.Run("stale", func(t *testing.T) {
+		diags := runJSON(t, exe, "./testdata/src/stale")
+		if len(diags) != 1 || diags[0].Analyzer != "spanlint" || !strings.Contains(diags[0].Message, "suppresses nothing") || diags[0].Line != 6 {
+			t.Errorf("want one stale-waiver finding at stale.go:6, got %+v", diags)
 		}
 	})
 

@@ -1,17 +1,17 @@
 // Package analysis is a minimal, dependency-free mirror of the
 // golang.org/x/tools/go/analysis framework: the Analyzer/Pass/Diagnostic
-// vocabulary, a package loader driven by `go list -export`, the `go vet
-// -vettool` unitchecker protocol, and an analysistest-style fixture
-// runner. The repo's build environment is hermetic (no module proxy), so
-// rather than depend on x/tools the subset this module actually needs is
+// vocabulary, a package loader driven by `go list -test -export`, the
+// multichecker driver, and an analysistest-style fixture runner. The
+// repo's build environment is hermetic (no module proxy), so rather than
+// depend on x/tools the subset this module actually needs is
 // reimplemented here against the standard library; analyzer code written
 // for this package ports to x/tools by changing one import path.
 //
 // Deliberate omissions versus x/tools: no SSA and no suggested fixes.
 // Object facts (facts.go) are supported: an analyzer declaring FactTypes
-// may export per-object summaries that flow across the import graph in
-// both execution modes, which is what makes the hotalloc/taintflow
-// family interprocedural.
+// may export per-object summaries that flow across the import graph,
+// which is what makes the hotalloc, taintflow and lockorder family
+// interprocedural.
 //
 // Diagnostics can be suppressed at the site with a comment on the same
 // line or the line above:
@@ -32,8 +32,8 @@ import (
 // An Analyzer is one static check. Its Run function inspects a single
 // type-checked package and reports diagnostics through the Pass.
 type Analyzer struct {
-	// Name identifies the analyzer in diagnostics, enable flags, and
-	// //spanlint:ignore comments. It must be a valid Go identifier.
+	// Name identifies the analyzer in diagnostics and //spanlint:ignore
+	// comments. It must be a valid Go identifier.
 	Name string
 	// Doc is the help text: one summary line, then detail.
 	Doc string

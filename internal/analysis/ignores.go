@@ -2,8 +2,8 @@ package analysis
 
 import (
 	"fmt"
+	"go/token"
 	"io"
-	"sort"
 )
 
 // IgnoreSite is one //spanlint:ignore suppression found in the source:
@@ -12,82 +12,56 @@ import (
 // listing (spanlint -ignores) exists so the waivers the lint gate is
 // honoring stay reviewable instead of rotting silently in the tree.
 type IgnoreSite struct {
+	Pos           token.Pos
 	File          string
 	Line          int
 	Analyzers     string // the comma list exactly as written
 	Justification string
 	// Used reports that the site suppressed at least one diagnostic when
-	// the analyzers were replayed over its package. A site that is not
-	// Used is stale: the code it excused has changed (or the analyzer
-	// has), and the waiver should be deleted rather than left to shield
-	// a future regression nobody reviews.
+	// the analyzers ran over its package. A site that is not Used is
+	// stale: the code it excused has changed (or the analyzer has), and
+	// the waiver should be deleted rather than left to shield a future
+	// regression nobody reviews.
 	Used bool
 }
 
-// ListIgnores loads the packages matched by the patterns, replays the
-// analyzers over them with suppression-usage tracking, and returns every
-// suppression site in file/line order with its Used bit set. It reuses
-// the same parser and the same suppression pass the gate applies, so the
-// audit and the gate can never disagree about what counts as an ignore
-// or whether it fires.
-func ListIgnores(patterns []string, analyzers []*Analyzer) ([]IgnoreSite, error) {
-	pkgs, err := Load(patterns)
-	if err != nil {
-		return nil, err
-	}
-	used := make(map[string]bool)
-	facts := NewFactStore()
+// ignoreSites lists the suppression sites in pkg's files, using the same
+// parser the suppression pass applies, so the audit and the gate can
+// never disagree about what counts as an ignore. used holds the
+// "file:line" of every site that suppressed a diagnostic (RunConfig's
+// UsedIgnores).
+func ignoreSites(pkg *Package, used map[string]bool) []IgnoreSite {
 	var sites []IgnoreSite
-	for _, pkg := range pkgs {
-		cfg := &RunConfig{Facts: facts, FactsOnly: pkg.FactsOnly, UsedIgnores: used}
-		if _, err := RunPackage(pkg, analyzers, cfg); err != nil {
-			return nil, err
-		}
-		if pkg.FactsOnly {
-			continue // not a named target; its sites are listed when it is
-		}
-		for _, f := range pkg.Files {
-			for _, cg := range f.Comments {
-				for _, c := range cg.List {
-					names, justification, ok := parseIgnore(c.Text)
-					if !ok {
-						continue
-					}
-					pos := pkg.Fset.Position(c.Pos())
-					sites = append(sites, IgnoreSite{
-						File:          pos.Filename,
-						Line:          pos.Line,
-						Analyzers:     names,
-						Justification: justification,
-					})
+	for _, f := range pkg.Files {
+		for _, cg := range f.Comments {
+			for _, c := range cg.List {
+				names, justification, ok := parseIgnore(c.Text)
+				if !ok {
+					continue
 				}
+				pos := pkg.Fset.Position(c.Pos())
+				sites = append(sites, IgnoreSite{
+					Pos:           c.Pos(),
+					File:          pos.Filename,
+					Line:          pos.Line,
+					Analyzers:     names,
+					Justification: justification,
+					Used:          used[fmt.Sprintf("%s:%d", pos.Filename, pos.Line)],
+				})
 			}
 		}
 	}
-	for i := range sites {
-		sites[i].Used = used[fmt.Sprintf("%s:%d", sites[i].File, sites[i].Line)]
-	}
-	sort.Slice(sites, func(i, j int) bool {
-		if sites[i].File != sites[j].File {
-			return sites[i].File < sites[j].File
-		}
-		return sites[i].Line < sites[j].Line
-	})
-	return sites, nil
+	return sites
 }
 
 // PrintIgnores writes the audit listing, one site per line
-// (file:line: names: justification), flagging stale sites. It returns
-// the number of stale sites so the caller can turn them into an exit
-// status.
-func PrintIgnores(w io.Writer, sites []IgnoreSite) (stale int) {
+// (file:line: names: justification), flagging stale sites.
+func PrintIgnores(w io.Writer, sites []IgnoreSite) {
 	for _, s := range sites {
 		marker := ""
 		if !s.Used {
 			marker = " [STALE — suppresses nothing]"
-			stale++
 		}
 		fmt.Fprintf(w, "%s:%d: %s: %s%s\n", s.File, s.Line, s.Analyzers, s.Justification, marker)
 	}
-	return stale
 }

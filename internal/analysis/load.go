@@ -12,6 +12,7 @@ import (
 	"io"
 	"os"
 	"os/exec"
+	"strings"
 )
 
 // listedPackage is the subset of `go list -json` output the loader needs.
@@ -21,22 +22,34 @@ type listedPackage struct {
 	Name       string
 	GoFiles    []string
 	CgoFiles   []string
+	ImportMap  map[string]string
 	Export     string
+	ForTest    string
 	DepOnly    bool
 	Standard   bool
-	Incomplete bool
 }
 
-// Load resolves the patterns with `go list -export -deps -json`, parses
-// and type-checks every matched package from source, and returns them
-// ready for Run — in dependency order, since `go list -deps` emits a
-// package only after everything it imports. Standard-library
-// dependencies are consumed as compiler export data, exactly like a vet
-// run; in-module dependencies outside the requested patterns are parsed
-// from source too, marked FactsOnly, so the fact-producing analyzers
-// can summarize them before their importers are checked.
+// Load resolves the patterns with `go list -e -test -export -deps -json`
+// and parses and type-checks the module's packages from source, test
+// files included, choosing what to check the way go vet does:
+//
+//   - a package with in-package test files is checked as its test
+//     variant `p [p.test]`, which holds every file of p;
+//   - an external test package `p_test [p.test]` is checked as well;
+//   - the generated `p.test` mains are skipped;
+//   - in-module dependencies outside the patterns, recompiled test-only
+//     variants, and a plain p whose test variant is checked are loaded
+//     FactsOnly, so the fact-producing analyzers can summarize them
+//     before their importers run.
+//
+// The packages come back in dependency order, since `go list -deps`
+// emits a package only after everything it imports. Imports are
+// resolved through each package's ImportMap to compiler export data,
+// exactly like a vet run; the standard library is never parsed. A test
+// variant is type-checked under its plain path, the path its objects
+// carry when imported, so facts need one key per object.
 func Load(patterns []string) ([]*Package, error) {
-	args := append([]string{"list", "-e", "-export", "-deps", "-json"}, patterns...)
+	args := append([]string{"list", "-e", "-test", "-export", "-deps", "-json"}, patterns...)
 	cmd := exec.Command("go", args...)
 	cmd.Stderr = os.Stderr
 	out, err := cmd.Output()
@@ -45,11 +58,12 @@ func Load(patterns []string) ([]*Package, error) {
 	}
 
 	exports := make(map[string]string) // import path -> export data file
-	var targets []*listedPackage
+	variants := make(map[string]bool)  // plain paths with a checked test variant
+	var listed []*listedPackage
 	dec := json.NewDecoder(bytes.NewReader(out))
 	for {
-		var lp listedPackage
-		if err := dec.Decode(&lp); err == io.EOF {
+		lp := new(listedPackage)
+		if err := dec.Decode(lp); err == io.EOF {
 			break
 		} else if err != nil {
 			return nil, fmt.Errorf("decoding go list output: %w", err)
@@ -57,23 +71,21 @@ func Load(patterns []string) ([]*Package, error) {
 		if lp.Export != "" {
 			exports[lp.ImportPath] = lp.Export
 		}
-		if !lp.Standard {
-			p := lp
-			targets = append(targets, &p)
+		if lp.Standard || lp.Name == "main" && strings.HasSuffix(lp.ImportPath, ".test") {
+			continue
 		}
+		if p := lp.ForTest; p != "" && lp.ImportPath == p+" ["+p+".test]" && !lp.DepOnly {
+			variants[lp.ForTest] = true
+		}
+		listed = append(listed, lp)
 	}
 
 	fset := token.NewFileSet()
-	imp := ExportImporter(fset, func(path string) (string, error) {
-		f, ok := exports[path]
-		if !ok {
-			return "", fmt.Errorf("no export data listed for %q", path)
-		}
-		return f, nil
-	})
-
+	// Packages with the same ImportMap resolve every path alike, so they
+	// share one importer and its cache of materialized packages.
+	importers := make(map[string]types.Importer)
 	var pkgs []*Package
-	for _, lp := range targets {
+	for _, lp := range listed {
 		if len(lp.GoFiles) == 0 {
 			continue // nothing buildable (e.g. a directory of ignored files)
 		}
@@ -88,11 +100,27 @@ func Load(patterns []string) ([]*Package, error) {
 			}
 			files = append(files, f)
 		}
-		pkg, err := TypeCheck(fset, lp.ImportPath, files, imp)
+		key := fmt.Sprint(lp.ImportMap) // fmt prints maps in key order
+		imp := importers[key]
+		if imp == nil {
+			imp = ExportImporter(fset, func(path string) (string, error) {
+				if mapped, ok := lp.ImportMap[path]; ok {
+					path = mapped
+				}
+				f, ok := exports[path]
+				if !ok {
+					return "", fmt.Errorf("no export data listed for %q", path)
+				}
+				return f, nil
+			})
+			importers[key] = imp
+		}
+		path, _, _ := strings.Cut(lp.ImportPath, " [")
+		pkg, err := TypeCheck(fset, path, files, imp)
 		if err != nil {
 			return nil, err
 		}
-		pkg.FactsOnly = lp.DepOnly
+		pkg.FactsOnly = lp.DepOnly || lp.ForTest == "" && variants[lp.ImportPath]
 		pkgs = append(pkgs, pkg)
 	}
 	return pkgs, nil

@@ -20,9 +20,10 @@ type Package struct {
 	// still run (the syntax and partial type information are usable) but
 	// their reports on such a package are best-effort.
 	IllTyped bool
-	// FactsOnly marks an in-module dependency loaded solely so the
-	// fact-producing analyzers can summarize it; its diagnostics are
-	// not reported.
+	// FactsOnly marks a package loaded solely so the fact-producing
+	// analyzers can summarize it (an in-module dependency, a recompiled
+	// test-only variant, or a package whose test variant is checked in
+	// its place); its diagnostics are not reported.
 	FactsOnly bool
 }
 

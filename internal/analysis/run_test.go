@@ -123,10 +123,11 @@ func TestPrintIgnoresStale(t *testing.T) {
 		{File: "a.go", Line: 7, Analyzers: "reportcalls", Justification: "rotted", Used: false},
 	}
 	var buf strings.Builder
-	if stale := PrintIgnores(&buf, sites); stale != 1 {
-		t.Errorf("PrintIgnores reported %d stale sites, want 1", stale)
-	}
+	PrintIgnores(&buf, sites)
 	out := buf.String()
+	if n := strings.Count(out, "STALE"); n != 1 {
+		t.Errorf("PrintIgnores marked %d sites stale, want 1:\n%s", n, out)
+	}
 	if strings.Contains(strings.SplitN(out, "\n", 2)[0], "STALE") {
 		t.Errorf("the live site is marked stale:\n%s", out)
 	}

@@ -72,7 +72,8 @@ func Bad() []int { return a.Boom() }
 
 // TestInterprocedural checks that a may-allocate summary exported while
 // analyzing one package poisons hot-path call sites in a downstream
-// package sharing the fact store — the standalone-driver configuration.
+// package sharing the fact store, as the driver plays packages in
+// dependency order.
 func TestInterprocedural(t *testing.T) {
 	fset := token.NewFileSet()
 	pkgA := typeCheck(t, fset, "mod/a", srcA, nil)
@@ -86,37 +87,6 @@ func TestInterprocedural(t *testing.T) {
 	if len(diagsA) != 0 {
 		t.Fatalf("package a: unexpected diagnostics %v", diagsA)
 	}
-	checkDownstream(t, fset, pkgB, facts)
-}
-
-// TestInterproceduralVetx is TestInterprocedural with the facts
-// round-tripped through the vetx wire format, as a `go vet -vettool`
-// run would deliver them.
-func TestInterproceduralVetx(t *testing.T) {
-	fset := token.NewFileSet()
-	pkgA := typeCheck(t, fset, "mod/a", srcA, nil)
-	pkgB := typeCheck(t, fset, "mod/b", srcB, map[string]*types.Package{"mod/a": pkgA.Types})
-
-	facts := analysis.NewFactStore()
-	if _, err := analysis.RunPackage(pkgA, []*analysis.Analyzer{hotalloc.Analyzer}, &analysis.RunConfig{Facts: facts, FactsOnly: true}); err != nil {
-		t.Fatal(err)
-	}
-	wire, err := facts.EncodeFacts("mod/a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(wire), "Boom") {
-		t.Fatalf("encoded facts do not mention Boom: %s", wire)
-	}
-	fresh := analysis.NewFactStore()
-	if err := fresh.DecodeFacts("mod/a", wire); err != nil {
-		t.Fatal(err)
-	}
-	checkDownstream(t, fset, pkgB, fresh)
-}
-
-func checkDownstream(t *testing.T, fset *token.FileSet, pkgB *analysis.Package, facts *analysis.FactStore) {
-	t.Helper()
 	diags, err := analysis.RunPackage(pkgB, []*analysis.Analyzer{hotalloc.Analyzer}, &analysis.RunConfig{Facts: facts})
 	if err != nil {
 		t.Fatal(err)

@@ -24,9 +24,10 @@
 // stall behind (or deadlock with) an evaluation filling the lazy table:
 // a function whose doc comment carries "spanlint:nolock" must not
 // take any mutex — function-local ones and sync.Locker included, inside
-// its function literals too — nor call a same-package function that
-// (transitively) does. Hiding the lock one helper deeper does not evade
-// the check.
+// its function literals too — nor call a function that (transitively)
+// does. Hiding the lock one helper deeper, or in another package, does
+// not evade the check: every function that acquires exports an
+// AcquiresFact, which callers in downstream packages read.
 package lockorder
 
 import (
@@ -48,9 +49,16 @@ var Analyzer = &analysis.Analyzer{
 		"directly or through a same-package call, and released in the\n" +
 		"matching mode. Functions marked spanlint:nolock (the lock-free\n" +
 		"Stats contract) must not acquire a mutex at all.",
-	Requires: []*analysis.Analyzer{analysis.CFGAnalyzer},
-	Run:      run,
+	Requires:  []*analysis.Analyzer{analysis.CFGAnalyzer},
+	Run:       run,
+	FactTypes: []analysis.Fact{(*AcquiresFact)(nil)},
 }
+
+// An AcquiresFact marks a function that takes a mutex, directly, in a
+// function literal, or through a call it makes.
+type AcquiresFact struct{}
+
+func (*AcquiresFact) AFact() {}
 
 // lock method classification by types.Func full name.
 var lockMethods = map[string]event{
@@ -192,8 +200,9 @@ type summary struct {
 	callees []*types.Func
 	// acquires is set when the function takes any mutex, classless ones
 	// included, directly, in a nested function literal, or through a
-	// same-package call; litCallees are the calls made from literals.
-	// Only the spanlint:nolock check reads it.
+	// call into another package whose AcquiresFact says so, or a
+	// same-package call; litCallees are the same-package calls made from
+	// literals. Only the spanlint:nolock check reads it.
 	acquires   bool
 	litCallees []*types.Func
 }
@@ -209,9 +218,10 @@ type pkgChecker struct {
 
 // buildSummaries collects each declared function's directly acquired
 // lock classes and same-package callees, then propagates acquisition
-// through the call graph to a fixpoint. Nested function literals count
-// only towards the acquires bit: when they run is not the caller's
-// program point.
+// through the call graph to a fixpoint, and exports an AcquiresFact for
+// every function that acquires. Nested function literals count only
+// towards the acquires bit: when they run is not the caller's program
+// point.
 func (pc *pkgChecker) buildSummaries() {
 	for _, file := range pc.pass.Files {
 		for _, decl := range file.Decls {
@@ -246,6 +256,7 @@ func (pc *pkgChecker) buildSummaries() {
 							}
 						}
 					case callee.Pkg() != pc.pass.Pkg:
+						sum.acquires = sum.acquires || pc.pass.ImportObjectFact(callee, new(AcquiresFact))
 					case inLit:
 						sum.litCallees = append(sum.litCallees, callee)
 					default:
@@ -284,11 +295,16 @@ func (pc *pkgChecker) buildSummaries() {
 			}
 		}
 	}
+	for obj, sum := range pc.summaries {
+		if sum.acquires {
+			pc.pass.ExportObjectFact(obj, &AcquiresFact{})
+		}
+	}
 }
 
 // checkNoLock reports every site in a spanlint:nolock function, its
-// function literals included, that takes a mutex or calls a
-// same-package function that (transitively) does.
+// function literals included, that takes a mutex or calls a function
+// that (transitively) does.
 func (pc *pkgChecker) checkNoLock(fd *ast.FuncDecl) {
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
@@ -301,7 +317,8 @@ func (pc *pkgChecker) checkNoLock(fd *ast.FuncDecl) {
 		}
 		if acquiresMutex(callee) {
 			pc.pass.Reportf(call.Pos(), "%s is marked %s but acquires a mutex here; the stats path must stay lock-free", fd.Name.Name, nolockMarker)
-		} else if cs := pc.summaries[callee]; cs != nil && cs.acquires {
+		} else if cs := pc.summaries[callee]; cs != nil && cs.acquires ||
+			callee.Pkg() != pc.pass.Pkg && pc.pass.ImportObjectFact(callee, new(AcquiresFact)) {
 			pc.pass.Reportf(call.Pos(), "%s is marked %s but calls %s, which acquires a mutex; the stats path must stay lock-free", fd.Name.Name, nolockMarker, callee.Name())
 		}
 		return true

@@ -88,44 +88,13 @@ func TestSummaries(t *testing.T) {
 	if len(diagsA) != 0 {
 		t.Fatalf("package a: unexpected diagnostics %v (parameter taint must summarize, not report)", diagsA)
 	}
-	wireA, err := facts.EncodeFacts("mod/a")
-	if err != nil {
-		t.Fatal(err)
+	var alloc, clamp taintflow.TaintFact
+	if !facts.ObjectFact(taintflow.Analyzer, pkgA.Types.Scope().Lookup("Alloc"), &alloc) || !strings.Contains(alloc.ParamSinks[0], "make sized by") {
+		t.Fatalf("mod/a facts lack Alloc's ParamSinks summary: %+v", alloc)
 	}
-	if !strings.Contains(string(wireA), "Alloc") || !strings.Contains(string(wireA), "make sized by") {
-		t.Fatalf("mod/a facts lack Alloc's ParamSinks summary: %s", wireA)
+	if facts.ObjectFact(taintflow.Analyzer, pkgA.Types.Scope().Lookup("Clamp"), &clamp) && len(clamp.ParamSinks) > 0 {
+		t.Fatalf("mod/a facts flag the clamped function: %+v", clamp)
 	}
-	if strings.Contains(string(wireA), `"Clamp":{"ParamSinks"`) {
-		t.Fatalf("mod/a facts flag the clamped function: %s", wireA)
-	}
-	checkDownstream(t, pkgB, facts)
-}
-
-// TestSummariesVetx is TestSummaries with the facts round-tripped
-// through the vetx wire format, as a `go vet -vettool` run delivers
-// them.
-func TestSummariesVetx(t *testing.T) {
-	fset := token.NewFileSet()
-	pkgA := typeCheck(t, fset, "mod/a", srcA, nil)
-	pkgB := typeCheck(t, fset, "mod/b", srcB, map[string]*types.Package{"mod/a": pkgA.Types})
-
-	facts := analysis.NewFactStore()
-	if _, err := analysis.RunPackage(pkgA, []*analysis.Analyzer{taintflow.Analyzer}, &analysis.RunConfig{Facts: facts, FactsOnly: true}); err != nil {
-		t.Fatal(err)
-	}
-	wire, err := facts.EncodeFacts("mod/a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	fresh := analysis.NewFactStore()
-	if err := fresh.DecodeFacts("mod/a", wire); err != nil {
-		t.Fatal(err)
-	}
-	checkDownstream(t, pkgB, fresh)
-}
-
-func checkDownstream(t *testing.T, pkgB *analysis.Package, facts *analysis.FactStore) {
-	t.Helper()
 	diags, err := analysis.RunPackage(pkgB, []*analysis.Analyzer{taintflow.Analyzer}, &analysis.RunConfig{Facts: facts})
 	if err != nil {
 		t.Fatal(err)
@@ -133,11 +102,8 @@ func checkDownstream(t *testing.T, pkgB *analysis.Package, facts *analysis.FactS
 	if len(diags) != 0 {
 		t.Fatalf("package b: unexpected diagnostics %v (no attacker source in scope)", diags)
 	}
-	wireB, err := facts.EncodeFacts("mod/b")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(wireB), "Use") || !strings.Contains(string(wireB), "passed to Alloc") {
-		t.Fatalf("mod/b facts lack Use's transitive ParamSinks summary: %s", wireB)
+	var use taintflow.TaintFact
+	if !facts.ObjectFact(taintflow.Analyzer, pkgB.Types.Scope().Lookup("Use"), &use) || !strings.Contains(use.ParamSinks[0], "passed to Alloc") {
+		t.Fatalf("mod/b facts lack Use's transitive ParamSinks summary: %+v", use)
 	}
 }

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"slices"
 	"testing"
 
 	"spanners/internal/core"
@@ -27,31 +28,43 @@ func compileDense(t *testing.T, pattern string) *eva.Compiled {
 	return c
 }
 
-// allocDocs are the two document shapes the hot path has to stay
-// allocation-free on: a dense document with matches throughout (the
-// per-byte Capturing/Reading loop does all the work) and a long sparse
-// document with no match at all (the skips over inert bytes do).
-func allocDocs() map[string][]byte {
-	return map[string][]byte{
-		"dense": gen.Contacts(40, 7),
+// An allocCase is a pattern and a document the hot path has to stay
+// allocation-free on.
+type allocCase struct {
+	pattern string
+	doc     []byte
+}
+
+// allocCases are the three shapes: a dense document with matches
+// throughout (the per-byte Capturing/Reading loop does all the work), a
+// long sparse document with no match at all (the skips over inert bytes
+// do), and long inert runs that end at one of a few exit bytes (the
+// skips search for those bytes with bytes.IndexByte).
+func allocCases() map[string]allocCase {
+	prose := gen.Repeat("plain prose, then more of it. ", 150)
+	return map[string]allocCase{
+		"dense": {gen.Figure1Pattern(), gen.Contacts(40, 7)},
 		// No uppercase letters, so Figure1Pattern's name recognizer never
 		// opens: the pass is pure scanning through the accel gate.
-		"sparse": gen.RandomDoc(1<<14, "xyz .@-", 9),
+		"sparse": {gen.Figure1Pattern(), gen.RandomDoc(1<<14, "xyz .@-", 9)},
+		// Only 'w' leaves the configuration before the capture, and the
+		// prose has none but the one link's.
+		"exitbytes": {`.*!h{www\.[a-z]+}.*`, slices.Concat(prose, []byte("see www.example.org. "), prose)},
 	}
 }
 
 func TestEvaluateScratchZeroAlloc(t *testing.T) {
-	comp := compileDense(t, gen.Figure1Pattern())
-	for name, doc := range allocDocs() {
+	for name, c := range allocCases() {
 		t.Run(name, func(t *testing.T) {
+			comp, doc := compileDense(t, c.pattern), c.doc
 			sc := &core.Scratch{}
 			// Warm the scratch: the arena and per-state tables grow to
 			// steady state on the first passes and are recycled afterwards.
 			for i := 0; i < 3; i++ {
 				core.EvaluateScratch(comp, doc, sc)
 			}
-			if name == "dense" && core.EvaluateScratch(comp, doc, sc).IsEmpty() {
-				t.Fatal("dense document should produce matches")
+			if name != "sparse" && core.EvaluateScratch(comp, doc, sc).IsEmpty() {
+				t.Fatalf("%s document should produce matches", name)
 			}
 			allocs := testing.AllocsPerRun(50, func() {
 				if core.EvaluateScratch(comp, doc, sc) == nil {
@@ -66,9 +79,9 @@ func TestEvaluateScratchZeroAlloc(t *testing.T) {
 }
 
 func TestStreamZeroAlloc(t *testing.T) {
-	comp := compileDense(t, gen.Figure1Pattern())
-	for name, doc := range allocDocs() {
+	for name, c := range allocCases() {
 		t.Run(name, func(t *testing.T) {
+			comp, doc := compileDense(t, c.pattern), c.doc
 			sc := &core.Scratch{}
 			run := func() {
 				s := core.NewStream(comp, sc)
@@ -89,9 +102,9 @@ func TestStreamZeroAlloc(t *testing.T) {
 }
 
 func TestCountStreamFeedZeroAlloc(t *testing.T) {
-	comp := compileDense(t, gen.Figure1Pattern())
-	for name, doc := range allocDocs() {
+	for name, c := range allocCases() {
 		t.Run(name, func(t *testing.T) {
+			comp, doc := compileDense(t, c.pattern), c.doc
 			s := core.NewCountStream(comp)
 			// Warm: the counter's per-state tables reach steady state on
 			// the first chunks (the automaton cannot mint new states).

@@ -4,13 +4,13 @@
 #
 #   1. gofmt        — formatting gate over the whole tree
 #   2. go vet       — the stock analyzers
-#   3. spanlint     — the custom multichecker (cmd/spanlint) as a
-#                     vettool over ./..., hard-failing on any finding
-#   4. ignore audit — print every //spanlint:ignore waiver with its
-#                     justification and fail on stale ones, so
+#   3. spanlint     — the custom multichecker (cmd/spanlint) over ./...,
+#                     test files included, in one run: it fails on any
+#                     finding and on any stale //spanlint:ignore, and
+#                     prints every waiver with its justification, so
 #                     suppressions stay reviewable and never outlive
 #                     the finding they waived
-#   5. analyzer fixture tests — the analyzers' own test suites
+#   4. analyzer fixture tests — the analyzers' own test suites
 #
 # Usage:
 #   ./scripts/lint.sh
@@ -33,17 +33,8 @@ fi
 echo "==> go vet"
 go vet ./...
 
-echo "==> spanlint (vettool, hard fail)"
-spanlint_bin=$(mktemp -d)/spanlint
-trap 'rm -rf "$(dirname "$spanlint_bin")"' EXIT
-go build -o "$spanlint_bin" ./cmd/spanlint
-go vet -vettool="$spanlint_bin" ./...
-
-echo "==> spanlint ignore audit"
-"$spanlint_bin" -ignores ./... || {
-  echo "ignore audit failed" >&2
-  exit 1
-}
+echo "==> spanlint (findings and stale ignores fail; waivers listed)"
+go run ./cmd/spanlint -ignores ./...
 
 echo "==> analyzer fixture tests"
 go test ./internal/analysis/... ./internal/analyzers/... ./cmd/spanlint/
